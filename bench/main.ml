@@ -22,8 +22,6 @@ let sections : (string * string * (unit -> unit)) list =
     ("perf", "Engine/APSP hot-path trajectory (BENCH_engine.json)", Bench_perf.run);
     ("check", "Guarantee auditor over live engine streams", Bench_check.run);
     ("chaos", "Supervision overhead: deadline guard, checksummed store", Bench_chaos.run);
-    ("serve", "qcongestd service path: RTT, cold vs warm oracle (BENCH_serve.json)",
-      Bench_serve.run);
   ]
 
 let flag_value a ~prefix =

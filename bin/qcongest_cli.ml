@@ -1031,11 +1031,19 @@ let check_run only seed n trials h shards negative_control artifacts =
     Check.Report.exit_code report
 
 let check_sweep spec_file builtin store_override =
-  match load_spec spec_file builtin with
-  | Error m ->
-    Printf.eprintf "qcongest check: %s\n" m;
+  let usage msg =
+    Printf.eprintf "qcongest check: %s\n" msg;
     2
-  | Ok spec -> with_store spec store_override (audit_sweep_store spec)
+  in
+  match load_spec spec_file builtin with
+  | Error m -> usage m
+  | Ok spec ->
+    (* Loading would create a missing store, and an empty store is
+       only inconclusive: a mistyped path must not read as "nothing to
+       audit". *)
+    let path = resolve_store_path spec store_override in
+    if not (Sys.file_exists path) then usage ("no store at " ^ path)
+    else with_store spec (Some path) (audit_sweep_store spec)
 
 let check_chaos seed deadline negative_control artifacts =
   let report = Check.Suite.chaos ~seed ~deadline_s:deadline ~negative_control () in
@@ -1142,9 +1150,10 @@ let check_cmd =
     Cmd.v
       (Cmd.info "sweep"
          ~doc:
-           "Re-certify a sweep checkpoint store row by row: rebuild each job's instance, \
-            recompute its exact oracle and cross-check the stored n_actual/exact/ratio/within \
-            fields. Exits 1 on a violated row, 3 when the store has no auditable rows.")
+           "Re-certify a sweep checkpoint store row by row: rebuild each instance once, \
+            recompute each of its exact oracles at most once and cross-check every row's \
+            stored n_actual/exact/ratio/within fields. Exits 1 on a violated row, 2 when the \
+            store does not exist, 3 when the store has no auditable rows.")
       Term.(const check_sweep $ spec_arg $ builtin_arg $ store_arg)
   in
   let chaos_seed_arg =
@@ -1190,363 +1199,6 @@ let check_cmd =
           with machine-readable violation reports.")
     [ run_cmd; sweep_cmd; chaos_cmd ]
 
-(* ------------------------------ serve ------------------------------ *)
-
-let default_socket () =
-  match Sys.getenv_opt "QCONGESTD_SOCKET" with
-  | Some s when s <> "" -> s
-  | _ -> Filename.concat (Telemetry.Export.artifacts_dir ()) "qcongestd.sock"
-
-let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket of the daemon. Defaults to $(b,QCONGESTD_SOCKET), then \
-           $(i,ARTIFACTS_DIR)/qcongestd.sock.")
-
-let resolve_socket = function Some s -> s | None -> default_socket ()
-
-let run_serve socket artifacts jobs shards oracle_cache instance_cache =
-  let socket = resolve_socket socket in
-  set_jobs jobs;
-  set_shards shards;
-  let cfg =
-    {
-      (Serve.Daemon.default_config ~socket) with
-      Serve.Daemon.artifacts;
-      runner_jobs = jobs;
-      shards;
-      oracle_capacity = oracle_cache;
-      instance_capacity = instance_cache;
-    }
-  in
-  match Serve.Daemon.run ~log:print_endline cfg with
-  | () -> 0
-  | exception Invalid_argument msg ->
-    Printf.eprintf "qcongest serve: %s\n" msg;
-    2
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Printf.eprintf "qcongest serve: %s: %s (%s)\n" fn (Unix.error_message e) arg;
-    2
-
-let serve_cmd =
-  let artifacts_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "artifacts" ] ~docv:"DIR"
-          ~doc:
-            "Directory for checkpoint stores and report artifacts. Defaults to \
-             $(b,ARTIFACTS_DIR), then $(b,bench_artifacts).")
-  in
-  let oracle_cache_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "oracle-cache" ] ~docv:"N"
-          ~doc:
-            "Capacity of the exact-oracle LRU in eccentricity arrays (APSP weighted and \
-             BFS hop arrays are separate entries); 0 disables residency.")
-  in
-  let instance_cache_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "instance-cache" ] ~docv:"N"
-          ~doc:"Capacity of the content-addressed instance (CSR graph) cache; 0 disables.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the qcongestd daemon: a persistent simulation service accepting sweep, \
-          re-certification and single-run submissions from concurrent clients over a \
-          Unix-domain socket (JSONL protocol qcongest-serve/v1), with a shared job queue, \
-          instance and exact-oracle caches, streaming progress events and graceful \
-          drain on SIGTERM or a shutdown request.")
-    Term.(
-      const run_serve $ socket_arg $ artifacts_arg $ jobs_arg $ shards_arg
-      $ oracle_cache_arg $ instance_cache_arg)
-
-(* ------------------------------ client ----------------------------- *)
-
-let client_error msg =
-  Printf.eprintf "qcongest client: %s\n" msg;
-  2
-
-let with_client socket f =
-  let socket = resolve_socket socket in
-  match Serve.Client.connect ~socket with
-  | exception Unix.Unix_error (e, _, _) ->
-    client_error
-      (Printf.sprintf "cannot connect to %s: %s (is the daemon running?)" socket
-         (Unix.error_message e))
-  | c -> (
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-    try f c with
-    | Serve.Client.Protocol_error msg -> client_error msg
-    | Unix.Unix_error (e, fn, _) ->
-      client_error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
-
-let print_reply = function
-  | Serve.Client.Ok_reply v ->
-    print_endline (Harness.Hjson.print v);
-    0
-  | Serve.Client.Error_reply { code; detail } ->
-    Printf.eprintf "qcongest client: error %s: %s\n" code detail;
-    1
-
-let client_simple op socket = with_client socket (fun c -> print_reply (op c))
-
-let client_metrics socket json =
-  with_client socket @@ fun c ->
-  match Serve.Client.metrics c with
-  | Serve.Client.Error_reply _ as e -> print_reply e
-  | Serve.Client.Ok_reply v as reply ->
-    if json then print_reply reply
-    else (
-      (* The raw Prometheus exposition, as a scraper (or CI grep)
-         would see it. *)
-      match
-        Option.bind (Harness.Hjson.member "prometheus" v) Harness.Hjson.to_string_opt
-      with
-      | Some text ->
-        print_string text;
-        0
-      | None -> print_reply reply)
-
-let client_job_op op socket job = with_client socket (fun c -> print_reply (op c ~job))
-
-let client_events socket job =
-  with_client socket @@ fun c ->
-  print_reply
-    (Serve.Client.events c ~job ~on_event:(fun v ->
-         print_endline (Harness.Hjson.print v)))
-
-let client_raw socket line =
-  with_client socket @@ fun c ->
-  let v = Serve.Client.request c line in
-  print_endline (Harness.Hjson.print v);
-  match Harness.Hjson.member "ok" v with Some (Harness.Hjson.Bool false) -> 1 | _ -> 0
-
-(* Exit code of a settled submission: the daemon's audit/check exit
-   code when the result carries one, else 0 for done / 1 for failed. *)
-let submit_and_wait c fields wait =
-  match Serve.Client.job_of_reply (Serve.Client.submit c fields) with
-  | Error (code, detail) ->
-    Printf.eprintf "qcongest client: error %s: %s\n" code detail;
-    1
-  | Ok job ->
-    Printf.printf "{\"job\":%s}\n%!" (Telemetry.Tjson.str job);
-    if not wait then 0
-    else (
-      match Serve.Client.await c ~job with
-      | Serve.Client.Error_reply { code; detail } ->
-        Printf.eprintf "qcongest client: error %s: %s\n" code detail;
-        1
-      | Serve.Client.Ok_reply v ->
-        print_endline (Harness.Hjson.print v);
-        let exit_field name =
-          Option.bind (Harness.Hjson.member name v) Harness.Hjson.to_int_opt
-        in
-        (match (exit_field "audit_exit_code", exit_field "exit_code") with
-        | Some rc, _ | None, Some rc -> rc
-        | None, None -> 0))
-
-let spec_fields spec_file builtin =
-  match spec_file with
-  | None -> Ok [ ("builtin", Telemetry.Tjson.str builtin) ]
-  | Some path -> (
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error m -> Error m
-    | content -> (
-      (* Re-print compactly: the wire protocol is one frame per line,
-         spec files are free to be pretty-printed. *)
-      match Harness.Hjson.parse content with
-      | Ok v -> Ok [ ("spec", Harness.Hjson.print v) ]
-      | Error m -> Error (Printf.sprintf "%s: %s" path m)))
-
-let client_submit_sweep socket spec_file builtin audit retries deadline wait =
-  match spec_fields spec_file builtin with
-  | Error m -> client_error m
-  | Ok spec_f ->
-    with_client socket @@ fun c ->
-    let fields =
-      [ ("kind", Telemetry.Tjson.str "sweep") ]
-      @ spec_f
-      @ [
-          ("audit", Telemetry.Tjson.bool audit);
-          ("retries", Telemetry.Tjson.int retries);
-        ]
-      @ (match deadline with
-        | Some d -> [ ("deadline_s", Telemetry.Tjson.float d) ]
-        | None -> [])
-    in
-    submit_and_wait c fields wait
-
-let client_submit_check socket spec_file builtin wait =
-  match spec_fields spec_file builtin with
-  | Error m -> client_error m
-  | Ok spec_f ->
-    with_client socket @@ fun c ->
-    submit_and_wait c (("kind", Telemetry.Tjson.str "check-sweep") :: spec_f) wait
-
-let client_submit_run socket spec_file builtin algo n seed deadline wait =
-  match spec_fields spec_file builtin with
-  | Error m -> client_error m
-  | Ok spec_f ->
-    with_client socket @@ fun c ->
-    let fields =
-      [ ("kind", Telemetry.Tjson.str "run") ]
-      @ spec_f
-      @ [
-          ("algo", Telemetry.Tjson.str algo);
-          ("n", Telemetry.Tjson.int n);
-          ("seed", Telemetry.Tjson.int seed);
-        ]
-      @ (match deadline with
-        | Some d -> [ ("deadline_s", Telemetry.Tjson.float d) ]
-        | None -> [])
-    in
-    submit_and_wait c fields wait
-
-let client_cmd =
-  let job_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc:"Daemon job id.")
-  in
-  let wait_arg =
-    Arg.(
-      value & flag
-      & info [ "wait" ]
-          ~doc:"Block until the job settles and print its result; the exit code follows \
-                the result's own verdict (audit/check exit code when present).")
-  in
-  let spec_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spec" ] ~docv:"FILE" ~doc:"Sweep spec JSON file, sent inline (overrides $(b,--builtin)).")
-  in
-  let builtin_arg =
-    Arg.(
-      value & opt string "ci-smoke"
-      & info [ "builtin" ] ~docv:"NAME"
-          ~doc:"Built-in spec: ci-smoke, thm11-scaling, table1-measured or ecc-scaling.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Per-attempt wall-clock budget.")
-  in
-  let ping_cmd =
-    Cmd.v (Cmd.info "ping" ~doc:"Round-trip liveness check.")
-      Term.(const (client_simple Serve.Client.ping) $ socket_arg)
-  in
-  let shutdown_cmd =
-    Cmd.v
-      (Cmd.info "shutdown"
-         ~doc:"Ask the daemon to drain its queue (finishing in-flight jobs) and exit.")
-      Term.(const (client_simple Serve.Client.shutdown) $ socket_arg)
-  in
-  let jobs_cmd =
-    Cmd.v (Cmd.info "jobs" ~doc:"List every job the daemon knows, with states.")
-      Term.(const (client_simple Serve.Client.jobs) $ socket_arg)
-  in
-  let metrics_json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the full JSON reply instead of the \
-                                             raw Prometheus exposition.")
-  in
-  let metrics_cmd =
-    Cmd.v
-      (Cmd.info "metrics"
-         ~doc:
-           "Print the daemon's metrics registry (cache hits/misses/evictions, job and \
-            request counters, sweep histograms) as Prometheus text exposition.")
-      Term.(const client_metrics $ socket_arg $ metrics_json_arg)
-  in
-  let status_cmd =
-    Cmd.v (Cmd.info "status" ~doc:"One job's state and progress.")
-      Term.(const (client_job_op Serve.Client.status) $ socket_arg $ job_arg)
-  in
-  let result_cmd =
-    Cmd.v
-      (Cmd.info "result"
-         ~doc:"One settled job's result payload (an error reply while it is still running).")
-      Term.(const (client_job_op Serve.Client.result) $ socket_arg $ job_arg)
-  in
-  let events_cmd =
-    Cmd.v
-      (Cmd.info "events"
-         ~doc:
-           "Subscribe to a job's event stream: replayed history, then live progress rows, \
-            until the terminal done event.")
-      Term.(const client_events $ socket_arg $ job_arg)
-  in
-  let raw_line_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"LINE" ~doc:"One raw frame to send.")
-  in
-  let raw_cmd =
-    Cmd.v
-      (Cmd.info "raw"
-         ~doc:
-           "Send one raw protocol line verbatim and print the reply — the escape hatch for \
-            testing the daemon's structured error replies (malformed frames included).")
-      Term.(const client_raw $ socket_arg $ raw_line_arg)
-  in
-  let submit_sweep_cmd =
-    let audit_arg =
-      Arg.(value & flag & info [ "audit" ] ~doc:"Re-certify the rows once the sweep completes.")
-    in
-    let retries_arg =
-      Arg.(value & opt int 1 & info [ "retries" ] ~docv:"K" ~doc:"Attempts per job (>= 1).")
-    in
-    Cmd.v
-      (Cmd.info "sweep" ~doc:"Submit a checkpointed sweep run.")
-      Term.(
-        const client_submit_sweep $ socket_arg $ spec_arg $ builtin_arg $ audit_arg
-        $ retries_arg $ deadline_arg $ wait_arg)
-  in
-  let submit_check_cmd =
-    Cmd.v
-      (Cmd.info "check"
-         ~doc:
-           "Submit a re-certification of the spec's checkpoint store (served from the \
-            daemon's instance and oracle caches when warm).")
-      Term.(const client_submit_check $ socket_arg $ spec_arg $ builtin_arg $ wait_arg)
-  in
-  let submit_run_cmd =
-    let algo_arg =
-      Arg.(
-        value & opt string "thm11-diameter"
-        & info [ "algo" ] ~docv:"NAME" ~doc:"Algorithm name (e.g. thm11-diameter).")
-    in
-    let n_arg = Arg.(value & opt int 24 & info [ "n" ] ~docv:"N" ~doc:"Cell size (>= 2).") in
-    let run_seed_arg =
-      Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Cell seed.")
-    in
-    Cmd.v
-      (Cmd.info "run" ~doc:"Submit one algorithm invocation on one cell; the result is \
-                            the canonical sweep row.")
-      Term.(
-        const client_submit_run $ socket_arg $ spec_arg $ builtin_arg $ algo_arg $ n_arg
-        $ run_seed_arg $ deadline_arg $ wait_arg)
-  in
-  let submit_cmd =
-    Cmd.group (Cmd.info "submit" ~doc:"Submit work to the daemon's job queue.")
-      [ submit_sweep_cmd; submit_check_cmd; submit_run_cmd ]
-  in
-  Cmd.group
-    (Cmd.info "client"
-       ~doc:
-         "Talk to a running qcongestd daemon over its Unix-domain socket: submit sweeps, \
-          re-certifications and single runs; poll status, fetch results, stream events, \
-          scrape metrics, or drain it. Exit codes: 0 ok, 1 daemon error reply, 2 \
-          connection/usage error.")
-    [
-      ping_cmd; shutdown_cmd; jobs_cmd; metrics_cmd; status_cmd; result_cmd; events_cmd;
-      raw_cmd; submit_cmd;
-    ]
-
 let () =
   (* Validate QCONGEST_JOBS before dispatching any command: a typo
      should fail fast as a usage error, not as an Invalid_argument
@@ -1571,5 +1223,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ diameter_cmd; radius_cmd; classical_cmd; unweighted_cmd; gadget_cmd; faults_cmd;
-            trace_cmd; params_cmd; sweep_cmd; top_cmd; perf_cmd; check_cmd; serve_cmd;
-            client_cmd ]))
+            trace_cmd; params_cmd; sweep_cmd; top_cmd; perf_cmd; check_cmd ]))

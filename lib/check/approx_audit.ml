@@ -8,7 +8,7 @@ let objective_name = function
   | Core.Algorithm.Diameter -> "diameter"
   | Core.Algorithm.Radius -> "radius"
 
-let thm11_result ?(tamper = 1.0) ?(oracle = Oracle.direct) g (r : Core.Algorithm.result) =
+let thm11_result ?(tamper = 1.0) g (r : Core.Algorithm.result) =
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
@@ -17,8 +17,8 @@ let thm11_result ?(tamper = 1.0) ?(oracle = Oracle.direct) g (r : Core.Algorithm
   let oracle =
     Graphlib.Dist.to_int_exn
       (match r.Core.Algorithm.objective with
-      | Core.Algorithm.Diameter -> Oracle.weighted_diameter oracle g
-      | Core.Algorithm.Radius -> Oracle.weighted_radius oracle g)
+      | Core.Algorithm.Diameter -> Oracle.weighted_diameter Oracle.direct g
+      | Core.Algorithm.Radius -> Oracle.weighted_radius Oracle.direct g)
   in
   incr checked;
   if r.Core.Algorithm.exact <> oracle then
@@ -67,20 +67,20 @@ let thm11_result ?(tamper = 1.0) ?(oracle = Oracle.direct) g (r : Core.Algorithm
     ~name:("thm11-" ^ objective_name r.Core.Algorithm.objective)
     ~claim:thm11_claim ~checked:!checked ~notes (List.rev !violations)
 
-let thm11 ?config ?tamper ?oracle g objective ~rng =
+let thm11 ?config ?tamper g objective ~rng =
   let r = Core.Algorithm.run ?config g objective ~rng in
-  thm11_result ?tamper ?oracle g r
+  thm11_result ?tamper g r
 
 let three_halves_claim =
   "Table 1 (3/2-approx row): unweighted estimate within [floor(2D/3), D]"
 
-let three_halves ?(tamper = 1.0) ?(oracle = Oracle.direct) g ~rng =
+let three_halves ?(tamper = 1.0) g ~rng =
   let tree = fst (Congest.Tree.build g ~root:0) in
   let r = Baselines.Three_halves.diameter g ~tree ~rng in
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
-  let oracle = Graphlib.Dist.to_int_exn (Oracle.hop_diameter oracle g) in
+  let oracle = Graphlib.Dist.to_int_exn (Oracle.hop_diameter Oracle.direct g) in
   let estimate =
     int_of_float (Float.round (float_of_int r.Baselines.Three_halves.estimate *. tamper))
   in

@@ -21,7 +21,6 @@
 val thm11 :
   ?config:Core.Algorithm.config ->
   ?tamper:float ->
-  ?oracle:Oracle.t ->
   Graphlib.Wgraph.t ->
   Core.Algorithm.objective ->
   rng:Util.Rng.t ->
@@ -29,14 +28,10 @@ val thm11 :
 (** Run the Theorem 1.1 pipeline and certify the result. [?tamper]
     multiplies the reported estimate before auditing — the negative
     control proving the certifier can reject (a factor outside
-    [(1+ε)²] must fail). [?oracle] (default {!Oracle.direct})
-    substitutes the ground-truth computation — e.g. the daemon's
-    memoized [Serve.Cache.oracle] — without changing the certificate
-    a correct oracle produces. *)
+    [(1+ε)²] must fail). *)
 
 val thm11_result :
   ?tamper:float ->
-  ?oracle:Oracle.t ->
   Graphlib.Wgraph.t ->
   Core.Algorithm.result ->
   Report.certificate
@@ -44,7 +39,6 @@ val thm11_result :
 
 val three_halves :
   ?tamper:float ->
-  ?oracle:Oracle.t ->
   Graphlib.Wgraph.t ->
   rng:Util.Rng.t ->
   Report.certificate

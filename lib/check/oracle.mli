@@ -5,18 +5,17 @@
     the unweighted ones. That recomputation is the dominant cost of
     re-certifying a sweep, and it is pure: the eccentricity array is a
     function of the graph alone. This record abstracts the two
-    computations so a caller can substitute a memoized version
-    ([Serve.Cache.oracle] keys one by graph content fingerprint) while
-    the default {!direct} keeps the existing call-it-every-time
-    behavior.
+    computations so {!Sweep_audit.audit_store} can share one call per
+    kind among the rows of an instance, and so a caller can wrap them
+    (to time them, say) while the default {!direct} computes them
+    outright.
 
     The derived diameter/radius helpers replicate
     [Graphlib.Apsp.weighted_diameter]/[weighted_radius] and
     [Graphlib.Bfs.diameter] {e exactly} (same [n <= 1] guards, same
     fold identities), so certificates produced through any oracle
     whose eccentricity arrays are correct are byte-identical to
-    direct-path certificates — the property
-    [test/test_serve.ml] pins with QCheck. *)
+    direct-path certificates. *)
 
 type t = {
   weighted_ecc : Graphlib.Wgraph.t -> Graphlib.Dist.t array;
@@ -26,9 +25,9 @@ type t = {
 }
 
 val direct : t
-(** Uncached: [Graphlib.Apsp.eccentricities] and per-source
-    [Graphlib.Bfs.eccentricity]. The default everywhere an [?oracle]
-    is accepted. *)
+(** [Graphlib.Apsp.eccentricities] and per-source
+    [Graphlib.Bfs.eccentricity]. The default where an [?oracle] is
+    accepted. *)
 
 val weighted_diameter : t -> Graphlib.Wgraph.t -> Graphlib.Dist.t
 val weighted_radius : t -> Graphlib.Wgraph.t -> Graphlib.Dist.t

@@ -55,9 +55,8 @@ val sweep_report :
   Report.report
 (** {!Sweep_audit.audit_store} wrapped as a one-certificate report —
     the [qcongest check sweep] / [sweep run --audit] entry point. The
-    optional oracle and instance injections (see {!Sweep_audit}) are
-    how the daemon's caches speed up re-certification without touching
-    its output. *)
+    optional oracle and instance hooks are passed through unchanged
+    (see {!Sweep_audit.audit_store}). *)
 
 val chaos :
   ?seed:int -> ?deadline_s:float -> ?negative_control:bool -> unit -> Report.report

@@ -22,12 +22,12 @@ let exact_of ~oracle (j : Spec.job) g =
 let default_graph_of_job (spec : Spec.t) (j : Spec.job) =
   Harness.Runner.make_graph spec ~n:j.Spec.n ~seed:j.Spec.seed
 
-let expected_exact ?(oracle = Oracle.direct) (spec : Spec.t) (j : Spec.job) =
-  exact_of ~oracle j (default_graph_of_job spec j)
+let expected_exact (spec : Spec.t) (j : Spec.job) =
+  exact_of ~oracle:Oracle.direct j (default_graph_of_job spec j)
 
 let field v name get = Option.bind (Hjson.member name v) get
 
-let audit_ok_row ~oracle ~graph_of_job (spec : Spec.t) (j : Spec.job) v =
+let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
   let violations = ref [] in
   let flag code detail data =
     violations := Report.violation ~code detail ~data :: !violations
@@ -44,10 +44,9 @@ let audit_ok_row ~oracle ~graph_of_job (spec : Spec.t) (j : Spec.job) v =
        field v "within" Hjson.to_bool_opt )
    with
   | Some n_actual, Some estimate, Some exact, Some ratio, Some within ->
-    (* One build per row: the same instance answers both the
-       wrong-instance check and the oracle recomputation (and, through
-       [~graph_of_job], may come out of the daemon's instance cache). *)
-    let g = graph_of_job spec j in
+    (* The same instance answers both the wrong-instance check and the
+       oracle recomputation. *)
+    let g = graph_of_job j in
     if n_actual <> Graphlib.Wgraph.n g then
       flag "wrong-instance"
         (Printf.sprintf "row %s: stored n_actual=%d but the rebuilt instance has n=%d"
@@ -81,52 +80,79 @@ let audit_ok_row ~oracle ~graph_of_job (spec : Spec.t) (j : Spec.job) v =
       ctx);
   List.rev !violations
 
-let audit_row ?(oracle = Oracle.direct) ?(graph_of_job = default_graph_of_job)
-    (spec : Spec.t) (j : Spec.job) raw =
+type verdict = Skipped | Audited of Report.violation list
+
+let audit_raw ~oracle ~graph_of_job (j : Spec.job) raw =
+  let corrupt detail =
+    Audited
+      [ Report.violation ~code:"corrupt-row"
+          (Printf.sprintf "row %s: %s" j.Spec.id detail)
+          ~data:[ ("id", J.str j.Spec.id) ] ]
+  in
   match Hjson.parse raw with
-  | Error msg ->
-    [ Report.violation ~code:"corrupt-row"
-        (Printf.sprintf "row %s: unparseable JSON (%s)" j.Spec.id msg)
-        ~data:[ ("id", J.str j.Spec.id) ] ]
+  | Error msg -> corrupt (Printf.sprintf "unparseable JSON (%s)" msg)
   | Ok v -> (
     match field v "status" Hjson.to_string_opt with
-    | Some "ok" -> audit_ok_row ~oracle ~graph_of_job spec j v
-    | Some _ -> [] (* failed rows are the sweep's own report's business *)
-    | None ->
-      [ Report.violation ~code:"corrupt-row"
-          (Printf.sprintf "row %s: missing status field" j.Spec.id)
-          ~data:[ ("id", J.str j.Spec.id) ] ])
+    | Some "ok" -> Audited (audit_ok_row ~oracle ~graph_of_job j v)
+    | Some _ -> Skipped (* failed rows are the sweep's own report's business *)
+    | None -> corrupt "missing status field")
 
-let audit_store ?oracle ?graph_of_job (spec : Spec.t) store =
-  let jobs = Spec.jobs spec in
-  let checked = ref 0 and skipped = ref 0 and violations = ref [] in
+let audit_row (spec : Spec.t) (j : Spec.job) raw =
+  match audit_raw ~oracle:Oracle.direct ~graph_of_job:(default_graph_of_job spec) j raw with
+  | Skipped -> []
+  | Audited vs -> vs
+
+(* [f] evaluated on its first call only. Sound within one instance,
+   where every call would return the same value. *)
+let once f =
+  let memo = ref None in
+  fun x ->
+    match !memo with
+    | Some y -> y
+    | None ->
+      let y = f x in
+      memo := Some y;
+      y
+
+let audit_store ?(oracle = Oracle.direct) ?(graph_of_job = default_graph_of_job)
+    (spec : Spec.t) store =
+  let jobs = Array.of_list (Spec.jobs spec) in
+  let verdicts = Array.make (Array.length jobs) None in
+  (* One instance at a time: the rows of an (n, seed) cell share one
+     build and at most one oracle call per kind, and the instance is
+     dropped before the next cell, so peak memory does not grow with
+     the store. Rows that are failed or corrupt force no build. *)
   List.iter
-    (fun (j : Spec.job) ->
-      match Harness.Store.find store j.Spec.id with
-      | None -> ()
-      | Some raw ->
-        (* Count failed/skipped rows separately so a store of pure
-           failures stays Inconclusive rather than silently Pass. *)
-        let vs = audit_row ?oracle ?graph_of_job spec j raw in
-        let is_skip =
-          vs = []
-          &&
-          match Hjson.parse raw with
-          | Ok v -> field v "status" Hjson.to_string_opt <> Some "ok"
-          | Error _ -> false
-        in
-        if is_skip then incr skipped
-        else begin
-          incr checked;
-          violations := !violations @ vs
-        end)
-    jobs;
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let graph_of_job = once (graph_of_job spec) in
+          let oracle =
+            { Oracle.weighted_ecc = once oracle.Oracle.weighted_ecc;
+              hop_ecc = once oracle.Oracle.hop_ecc }
+          in
+          Array.iteri
+            (fun i (j : Spec.job) ->
+              if j.Spec.n = n && j.Spec.seed = seed then
+                verdicts.(i) <-
+                  Option.map (audit_raw ~oracle ~graph_of_job j)
+                    (Harness.Store.find store j.Spec.id))
+            jobs)
+        spec.Spec.seeds)
+    spec.Spec.sizes;
+  let verdicts = List.filter_map Fun.id (Array.to_list verdicts) in
+  (* Failed rows count as skipped, not checked, so a store of pure
+     failures stays Inconclusive rather than silently Pass. *)
+  let audited =
+    List.filter_map (function Audited vs -> Some vs | Skipped -> None) verdicts
+  in
+  let checked = List.length audited in
   let notes =
     [
       ("spec", J.str spec.Spec.name);
-      ("jobs", J.int (List.length jobs));
-      ("rows_audited", J.int !checked);
-      ("rows_skipped", J.int !skipped);
+      ("jobs", J.int (Array.length jobs));
+      ("rows_audited", J.int checked);
+      ("rows_skipped", J.int (List.length verdicts - checked));
     ]
   in
-  Report.certificate ~name:"sweep-rows" ~claim ~checked:!checked ~notes !violations
+  Report.certificate ~name:"sweep-rows" ~claim ~checked ~notes (List.concat audited)

@@ -6,7 +6,8 @@
     recomputable — the instance is a pure function of the spec cell —
     so this auditor rebuilds each row's graph, recomputes the exact
     oracle (weighted or unweighted, per algorithm), and cross-checks
-    every stored field. It is what [qcongest check sweep] and
+    every stored field. Rows on the same instance share its build and
+    its oracles. It is what [qcongest check sweep] and
     [qcongest sweep run --audit] run over a store, turning the
     checkpoint file from trusted cache into certified evidence.
 
@@ -19,26 +20,16 @@
     (noted, not violations — the sweep already reports them); a store
     with no auditable rows yields [Inconclusive]. *)
 
-val expected_exact : ?oracle:Oracle.t -> Harness.Spec.t -> Harness.Spec.job -> int
+val expected_exact : Harness.Spec.t -> Harness.Spec.job -> int
 (** The recomputed ground truth for a job cell: weighted
     diameter/radius for the weighted algorithms, unweighted diameter
     for the unweighted ones, fault-free BFS depth for
     [Bfs_reliable]. *)
 
-val audit_row :
-  ?oracle:Oracle.t ->
-  ?graph_of_job:(Harness.Spec.t -> Harness.Spec.job -> Graphlib.Wgraph.t) ->
-  Harness.Spec.t ->
-  Harness.Spec.job ->
-  string ->
-  Report.violation list
-(** Audit one raw checkpoint row (empty list = clean). [?oracle]
-    (default {!Oracle.direct}) substitutes the ground-truth
-    computation; [?graph_of_job] (default [Harness.Runner.make_graph]
-    on the cell's [n]/[seed]) substitutes instance construction — the
-    daemon injects its content-addressed instance cache here. Both
-    must be observationally identical to their defaults; they change
-    cost, never certificates. *)
+val audit_row : Harness.Spec.t -> Harness.Spec.job -> string -> Report.violation list
+(** Audit one raw checkpoint row on a fresh build of its instance
+    (empty list = clean; a failed row is skipped and comes back
+    empty). *)
 
 val audit_store :
   ?oracle:Oracle.t ->
@@ -46,3 +37,13 @@ val audit_store :
   Harness.Spec.t ->
   Harness.Store.t ->
   Report.certificate
+(** Audit every stored row of the spec's jobs. Rows are audited one
+    [(n, seed)] instance at a time: the rows of an instance share one
+    [graph_of_job] call and at most one call per oracle kind, made on
+    first use, so failed and corrupt rows build nothing. Violations
+    come out in {!Harness.Spec.jobs} order, as if each row had gone
+    through {!audit_row}. [?oracle] (default {!Oracle.direct}) and
+    [?graph_of_job] (default [Harness.Runner.make_graph] on the cell's
+    [n]/[seed]) substitute the ground truth and the instance build,
+    e.g. to time them; both must be observationally identical to
+    their defaults. *)

@@ -6,14 +6,14 @@ let ecc_claim =
 
 let scale t v = int_of_float (Float.round (float_of_int v *. t))
 
-let ecc ?(tamper = 1.0) ?(oracle = Oracle.direct) g ~rng =
+let ecc ?(tamper = 1.0) g ~rng =
   let rmax = Baselines.Wwy_ecc.max_eccentricity g ~rng () in
   let rmin = Baselines.Wwy_ecc.min_eccentricity g ~rng () in
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
-  let hop_ecc = oracle.Oracle.hop_ecc g in
-  let diam = Graphlib.Dist.to_int_exn (Oracle.hop_diameter oracle g) in
+  let hop_ecc = Oracle.direct.Oracle.hop_ecc g in
+  let diam = Graphlib.Dist.to_int_exn (Oracle.hop_diameter Oracle.direct g) in
   let radius = Array.fold_left min Graphlib.Dist.inf hop_ecc in
   let d_est = scale tamper rmax.Baselines.Wwy_ecc.extremal in
   let r_est = scale tamper rmin.Baselines.Wwy_ecc.extremal in
@@ -78,13 +78,13 @@ let apsp_claim =
    farthest-pair search returns the exact weighted diameter inside the re-derived \
    [R, 2R] bracket, and the flood dominates the quantum search asymptotically"
 
-let apsp ?(tamper = 1.0) ?(oracle = Oracle.direct) g ~rng =
+let apsp ?(tamper = 1.0) g ~rng =
   let r = Baselines.Wwy_apsp.run g ~rng () in
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
-  let wecc = oracle.Oracle.weighted_ecc g in
-  let diam = Graphlib.Dist.to_int_exn (Oracle.weighted_diameter oracle g) in
+  let wecc = Oracle.direct.Oracle.weighted_ecc g in
+  let diam = Graphlib.Dist.to_int_exn (Oracle.weighted_diameter Oracle.direct g) in
   let radius = Array.fold_left min Graphlib.Dist.inf wecc in
   let est = scale tamper r.Baselines.Wwy_apsp.diameter_estimate in
   incr checked;

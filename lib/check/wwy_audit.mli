@@ -1,14 +1,12 @@
 (** Certifiers for the Wang–Wu–Yao rows (arXiv 2206.02766).
 
-    Both follow the suite's tamper/oracle contract: [?tamper] scales
-    the algorithm's outputs before checking (the negative control —
-    any [tamper <> 1.0] must produce violations on a non-degenerate
-    instance), [?oracle] injects the ground-truth functions so the
-    certifiers themselves can be tested against a lying oracle. *)
+    Both follow the suite's tamper contract: [?tamper] scales the
+    algorithm's outputs before checking (the negative control — any
+    [tamper <> 1.0] must produce violations on a non-degenerate
+    instance). *)
 
 val ecc :
   ?tamper:float ->
-  ?oracle:Oracle.t ->
   Graphlib.Wgraph.t ->
   rng:Util.Rng.t ->
   Report.certificate
@@ -21,7 +19,6 @@ val ecc :
 
 val apsp :
   ?tamper:float ->
-  ?oracle:Oracle.t ->
   Graphlib.Wgraph.t ->
   rng:Util.Rng.t ->
   Report.certificate

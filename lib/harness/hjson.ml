@@ -216,84 +216,3 @@ let rec print = function
   | Str s -> Telemetry.Tjson.str s
   | Arr l -> Telemetry.Tjson.arr (List.map print l)
   | Obj fields -> Telemetry.Tjson.obj (List.map (fun (k, v) -> (k, print v)) fields)
-
-(* --------------------------- Stream frames ------------------------- *)
-
-module Stream = struct
-  type frame =
-    | Frame of t
-    | Junk of { raw : string; error : string }
-    | Oversized of { dropped : int; max_frame : int }
-
-  type reader = {
-    max_frame : int;
-    buf : Buffer.t;
-    ready : frame Queue.t;
-    (* Inside an over-budget line: everything up to the next '\n' is
-       dropped, then one [Oversized] frame accounts for the whole
-       discarded line so the reader re-synchronizes on framing. *)
-    mutable discarding : bool;
-    mutable discarded : int;
-  }
-
-  let default_max_frame = 8 * 1024 * 1024
-
-  let create ?(max_frame = default_max_frame) () =
-    if max_frame < 2 then invalid_arg "Hjson.Stream.create: max_frame must be >= 2";
-    {
-      max_frame;
-      buf = Buffer.create 256;
-      ready = Queue.create ();
-      discarding = false;
-      discarded = 0;
-    }
-
-  let buffered r = Buffer.length r.buf
-
-  let finish_line r line =
-    (* Tolerate CRLF framing and skip blank keep-alive lines. *)
-    let line =
-      let n = String.length line in
-      if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-    in
-    if String.trim line <> "" then
-      Queue.add
-        (match parse line with
-        | Ok v -> Frame v
-        | Error error -> Junk { raw = line; error })
-        r.ready
-
-  let feed_char r ch =
-    if r.discarding then begin
-      if ch = '\n' then begin
-        Queue.add (Oversized { dropped = r.discarded; max_frame = r.max_frame }) r.ready;
-        r.discarding <- false;
-        r.discarded <- 0
-      end
-      else r.discarded <- r.discarded + 1
-    end
-    else if ch = '\n' then begin
-      let line = Buffer.contents r.buf in
-      Buffer.clear r.buf;
-      finish_line r line
-    end
-    else begin
-      Buffer.add_char r.buf ch;
-      if Buffer.length r.buf > r.max_frame then begin
-        r.discarding <- true;
-        r.discarded <- Buffer.length r.buf;
-        Buffer.clear r.buf
-      end
-    end
-
-  let feed_sub r bytes ~off ~len =
-    if off < 0 || len < 0 || off + len > Bytes.length bytes then
-      invalid_arg "Hjson.Stream.feed_sub: bad range";
-    for i = off to off + len - 1 do
-      feed_char r (Bytes.get bytes i)
-    done
-
-  let feed r s = String.iter (feed_char r) s
-
-  let next r = Queue.take_opt r.ready
-end

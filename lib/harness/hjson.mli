@@ -45,49 +45,3 @@ val print : t -> string
 (** Compact canonical rendering (object fields in stored order,
     strings escaped via {!Telemetry.Tjson.str}). [print] and
     {!parse} are mutually inverse up to float formatting. *)
-
-(** {1 Incremental JSONL framing}
-
-    A push-based reader for newline-delimited JSON arriving in
-    arbitrary chunks — a socket's [Unix.read] boundaries never line up
-    with frame boundaries, so the daemon feeds whatever bytes arrived
-    and drains whole frames. Total by construction: a syntactically
-    broken line comes back as {!Stream.Junk} (the caller replies with
-    a structured error) and a line longer than the frame budget is
-    dropped wholesale as {!Stream.Oversized}, after which the reader
-    re-synchronizes on the next newline. Blank lines and CRLF framing
-    are tolerated and skipped. *)
-
-module Stream : sig
-  type frame =
-    | Frame of t  (** One complete line, parsed. *)
-    | Junk of { raw : string; error : string }
-        (** A complete line that is not valid JSON; [error] is the
-            {!parse} message. *)
-    | Oversized of { dropped : int; max_frame : int }
-        (** A line that exceeded [max_frame] bytes; [dropped] is the
-            number of payload bytes discarded. Emitted once per
-            over-budget line, when its terminating newline arrives. *)
-
-  type reader
-
-  val default_max_frame : int
-  (** 8 MiB — generous for inline sweep specs, small enough that a
-      stuck client cannot balloon the daemon's memory. *)
-
-  val create : ?max_frame:int -> unit -> reader
-  (** Raises [Invalid_argument] on [max_frame < 2]. *)
-
-  val feed : reader -> string -> unit
-  (** Append a chunk; complete frames become drainable via {!next}. *)
-
-  val feed_sub : reader -> Bytes.t -> off:int -> len:int -> unit
-  (** {!feed} on a byte range (what a [Unix.read] buffer hands over).
-      Raises [Invalid_argument] on an out-of-bounds range. *)
-
-  val next : reader -> frame option
-  (** Drain the next completed frame, in arrival order. *)
-
-  val buffered : reader -> int
-  (** Bytes of the current {e incomplete} line held in the buffer. *)
-end

@@ -41,7 +41,7 @@
       atomically rewriting the store. A second process attempting a
       writer open sees the stamp: a {e live} holder raises {!Locked};
       a {e dead} holder's lock is stale and stolen silently (so a
-      SIGKILLed daemon never wedges the next run). The same pid
+      SIGKILLed run never wedges the next one). The same pid
       re-opens freely and [close] releases only its own stamp.
     - {b read-only} ([load ~lock:false]): no lock is taken, no stale
       lock is stolen, and {e no byte on disk is ever written} — no
@@ -53,13 +53,13 @@
       writer. {!append} on such a handle raises [Invalid_argument].
     - {b peek} ({!peek}): the cheapest observation — no handle, no
       lock, no mutation, skip-and-count on damage. What [qcongest
-      top], {!Profile.Monitor} and the [qcongestd] status endpoints
-      use against stores a live runner owns.
+      top] and {!Profile.Monitor} use against stores a live runner
+      owns.
 
     The invariant the three modes preserve: at most one process writes
     a store at a time, and observers never mutate (or steal the lock
-    of) a store they do not own — a monitor pointed at a daemon-owned
-    store reports live progress instead of racing the daemon's lock. *)
+    of) a store they do not own — a monitor pointed at a store a live
+    sweep owns reports progress instead of racing the sweep's lock. *)
 
 type t
 

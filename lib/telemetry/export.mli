@@ -53,7 +53,8 @@ val chrome_trace : ?process_name:string -> Events.t list -> string
 
 val prometheus : ?namespace:string -> Metrics.snapshot -> string
 (** Prometheus text exposition (version 0.0.4) of a metrics snapshot
-    — the scrape format a future [qcongestd] serves on [/metrics].
+    — the scrape format of [trace --profile]'s [trace.metrics.prom]
+    and [sweep run --progress]'s [<spec>.metrics.prom].
     Registry names map dots to underscores under the [?namespace]
     prefix (default ["qcongest"]); counters and gauges expose one
     sample each, histograms expose cumulative [_bucket{le="..."}]

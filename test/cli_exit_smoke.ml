@@ -103,8 +103,12 @@ let () =
 
   (* qcongest top: read-only observation; a missing store is a usage
      error (2), a real store renders and exits clean. *)
-  expect ~what:"top on a missing store" 2
-    (Printf.sprintf "%s top %s" exe (Filename.quote (Filename.concat dir "no-store.jsonl")));
+  let missing_store = Filename.quote (Filename.concat dir "no-store.jsonl") in
+  expect ~what:"top on a missing store" 2 (Printf.sprintf "%s top %s" exe missing_store);
+  (* check sweep likewise: a mistyped path is a usage error, not an
+     inconclusive audit of nothing (an existing empty store exits 3). *)
+  expect ~what:"check sweep on a missing store" 2
+    (Printf.sprintf "%s check sweep --store %s" exe missing_store);
 
   (* A real tiny sweep: two 4–6 node exact-classical jobs, gated by an
      absurd exponent so `run` passes and `gate` fails. *)

@@ -236,59 +236,190 @@ let test_amplify () =
 
 (* ------------------------------ sweep ------------------------------ *)
 
+(* Two sizes x two seeds, and on every instance two rows of each
+   oracle kind (weighted APSP and hop BFS eccentricities). *)
 let sweep_spec =
   Harness.Spec.make ~name:"check-test"
-    ~algos:[ Harness.Spec.Classical_diameter; Harness.Spec.Three_halves ]
+    ~algos:
+      [
+        Harness.Spec.Classical_diameter; Harness.Spec.Classical_radius;
+        Harness.Spec.Three_halves; Harness.Spec.Lm_unweighted;
+      ]
     ~family:(Harness.Spec.Ring { cliques = 3 })
-    ~sizes:[ 12 ] ~seeds:[ 1 ] ()
+    ~sizes:[ 12; 15 ] ~seeds:[ 1; 2 ] ()
 
 let temp_store () =
   let path = Filename.temp_file "qcongest_check" ".jsonl" in
   Sys.remove path;
   Harness.Store.load ~path ()
 
-let test_sweep_audit () =
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let replace ~sub ~by row =
+  match find_sub row sub with
+  | None -> row
+  | Some i ->
+    let k = i + String.length sub in
+    String.sub row 0 i ^ by ^ String.sub row k (String.length row - k)
+
+let bend_exact row =
+  let key = "\"exact\":" in
+  match find_sub row key with
+  | None -> row
+  | Some i ->
+    let j = ref (i + String.length key) in
+    while
+      !j < String.length row && (match row.[!j] with '0' .. '9' | '-' -> true | _ -> false)
+    do
+      incr j
+    done;
+    String.sub row 0 i ^ key ^ "99999" ^ String.sub row !j (String.length row - !j)
+
+let fail_row = replace ~sub:"\"status\":\"ok\"" ~by:"\"status\":\"failed\""
+let corrupt_row = replace ~sub:"\"within\":true" ~by:"\"within\":\"yes\""
+
+(* A copy of [store] with [edit] applied to the row of the [i]-th job;
+   rows [edit] maps to [None] are left out. *)
+let copy_store store edit =
+  let copy = temp_store () in
+  List.iteri
+    (fun i (j : Harness.Spec.job) ->
+      let row = Option.get (Harness.Store.find store j.Harness.Spec.id) in
+      Option.iter (Harness.Store.append copy ~id:j.Harness.Spec.id) (edit i row))
+    (Harness.Spec.jobs sweep_spec);
+  copy
+
+(* What auditing each stored row alone, on a fresh build, reports. *)
+let per_row_violations store =
+  List.concat_map
+    (fun (j : Harness.Spec.job) ->
+      match Harness.Store.find store j.Harness.Spec.id with
+      | None -> []
+      | Some raw -> Check.Sweep_audit.audit_row sweep_spec j raw)
+    (Harness.Spec.jobs sweep_spec)
+
+(* [audit_store] through counting hooks; [count what (n, seed)] is how
+   often that instance was built ("build") or had an oracle kind
+   computed on it ("weighted" / "hop"). *)
+let counted_audit store =
+  let calls = ref [] and built = ref [] in
+  let graph_of_job spec (j : Harness.Spec.job) =
+    let cell = (j.Harness.Spec.n, j.Harness.Spec.seed) in
+    let g = Harness.Runner.make_graph spec ~n:(fst cell) ~seed:(snd cell) in
+    calls := ("build", cell) :: !calls;
+    built := (g, cell) :: !built;
+    g
+  in
+  let counted what f g =
+    calls := (what, List.assq g !built) :: !calls;
+    f g
+  in
+  let direct = Check.Oracle.direct in
+  let oracle =
+    {
+      Check.Oracle.weighted_ecc = counted "weighted" direct.Check.Oracle.weighted_ecc;
+      hop_ecc = counted "hop" direct.Check.Oracle.hop_ecc;
+    }
+  in
+  let cert = Check.Sweep_audit.audit_store ~oracle ~graph_of_job sweep_spec store in
+  (cert, fun what cell -> List.length (List.filter (( = ) (what, cell)) !calls))
+
+let each_instance f =
+  List.iter (fun n -> List.iter (f n) sweep_spec.Harness.Spec.seeds) sweep_spec.Harness.Spec.sizes
+
+let rows = List.length (Harness.Spec.jobs sweep_spec)
+
+(* Tamper: one failed row, one corrupt row, every other exact bent. *)
+let tamper i row =
+  Some (match i with 1 -> fail_row row | 6 -> corrupt_row row | _ -> bend_exact row)
+
+let remove_store s =
+  Harness.Store.close s;
+  try Sys.remove (Harness.Store.path s) with Sys_error _ -> ()
+
+(* Runs [f] on a store freshly swept over [sweep_spec], then removes it
+   and every store [f] returns. *)
+let with_swept_store f =
   let store = temp_store () in
   let _executed, failed = Harness.Runner.run sweep_spec store in
   check "no failed jobs" 0 failed;
-  let c = Check.Sweep_audit.audit_store sweep_spec store in
-  Alcotest.check status "fresh store certifies" Check.Report.Pass c.Check.Report.status;
-  check "both rows audited" 2 c.Check.Report.checked;
-  (* Tamper: copy the rows into a new store with one exact field bent. *)
-  let bend_exact row =
-    let key = "\"exact\":" in
-    let klen = String.length key in
-    let rec find i =
-      if i + klen > String.length row then None
-      else if String.sub row i klen = key then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> row
-    | Some i ->
-      let j = ref (i + klen) in
-      while
-        !j < String.length row
-        && (match row.[!j] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr j
-      done;
-      String.sub row 0 i ^ key ^ "99999" ^ String.sub row !j (String.length row - !j)
-  in
-  let tampered = temp_store () in
-  List.iter
-    (fun (id, row) -> Harness.Store.append tampered ~id (bend_exact row))
-    (Harness.Store.rows store);
-  let bad = Check.Sweep_audit.audit_store sweep_spec tampered in
-  Alcotest.check status "bent rows fail" Check.Report.Fail bad.Check.Report.status;
-  checkb "oracle-mismatch reported" true (has_code "oracle-mismatch" bad);
-  (* Empty store: nothing to certify. *)
-  let empty = temp_store () in
-  let none = Check.Sweep_audit.audit_store sweep_spec empty in
-  Alcotest.check status "empty store inconclusive" Check.Report.Inconclusive
-    none.Check.Report.status;
-  List.iter (fun s -> try Sys.remove (Harness.Store.path s) with Sys_error _ -> ())
-    [ store; tampered; empty ]
+  List.iter remove_store (store :: f store)
+
+let test_sweep_audit () =
+  with_swept_store (fun store ->
+      let c = Check.Sweep_audit.audit_store sweep_spec store in
+      Alcotest.check status "fresh store certifies" Check.Report.Pass c.Check.Report.status;
+      check "every row audited" rows c.Check.Report.checked;
+      let tampered = copy_store store tamper in
+      let bad = Check.Sweep_audit.audit_store sweep_spec tampered in
+      Alcotest.check status "bent rows fail" Check.Report.Fail bad.Check.Report.status;
+      checkb "oracle-mismatch reported" true (has_code "oracle-mismatch" bad);
+      checkb "corrupt-row reported" true (has_code "corrupt-row" bad);
+      check "the failed row is skipped" (rows - 1) bad.Check.Report.checked;
+      (* Empty store: nothing to certify. *)
+      let empty = temp_store () in
+      let none = Check.Sweep_audit.audit_store sweep_spec empty in
+      Alcotest.check status "empty store inconclusive" Check.Report.Inconclusive
+        none.Check.Report.status;
+      [ tampered; empty ])
+
+let test_sweep_one_build_per_instance () =
+  with_swept_store (fun store ->
+      (* The rows of an instance share one build and one call per oracle
+         kind. *)
+      let _, count = counted_audit store in
+      each_instance (fun n seed ->
+          List.iter
+            (fun what ->
+              check
+                (Printf.sprintf "%s calls on n=%d seed=%d" what n seed)
+                1 (count what (n, seed)))
+            [ "build"; "weighted"; "hop" ]);
+      (* Failed and corrupt rows force no build. *)
+      let broken =
+        copy_store store (fun i row ->
+            match i with 1 -> Some (fail_row row) | 6 -> Some (corrupt_row row) | _ -> None)
+      in
+      let _, count = counted_audit broken in
+      each_instance (fun n seed ->
+          check (Printf.sprintf "no build of n=%d seed=%d" n seed) 0 (count "build" (n, seed)));
+      [ broken ])
+
+let test_sweep_hooked_audit_identical () =
+  with_swept_store (fun store ->
+      (* The injected hooks change no byte of the certificate, clean or
+         tampered. *)
+      let tampered = copy_store store tamper in
+      List.iter
+        (fun (what, s) ->
+          let counted, _ = counted_audit s in
+          checks
+            (what ^ ": hooked certificate identical")
+            (Check.Report.certificate_to_json (Check.Sweep_audit.audit_store sweep_spec s))
+            (Check.Report.certificate_to_json counted))
+        [ ("clean store", store); ("tampered store", tampered) ];
+      [ tampered ])
+
+let test_sweep_shared_oracle_per_row () =
+  with_swept_store (fun store ->
+      (* Sharing changes no verdict: the violations are the per-row
+         audits, each on its own build, in job order. *)
+      let tampered = copy_store store tamper in
+      List.iter
+        (fun (what, s, skipped) ->
+          let c = Check.Sweep_audit.audit_store sweep_spec s in
+          checkb (what ^ ": per-row violations") true
+            (c.Check.Report.violations = per_row_violations s);
+          check (what ^ ": rows not skipped") (rows - skipped) c.Check.Report.checked)
+        [ ("clean store", store, 0); ("tampered store", tampered, 1) ];
+      [ tampered ])
 
 let test_expected_exact_matches_rows () =
   (* The auditor's oracle table must agree with what the runner itself
@@ -395,6 +526,11 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "store audit" `Quick test_sweep_audit;
+          Alcotest.test_case "one build per instance" `Quick test_sweep_one_build_per_instance;
+          Alcotest.test_case "hooked audit byte-identical" `Quick
+            test_sweep_hooked_audit_identical;
+          Alcotest.test_case "shared oracle = per-row audit" `Quick
+            test_sweep_shared_oracle_per_row;
           Alcotest.test_case "oracle agrees with runner" `Quick
             test_expected_exact_matches_rows;
         ] );

@@ -102,92 +102,6 @@ let prop_hjson_float_roundtrip =
         else Float.abs (f' -. f) <= 1e-8 *. Float.max 1.0 (Float.abs f)
       | _ -> false)
 
-(* --------------------------- Hjson.Stream -------------------------- *)
-
-module Stream = Harness.Hjson.Stream
-
-let drain r =
-  let rec go acc = match Stream.next r with Some f -> go (f :: acc) | None -> List.rev acc in
-  go []
-
-let test_stream_chunk_boundaries () =
-  (* A socket's read boundaries never line up with frames: feeding one
-     byte at a time must reassemble exactly the same frames. *)
-  let open Harness.Hjson in
-  let r = Stream.create () in
-  let got = ref [] in
-  let wire = "{\"op\":\"ping\",\"id\":\"a\"}\n{\"n\":7}\n{\"tail\":true}" in
-  String.iter
-    (fun c ->
-      Stream.feed r (String.make 1 c);
-      got := !got @ drain r)
-    wire;
-  check "two complete frames" 2 (List.length !got);
-  checkb "first parsed" true
-    (match !got with
-    | Stream.Frame v :: _ -> member "op" v = Some (Str "ping")
-    | _ -> false);
-  checkb "second parsed" true
-    (match !got with
-    | [ _; Stream.Frame v ] -> member "n" v = Some (Num 7.0)
-    | _ -> false);
-  checkb "incomplete tail buffered, not emitted" true (Stream.buffered r > 0);
-  Stream.feed r "\n";
-  check "newline completes the tail" 1 (List.length (drain r))
-
-let test_stream_multiframe_chunk () =
-  (* The converse: one chunk carrying many frames drains them in order. *)
-  let r = Stream.create () in
-  Stream.feed r "{\"a\":1}\n\n{\"b\":2}\r\n{\"c\":3}\n";
-  match drain r with
-  | [ Stream.Frame _; Stream.Frame _; Stream.Frame _ ] ->
-    check "blank and CRLF lines leave nothing buffered" 0 (Stream.buffered r)
-  | fs -> Alcotest.failf "expected 3 frames through blank/CRLF noise, got %d" (List.length fs)
-
-let test_stream_junk_resync () =
-  let open Harness.Hjson in
-  let r = Stream.create () in
-  Stream.feed r "{\"ok\":1}\n{\"bogus\n{\"after\":true}\n";
-  match drain r with
-  | [ Stream.Frame _; Stream.Junk { raw; error }; Stream.Frame v ] ->
-    checks "junk line preserved verbatim" "{\"bogus" raw;
-    checkb "parse error carried" true (String.length error > 0);
-    checkb "reader re-synced on the next line" true (member "after" v = Some (Bool true))
-  | _ -> Alcotest.fail "expected frame/junk/frame"
-
-let test_stream_oversized_resync () =
-  let r = Stream.create ~max_frame:16 () in
-  (* Feed an over-budget line in pieces; the reader must not buffer the
-     payload while discarding, and must emit exactly one Oversized when
-     the newline finally lands. *)
-  let big = String.make 64 'x' in
-  Stream.feed r big;
-  Stream.feed r big;
-  checkb "discarding mode holds no payload" true (Stream.buffered r <= 16);
-  checkb "no frame before the newline" true (drain r = []);
-  Stream.feed r "\n{\"after\":1}\n";
-  (match drain r with
-  | [ Stream.Oversized { dropped; max_frame }; Stream.Frame _ ] ->
-    check "budget echoed" 16 max_frame;
-    checkb "dropped counts the payload" true (dropped >= 128)
-  | _ -> Alcotest.fail "expected oversized then frame");
-  checkb "max_frame < 2 rejected" true
-    (match Stream.create ~max_frame:1 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_stream_feed_sub_bounds () =
-  let r = Stream.create () in
-  let buf = Bytes.of_string "??{\"a\":1}\n??" in
-  Stream.feed_sub r buf ~off:2 ~len:8;
-  (match drain r with
-  | [ Stream.Frame _ ] -> ()
-  | _ -> Alcotest.fail "feed_sub range not honoured");
-  checkb "out-of-bounds range rejected" true
-    (match Stream.feed_sub r buf ~off:8 ~len:8 with
-    | exception Invalid_argument _ -> true
-    | () -> false)
-
 (* ------------------------------- Spec ------------------------------ *)
 
 let small_spec =
@@ -891,14 +805,6 @@ let () =
             test_hjson_int_exactness_boundary;
           QCheck_alcotest.to_alcotest prop_hjson_int_roundtrip;
           QCheck_alcotest.to_alcotest prop_hjson_float_roundtrip;
-        ] );
-      ( "hjson.stream",
-        [
-          Alcotest.test_case "chunk boundaries" `Quick test_stream_chunk_boundaries;
-          Alcotest.test_case "multi-frame chunk" `Quick test_stream_multiframe_chunk;
-          Alcotest.test_case "junk resync" `Quick test_stream_junk_resync;
-          Alcotest.test_case "oversized resync" `Quick test_stream_oversized_resync;
-          Alcotest.test_case "feed_sub bounds" `Quick test_stream_feed_sub_bounds;
         ] );
       ( "spec",
         [
