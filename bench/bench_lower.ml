@@ -119,7 +119,11 @@ let server_sim () =
                       else (max s best, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~on_message gd.Lowerbound.Gadget.graph proto in
+              let _, trace =
+                Congest.Engine.run
+                  ~sink:(Telemetry.Events.of_on_message on_message)
+                  gd.Lowerbound.Gadget.graph proto
+              in
               trace.Congest.Engine.rounds );
           ( "bounded wavefront (Alg2-style)",
             fun ~on_message ->
@@ -157,7 +161,9 @@ let server_sim () =
                       else (min cand s, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~on_message topo proto in
+              let _, trace =
+                Congest.Engine.run ~sink:(Telemetry.Events.of_on_message on_message) topo proto
+              in
               trace.Congest.Engine.rounds );
         ]
       in

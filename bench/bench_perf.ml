@@ -5,16 +5,7 @@
    seed-style serial Dijkstra sweep — on the three workloads every
    experiment in this repo is built from: a long relay chain (round-loop
    overhead), a dense flood (per-message ledger cost), and the exact
-   APSP/eccentricity baseline (Dijkstra + domain fan-out) — plus the
-   domain-sharded scale arm: a wide flood on random trees up to n = 10^6
-   where the "reference" is the same engine at --shards=1, so the
-   reported speedup is exactly what sharding buys (and the two runs are
-   asserted bit-identical first).
-
-   Scale-case sizes come from QCONGEST_PERF_SIZES (CSV; the --sizes=
-   flag of bench/main.exe), defaulting to 100000,1000000 full /
-   2000 smoke. The shard count comes from Congest.Shard.default_shards
-   (QCONGEST_SHARDS or --shards=, defaulting to 4 here when unset).
+   APSP/eccentricity baseline (Dijkstra + domain fan-out).
 
    Results go to BENCH_engine.json under bench_artifacts/ plus the
    documented root-level copy (the committed trajectory file), and
@@ -28,21 +19,6 @@
    the sizes for CI. *)
 
 let smoke () = Sys.getenv_opt "QCONGEST_PERF_SMOKE" <> None
-
-let sizes_env = "QCONGEST_PERF_SIZES"
-
-let scale_sizes ~smoke =
-  match Sys.getenv_opt sizes_env with
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun t ->
-           let t = String.trim t in
-           if t = "" then None
-           else
-             match int_of_string_opt t with
-             | Some n when n >= 2 -> Some n
-             | _ -> failwith (Printf.sprintf "perf: bad %s entry %S" sizes_env t))
-  | None -> if smoke then [ 2_000 ] else [ 100_000; 1_000_000 ]
 
 let now () = Telemetry.Clock.now Telemetry.Clock.wall
 
@@ -142,7 +118,6 @@ let reference_eccentricities g =
 type case = {
   name : string;
   n : int;
-  shards : int;  (* shard count of the optimized arm; 1 = single-domain *)
   wall_s : float;  (* best of reps *)
   median_s : float;  (* median of reps — the trajectory statistic *)
   ref_wall_s : float;
@@ -166,7 +141,6 @@ let run_engine_case ~name ~metric ~count g proto ~reps =
   {
     name;
     n;
-    shards = 1;
     wall_s;
     median_s;
     ref_wall_s;
@@ -198,7 +172,6 @@ let apsp_case ~reps ~jobs ~cliques ~clique_size =
   {
     name = "apsp-ecc";
     n;
-    shards = 1;
     wall_s;
     median_s;
     ref_wall_s;
@@ -206,51 +179,22 @@ let apsp_case ~reps ~jobs ~cliques ~clique_size =
     metric_value = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
   }
 
-(* The scale arm: a wide flood on a uniform-attachment tree, sharded
-   engine vs the same engine forced to one domain. Unlike the other
-   arms there is no frozen seed reference — at n = 10^6 the seed loop
-   would not finish — so the baseline is `--shards=1`, which the
-   golden-equivalence suite pins bit-identical to it. *)
-let scale_case ~reps ~shards n =
-  let g =
-    Graphlib.Gen.random_tree ~n ~weighting:Graphlib.Gen.Unit ~rng:(Bench_common.rng 4)
-  in
-  let (single_states, single_trace), ref_wall_s, _ =
-    best_of reps (fun () -> Congest.Engine.run ~shards:1 g flood_protocol)
-  in
-  let (states, trace), wall_s, median_s =
-    best_of reps (fun () -> Congest.Engine.run ~shards g flood_protocol)
-  in
-  if states <> single_states || trace <> single_trace then
-    failwith "perf engine-scale-flood: sharded run diverged from single-domain";
-  {
-    name = "engine-scale-flood";
-    n;
-    shards;
-    wall_s;
-    median_s;
-    ref_wall_s;
-    metric = "messages_per_s";
-    metric_value =
-      (if wall_s > 0.0 then float_of_int trace.Congest.Engine.messages /. wall_s else 0.0);
-  }
-
 (* ------------------------------ Output ----------------------------- *)
 
-let cases_to_json ~jobs ~shards ~smoke cases =
+let cases_to_json ~jobs ~smoke cases =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"qcongest-perf/v2\",";
+  Buffer.add_string b "{\"schema\":\"qcongest-perf/v3\",";
   Buffer.add_string b "\"bench\":\"engine-hot-path\",";
   Buffer.add_string b
-    (Printf.sprintf "\"smoke\":%b,\"jobs\":%d,\"shards\":%d,\"host_cores\":%d,\"cases\":["
-       smoke jobs shards (Domain.recommended_domain_count ()));
+    (Printf.sprintf "\"smoke\":%b,\"jobs\":%d,\"host_cores\":%d,\"cases\":[" smoke jobs
+       (Domain.recommended_domain_count ()));
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":%S,\"n\":%d,\"shards\":%d,\"wall_s\":%.6f,\"%s\":%.1f,\"ref_wall_s\":%.6f,\"speedup_vs_reference\":%.2f}"
-           c.name c.n c.shards c.wall_s c.metric c.metric_value c.ref_wall_s (speedup c)))
+           "{\"name\":%S,\"n\":%d,\"wall_s\":%.6f,\"%s\":%.1f,\"ref_wall_s\":%.6f,\"speedup_vs_reference\":%.2f}"
+           c.name c.n c.wall_s c.metric c.metric_value c.ref_wall_s (speedup c)))
     cases;
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -266,23 +210,15 @@ let run () =
   (* The acceptance target for the APSP arm is >= 4 domains; honor a
      larger explicit setting, never a smaller one. *)
   let jobs = max 4 (Util.Domain_pool.default_jobs ()) in
-  (* The scale arm's shard count: an explicit --shards= / QCONGEST_SHARDS
-     wins; otherwise 4, the acceptance target. *)
-  let shards =
-    let d = Congest.Shard.default_shards () in
-    if d > 1 then d else 4
-  in
   let relay_sizes = if smoke then [ 500 ] else [ 1000; 2000; 4000 ] in
   let flood_shapes = if smoke then [ (16, 16) ] else [ (32, 32); (32, 48); (32, 64) ] in
   let apsp_shapes = if smoke then [ (10, 12) ] else [ (40, 25); (50, 40) ] in
-  let scale_ns = scale_sizes ~smoke in
   let t =
     Util.Table.create_aligned
       ~headers:
         [
           ("case", Util.Table.Left);
           ("n", Util.Table.Right);
-          ("shards", Util.Table.Right);
           ("metric", Util.Table.Left);
           ("value", Util.Table.Right);
           ("opt wall s", Util.Table.Right);
@@ -294,7 +230,6 @@ let run () =
     List.map (fun n -> relay_case ~reps n) relay_sizes
     @ List.map (fun (c, s) -> flood_case ~reps ~cliques:c ~clique_size:s) flood_shapes
     @ List.map (fun (c, s) -> apsp_case ~reps ~jobs ~cliques:c ~clique_size:s) apsp_shapes
-    @ List.map (fun n -> scale_case ~reps ~shards n) scale_ns
   in
   List.iter
     (fun c ->
@@ -302,7 +237,6 @@ let run () =
         [
           c.name;
           string_of_int c.n;
-          string_of_int c.shards;
           c.metric;
           Bench_common.fmt_large c.metric_value;
           Printf.sprintf "%.4f" c.wall_s;
@@ -313,10 +247,7 @@ let run () =
   Util.Table.print t;
   Bench_common.note "all arms verified identical (states, traces, eccentricities)";
   Bench_common.note "APSP arm ran with %d domains" jobs;
-  Bench_common.note "scale arm ran with %d shards on %d host cores (sizes: %s)" shards
-    (Domain.recommended_domain_count ())
-    (String.concat ", " (List.map string_of_int scale_ns));
-  let json = cases_to_json ~jobs ~shards ~smoke cases in
+  let json = cases_to_json ~jobs ~smoke cases in
   ignore (Bench_common.write_bench_json ~root_copy:true ~name:"BENCH_engine.json" json);
   (* Perf-trajectory rows: one qcongest-perf-row/v1 per case, appended
      to the history and snapshotted for the regression gate. *)

@@ -32,12 +32,8 @@ let flag_value a ~prefix =
 
 let () =
   (* [--jobs=N] (anywhere on the command line) sets the Domain_pool
-     default for every section; QCONGEST_JOBS overrides it.
-     [--shards=K] likewise sets the engine's default shard count
-     (QCONGEST_SHARDS overrides). [--sizes=N,N,...] pins the perf
-     section's scale-case sizes (exported as QCONGEST_PERF_SIZES).
-     [--smoke] shrinks sizes for the sections that honor
-     QCONGEST_PERF_SMOKE. *)
+     default for every section; QCONGEST_JOBS overrides it. [--smoke]
+     shrinks sizes for the sections that honor QCONGEST_PERF_SMOKE. *)
   let args =
     List.filter
       (fun a ->
@@ -56,35 +52,7 @@ let () =
             | _ ->
               Printf.eprintf "bad --jobs value in %S\n" a;
               exit 1)
-          | None ->
-            (match flag_value a ~prefix:"--shards=" with
-            | Some v ->
-              (match int_of_string_opt v with
-              | Some k when k >= 1 ->
-                Congest.Shard.set_default_shards k;
-                false
-              | _ ->
-                Printf.eprintf "bad --shards value in %S\n" a;
-                exit 1)
-            | None ->
-              (match flag_value a ~prefix:"--sizes=" with
-              | Some v ->
-                let ok =
-                  String.split_on_char ',' v
-                  |> List.for_all (fun t ->
-                         match int_of_string_opt (String.trim t) with
-                         | Some n -> n >= 2
-                         | None -> false)
-                in
-                if ok && v <> "" then begin
-                  Unix.putenv "QCONGEST_PERF_SIZES" v;
-                  false
-                end
-                else begin
-                  Printf.eprintf "bad --sizes value in %S (want N,N,... with N >= 2)\n" a;
-                  exit 1
-                end
-              | None -> true)))
+          | None -> true)
       (List.tl (Array.to_list Sys.argv))
   in
   let requested =

@@ -54,19 +54,6 @@ let jobs_arg =
 
 let set_jobs = function Some j -> Util.Domain_pool.set_default_jobs j | None -> ()
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Domain-shard every engine execution's node set across $(docv) worker domains. \
-           Semantics are bit-identical to single-domain execution (same states, trace and \
-           event stream); only wall time changes. Defaults to $(b,QCONGEST_SHARDS), else 1; \
-           the environment variable takes precedence over this flag.")
-
-let set_shards = function Some k -> Congest.Shard.set_default_shards k | None -> ()
-
 let make_graph ?input family n max_w cliques seed =
   match input with
   | Some path -> Graphlib.Io.load ~path
@@ -93,9 +80,8 @@ let describe g =
 
 (* --------------------------- subcommands --------------------------- *)
 
-let run_quantum objective jobs shards input family n max_w cliques seed =
+let run_quantum objective jobs input family n max_w cliques seed =
   set_jobs jobs;
-  set_shards shards;
   let g = make_graph ?input family n max_w cliques seed in
   describe g;
   let rng = Util.Rng.create ~seed:(seed + 1) in
@@ -113,7 +99,7 @@ let diameter_cmd =
   let term =
     Term.(
       const (run_quantum Core.Algorithm.Diameter)
-      $ jobs_arg $ shards_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
+      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
       $ seed_arg)
   in
   Cmd.v (Cmd.info "diameter" ~doc:"Quantum (1+o(1))-approximate weighted diameter (Theorem 1.1).")
@@ -123,14 +109,13 @@ let radius_cmd =
   let term =
     Term.(
       const (run_quantum Core.Algorithm.Radius)
-      $ jobs_arg $ shards_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
+      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
       $ seed_arg)
   in
   Cmd.v (Cmd.info "radius" ~doc:"Quantum (1+o(1))-approximate weighted radius (Theorem 1.1).") term
 
-let run_classical jobs shards input family n max_w cliques seed =
+let run_classical jobs input family n max_w cliques seed =
   set_jobs jobs;
-  set_shards shards;
   let g = make_graph ?input family n max_w cliques seed in
   describe g;
   let tree, ttrace = Congest.Tree.build g ~root:0 in
@@ -147,7 +132,7 @@ let classical_cmd =
   let term =
     Term.(
       const run_classical
-      $ jobs_arg $ shards_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
+      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
       $ seed_arg)
   in
   Cmd.v (Cmd.info "classical" ~doc:"Exact classical APSP baseline (token-flood protocol).") term
@@ -327,9 +312,8 @@ let faults_cmd =
           with the reliable-delivery wrapper, and compare against the fault-free run.")
     term
 
-let run_trace shards input family n max_w cliques seed drop dup delay fault_seed artifacts
+let run_trace input family n max_w cliques seed drop dup delay fault_seed artifacts
     events_path chrome_path heatmap_path timeline_path profile =
-  set_shards shards;
   let g = make_graph ?input family n max_w cliques seed in
   describe g;
   let dir = Telemetry.Export.artifacts_dir ?override:artifacts () in
@@ -476,7 +460,7 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const run_trace $ shards_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
+      const run_trace $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
       $ seed_arg $ drop_arg $ dup_arg $ delay_arg $ fault_seed_arg $ artifacts_arg $ events_arg
       $ chrome_arg $ heatmap_arg $ timeline_arg $ profile_arg)
   in
@@ -597,10 +581,9 @@ let audit_sweep_store (spec : Harness.Spec.t) store =
        (Check.Report.to_json report));
   Check.Report.exit_code report
 
-let sweep_run jobs shards spec_file builtin store_override max_jobs audit fsync deadline
-    retries progress =
+let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadline retries
+    progress =
   set_jobs jobs;
-  set_shards shards;
   if retries < 1 then sweep_error "--retries must be >= 1"
   else
     match load_spec spec_file builtin with
@@ -633,7 +616,7 @@ let sweep_run jobs shards spec_file builtin store_override max_jobs audit fsync 
         else fun ~completed ~total -> Printf.printf "  checkpoint: %d/%d jobs\n%!" completed total
       in
       let executed, failed =
-        Harness.Runner.run ?max_jobs ?shards ~retry ?deadline_s:deadline ?metrics spec store
+        Harness.Runner.run ?max_jobs ~retry ?deadline_s:deadline ?metrics spec store
           ~on_progress
       in
       if progress then print_newline ();
@@ -820,7 +803,7 @@ let sweep_cmd =
   in
   let run_term =
     Term.(
-      const sweep_run $ jobs_arg $ shards_arg $ spec_arg $ builtin_arg $ store_arg
+      const sweep_run $ jobs_arg $ spec_arg $ builtin_arg $ store_arg
       $ max_jobs_arg $ audit_arg $ fsync_arg $ deadline_arg $ retries_arg $ progress_arg)
   in
   let run_cmd =
@@ -1003,18 +986,8 @@ let perf_cmd =
 
 (* ------------------------------ check ------------------------------ *)
 
-let check_run only seed n trials h shards negative_control artifacts =
-  let cfg =
-    {
-      Check.Suite.seed;
-      n;
-      trials;
-      h;
-      shards;
-      negative_control;
-      only;
-    }
-  in
+let check_run only seed n trials h negative_control artifacts =
+  let cfg = { Check.Suite.seed; n; trials; h; negative_control; only } in
   match Check.Suite.run cfg with
   | exception Invalid_argument msg ->
     Printf.eprintf "qcongest check: %s\n" msg;
@@ -1063,8 +1036,8 @@ let check_cmd =
       & opt_all string []
       & info [ "only" ] ~docv:"NAME"
           ~doc:
-            "Run only this certifier (repeatable): congest, sharded, approx, gadget, \
-             determinism, amplify, ecc or apsp. Default: all.")
+            "Run only this certifier (repeatable): congest, approx, gadget, determinism, \
+             amplify, ecc or apsp. Default: all.")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed of the audited instances.")
@@ -1084,15 +1057,6 @@ let check_cmd =
   in
   let h_arg =
     Arg.(value & opt int 2 & info [ "height" ] ~docv:"H" ~doc:"Gadget height (even, >= 2).")
-  in
-  let check_shards_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Shard count of the sharded-equivalence certificate: the sharded certifier \
-             re-runs its audited protocol domain-sharded at $(docv) shards and certifies the \
-             event stream, trace and states are bit-identical to the single-domain run.")
   in
   let negative_arg =
     Arg.(
@@ -1143,8 +1107,8 @@ let check_cmd =
             and Lemma 3.1 amplification frequencies. Exits 0 when everything is certified, 1 on \
             a violation, 3 when inconclusive.")
       Term.(
-        const check_run $ only_arg $ seed_arg $ n_arg $ trials_arg $ h_arg $ check_shards_arg
-        $ negative_arg $ artifacts_arg)
+        const check_run $ only_arg $ seed_arg $ n_arg $ trials_arg $ h_arg $ negative_arg
+        $ artifacts_arg)
   in
   let sweep_cmd =
     Cmd.v
@@ -1204,11 +1168,6 @@ let () =
      should fail fast as a usage error, not as an Invalid_argument
      deep inside the first sweep batch. *)
   (match Util.Domain_pool.validate_env () with
-  | Ok _ -> ()
-  | Error msg ->
-    Printf.eprintf "qcongest: %s\n" msg;
-    exit 2);
-  (match Congest.Shard.validate_env () with
   | Ok _ -> ()
   | Error msg ->
     Printf.eprintf "qcongest: %s\n" msg;

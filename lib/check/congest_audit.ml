@@ -133,50 +133,3 @@ let audit_run ?bandwidth ?max_rounds ?faults graph protocol =
     Congest.Engine.run ?bandwidth ?max_rounds ?faults ~sink graph protocol
   in
   (states, trace, audit_events ~trace ~graph (drain ()))
-
-let sharded_claim =
-  "Sharded-execution equivalence: the domain-sharded engine is bit-identical to the \
-   single-domain run — same result, same trace counters, same event stream, same replay"
-
-let audit_sharded ?(tamper = false) ~shards run =
-  if shards < 1 then invalid_arg "Congest_audit.audit_sharded: shards < 1";
-  (* [run ~sink ()] executes the protocol stack under audit; the scope
-     forces every engine execution inside it to the given shard count,
-     with a zero fan-out cutoff so even tiny rounds cross the
-     exchange. *)
-  let exec k =
-    let sink, drain = E.collector () in
-    let result, trace =
-      Congest.Engine.with_shards ~min_active:0 ~shards:k (fun () -> run ~sink ())
-    in
-    (result, trace, drain ())
-  in
-  let result1, trace1, events1 = exec 1 in
-  let result2, trace2, events2 = exec shards in
-  let events2 =
-    if tamper then events2 @ [ E.Message { round = 1; src = 0; dst = 0; words = 1 } ]
-    else events2
-  in
-  let acc = { checked = 0; total = 0; kept = [] } in
-  let compare_part code what equal =
-    acc.checked <- acc.checked + 1;
-    if not equal then
-      add acc
-        (Report.violation ~code
-           (Printf.sprintf "sharded run (k=%d) diverged from single-domain: %s" shards what)
-           ~data:[ ("shards", J.int shards) ])
-  in
-  compare_part "result-divergence" "different result value" (result1 = result2);
-  compare_part "trace-divergence" "different trace counters" (trace1 = trace2);
-  compare_part "event-divergence" "different event stream" (events1 = events2);
-  compare_part "replay-mismatch" "sharded event stream does not replay to its trace"
-    (Congest.Replay.trace_of_events events2 = trace2);
-  let notes =
-    [
-      ("shards", J.int shards);
-      ("events", J.int (List.length events2));
-      ("violations_total", J.int acc.total);
-    ]
-  in
-  Report.certificate ~name:"sharded-equivalence" ~claim:sharded_claim ~checked:acc.checked
-    ~notes (List.rev acc.kept)

@@ -42,20 +42,3 @@ val audit_run :
     resulting stream (replay consistency included). States and trace
     are returned unchanged, so this wraps any existing [Engine.run]
     call site. *)
-
-val audit_sharded :
-  ?tamper:bool ->
-  shards:int ->
-  (sink:Telemetry.Events.sink -> unit -> 'a * Congest.Engine.trace) ->
-  Report.certificate
-(** [audit_sharded ~shards run] certifies sharded-execution
-    equivalence: [run ~sink ()] — any driver that executes engine
-    protocols under the given sink and returns a result plus its
-    measured trace — is executed twice, single-domain and inside a
-    [Congest.Engine.with_shards ~min_active:0 ~shards] scope, and the
-    certificate requires bit-identical result, trace, event stream
-    and replay. Violation codes: [result-divergence],
-    [trace-divergence], [event-divergence], [replay-mismatch].
-    [?tamper] (negative control) forges an extra event onto the
-    sharded stream, which a sound auditor must reject. Raises
-    [Invalid_argument] on [shards < 1]. *)

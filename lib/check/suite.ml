@@ -5,16 +5,15 @@ type config = {
   n : int;
   trials : int;
   h : int;
-  shards : int;
   negative_control : bool;
   only : string list;
 }
 
 let default =
-  { seed = 42; n = 48; trials = 200; h = 2; shards = 3; negative_control = false; only = [] }
+  { seed = 42; n = 48; trials = 200; h = 2; negative_control = false; only = [] }
 
 let certifier_names =
-  [ "congest"; "sharded"; "approx"; "gadget"; "determinism"; "amplify"; "ecc"; "apsp" ]
+  [ "congest"; "approx"; "gadget"; "determinism"; "amplify"; "ecc"; "apsp" ]
 
 (* The same ring-of-cliques family the CI sweep runs on: weighted,
    connected, with a diameter the quantum pipeline actually has to
@@ -36,19 +35,6 @@ let congest cfg =
     else events
   in
   [ Congest_audit.audit_events ~trace ~graph:g events ]
-
-let sharded cfg =
-  let g = instance cfg in
-  (* The same multi-protocol driver the congest certifier audits (BFS
-     tree build), re-run domain-sharded and held to bit-identity, with
-     and without an adversary. *)
-  let faults = Congest.Fault.make ~seed:(cfg.seed + 9) ~drop:0.1 ~delay:2 () in
-  [
-    Congest_audit.audit_sharded ~tamper:cfg.negative_control ~shards:cfg.shards
-      (fun ~sink () -> Congest.Tree.build g ~root:0 ~sink);
-    Congest_audit.audit_sharded ~tamper:cfg.negative_control ~shards:cfg.shards
-      (fun ~sink () -> Congest.Tree.build g ~root:0 ~faults ~sink);
-  ]
 
 let approx cfg =
   let g = instance cfg in
@@ -80,7 +66,6 @@ let amplify cfg =
   [ Amplify_audit.certify ~trials:cfg.trials ~sabotage:cfg.negative_control ~seed:cfg.seed () ]
 
 let run cfg =
-  if cfg.shards < 1 then invalid_arg "Check.Suite.run: shards must be >= 1";
   List.iter
     (fun name ->
       if not (List.mem name certifier_names) then
@@ -93,7 +78,6 @@ let run cfg =
   let certifiers =
     [
       ("congest", congest);
-      ("sharded", sharded);
       ("approx", approx);
       ("gadget", gadget);
       ("determinism", determinism);

@@ -5,9 +5,6 @@
 
     - ["congest"] — {!Congest_audit} over the event stream of a real
       multi-phase tree construction on the instance graph;
-    - ["sharded"] — {!Congest_audit.audit_sharded}: the same tree
-      construction re-run domain-sharded (with and without a fault
-      adversary) and certified bit-identical to single-domain;
     - ["approx"] — {!Approx_audit} for Theorem 1.1 diameter, Theorem
       1.1 radius and the 3/2 unweighted baseline;
     - ["gadget"] — {!Gadget_audit} on both Section 4 variants;
@@ -31,21 +28,19 @@ type config = {
   n : int;  (** Instance size for the graph-based certifiers. *)
   trials : int;  (** Sampling budget for the amplification audit. *)
   h : int;  (** Gadget height (even). *)
-  shards : int;  (** Shard count of the sharded-equivalence audit. *)
   negative_control : bool;
   only : string list;  (** Certifier names to run; [[]] = all. *)
 }
 
 val default : config
-(** seed 42, n 48, trials 200, h 2, shards 3, no negative control,
-    all certifiers. *)
+(** seed 42, n 48, trials 200, h 2, no negative control, all
+    certifiers. *)
 
 val certifier_names : string list
 (** Valid [only] entries, in suite order. *)
 
 val run : config -> Report.report
-(** Raises [Invalid_argument] if [only] names an unknown certifier or
-    [shards < 1]. *)
+(** Raises [Invalid_argument] if [only] names an unknown certifier. *)
 
 val sweep_report :
   ?oracle:Oracle.t ->

@@ -124,18 +124,6 @@ let with_phase_spans f =
   Domain.DLS.set ambient_phase_spans true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_phase_spans prev) f
 
-(* Ambient per-domain shard configuration (count, fan-out cutoff),
-   mirroring [ambient_deadline]: callers that cannot thread [?shards]
-   through intermediate layers (the sweep runner, the CLI) flip it for
-   a scope and every [run] on this domain shards its node set. *)
-let ambient_shards : (int * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let with_shards ?(min_active = Shard.default_min_active) ~shards f =
-  if shards < 1 then invalid_arg "Engine.with_shards: shards < 1";
-  let prev = Domain.DLS.get ambient_shards in
-  Domain.DLS.set ambient_shards (Some (shards, max 0 min_active));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_shards prev) f
-
 (* Inboxes are reusable growable buffers: envelopes are appended in
    arrival order and the live prefix is snapshotted (and stably sorted
    by sender) once per activation, so the steady state allocates one
@@ -176,53 +164,9 @@ let rec merge_uniq a b =
    instead of Hashtbl.fold min-scans; and the per-round active-set
    scan over all n inboxes is replaced by a touched-node list. *)
 let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
-    ?phase_spans ?shards ?shard_plan ?shard_min_active ?on_message ?faults ?sink g proto =
+    ?phase_spans ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
   if n = 0 then invalid_arg "Engine.run: empty graph";
-  (* Shard resolution: explicit plan > explicit count > ambient
-     {!with_shards} scope > {!Shard.default_shards} (environment /
-     [--shards] / 1). The single-shard path below is the historical
-     loop, untouched. *)
-  let plan =
-    match shard_plan with
-    | Some p ->
-      if Shard.n p <> n then
-        invalid_arg
-          (Printf.sprintf "Engine.run: shard plan covers %d nodes, graph has %d" (Shard.n p) n);
-      p
-    | None ->
-      let k =
-        match shards with
-        | Some k ->
-          if k < 1 then invalid_arg "Engine.run: shards must be >= 1";
-          k
-        | None -> (
-          match Domain.DLS.get ambient_shards with
-          | Some (k, _) -> k
-          | None -> Shard.default_shards ())
-      in
-      Shard.contiguous ~n ~shards:k
-  in
-  let n_shards = Shard.shards plan in
-  let shard_min_active =
-    match shard_min_active with
-    | Some c -> max 0 c
-    | None -> (
-      match Domain.DLS.get ambient_shards with
-      | Some (_, c) -> c
-      | None -> Shard.default_min_active)
-  in
-  (* Worker domains are only ever spawned once a round actually fans
-     out, and are joined on every exit path of [run]. *)
-  let team = lazy (Shard.Team.create ~size:n_shards) in
-  (* The historical [?on_message] hook is an adapter over the event
-     stream: both funnel through one sink, so they observe the exact
-     same message occurrences by construction. *)
-  let sink =
-    match (Option.map Telemetry.Events.of_on_message on_message, sink) with
-    | None, s | s, None -> s
-    | Some a, Some b -> Some (Telemetry.Events.tee a b)
-  in
   let observed = sink <> None in
   let emit ev = match sink with Some s -> s ev | None -> () in
   (* Phase spans are pure observation on top of [observed]: the wall
@@ -476,19 +420,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       crashed;
     }
   in
-  (* Replaying a node's action on the coordinator performs exactly the
-     side effects the sequential loop interleaves with the handler
-     call: deliveries draw from the one global fault RNG and emit
-     events in send order, so replaying in ascending id order keeps
-     both streams bit-identical however the handlers themselves were
-     scheduled. *)
-  let replay_action ~round id act =
-    incr activations;
-    List.iter (deliver ~round id) act.sends;
-    schedule_wake ~now:round id act.wakes
-  in
-  let cuts = Shard.bounds plan in
-  let exec () =
   (* Round 0: init everyone (in id order). *)
   if observed then begin
     emit (Telemetry.Events.Run_start { protocol = proto.name; n; bandwidth });
@@ -496,39 +427,17 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   end;
   reset_round_ledger ();
   any_sends_this_round := false;
-  let states =
-    if n_shards > 1 && n >= shard_min_active then begin
-      (* Sharded init: handlers fan out by shard, their actions replay
-         here in id order. Node 0 runs on the coordinator first so the
-         state array has a seed element. *)
-      let s0, a0 = proto.init views.(0) in
-      let states = Array.make n s0 in
-      let acts = Array.make n a0 in
-      Shard.Team.run (Lazy.force team) (fun w ->
-          for id = max cuts.(w) 1 to cuts.(w + 1) - 1 do
-            let s, a = proto.init views.(id) in
-            states.(id) <- s;
-            acts.(id) <- a
-          done);
-      replay_action ~round:0 0 a0;
-      for id = 1 to n - 1 do
-        replay_action ~round:0 id acts.(id)
-      done;
-      states
-    end
-    else begin
-      let apply_init id (s, act) =
-        replay_action ~round:0 id act;
-        s
-      in
-      let s0 = apply_init 0 (proto.init views.(0)) in
-      let states = Array.make n s0 in
-      for id = 1 to n - 1 do
-        states.(id) <- apply_init id (proto.init views.(id))
-      done;
-      states
-    end
+  let init id =
+    let s, act = proto.init views.(id) in
+    incr activations;
+    List.iter (deliver ~round:0 id) act.sends;
+    schedule_wake ~now:0 id act.wakes;
+    s
   in
+  let states = Array.make n (init 0) in
+  for id = 1 to n - 1 do
+    states.(id) <- init id
+  done;
   (* Nodes whose inbox was filled this round become active next round:
      the touched list, sorted ascending (ids are distinct by
      construction). *)
@@ -621,81 +530,39 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       let active =
         List.filter (fun id -> crashed_at id > r) (merge_uniq from_inbox from_wake)
       in
-      let n_active = List.length active in
-      if observed then emit (Telemetry.Events.Round_start { round = r; active = n_active });
-      if n_shards > 1 && n_active >= shard_min_active then begin
-        (* Sharded round. Handlers only read their own inbox and state
-           and emit an action; all deliveries are deferred, so the
-           shards touch disjoint slices of [states]/[boxes]/[acts] and
-           the inter-shard exchange below replays the actions on the
-           coordinator in ascending id order — the exact order (and
-           fault-RNG draw order, and event order) of the sequential
-           loop. Contiguous ranges make shard order = id order. *)
-        if spans then span_end "engine.delivery" r;
-        let act_arr = Array.of_list active in
-        let acts = Array.make n_active no_action in
-        round := r;
-        reset_round_ledger ();
-        any_sends_this_round := false;
-        if spans then span_begin "engine.compute" r;
-        (* First index in the (sorted) active array at or beyond id. *)
-        let lower_bound id0 =
-          let lo = ref 0 and hi = ref n_active in
-          while !lo < !hi do
-            let mid = (!lo + !hi) lsr 1 in
-            if act_arr.(mid) < id0 then lo := mid + 1 else hi := mid
-          done;
-          !lo
-        in
-        Shard.Team.run (Lazy.force team) (fun w ->
-            let lo = lower_bound cuts.(w) and hi = lower_bound cuts.(w + 1) in
-            for i = lo to hi - 1 do
-              let id = act_arr.(i) in
-              let b = boxes.(id) in
-              let inbox = Array.sub b.data 0 b.len in
-              b.len <- 0;
-              Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
-              let s', act =
-                proto.on_round views.(id) ~round:r states.(id) ~inbox:(Array.to_list inbox)
-              in
-              states.(id) <- s';
-              acts.(i) <- act
-            done);
-        if spans then span_end "engine.compute" r;
-        if spans then span_begin "engine.exchange" r;
-        Array.iteri (fun i act -> replay_action ~round:r act_arr.(i) act) acts;
-        if spans then span_end "engine.exchange" r
-      end
-      else begin
-        (* Snapshot and clear inboxes before running handlers so that
-           messages sent in round r arrive in round r+1. Buffers hold
-           envelopes in arrival order; the stable sort by sender matches
-           the reference's rev + stable list sort. *)
-        let snapshots =
-          List.map
-            (fun id ->
-              let b = boxes.(id) in
-              let inbox = Array.sub b.data 0 b.len in
-              b.len <- 0;
-              Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
-              (id, Array.to_list inbox))
-            active
-        in
-        if spans then span_end "engine.delivery" r;
-        round := r;
-        reset_round_ledger ();
-        any_sends_this_round := false;
-        if spans then span_begin "engine.compute" r;
-        List.iter
-          (fun (id, inbox) ->
-            incr activations;
-            let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
-            states.(id) <- s';
-            List.iter (deliver ~round:r id) act.sends;
-            schedule_wake ~now:r id act.wakes)
-          snapshots;
-        if spans then span_end "engine.compute" r
-      end
+      if observed then
+        emit (Telemetry.Events.Round_start { round = r; active = List.length active });
+      (* Snapshot and clear inboxes before running handlers so that
+         messages sent in round r arrive in round r+1. Buffers hold
+         envelopes in arrival order; the stable sort by sender matches
+         the reference's rev + stable list sort. *)
+      let snapshots =
+        List.map
+          (fun id ->
+            let b = boxes.(id) in
+            let inbox = Array.sub b.data 0 b.len in
+            b.len <- 0;
+            Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
+            (id, Array.to_list inbox))
+          active
+      in
+      if spans then span_end "engine.delivery" r;
+      round := r;
+      reset_round_ledger ();
+      any_sends_this_round := false;
+      if spans then span_begin "engine.compute" r;
+      (* The action is applied inline, as in [init]: a shared helper
+         call per activation cost ~5% of wall time on WWY token floods
+         (n = 192, 2-vCPU host). *)
+      List.iter
+        (fun (id, inbox) ->
+          incr activations;
+          let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
+          states.(id) <- s';
+          List.iter (deliver ~round:r id) act.sends;
+          schedule_wake ~now:r id act.wakes)
+        snapshots;
+      if spans then span_end "engine.compute" r
   done;
   let trace = current_trace () in
   if observed then begin
@@ -718,9 +585,3 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     emit (Telemetry.Events.Run_end { round = trace.rounds })
   end;
   (states, trace)
-  in
-  if n_shards = 1 then exec ()
-  else
-    Fun.protect
-      ~finally:(fun () -> if Lazy.is_val team then Shard.Team.stop (Lazy.force team))
-      exec

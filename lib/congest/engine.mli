@@ -128,30 +128,12 @@ val with_phase_spans : (unit -> 'a) -> 'a
     workers profile independently; the previous state is restored when
     [f] returns or raises. Runs without a sink are unaffected. *)
 
-val with_shards : ?min_active:int -> shards:int -> (unit -> 'a) -> 'a
-(** [with_shards ~shards f] runs [f] with ambient domain-sharding
-    enabled: every {!run} started by [f] on this domain (without its
-    own explicit [?shards]/[?shard_plan]) fans its init and per-round
-    handler execution out over [shards] contiguous node ranges (see
-    {!Shard}). Semantics are bit-identical to the single-domain run —
-    same states, trace, event stream and replay — because every
-    delivery is replayed sequentially in node-id order by the
-    coordinator. [?min_active] (default {!Shard.default_min_active})
-    is the active-set size below which a round stays on the calling
-    domain; it is a scheduling decision only. Like {!with_deadline}
-    the switch is domain-local and restored when [f] returns or
-    raises. *)
-
 val run :
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?deadline:float ->
   ?clock:Telemetry.Clock.t ->
   ?phase_spans:bool ->
-  ?shards:int ->
-  ?shard_plan:Shard.plan ->
-  ?shard_min_active:int ->
-  ?on_message:(round:int -> src:int -> dst:int -> words:int -> unit) ->
   ?faults:Fault.t ->
   ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
@@ -162,7 +144,8 @@ val run :
     (default [1_000_000]) guards against non-terminating protocols by
     raising {!Round_limit_exceeded} with a structured payload.
     Nodes are processed in increasing id order within a round;
-    messages to non-neighbors raise [Invalid_argument].
+    messages to non-neighbors raise [Invalid_argument], and an
+    exception raised by a handler propagates out of [run].
 
     [?deadline] is a wall-clock budget in seconds, read from [?clock]
     (default {!Telemetry.Clock.wall}; pass a manual clock for
@@ -178,10 +161,8 @@ val run :
     [?faults] injects the configured adversary (see {!Fault}): the
     drop/duplicate/delay decisions are drawn per message from the
     adversary's private seeded RNG stream, in send order, so runs are
-    reproducible. [on_message] fires for every message accepted onto
-    the wire (i.e. after a strict-bandwidth drop but before a random
-    drop); network-injected duplicate copies do not re-fire it and do
-    not add to edge load.
+    reproducible. Network-injected duplicate copies do not add to edge
+    load.
 
     [?phase_spans] (default: the ambient {!with_phase_spans} switch,
     itself off by default) brackets each scheduled round's heap
@@ -192,28 +173,10 @@ val run :
     with them off no clock is read and the run is bit-for-bit the
     historical behaviour.
 
-    [?shards] (or a full [?shard_plan], e.g. {!Shard.degree_balanced};
-    default: the ambient {!with_shards} scope, else
-    {!Shard.default_shards} — [QCONGEST_SHARDS] / [--shards], else 1)
-    fans the init pass and each sufficiently large round
-    ([?shard_min_active] active nodes or more, default
-    {!Shard.default_min_active}) out across that many domains, one
-    contiguous node range each, on a persistent {!Shard.Team} joined
-    before [run] returns. Handlers run in parallel over disjoint
-    state/inbox slices; the actions they return are exchanged and
-    replayed by the coordinator in ascending node-id order, so the
-    fault-RNG draw order, the event stream, the trace counters and the
-    final states are bit-identical to the single-domain run at every
-    shard count (pinned by the golden-equivalence suite and
-    [Check.Congest_audit]). Sharded rounds additionally bracket the
-    replay into [engine.exchange] spans when phase spans are on. When
-    one or more handlers raise, the exception of the lowest-id shard
-    propagates; whether later nodes of that round ran is unspecified.
-
     [?sink] receives the full structured event stream (see
     {!Telemetry.Events}): [Run_start], per-round [Round_start],
-    [Message] on every wire acceptance (the exact occurrences
-    [on_message] sees — duplicate copies emit a [Fault Duplicate]
+    [Message] on every wire acceptance (after a strict-bandwidth drop,
+    before a random drop; duplicate copies emit a [Fault Duplicate]
     once, never a second [Message]), [Deliver] for fault-path
     deliveries, [Fault] for every adversary action, and [Run_end].
     The stream is complete: [Replay.trace_of_events] reconstructs this

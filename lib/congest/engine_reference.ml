@@ -11,14 +11,9 @@ open Engine
 
 type 'm mailbox = { mutable inbox : 'm envelope list (* reversed during accumulation *) }
 
-let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?on_message ?faults ?sink g proto =
+let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
   if n = 0 then invalid_arg "Engine.run: empty graph";
-  let sink =
-    match (Option.map Telemetry.Events.of_on_message on_message, sink) with
-    | None, s | s, None -> s
-    | Some a, Some b -> Some (Telemetry.Events.tee a b)
-  in
   let observed = sink <> None in
   let emit ev = match sink with Some s -> s ev | None -> () in
   let max_w = Graphlib.Wgraph.max_weight g in

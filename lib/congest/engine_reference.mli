@@ -12,7 +12,6 @@
 val run :
   ?bandwidth:int ->
   ?max_rounds:int ->
-  ?on_message:(round:int -> src:int -> dst:int -> words:int -> unit) ->
   ?faults:Fault.t ->
   ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->

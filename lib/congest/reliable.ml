@@ -222,8 +222,6 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
         finish ~round (st, ack_sends @ data_sends @ retx_sends, inner_wakes));
   }
 
-let run ?bandwidth ?max_rounds ?on_message ?faults ?sink ?config g p =
-  let states, trace =
-    Engine.run ?bandwidth ?max_rounds ?on_message ?faults ?sink g (wrap ?config p)
-  in
+let run ?bandwidth ?max_rounds ?faults ?sink ?config g p =
+  let states, trace = Engine.run ?bandwidth ?max_rounds ?faults ?sink g (wrap ?config p) in
   (Array.map (fun st -> st.st_inner) states, trace)

@@ -78,7 +78,6 @@ val wrap : ?config:config -> ('s, 'm) Engine.protocol -> (('s, 'm) state, 'm msg
 val run :
   ?bandwidth:int ->
   ?max_rounds:int ->
-  ?on_message:(round:int -> src:int -> dst:int -> words:int -> unit) ->
   ?faults:Fault.t ->
   ?sink:Telemetry.Events.sink ->
   ?config:config ->

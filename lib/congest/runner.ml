@@ -3,15 +3,10 @@ type entry = { e_name : string; e_trace : Engine.trace; e_wall : float }
 type t = {
   clock : Telemetry.Clock.t;
   sink : Telemetry.Events.sink option;
-  shards : int option;
   mutable entries : entry list; (* reversed *)
 }
 
-let create ?(clock = Telemetry.Clock.wall) ?sink ?shards () =
-  (match shards with
-  | Some k when k < 1 -> invalid_arg "Runner.create: shards < 1"
-  | _ -> ());
-  { clock; sink; shards; entries = [] }
+let create ?(clock = Telemetry.Clock.wall) ?sink () = { clock; sink; entries = [] }
 
 let record ?(wall_s = 0.0) t name trace =
   t.entries <- { e_name = name; e_trace = trace; e_wall = wall_s } :: t.entries
@@ -29,14 +24,6 @@ let wall_seconds t = List.fold_left (fun acc e -> acc +. e.e_wall) 0.0 t.entries
 
 let time_phase t name f =
   let rounds_before = rounds t in
-  (* Phases run inside an ambient sharding scope when the runner was
-     created with one, so algorithm code composed of Engine.run calls
-     shards without any per-call plumbing. *)
-  let f =
-    match t.shards with
-    | None -> f
-    | Some shards -> fun () -> Engine.with_shards ~shards f
-  in
   let t0 = Telemetry.Clock.now t.clock in
   (match t.sink with
   | Some sink ->
@@ -107,9 +94,6 @@ let to_json t =
   Buffer.add_string b (Telemetry.Tjson.float (wall_seconds t));
   Buffer.add_string b ",\"total\":";
   Buffer.add_string b (Engine.trace_to_json (total t));
-  (match t.shards with
-  | Some k -> Buffer.add_string b (Printf.sprintf ",\"shards\":%d" k)
-  | None -> ());
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -14,13 +14,9 @@
 
 type t
 
-val create : ?clock:Telemetry.Clock.t -> ?sink:Telemetry.Events.sink -> ?shards:int -> unit -> t
+val create : ?clock:Telemetry.Clock.t -> ?sink:Telemetry.Events.sink -> unit -> t
 (** [clock] defaults to the wall clock; [sink], when given, receives
-    the span events emitted by {!time_phase}. [shards], when given,
-    runs every {!time_phase} thunk inside {!Engine.with_shards} at
-    that count, so multi-phase algorithms shard every engine execution
-    without per-call plumbing (bit-identical semantics — see
-    {!Engine.run}). Raises [Invalid_argument] on [shards < 1]. *)
+    the span events emitted by {!time_phase}. *)
 
 val record : ?wall_s:float -> t -> string -> Engine.trace -> unit
 (** Append a phase. Phases with the same name accumulate.
@@ -60,8 +56,7 @@ val to_json : t -> string
      "wall_s":..., "total":{...}}] — each phase trace carries the full
     accounting, including the fault counters
     (dropped/delayed/duplicated/crashed), so per-phase fault
-    statistics survive into machine-readable artifacts. Runners
-    created with [?shards] append a ["shards"] field. *)
+    statistics survive into machine-readable artifacts. *)
 
 val pp : Format.formatter -> t -> unit
 (** Per-phase breakdown plus a TOTAL line; traces with fault activity

@@ -1,184 +1,2 @@
-type plan = { k : int; cuts : int array }
-
-let check_shards name shards = if shards < 1 then invalid_arg (name ^ ": shards < 1")
-
-let contiguous ~n ~shards =
-  check_shards "Shard.contiguous" shards;
-  if n < 0 then invalid_arg "Shard.contiguous: negative n";
-  let cuts = Array.make (shards + 1) 0 in
-  for w = 0 to shards do
-    (* The Domain_pool.chunk split: sizes differ by at most one. *)
-    let base = n / shards and extra = n mod shards in
-    cuts.(w) <- (w * base) + min w extra
-  done;
-  { k = shards; cuts }
-
-let degree_balanced g ~shards =
-  check_shards "Shard.degree_balanced" shards;
-  let n = Graphlib.Wgraph.n g in
-  let { Graphlib.Wgraph.row_start; _ } = Graphlib.Wgraph.csr g in
-  let arcs = row_start.(n) in
-  let cuts = Array.make (shards + 1) 0 in
-  (* Boundary w: first node whose arc prefix reaches w/k of all arcs.
-     row_start is non-decreasing, so a forward scan keeps the cuts
-     monotone; empty ranges appear exactly when a node's degree alone
-     exceeds a shard's arc budget. *)
-  let node = ref 0 in
-  for w = 1 to shards - 1 do
-    let target = w * arcs / shards in
-    while !node < n && row_start.(!node) < target do incr node done;
-    cuts.(w) <- !node
-  done;
-  cuts.(shards) <- n;
-  { k = shards; cuts }
-
-let shards p = p.k
-let n p = p.cuts.(p.k)
-let bounds p = p.cuts
-
-let shard_of p id =
-  if id < 0 || id >= n p then invalid_arg "Shard.shard_of: node out of range";
-  (* Largest w with cuts.(w) <= id. *)
-  let lo = ref 0 and hi = ref (p.k - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) lsr 1 in
-    if p.cuts.(mid) <= id then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-let pp ppf p =
-  Format.fprintf ppf "@[<h>plan k=%d n=%d [" p.k (n p);
-  for w = 0 to p.k - 1 do
-    if w > 0 then Format.fprintf ppf " ";
-    Format.fprintf ppf "%d..%d" p.cuts.(w) (p.cuts.(w + 1) - 1)
-  done;
-  Format.fprintf ppf "]@]"
-
-(* ------------------------- default shard count --------------------- *)
-
+(* The retired engine-sharding variable: the engine ignores it, the benchmark refuses to run with it set. *)
 let env_var = "QCONGEST_SHARDS"
-
-let configured : int option ref = ref None
-
-let set_default_shards k =
-  if k < 1 then invalid_arg "Shard.set_default_shards: shards < 1";
-  configured := Some k
-
-let validate_env () =
-  match Sys.getenv_opt env_var with
-  | None -> Ok None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some k when k >= 1 -> Ok (Some k)
-    | Some _ | None ->
-      Error
-        (Printf.sprintf
-           "%s=%S is not a positive integer (set it to a shard count >= 1, or unset it)"
-           env_var s))
-
-let default_shards () =
-  match validate_env () with
-  | Ok (Some k) -> k
-  | Error msg -> invalid_arg ("Shard: " ^ msg)
-  | Ok None -> ( match !configured with Some k -> k | None -> 1)
-
-let default_min_active = 1024
-
-(* ------------------------------ team ------------------------------- *)
-
-module Team = struct
-  type t = {
-    size : int;
-    mutex : Mutex.t;
-    start : Condition.t;  (* coordinator -> workers: new generation or stop *)
-    finish : Condition.t;  (* workers -> coordinator: pending hit zero *)
-    mutable job : int -> unit;
-    mutable generation : int;
-    mutable pending : int;
-    mutable stopped : bool;
-    failures : exn option array;
-    mutable domains : unit Domain.t array;
-  }
-
-  let size t = t.size
-
-  let worker t w () =
-    let generation = ref 0 in
-    let live = ref true in
-    while !live do
-      Mutex.lock t.mutex;
-      while (not t.stopped) && t.generation = !generation do
-        Condition.wait t.start t.mutex
-      done;
-      if t.stopped then begin
-        Mutex.unlock t.mutex;
-        live := false
-      end
-      else begin
-        generation := t.generation;
-        let job = t.job in
-        Mutex.unlock t.mutex;
-        let failure = match job w with () -> None | exception e -> Some e in
-        Mutex.lock t.mutex;
-        t.failures.(w) <- failure;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.signal t.finish;
-        Mutex.unlock t.mutex
-      end
-    done
-
-  let create ~size =
-    if size < 1 then invalid_arg "Shard.Team.create: size < 1";
-    let t =
-      {
-        size;
-        mutex = Mutex.create ();
-        start = Condition.create ();
-        finish = Condition.create ();
-        job = ignore;
-        generation = 0;
-        pending = 0;
-        stopped = false;
-        failures = Array.make size None;
-        domains = [||];
-      }
-    in
-    t.domains <- Array.init (size - 1) (fun w -> Domain.spawn (worker t (w + 1)));
-    t
-
-  let run t f =
-    if t.size = 1 then f 0
-    else begin
-      Mutex.lock t.mutex;
-      if t.stopped then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Shard.Team.run: stopped team"
-      end;
-      t.job <- f;
-      t.pending <- t.size - 1;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      t.failures.(0) <- (match f 0 with () -> None | exception e -> Some e);
-      Mutex.lock t.mutex;
-      while t.pending > 0 do
-        Condition.wait t.finish t.mutex
-      done;
-      Mutex.unlock t.mutex;
-      (* Deterministic propagation: the lowest failing shard wins. *)
-      let first = ref None in
-      for w = t.size - 1 downto 0 do
-        (match t.failures.(w) with Some e -> first := Some e | None -> ());
-        t.failures.(w) <- None
-      done;
-      match !first with None -> () | Some e -> raise e
-    end
-
-  let stop t =
-    Mutex.lock t.mutex;
-    t.stopped <- true;
-    Condition.broadcast t.start;
-    Mutex.unlock t.mutex;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
-end

@@ -299,25 +299,13 @@ let attempt_job ~retry ~sleep ~execute spec (j : Spec.job) =
   in
   go 1 (backoff_schedule retry ~job_id:j.Spec.id)
 
-let run ?jobs ?max_jobs ?shards ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
+let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
     ?execute ?metrics ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
   if retry.max_attempts < 1 then invalid_arg "Runner.run: retry.max_attempts must be >= 1";
-  (match shards with
-  | Some k when k < 1 -> invalid_arg "Runner.run: shards must be >= 1"
-  | _ -> ());
   let execute =
     match execute with
     | Some f -> f
     | None -> fun spec j ~attempt -> run_job ~attempt ?deadline_s spec j
-  in
-  (* The ambient sharding scope is domain-local, so it must be entered
-     inside the worker closure, not around the Domain_pool fan-out. *)
-  let execute =
-    match shards with
-    | None -> execute
-    | Some shards ->
-      fun spec j ~attempt ->
-        Congest.Engine.with_shards ~shards (fun () -> execute spec j ~attempt)
   in
   let all = Spec.jobs spec in
   let total = List.length all in

@@ -69,7 +69,6 @@ val quarantine_path : Store.t -> string
 val run :
   ?jobs:int ->
   ?max_jobs:int ->
-  ?shards:int ->
   ?retry:retry ->
   ?deadline_s:float ->
   ?sleep:(float -> unit) ->
@@ -86,16 +85,6 @@ val run :
     one batch of work. [max_jobs] caps how many jobs this invocation
     executes (the hook the kill/resume tests use to simulate an
     interruption).
-
-    [shards] runs every job inside an ambient
-    {!Congest.Engine.with_shards} scope entered on the worker domain,
-    so each job's engine executions shard their node sets. Sharding is
-    bit-identical to single-domain execution, so checkpoint rows (and
-    the kill-and-resume identity) are unaffected. Raises
-    [Invalid_argument] on [shards < 1]. Combining [jobs > 1] with
-    [shards > 1] oversubscribes cores ([jobs * shards] domains at
-    peak); prefer sharding for few big jobs and job-parallelism for
-    many small ones.
 
     [retry] (default {!no_retry}) re-runs failed attempts after the
     job's {!backoff_schedule} delays; with [max_attempts > 1] a job

@@ -20,11 +20,6 @@ type sink = t -> unit
 
 let null : sink = fun _ -> ()
 
-let tee a b : sink =
- fun ev ->
-  a ev;
-  b ev
-
 let collector () =
   let acc = ref [] in
   let sink ev = acc := ev :: !acc in

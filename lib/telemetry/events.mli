@@ -31,10 +31,9 @@ type t =
   | Round_start of { round : int; active : int }
       (** [active] handlers run this round (round 0 = all inits). *)
   | Message of { round : int; src : int; dst : int; words : int }
-      (** A message accepted onto the wire — exactly the occurrences
-          the engine's [?on_message] hook observes: after a
-          strict-bandwidth drop, before a random drop, and never for
-          network-injected duplicate copies. *)
+      (** A message accepted onto the wire: after a strict-bandwidth
+          drop, before a random drop, and never for network-injected
+          duplicate copies. *)
   | Deliver of { round : int; src : int; dst : int }
       (** A message copy moved into an inbox by the fault-path
           delivery calendar (fault-free deliveries are implicit at
@@ -52,15 +51,14 @@ type t =
 type sink = t -> unit
 
 val null : sink
-val tee : sink -> sink -> sink
 
 val collector : unit -> sink * (unit -> t list)
 (** In-memory sink; the second component returns everything collected
     so far, in emission order. *)
 
 val of_on_message : (round:int -> src:int -> dst:int -> words:int -> unit) -> sink
-(** Adapter giving the engine's historical [?on_message] hook:
-    forwards [Message] events, ignores everything else. *)
+(** A sink that calls [f] on every [Message] event and ignores
+    everything else. *)
 
 val fault_kind_name : fault_kind -> string
 

@@ -49,6 +49,13 @@ let () =
   expect ~what:"invalid QCONGEST_JOBS fails fast" 2
     (Printf.sprintf "QCONGEST_JOBS=banana %s sweep run --builtin ci-smoke --max-jobs 0" exe);
 
+  (* The engine has one round loop and no shard setting: QCONGEST_SHARDS
+     is ignored, and --shards is an unknown option (cmdliner's 124). *)
+  expect ~what:"QCONGEST_SHARDS is ignored" 0
+    (Printf.sprintf "QCONGEST_SHARDS=banana %s sweep run --builtin ci-smoke --max-jobs 0" exe);
+  expect ~what:"--shards is not an option" 124
+    (Printf.sprintf "%s diameter --shards 2 --family ring --n 8" exe);
+
   (* 2: a checkpoint store held by another live process is refused. *)
   let locked_path = Filename.concat dir "locked.jsonl" in
   Out_channel.with_open_text (locked_path ^ ".lock") (fun oc ->

@@ -121,40 +121,6 @@ let test_congest_inconclusive () =
   Alcotest.check status "empty stream inconclusive" Check.Report.Inconclusive
     c.Check.Report.status
 
-(* ----------------------------- sharded ----------------------------- *)
-
-let test_sharded_equivalence () =
-  let g = graph ~seed:15 in
-  let ok =
-    Check.Congest_audit.audit_sharded ~shards:3 (fun ~sink () ->
-        Congest.Tree.build g ~root:0 ~sink)
-  in
-  Alcotest.check status "sharded run certifies" Check.Report.Pass ok.Check.Report.status;
-  checkb "four equivalence checks" true (ok.Check.Report.checked >= 4);
-  let faults = Congest.Fault.make ~seed:16 ~drop:0.2 ~delay:2 () in
-  let faulty =
-    Check.Congest_audit.audit_sharded ~shards:8 (fun ~sink () ->
-        Congest.Tree.build g ~root:0 ~faults ~sink)
-  in
-  Alcotest.check status "sharded faulty run certifies" Check.Report.Pass
-    faulty.Check.Report.status
-
-let test_sharded_negative_control () =
-  let g = graph ~seed:15 in
-  let bad =
-    Check.Congest_audit.audit_sharded ~tamper:true ~shards:3 (fun ~sink () ->
-        Congest.Tree.build g ~root:0 ~sink)
-  in
-  Alcotest.check status "tampered sharded stream fails" Check.Report.Fail
-    bad.Check.Report.status;
-  checkb "event divergence reported" true (has_code "event-divergence" bad);
-  checkb "replay mismatch reported" true (has_code "replay-mismatch" bad);
-  Alcotest.check_raises "shards < 1 rejected"
-    (Invalid_argument "Congest_audit.audit_sharded: shards < 1") (fun () ->
-      ignore
-        (Check.Congest_audit.audit_sharded ~shards:0 (fun ~sink () ->
-             Congest.Tree.build g ~root:0 ~sink)))
-
 (* ------------------------------ approx ----------------------------- *)
 
 let test_approx_thm11 () =
@@ -473,22 +439,12 @@ let test_suite_selection () =
     Check.Suite.run { Check.Suite.default with Check.Suite.only = [ "gadget" ] }
   in
   check "one certificate" 1 (List.length report.Check.Report.certificates);
-  let sharded_only =
-    Check.Suite.run
-      { Check.Suite.default with Check.Suite.only = [ "sharded" ]; Check.Suite.n = 24 }
-  in
-  check "sharded certifier emits fault-free and faulty certificates" 2
-    (List.length sharded_only.Check.Report.certificates);
-  check "sharded-only report passes" 0 (Check.Report.exit_code sharded_only);
   Alcotest.check_raises "unknown certifier"
     (Invalid_argument
-       "Check.Suite.run: unknown certifier \"bogus\" (expected one of congest, sharded, \
-        approx, gadget, determinism, amplify, ecc, apsp)")
+       "Check.Suite.run: unknown certifier \"bogus\" (expected one of congest, approx, \
+        gadget, determinism, amplify, ecc, apsp)")
     (fun () ->
-      ignore (Check.Suite.run { Check.Suite.default with Check.Suite.only = [ "bogus" ] }));
-  Alcotest.check_raises "invalid shard count"
-    (Invalid_argument "Check.Suite.run: shards must be >= 1") (fun () ->
-      ignore (Check.Suite.run { Check.Suite.default with Check.Suite.shards = 0 }))
+      ignore (Check.Suite.run { Check.Suite.default with Check.Suite.only = [ "bogus" ] }))
 
 let () =
   Alcotest.run "check"
@@ -504,12 +460,6 @@ let () =
           Alcotest.test_case "forged non-edge message" `Quick test_congest_non_edge;
           Alcotest.test_case "edge overload" `Quick test_congest_overload;
           Alcotest.test_case "empty stream" `Quick test_congest_inconclusive;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "bit-identical at k=3 and k=8" `Quick test_sharded_equivalence;
-          Alcotest.test_case "negative control rejects" `Quick
-            test_sharded_negative_control;
         ] );
       ( "approx",
         [

@@ -93,6 +93,24 @@ let test_engine_non_neighbor () =
        false
      with Invalid_argument _ -> true)
 
+let test_engine_handler_exception () =
+  (* A raising handler escapes [Engine.run] unchanged. *)
+  let boom : (unit, int) Engine.protocol =
+    {
+      name = "boom";
+      size_words = (fun _ -> 1);
+      init = (fun _ -> ((), Engine.act ~wakes:[ 1 ] ()));
+      on_round =
+        (fun view ~round:_ s ~inbox:_ ->
+          if view.Node_view.id = 5 then failwith "boom-node-5";
+          (s, Engine.no_action));
+    }
+  in
+  checkb "handler exception propagates" true
+    (match Engine.run (unit_path 8) boom with
+    | _ -> false
+    | exception Failure m -> m = "boom-node-5")
+
 let test_engine_bandwidth_violation () =
   (* Two messages on one edge in one round at bandwidth 1. *)
   let g = unit_path 2 in
@@ -176,7 +194,7 @@ let test_engine_on_message_hook () =
   let g = unit_path 4 in
   let seen = ref [] in
   let hook ~round ~src ~dst ~words = seen := (round, src, dst, words) :: !seen in
-  let _, _ = Engine.run ~on_message:hook g relay_protocol in
+  let _, _ = Engine.run ~sink:(Telemetry.Events.of_on_message hook) g relay_protocol in
   (* Relay sends 0->1 at round 0, 1->2 at round 1, 2->3 at round 2. *)
   checkb "hook saw every message" true
     (List.rev !seen = [ (0, 0, 1, 1); (1, 1, 2, 1); (2, 2, 3, 1) ])
@@ -340,18 +358,22 @@ let test_fault_duplicate () =
   check "protocol sends unchanged" 5 trace.Engine.messages
 
 let test_duplicates_do_not_refire_observers () =
-  (* Regression: network-injected duplicate copies are invisible to
-     [?on_message] and emit no extra [Message] event — only the
-     protocol's own sends are observed, once each. *)
+  (* Regression: network-injected duplicate copies are invisible to a
+     message hook and emit no extra [Message] event — only the
+     protocol's own sends are observed, once each. The adversary is
+     seeded, so the hooked and the collected run see the same network. *)
   let g = unit_path 6 in
   let faults = Fault.make ~seed:5 ~duplicate:1.0 () in
   let hook_calls = ref 0 in
-  let sink, drain = Telemetry.Events.collector () in
-  let _, trace =
+  let _, _ =
     Engine.run
-      ~on_message:(fun ~round:_ ~src:_ ~dst:_ ~words:_ -> incr hook_calls)
-      ~faults ~sink g relay_protocol
+      ~sink:
+        (Telemetry.Events.of_on_message (fun ~round:_ ~src:_ ~dst:_ ~words:_ ->
+             incr hook_calls))
+      ~faults g relay_protocol
   in
+  let sink, drain = Telemetry.Events.collector () in
+  let _, trace = Engine.run ~faults ~sink g relay_protocol in
   check "5 protocol sends" 5 trace.Engine.messages;
   check "every send duplicated" 5 trace.Engine.duplicated;
   check "hook fired once per send" 5 !hook_calls;
@@ -714,203 +736,6 @@ let prop_engine_equals_reference =
         (fun (_, faults) -> engines_agree ?faults g exerciser_protocol)
         (adversary_classes seed))
 
-(* -------------------------- Sharded engine ------------------------- *)
-
-(* Domain-sharded execution must be observationally indistinguishable
-   from the single-domain run at every shard count: same final states,
-   same trace, same event stream, same replay. [~shard_min_active:0]
-   forces every round through the fan-out/exchange path so the tiny
-   test graphs actually exercise it. *)
-let sharded_agree ?faults ?shard_plan ~shards g proto =
-  let sink1, drain1 = Telemetry.Events.collector () in
-  let states1, trace1 = Engine.run ?faults ~shards:1 ~sink:sink1 g proto in
-  let sink2, drain2 = Telemetry.Events.collector () in
-  let states2, trace2 =
-    Engine.run ?faults ?shard_plan ~shards ~shard_min_active:0 ~sink:sink2 g proto
-  in
-  let events1 = drain1 () and events2 = drain2 () in
-  states1 = states2 && trace1 = trace2 && events1 = events2
-  && Replay.trace_of_events events2 = trace2
-
-let shard_counts = [ 1; 2; 3; 8 ]
-
-let test_sharded_equals_single_pinned () =
-  let g = unit_path 8 in
-  List.iter
-    (fun (label, faults) ->
-      List.iter
-        (fun k ->
-          let tag p = Printf.sprintf "%s k=%d %s" p k label in
-          checkb (tag "relay") true (sharded_agree ?faults ~shards:k g relay_protocol);
-          checkb (tag "exerciser") true (sharded_agree ?faults ~shards:k g exerciser_protocol))
-        shard_counts)
-    (adversary_classes 123)
-
-let test_sharded_degree_balanced_plan () =
-  let g = random_graph 4242 in
-  List.iter
-    (fun (label, faults) ->
-      List.iter
-        (fun k ->
-          let plan = Congest.Shard.degree_balanced g ~shards:k in
-          checkb
-            (Printf.sprintf "degree-balanced k=%d %s" k label)
-            true
-            (sharded_agree ?faults ~shard_plan:plan ~shards:k g exerciser_protocol))
-        shard_counts)
-    (adversary_classes 31)
-
-let test_sharded_ambient () =
-  let g = unit_path 8 in
-  let run_plain () =
-    let sink, drain = Telemetry.Events.collector () in
-    let s, t = Engine.run ~sink g exerciser_protocol in
-    (s, t, drain ())
-  in
-  let base = run_plain () in
-  let scoped =
-    Engine.with_shards ~min_active:0 ~shards:3 (fun () -> run_plain ())
-  in
-  checkb "ambient with_shards is invisible" true (base = scoped);
-  (* The ambient scope is restored on exit. *)
-  checkb "restored after scope" true (base = run_plain ())
-
-let test_sharded_deadline () =
-  (* Cooperative deadlines keep firing (with the same structured
-     payload) when rounds fan out across domains. *)
-  let g = unit_path 2 in
-  let clock, advance = Telemetry.Clock.manual () in
-  let ticker : (int, unit) Engine.protocol =
-    {
-      name = "ticker";
-      size_words = (fun () -> 1);
-      init = (fun _ -> (0, Engine.act ~wakes:[ 1 ] ()));
-      on_round =
-        (fun _ ~round s ~inbox:_ ->
-          advance 1.0;
-          (s + 1, Engine.act ~wakes:[ round + 1 ] ()));
-    }
-  in
-  checkb "deadline fires under sharding" true
-    (match Engine.run ~deadline:5.0 ~clock ~shards:3 ~shard_min_active:0 ~max_rounds:1000 g ticker with
-    | _ -> false
-    | exception Engine.Deadline_exceeded info ->
-      info.Engine.deadline_protocol = "ticker" && info.Engine.budget_s = 5.0)
-
-let test_sharded_handler_exception () =
-  (* A raising handler propagates out of the sharded run (lowest shard
-     wins; here exactly one node raises, so the exception is the same
-     one the sequential loop would surface). *)
-  let boom : (unit, int) Engine.protocol =
-    {
-      name = "boom";
-      size_words = (fun _ -> 1);
-      init = (fun _ -> ((), Engine.act ~wakes:[ 1 ] ()));
-      on_round =
-        (fun view ~round:_ s ~inbox:_ ->
-          if view.Node_view.id = 5 then failwith "boom-node-5";
-          (s, Engine.no_action));
-    }
-  in
-  let g = unit_path 8 in
-  checkb "handler exception propagates" true
-    (match Engine.run ~shards:3 ~shard_min_active:0 g boom with
-    | _ -> false
-    | exception Failure m -> m = "boom-node-5")
-
-let test_shard_plan_boundaries () =
-  let module S = Congest.Shard in
-  (* n < shards: trailing shards are empty but the plan stays valid. *)
-  let p = S.contiguous ~n:3 ~shards:8 in
-  check "k" 8 (S.shards p);
-  check "n" 3 (S.n p);
-  let b = S.bounds p in
-  check "bounds length" 9 (Array.length b);
-  check "first" 0 b.(0);
-  check "last" 3 b.(8);
-  for w = 0 to 7 do
-    checkb "monotone" true (b.(w) <= b.(w + 1))
-  done;
-  (* Every node is owned by exactly the shard [shard_of] reports. *)
-  for id = 0 to 2 do
-    let w = S.shard_of p id in
-    checkb "owned" true (b.(w) <= id && id < b.(w + 1))
-  done;
-  (* Single node, many shards. *)
-  let p1 = S.contiguous ~n:1 ~shards:8 in
-  check "single node shard" 0 (S.shard_of p1 0);
-  (* Sizes differ by at most one. *)
-  let p2 = S.contiguous ~n:10 ~shards:3 in
-  let sizes = List.init 3 (fun w -> (S.bounds p2).(w + 1) - (S.bounds p2).(w)) in
-  checkb "balanced" true
-    (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1);
-  check "covers" 10 (List.fold_left ( + ) 0 sizes);
-  (* Invalid arguments. *)
-  checkb "shards<1 rejected" true
-    (match S.contiguous ~n:4 ~shards:0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  checkb "shard_of out of range rejected" true
-    (match S.shard_of p 3 with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  (* Degree-balanced plans partition the same id space. *)
-  let g = random_graph 7 in
-  let n = Graphlib.Wgraph.n g in
-  List.iter
-    (fun k ->
-      let pd = S.degree_balanced g ~shards:k in
-      check "db n" n (S.n pd);
-      let bd = S.bounds pd in
-      check "db first" 0 bd.(0);
-      check "db last" n bd.(k);
-      for w = 0 to k - 1 do
-        checkb "db monotone" true (bd.(w) <= bd.(w + 1))
-      done)
-    shard_counts;
-  (* Engine-side guards. *)
-  let g2 = unit_path 4 in
-  checkb "mismatched plan rejected" true
-    (match Engine.run ~shard_plan:(S.contiguous ~n:5 ~shards:2) g2 relay_protocol with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  checkb "shards=0 rejected" true
-    (match Engine.run ~shards:0 g2 relay_protocol with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_shard_team () =
-  let module T = Congest.Shard.Team in
-  let t = T.create ~size:4 in
-  Fun.protect ~finally:(fun () -> T.stop t) @@ fun () ->
-  check "size" 4 (T.size t);
-  (* Barrier: all shards run, results land before run returns. *)
-  let hits = Array.make 4 0 in
-  for _ = 1 to 100 do
-    T.run t (fun w -> hits.(w) <- hits.(w) + 1)
-  done;
-  Array.iteri (fun w h -> check (Printf.sprintf "shard %d ran" w) 100 h) hits;
-  (* Lowest failing shard wins, deterministically. *)
-  checkb "lowest shard exception" true
-    (match T.run t (fun w -> if w >= 2 then failwith (string_of_int w)) with
-    | () -> false
-    | exception Failure m -> m = "2");
-  (* The team survives failures. *)
-  T.run t (fun w -> hits.(w) <- 0);
-  check "usable after failure" 0 hits.(3)
-
-let prop_sharded_equals_single =
-  QCheck.Test.make ~name:"sharded engine = single-domain (states, trace, events, replay)"
-    ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed in
-      List.for_all
-        (fun (_, faults) ->
-          List.for_all (fun k -> sharded_agree ?faults ~shards:k g exerciser_protocol)
-            shard_counts)
-        (adversary_classes seed))
-
 (* ----------------------------- Deadlines --------------------------- *)
 
 (* A protocol that never quiesces: one self-wake per round, advancing
@@ -1062,7 +887,6 @@ let qsuite =
       prop_children_match_parents;
       prop_gather_broadcast_complete;
       prop_engine_equals_reference;
-      prop_sharded_equals_single;
     ]
 
 let () =
@@ -1073,6 +897,8 @@ let () =
           Alcotest.test_case "relay timing" `Quick test_engine_relay;
           Alcotest.test_case "wake fast-forward" `Quick test_engine_wake_fast_forward;
           Alcotest.test_case "non-neighbor rejected" `Quick test_engine_non_neighbor;
+          Alcotest.test_case "handler exception propagates" `Quick
+            test_engine_handler_exception;
           Alcotest.test_case "bandwidth accounting" `Quick test_engine_bandwidth_violation;
           Alcotest.test_case "round limit" `Quick test_engine_round_limit;
           Alcotest.test_case "trace arithmetic" `Quick test_trace_arithmetic;
@@ -1125,19 +951,6 @@ let () =
         [
           Alcotest.test_case "engine = reference on pinned scenarios" `Quick
             test_engine_equals_reference_pinned;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "sharded = single-domain on pinned scenarios" `Quick
-            test_sharded_equals_single_pinned;
-          Alcotest.test_case "degree-balanced plan agrees" `Quick
-            test_sharded_degree_balanced_plan;
-          Alcotest.test_case "ambient with_shards" `Quick test_sharded_ambient;
-          Alcotest.test_case "deadline fires under sharding" `Quick test_sharded_deadline;
-          Alcotest.test_case "handler exception propagates" `Quick
-            test_sharded_handler_exception;
-          Alcotest.test_case "partition boundaries" `Quick test_shard_plan_boundaries;
-          Alcotest.test_case "worker team barrier" `Quick test_shard_team;
         ] );
       ( "deadline",
         [

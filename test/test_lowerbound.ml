@@ -381,7 +381,10 @@ let test_count_protocol_bound () =
                 else (max s best, Congest.Engine.no_action));
           }
         in
-        let _, trace = Congest.Engine.run ~on_message gd.Gadget.graph proto in
+        let _, trace =
+          Congest.Engine.run ~sink:(Telemetry.Events.of_on_message on_message) gd.Gadget.graph
+            proto
+        in
         trace.Congest.Engine.rounds)
   in
   checkb "protocol ran" true (count.Server_model.protocol_rounds > 0);

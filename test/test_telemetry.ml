@@ -163,14 +163,11 @@ let test_event_json () =
   checks "span json" "{\"ev\":\"span_begin\",\"name\":\"phase \\\"x\\\"\",\"round\":0,\"wall_s\":0.5}"
     (E.to_json (E.Span_begin { name = "phase \"x\""; round = 0; wall_s = 0.5 }))
 
-let test_collector_and_tee () =
-  let s1, drain1 = E.collector () in
-  let s2, drain2 = E.collector () in
-  let both = E.tee s1 s2 in
-  both (E.Run_end { round = 1 });
-  both (E.Run_end { round = 2 });
-  check "collector 1" 2 (List.length (drain1 ()));
-  checkb "tee mirrors" true (drain1 () = drain2 ())
+let test_collector () =
+  let sink, drain = E.collector () in
+  sink (E.Run_end { round = 1 });
+  sink (E.Run_end { round = 2 });
+  check "collector" 2 (List.length (drain ()))
 
 let test_pinned_relay_event_stream () =
   (* The exact fault-free stream for the relay on a 4-path: pins the
@@ -487,7 +484,7 @@ let () =
       ( "events",
         [
           Alcotest.test_case "event json" `Quick test_event_json;
-          Alcotest.test_case "collector and tee" `Quick test_collector_and_tee;
+          Alcotest.test_case "collector" `Quick test_collector;
           Alcotest.test_case "pinned relay stream" `Quick test_pinned_relay_event_stream;
           Alcotest.test_case "sink does not perturb" `Quick test_sink_does_not_perturb;
         ] );
