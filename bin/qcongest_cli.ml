@@ -797,8 +797,8 @@ let sweep_cmd =
       & info [ "progress" ]
           ~doc:
             "Replace the per-batch checkpoint lines with a single live status line (rows \
-             done/total, rows/s, ETA, failure/timeout/quarantine counts, rewritten in place \
-             with \\r) and export the run's job wall-time metrics as \
+             done/total, rows/s, ETA, failure/timeout/quarantine counts, redrawn in place \
+             after a carriage return) and export the run's job wall-time metrics as \
              $(i,spec-name).metrics.prom (Prometheus text exposition).")
   in
   let run_term =

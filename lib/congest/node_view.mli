@@ -11,9 +11,14 @@ type t = {
   n : int;  (** Number of nodes in the network (public). *)
   max_w : int;  (** [W = max_e w(e)] (public, per Appendix A). *)
   neighbors : (int * int) array;
-      (** Incident edges as [(neighbor, weight)]; do not mutate. *)
+      (** Incident edges as [(neighbor, weight)], sorted by neighbor id
+          (the graph's own adjacency row); do not mutate.
+          {!edge_weight} relies on the order. *)
 }
 
 val degree : t -> int
 val is_neighbor : t -> int -> bool
+
 val edge_weight : t -> int -> int option
+(** Weight of the edge to a node, if it is a neighbor. Binary search
+    over [neighbors]: O(log deg). *)

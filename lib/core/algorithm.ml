@@ -159,11 +159,10 @@ let run_objective shared objective ~rng =
             | Some e -> e.Inner.value
             | None -> Inner.worst_value inner_obj)
       | Distributed_touched | Centralized_calibrated ->
+        (* One partial application: all m sets share its d̃^ℓ table. *)
+        let eval = Inner.eval_centralized g ~params:rw ~k:params.Params.k in
         Array.init m (fun i ->
-            match
-              Inner.eval_centralized g ~params:rw ~k:params.Params.k ~objective:inner_obj
-                ~s:sets.Sets.sets.(i)
-            with
+            match eval ~objective:inner_obj ~s:sets.Sets.sets.(i) with
             | Some v -> v
             | None -> Inner.worst_value inner_obj)
     in

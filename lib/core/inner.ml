@@ -86,18 +86,22 @@ let eval_distributed ~ctx ~objective ~s ~delta ~c =
   | None -> None
   | Some prep -> Some (search prep ~objective ~delta ~c ~rng:ctx.Nanongkai.Approx.rng)
 
-let eval_centralized g ~params ~k ~objective ~s =
-  match s with
-  | [] -> None
-  | _ ->
-    let sk = Graphlib.Skeleton.build g ~s ~params ~k in
-    let nodes = Graphlib.Skeleton.s_nodes sk in
-    let best = ref (worst_value objective) in
-    Array.iter
-      (fun sn ->
-        let e = Graphlib.Skeleton.approx_eccentricity sk ~s:sn in
-        match objective with
-        | Maximize -> if e > !best then best := e
-        | Minimize -> if e < !best then best := e)
-      nodes;
-    Some !best
+(* The table is made by the partial application [eval_centralized g
+   ~params ~k], so every set priced through one such closure shares it. *)
+let eval_centralized g ~params ~k =
+  let table = Graphlib.Reweight.table g params in
+  fun ~objective ~s ->
+    match s with
+    | [] -> None
+    | _ ->
+      let sk = Graphlib.Skeleton.build table ~s ~k in
+      let nodes = Graphlib.Skeleton.s_nodes sk in
+      let best = ref (worst_value objective) in
+      Array.iter
+        (fun sn ->
+          let e = Graphlib.Skeleton.approx_eccentricity sk ~s:sn in
+          match objective with
+          | Maximize -> if e > !best then best := e
+          | Minimize -> if e < !best then best := e)
+        nodes;
+      Some !best

@@ -69,7 +69,16 @@ val eval_centralized :
   objective:objective ->
   s:int list ->
   float option
-(** Value only, via the centralized skeleton. *)
+(** Value only, via the centralized skeleton.
+
+    The partial application [eval_centralized g ~params ~k] makes one
+    {!Graphlib.Reweight.table} for [g] and returns a closure that
+    builds every set's {!Graphlib.Skeleton} on it, so each [d̃^ℓ] row is
+    computed once however many sets share its source. Apply it once
+    per graph and price all the sets through the closure; the table
+    lives as long as the closure and is not global. A full application
+    per set gives the same values but recomputes every row. Not safe
+    to share one closure between domains. *)
 
 val worst_value : objective -> float
 (** [-∞] for [Maximize], [+∞] for [Minimize]: the value of an empty

@@ -18,6 +18,14 @@ let scaled_weight_f params ~i ~w =
 
 let scaled_weight params ~i ~w = scaled_weight_f params ~i ~w:(float_of_int w)
 
+(* The same float operations as [scaled_weight_f], in the same order,
+   so every value is bit-identical. *)
+let scaler params ~scales =
+  check params;
+  let two_ell = 2.0 *. float_of_int params.ell in
+  let denom = Array.init scales (fun i -> params.eps *. float_of_int (Util.Int_math.pow 2 i)) in
+  fun ~i ~w -> max 1 (int_of_float (ceil (two_ell *. float_of_int w /. denom.(i))))
+
 let scaled_graph g params ~i =
   Wgraph.map_weights g ~f:(fun ~u:_ ~v:_ ~w -> scaled_weight params ~i ~w)
 
@@ -29,30 +37,64 @@ let unscale params ~i d =
   float_of_int d *. params.eps *. float_of_int (Util.Int_math.pow 2 i)
   /. (2.0 *. float_of_int params.ell)
 
-let approx_from g params ~src =
+type table = {
+  g : Wgraph.t;
+  params : params;
+  budget : int;
+  scaled : Wgraph.t option array;  (* (G, w_i), per scale *)
+  rows : float array option array;  (* d̃^ℓ(s, ·), per source *)
+}
+
+let table g params =
   check params;
   let n = Wgraph.n g in
-  let budget = hop_budget params in
   let scales = num_scales ~n ~max_w:(Wgraph.max_weight g) ~eps:params.eps in
-  let best = Array.make n Float.infinity in
-  for i = 0 to scales - 1 do
-    let gi = scaled_graph g params ~i in
-    let di = Dijkstra.distances gi ~src in
-    Array.iteri
-      (fun v d ->
-        if Dist.is_finite d && d <= budget then begin
-          let value = unscale params ~i d in
-          if value < best.(v) then best.(v) <- value
-        end)
-      di
-  done;
-  best
+  {
+    g;
+    params;
+    budget = hop_budget params;
+    scaled = Array.make scales None;
+    rows = Array.make n None;
+  }
 
-let approx_pair g params ~u ~v = (approx_from g params ~src:u).(v)
+let table_graph t = t.g
+let table_params t = t.params
+
+let scale_graph t i =
+  match t.scaled.(i) with
+  | Some gi -> gi
+  | None ->
+    let gi = scaled_graph t.g t.params ~i in
+    t.scaled.(i) <- Some gi;
+    gi
+
+let row t ~src =
+  let n = Wgraph.n t.g in
+  if src < 0 || src >= n then invalid_arg "Reweight.row: source out of range";
+  match t.rows.(src) with
+  | Some best -> best
+  | None ->
+    let best = Array.make n Float.infinity in
+    for i = 0 to Array.length t.scaled - 1 do
+      let di = Dijkstra.distances (scale_graph t i) ~src in
+      Array.iteri
+        (fun v d ->
+          if Dist.is_finite d && d <= t.budget then begin
+            let value = unscale t.params ~i d in
+            if value < best.(v) then best.(v) <- value
+          end)
+        di
+    done;
+    t.rows.(src) <- Some best;
+    best
+
+let approx_from g params ~src = row (table g params) ~src
+
+let approx_pair g params ~u ~v = (row (table g params) ~src:u).(v)
 
 let check_sandwich g params ~src =
   let n = Wgraph.n g in
-  let approx = approx_from g params ~src in
+  let approx = row (table g params) ~src in
   let exact = Dijkstra.distances g ~src in
   let hop_limited = Dijkstra.bounded_hop_distances g ~src ~hops:params.ell in
   let ok = ref true in

@@ -25,6 +25,13 @@ val scaled_weight_f : params -> i:int -> w:float -> int
 (** Same with a real original weight (used when Lemma 3.2 is re-applied
     to the overlay graph, whose weights are approximate distances). *)
 
+val scaler : params -> scales:int -> i:int -> w:int -> int
+(** [scaler params ~scales] checks [params] once and computes the
+    divisor [ε·2^i] of every scale [i < scales] once; the function it
+    returns is {!scaled_weight} for those scales, bit for bit, with no
+    per-call check or power. Apply it partially and keep the result for
+    a per-message hot path. [w] must be positive. *)
+
 val scaled_graph : Wgraph.t -> params -> i:int -> Wgraph.t
 (** The graph [(G, w_i)]. *)
 
@@ -32,8 +39,35 @@ val hop_budget : params -> int
 (** [⌈(1 + 2/ε)·ℓ⌉]: the acceptance bound on scaled distances, and the
     round budget of Algorithm 2. *)
 
+(** {1 Per-graph table}
+
+    [d̃^ℓ(s, ·)] depends only on [G], the parameters and [s], while
+    Theorem 1.1 prices [m = n] sampled sets and each node lies in about
+    [r] of them. A table belongs to one graph and one parameter pair.
+    It builds each scale's graph [(G, w_i)] and each row [d̃^ℓ(s, ·)]
+    once, on first request, and keeps them for its own lifetime.
+    Dropping the table frees them; nothing is global.
+
+    The rows it returns are shared: every caller that asks for the same
+    source gets the same array. They must not be mutated. A table is
+    not safe to use from two domains at once. *)
+
+type table
+
+val table : Wgraph.t -> params -> table
+(** An empty table: nothing is computed until a row is requested. *)
+
+val table_graph : table -> Wgraph.t
+val table_params : table -> params
+
+val row : table -> src:int -> float array
+(** [d̃^ℓ(src, ·)] for every node: the same values {!approx_from}
+    returns. Shared with every other caller of [row] on this table for
+    [src]; do not mutate. *)
+
 val approx_from : Wgraph.t -> params -> src:int -> float array
-(** [d̃^ℓ(src, ·)] for every node. *)
+(** [d̃^ℓ(src, ·)] for every node, on a fresh table (so the array is
+    the caller's own). *)
 
 val approx_pair : Wgraph.t -> params -> u:int -> v:int -> float
 (** [d̃^ℓ(u, v)]. *)

@@ -5,7 +5,7 @@ type t = {
   params : Reweight.params;
   k : int;
   hop_budget : int; (* ⌈4|S|/k⌉ *)
-  dt_ell : float array array; (* |S| x n : d̃^ℓ(s_i, v) *)
+  dt_ell : float array array; (* |S| x n : d̃^ℓ(s_i, v); the table's rows, never mutated *)
   w1 : float array array; (* w'_S *)
   dg1 : float array array; (* SP distances on (G'_S, w'_S) *)
   nk : int array array; (* N^k positions *)
@@ -36,11 +36,12 @@ let k_nearest d k i =
   let rec take n = function [] -> [] | x :: r -> if n = 0 then [] else x :: take (n - 1) r in
   Array.of_list (take k sorted)
 
-(* Lemma 3.2 applied to a float-weighted complete overlay: returns
-   d̃^{hops}(src, ·) in S-index space. *)
-let overlay_approx_from ~w2 ~eps ~hops ~src =
+(* Lemma 3.2 applied to a float-weighted complete overlay: row [src]
+   is d̃^{hops}(src, ·) in S-index space. Each scale's overlay graph is
+   built once and serves every source. *)
+let overlay_approx_rows ~w2 ~eps ~hops =
   let b = Array.length w2 in
-  if b = 1 then [| 0.0 |]
+  if b = 1 then [| [| 0.0 |] |]
   else begin
     let params = { Reweight.ell = max 1 hops; eps } in
     let max_w =
@@ -54,34 +55,40 @@ let overlay_approx_from ~w2 ~eps ~hops ~src =
       int_of_float (floor (Util.Int_math.log2f (max 2.0 x))) + 1
     in
     let budget = Reweight.hop_budget params in
-    let best = Array.make b Float.infinity in
-    best.(src) <- 0.0;
-    for i = 0 to scales - 1 do
-      let edges = ref [] in
-      for u = 0 to b - 1 do
-        for v = u + 1 to b - 1 do
-          if w2.(u).(v) < Float.infinity then
-            edges :=
-              { Wgraph.u; v; w = Reweight.scaled_weight_f params ~i ~w:w2.(u).(v) } :: !edges
-        done
-      done;
-      let gi = Wgraph.make ~n:b !edges in
-      let di = Dijkstra.distances gi ~src in
-      Array.iteri
-        (fun v d ->
-          if Dist.is_finite d && d <= budget then begin
-            let value =
-              float_of_int d *. params.eps *. float_of_int (Util.Int_math.pow 2 i)
-              /. (2.0 *. float_of_int params.ell)
-            in
-            if value < best.(v) then best.(v) <- value
-          end)
-        di
-    done;
-    best
+    let graphs =
+      Array.init scales (fun i ->
+          let edges = ref [] in
+          for u = 0 to b - 1 do
+            for v = u + 1 to b - 1 do
+              if w2.(u).(v) < Float.infinity then
+                edges :=
+                  { Wgraph.u; v; w = Reweight.scaled_weight_f params ~i ~w:w2.(u).(v) } :: !edges
+            done
+          done;
+          Wgraph.make ~n:b !edges)
+    in
+    Array.init b (fun src ->
+        let best = Array.make b Float.infinity in
+        best.(src) <- 0.0;
+        Array.iteri
+          (fun i gi ->
+            let di = Dijkstra.distances gi ~src in
+            Array.iteri
+              (fun v d ->
+                if Dist.is_finite d && d <= budget then begin
+                  let value =
+                    float_of_int d *. params.eps *. float_of_int (Util.Int_math.pow 2 i)
+                    /. (2.0 *. float_of_int params.ell)
+                  in
+                  if value < best.(v) then best.(v) <- value
+                end)
+              di)
+          graphs;
+        best)
   end
 
-let build g ~s ~params ~k =
+let build table ~s ~k =
+  let g = Reweight.table_graph table and params = Reweight.table_params table in
   if k < 1 then invalid_arg "Skeleton.build: k < 1";
   let s_arr = Array.of_list (List.sort_uniq compare s) in
   let b = Array.length s_arr in
@@ -90,7 +97,7 @@ let build g ~s ~params ~k =
   Array.iter (fun v -> if v < 0 || v >= Wgraph.n g then invalid_arg "Skeleton.build: range") s_arr;
   let index = Hashtbl.create b in
   Array.iteri (fun i v -> Hashtbl.replace index v i) s_arr;
-  let dt_ell = Array.map (fun src -> Reweight.approx_from g params ~src) s_arr in
+  let dt_ell = Array.map (fun src -> Reweight.row table ~src) s_arr in
   let w1 =
     Array.init b (fun i ->
         Array.init b (fun j -> if i = j then 0.0 else dt_ell.(i).(s_arr.(j))))
@@ -114,9 +121,7 @@ let build g ~s ~params ~k =
       nk.(i)
   done;
   let hop_budget = Util.Int_math.ceil_div (4 * b) k in
-  let dt_overlay =
-    Array.init b (fun src -> overlay_approx_from ~w2 ~eps:params.eps ~hops:hop_budget ~src)
-  in
+  let dt_overlay = overlay_approx_rows ~w2 ~eps:params.eps ~hops:hop_budget in
   { base = g; s_arr; index; params; k; hop_budget; dt_ell; w1; dg1; nk; w2; dt_overlay }
 
 let s_nodes t = Array.copy t.s_arr

@@ -18,8 +18,16 @@
 
 type t
 
-val build : Wgraph.t -> s:int list -> params:Reweight.params -> k:int -> t
-(** Requires [S] non-empty, distinct, in range, and [k >= 1]. *)
+val build : Reweight.table -> s:int list -> k:int -> t
+(** The skeleton of [S] on the table's graph and parameters. Requires
+    [S] non-empty, distinct, in range, and [k >= 1].
+
+    The [d̃^ℓ] rows come from the table: a member shared by several
+    sets is computed once per table, and its row is the same array in
+    every skeleton built on that table (see {!dtilde_ell}). Each
+    scale's overlay graph is built once per skeleton and serves every
+    source. Build all the skeletons of one graph on one table; a fresh
+    table per skeleton gives the same values but recomputes every row. *)
 
 val s_nodes : t -> int array
 (** Members of [S], increasing. *)
@@ -41,7 +49,9 @@ val knn : t -> int array array
 (** [knn.(i)] = positions (in [S]-index space) of [N^k(s_i)]. *)
 
 val dtilde_ell : t -> s:int -> float array
-(** Row of [d̃^ℓ(s, ·)] over all of [V]; [s] must be in [S]. *)
+(** Row of [d̃^ℓ(s, ·)] over all of [V]; [s] must be in [S]. This is
+    the table's row ({!Reweight.row}), shared with every skeleton built
+    on the same table: do not mutate. *)
 
 val overlay_approx : t -> s:int -> u:int -> float
 (** [d̃^{4|S|/k}_{G''_S,w''_S}(s,u)] for [s, u ∈ S]. *)

@@ -10,32 +10,35 @@ type output = {
   congestion_ok : bool;
 }
 
-let concurrent_protocol ~sources ~delays ~params :
-    (Bh_instance.state array, msg) Congest.Engine.protocol =
-  let b = Array.length sources in
-  let cfg view j =
-    Bh_instance.make_cfg ~params ~n:view.Congest.Node_view.n ~max_w:view.Congest.Node_view.max_w
-      ~offset:(delays.(j) + 1)
-      ~is_source:(view.Congest.Node_view.id = sources.(j))
+(* Instance [j]'s configuration at node [id]. A node sees only the
+   public [n] and [W] and whether it is [s_j], so the run builds each
+   instance's source and non-source configurations once and every node
+   looks its own up. Offsets start at round 1 so that even Δ=0
+   instances have a strictly-future wake to request at init. *)
+let instance_cfgs ~sources ~delays ~params ~n ~max_w =
+  let make ~is_source j =
+    Bh_instance.make_cfg ~params ~n ~max_w ~offset:(delays.(j) + 1) ~is_source
   in
-  (* Offsets start at round 1 so that even Δ=0 instances have a
-     strictly-future wake to request at init. *)
+  let at_source = Array.mapi (fun j _ -> make ~is_source:true j) sources in
+  let elsewhere = Array.mapi (fun j _ -> make ~is_source:false j) sources in
+  fun ~id j -> if id = sources.(j) then at_source.(j) else elsewhere.(j)
+
+let concurrent_protocol ~b ~cfg ~scaled_weight :
+    (Bh_instance.state array, msg) Congest.Engine.protocol =
+  (* A node's instance array is its own and is updated in place. *)
   let decide_all view insts ~round =
+    let id = view.Congest.Node_view.id in
     let sends = ref [] and wakes = ref [] in
-    let insts =
-      Array.mapi
-        (fun j inst ->
-          let inst, effect = Bh_instance.decide (cfg view j) inst ~round in
-          (match effect.Bh_instance.broadcast with
-          | Some (scale, dist) ->
-            Array.iter
-              (fun (v, _) -> sends := (v, { j; scale; dist }) :: !sends)
-              view.Congest.Node_view.neighbors
-          | None -> ());
-          (match effect.Bh_instance.wake with Some r -> wakes := r :: !wakes | None -> ());
-          inst)
-        insts
-    in
+    for j = 0 to b - 1 do
+      let inst, effect = Bh_instance.decide (cfg ~id j) insts.(j) ~round in
+      insts.(j) <- inst;
+      (match effect.Bh_instance.broadcast with
+      | Some (scale, dist) ->
+        let msg = { j; scale; dist } in
+        Array.iter (fun (v, _) -> sends := (v, msg) :: !sends) view.Congest.Node_view.neighbors
+      | None -> ());
+      match effect.Bh_instance.wake with Some r -> wakes := r :: !wakes | None -> ()
+    done;
     (insts, Congest.Engine.act ~sends:!sends ~wakes:(List.sort_uniq compare !wakes) ())
   in
   {
@@ -43,23 +46,25 @@ let concurrent_protocol ~sources ~delays ~params :
     size_words = (fun _ -> 1);
     init =
       (fun view ->
-        let insts = Array.init b (fun j -> Bh_instance.init (cfg view j)) in
+        let id = view.Congest.Node_view.id in
+        let insts = Array.init b (fun j -> Bh_instance.init (cfg ~id j)) in
         let source_wakes =
-          List.concat (List.init b (fun j -> Bh_instance.initial_wakes (cfg view j)))
+          List.concat (List.init b (fun j -> Bh_instance.initial_wakes (cfg ~id j)))
         in
         (* Every instance starts at offset >= 1, so no sends at init;
            sources just arm their phase-base wake-ups. *)
         (insts, Congest.Engine.act ~wakes:(List.sort_uniq compare source_wakes) ()));
     on_round =
       (fun view ~round insts ~inbox ->
-        let insts = Array.copy insts in
+        let id = view.Congest.Node_view.id in
         List.iter
           (fun { Congest.Engine.src = u; msg = { j; scale; dist } } ->
             match Congest.Node_view.edge_weight view u with
             | None -> ()
             | Some w ->
-              let scaled_w = Graphlib.Reweight.scaled_weight params ~i:scale ~w in
-              insts.(j) <- Bh_instance.on_message (cfg view j) insts.(j) ~round ~scale ~dist ~scaled_w)
+              insts.(j) <-
+                Bh_instance.on_message (cfg ~id j) insts.(j) ~round ~scale ~dist
+                  ~scaled_w:(scaled_weight ~i:scale ~w))
           inbox;
         decide_all view insts ~round);
   }
@@ -89,18 +94,18 @@ let run ?delays_override g ~tree ~sources ~params ~rng =
       ~tokens:(List.init b (fun j -> (j, delays.(j))))
       ~size_words:(fun _ -> 1)
   in
-  let states, concurrent_trace =
-    Congest.Engine.run ~bandwidth:lambda g (concurrent_protocol ~sources ~delays ~params)
-  in
   let max_w = Graphlib.Wgraph.max_weight g in
+  let cfg = instance_cfgs ~sources ~delays ~params ~n ~max_w in
+  let scaled_weight =
+    Graphlib.Reweight.scaler params
+      ~scales:(Graphlib.Reweight.num_scales ~n ~max_w ~eps:params.Graphlib.Reweight.eps)
+  in
+  let states, concurrent_trace =
+    Congest.Engine.run ~bandwidth:lambda g (concurrent_protocol ~b ~cfg ~scaled_weight)
+  in
   let dtilde =
     Array.init b (fun j ->
-        Array.init n (fun v ->
-            let cfg =
-              Bh_instance.make_cfg ~params ~n ~max_w ~offset:(delays.(j) + 1)
-                ~is_source:(v = sources.(j))
-            in
-            Bh_instance.finalize cfg states.(v).(j)))
+        Array.init n (fun v -> Bh_instance.finalize (cfg ~id:v j) states.(v).(j)))
   in
   {
     dtilde;

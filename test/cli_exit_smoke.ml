@@ -7,6 +7,9 @@
      3  a scaling gate rejected the measured exponents
      124  cmdliner CLI parse errors
 
+   It also renders every command's --help=plain page and fails if one
+   writes to stderr.
+
    Run via `dune build @cli-exit-codes` (also under `dune runtest`);
    argv.(1) is the CLI executable. The driver links the harness
    library so it can fabricate specs and checkpoint rows directly. *)
@@ -21,6 +24,47 @@ let expect ~what code cmd =
     incr failures
   end
 
+(* The subcommand names listed in a help page's COMMANDS section. *)
+let subcommands page =
+  let rec skip = function
+    | [] -> []
+    | "COMMANDS" :: rest -> collect rest
+    | _ :: rest -> skip rest
+  and collect = function
+    | line :: rest when line = "" || line.[0] = ' ' ->
+      let names =
+        if String.length line > 7 && String.sub line 0 7 = "       " && line.[7] <> ' ' then
+          [ List.hd (String.split_on_char ' ' (String.sub line 7 (String.length line - 7))) ]
+        else []
+      in
+      names @ collect rest
+    | _ -> []
+  in
+  skip (String.split_on_char '\n' page)
+
+(* Every command's --help=plain must exit 0 and write nothing to
+   stderr: cmdliner reports a malformed doc string there and still
+   renders the page. The command tree is read from the help pages, so
+   a new subcommand is covered without a list to maintain. *)
+let check_help_pages exe dir =
+  let out = Filename.concat dir "help.out" and err = Filename.concat dir "help.err" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let rec visit path =
+    let what = String.concat " " ("qcongest" :: path) in
+    let cmd = String.concat " " ((exe :: path) @ [ "--help=plain" ]) in
+    let rc =
+      Sys.command (Printf.sprintf "%s > %s 2> %s" cmd (Filename.quote out) (Filename.quote err))
+    in
+    let page = read out and stderr = read err in
+    if rc = 0 && stderr = "" then Printf.printf "ok   help     %s\n%!" what
+    else begin
+      Printf.printf "FAIL help (exit %d): %s\n   stderr: %s\n%!" rc what (String.trim stderr);
+      incr failures
+    end;
+    List.iter (fun sub -> visit (path @ [ sub ])) (subcommands page)
+  in
+  visit []
+
 let () =
   if Array.length Sys.argv < 2 then begin
     prerr_endline "usage: cli_exit_smoke <qcongest-cli-exe>";
@@ -34,6 +78,8 @@ let () =
   Unix.mkdir dir 0o755;
   Unix.putenv "ARTIFACTS_DIR" dir;
   let sweep args = Printf.sprintf "%s sweep %s" exe args in
+
+  check_help_pages exe dir;
 
   (* 0: nothing executed yet, jobs pending — still a clean exit. *)
   expect ~what:"sweep run with --max-jobs 0 (jobs pending)" 0

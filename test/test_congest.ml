@@ -880,9 +880,46 @@ let test_runner_pp_and_json () =
   checkb "json has total" true (contains json "\"total\":{");
   checkb "json carries fault stats" true (contains json "\"dropped\":2")
 
+(* ---------------------------- Node_view --------------------------- *)
+
+let prop_edge_weight_matches_scan =
+  (* [edge_weight] binary-searches the neighbor row; on the views the
+     engine hands out it must agree with a scan of the row for every id
+     in [-1, n], neighbors, non-neighbors and out-of-range ids alike. *)
+  QCheck.Test.make ~name:"Node_view.edge_weight = linear scan" ~count:60
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Util.Rng.create ~seed in
+      let n = 2 + Util.Rng.int rng 40 in
+      let p = [| 0.1; 0.3; 0.9 |].(seed mod 3) in
+      let g =
+        Graphlib.Gen.gnp_connected ~n ~p ~weighting:(Graphlib.Gen.Uniform { max_w = 9 }) ~rng
+      in
+      let capture : (Node_view.t, unit) Engine.protocol =
+        {
+          name = "capture-views";
+          size_words = (fun () -> 1);
+          init = (fun view -> (view, Engine.no_action));
+          on_round = (fun _ ~round:_ view ~inbox:_ -> (view, Engine.no_action));
+        }
+      in
+      let views, _ = Engine.run g capture in
+      let scan view v =
+        Array.fold_left
+          (fun acc (u, w) -> if u = v then Some w else acc)
+          None view.Node_view.neighbors
+      in
+      Array.for_all
+        (fun view ->
+          List.for_all
+            (fun v -> Node_view.edge_weight view v = scan view v)
+            (List.init (n + 2) (fun i -> i - 1)))
+        views)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_edge_weight_matches_scan;
       prop_tree_is_bfs;
       prop_children_match_parents;
       prop_gather_broadcast_complete;

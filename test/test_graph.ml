@@ -338,7 +338,122 @@ let test_reweight_self () =
   let row = Reweight.approx_from g params ~src:0 in
   Alcotest.(check (float 1e-12)) "self distance 0" 0.0 row.(0)
 
+(* The row loop the table replaced: rebuild (G, w_i) and rerun
+   Dijkstra for every (source, scale) pair, keep accepted scales only. *)
+let reference_row g params ~src =
+  let n = Wgraph.n g in
+  let budget = Reweight.hop_budget params in
+  let scales = Reweight.num_scales ~n ~max_w:(Wgraph.max_weight g) ~eps:params.Reweight.eps in
+  let best = Array.make n Float.infinity in
+  for i = 0 to scales - 1 do
+    let di = Dijkstra.distances (Reweight.scaled_graph g params ~i) ~src in
+    Array.iteri
+      (fun v d ->
+        if Dist.is_finite d && d <= budget then begin
+          let value =
+            float_of_int d *. params.Reweight.eps
+            *. float_of_int (Util.Int_math.pow 2 i)
+            /. (2.0 *. float_of_int params.Reweight.ell)
+          in
+          if value < best.(v) then best.(v) <- value
+        end)
+      di
+  done;
+  best
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_table_row_matches_loop =
+  QCheck.Test.make ~name:"Reweight.row = per-(source, scale) loop" ~count:40
+    QCheck.(triple (int_range 0 10_000) (int_range 1 12) (int_range 0 2))
+    (fun (seed, ell, e) ->
+      let g = random_graph seed in
+      let n = Wgraph.n g in
+      let params = { Reweight.ell; eps = [| 0.25; 0.5; 1.0 |].(e) } in
+      let table = Reweight.table g params in
+      (* Every source once, then again: the second request must
+         return the first one's array. *)
+      let first = List.init n (fun v -> (n - 1 - v, Reweight.row table ~src:(n - 1 - v))) in
+      List.for_all
+        (fun (src, row) ->
+          same_bits row (reference_row g params ~src) && Reweight.row table ~src == row)
+        first)
+
+let test_reweight_scaler () =
+  List.iter
+    (fun params ->
+      let scales = 16 in
+      let scaled = Reweight.scaler params ~scales in
+      for i = 0 to scales - 1 do
+        List.iter
+          (fun w ->
+            check "scaler = scaled_weight" (Reweight.scaled_weight params ~i ~w) (scaled ~i ~w))
+          [ 1; 2; 3; 7; 16; 1000; 65_537 ]
+      done)
+    [
+      { Reweight.ell = 1; eps = 1.0 };
+      { Reweight.ell = 7; eps = 0.25 };
+      { Reweight.ell = 192; eps = 0.5 };
+    ]
+
 (* ---------------------------- Skeleton ---------------------------- *)
+
+let skeleton_graph seed =
+  let rng = Util.Rng.create ~seed in
+  Gen.gnp_connected ~n:16 ~p:0.2 ~weighting:(Gen.Uniform { max_w = 9 }) ~rng
+
+let test_table_shares_rows () =
+  let g = skeleton_graph 11 in
+  let table = Reweight.table g { Reweight.ell = 6; eps = 0.5 } in
+  let a = Skeleton.build table ~s:[ 0; 1; 2 ] ~k:1 in
+  let b = Skeleton.build table ~s:[ 1; 3; 9 ] ~k:2 in
+  checkb "one row for a shared member" true
+    (Skeleton.dtilde_ell a ~s:1 == Skeleton.dtilde_ell b ~s:1);
+  checkb "the table's own row" true (Skeleton.dtilde_ell b ~s:1 == Reweight.row table ~src:1)
+
+let test_table_warm_equals_fresh () =
+  let g = skeleton_graph 12 in
+  let n = Wgraph.n g in
+  let params = { Reweight.ell = 5; eps = 0.5 } in
+  let warm = Reweight.table g params in
+  List.iter
+    (fun s -> ignore (Skeleton.build warm ~s ~k:2))
+    [ [ 0; 1; 2 ]; [ 2; 5; 9; 13 ]; [ 9; 15 ] ];
+  let s = [ 1; 2; 9; 11; 13 ] in
+  let a = Skeleton.build warm ~s ~k:2 in
+  let b = Skeleton.build (Reweight.table g params) ~s ~k:2 in
+  let nodes = Skeleton.s_nodes a in
+  checkb "s_nodes" true (nodes = Skeleton.s_nodes b);
+  for v = -1 to n do
+    Alcotest.(check (option int)) "s_index" (Skeleton.s_index b v) (Skeleton.s_index a v)
+  done;
+  check "overlay_hop_budget" (Skeleton.overlay_hop_budget b) (Skeleton.overlay_hop_budget a);
+  checkb "w_prime" true (Skeleton.w_prime a = Skeleton.w_prime b);
+  checkb "w_dprime" true (Skeleton.w_dprime a = Skeleton.w_dprime b);
+  checkb "knn" true (Skeleton.knn a = Skeleton.knn b);
+  Array.iter
+    (fun s ->
+      checkb "dtilde_ell" true (same_bits (Skeleton.dtilde_ell a ~s) (Skeleton.dtilde_ell b ~s));
+      Array.iter
+        (fun u ->
+          checkb "overlay_approx" true
+            (Skeleton.overlay_approx a ~s ~u = Skeleton.overlay_approx b ~s ~u))
+        nodes;
+      checkb "approx_distances_from" true
+        (same_bits (Skeleton.approx_distances_from a ~s) (Skeleton.approx_distances_from b ~s));
+      for v = 0 to n - 1 do
+        checkb "approx_distance" true
+          (Skeleton.approx_distance a ~s ~v = Skeleton.approx_distance b ~s ~v)
+      done;
+      checkb "approx_eccentricity" true
+        (Skeleton.approx_eccentricity a ~s = Skeleton.approx_eccentricity b ~s))
+    nodes;
+  check "overlay_hop_diameter" (Skeleton.overlay_hop_diameter b) (Skeleton.overlay_hop_diameter a);
+  checkb "check_good_approximation" (Skeleton.check_good_approximation b ~eps:0.5)
+    (Skeleton.check_good_approximation a ~eps:0.5)
+
 
 let prop_skeleton_good_approx =
   QCheck.Test.make ~name:"Lemma 3.3 approximation on dense-enough samples" ~count:25
@@ -350,7 +465,7 @@ let prop_skeleton_good_approx =
       (* ℓ = n makes the hop bound vacuous, so the (1+ε)² guarantee
          must hold for any non-empty S. *)
       let s = List.sort_uniq compare (0 :: Util.Rng.subset_bernoulli rng ~n ~p:0.4) in
-      let sk = Skeleton.build g ~s ~params:{ Reweight.ell = n; eps = 0.5 } ~k:2 in
+      let sk = Skeleton.build (Reweight.table g { Reweight.ell = n; eps = 0.5 }) ~s ~k:2 in
       Skeleton.check_good_approximation sk ~eps:0.5)
 
 let test_skeleton_shortcut_hops () =
@@ -358,7 +473,7 @@ let test_skeleton_shortcut_hops () =
   let n = Wgraph.n g in
   let rng = Util.Rng.create ~seed:43 in
   let s = List.sort_uniq compare (0 :: Util.Rng.subset_bernoulli rng ~n ~p:0.5) in
-  let sk = Skeleton.build g ~s ~params:{ Reweight.ell = n; eps = 0.5 } ~k:3 in
+  let sk = Skeleton.build (Reweight.table g { Reweight.ell = n; eps = 0.5 }) ~s ~k:3 in
   (* Theorem 3.10: hop diameter of the k-shortcut graph < 4|S|/k. *)
   let hd = Skeleton.overlay_hop_diameter sk in
   checkb "hop diameter bound" true (hd < max 1 (Skeleton.overlay_hop_budget sk) || hd = 0)
@@ -369,7 +484,7 @@ let test_skeleton_knn () =
   let rng = Util.Rng.create ~seed:8 in
   let s = List.sort_uniq compare (0 :: 1 :: Util.Rng.subset_bernoulli rng ~n ~p:0.5) in
   let k = 2 in
-  let sk = Skeleton.build g ~s ~params:{ Reweight.ell = n; eps = 0.5 } ~k in
+  let sk = Skeleton.build (Reweight.table g { Reweight.ell = n; eps = 0.5 }) ~s ~k in
   let b = Array.length (Skeleton.s_nodes sk) in
   Array.iter (fun nn -> check "knn size" (min k (b - 1)) (Array.length nn)) (Skeleton.knn sk);
   (* w'' is symmetric and dominated by w'. *)
@@ -383,7 +498,7 @@ let test_skeleton_knn () =
 
 let test_skeleton_membership () =
   let g = random_graph 3 in
-  let sk = Skeleton.build g ~s:[ 0; 1 ] ~params:{ Reweight.ell = 10; eps = 0.5 } ~k:1 in
+  let sk = Skeleton.build (Reweight.table g { Reweight.ell = 10; eps = 0.5 }) ~s:[ 0; 1 ] ~k:1 in
   Alcotest.(check (option int)) "index" (Some 1) (Skeleton.s_index sk 1);
   Alcotest.(check (option int)) "absent" None (Skeleton.s_index sk 999999)
 
@@ -548,6 +663,7 @@ let qsuite =
       prop_radius_diameter_sandwich;
       prop_ecc_max_min;
       prop_reweight_sandwich;
+      prop_table_row_matches_loop;
       prop_skeleton_good_approx;
       prop_lemma_4_3;
       prop_weight_lookup_matches_scan;
@@ -588,12 +704,15 @@ let () =
         [
           Alcotest.test_case "scales" `Quick test_reweight_scales;
           Alcotest.test_case "self distance" `Quick test_reweight_self;
+          Alcotest.test_case "scaler = scaled_weight" `Quick test_reweight_scaler;
         ] );
       ( "skeleton (Lemma 3.3)",
         [
           Alcotest.test_case "shortcut hop bound" `Quick test_skeleton_shortcut_hops;
           Alcotest.test_case "knn/w'' structure" `Quick test_skeleton_knn;
           Alcotest.test_case "membership" `Quick test_skeleton_membership;
+          Alcotest.test_case "one table, shared rows" `Quick test_table_shares_rows;
+          Alcotest.test_case "warm table = fresh table" `Quick test_table_warm_equals_fresh;
         ] );
       ( "io",
         [

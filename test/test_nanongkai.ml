@@ -177,7 +177,7 @@ let prop_overlay_matches_skeleton =
     (fun seed ->
       let g, s, params, k, ctx = skeleton_setup seed in
       let emb = Nanongkai.Approx.initialize ctx ~s in
-      let sk = Graphlib.Skeleton.build g ~s ~params ~k in
+      let sk = Graphlib.Skeleton.build (Graphlib.Reweight.table g params) ~s ~k in
       let w2c = Graphlib.Skeleton.w_dprime sk in
       let w2d = emb.Nanongkai.Approx.overlay.Nanongkai.Overlay.w2 in
       let ok = ref true in
@@ -192,7 +192,7 @@ let prop_alg5_matches_skeleton =
     (fun seed ->
       let g, s, params, k, ctx = skeleton_setup seed in
       let emb = Nanongkai.Approx.initialize ctx ~s in
-      let sk = Graphlib.Skeleton.build g ~s ~params ~k in
+      let sk = Graphlib.Skeleton.build (Graphlib.Reweight.table g params) ~s ~k in
       let out =
         Nanongkai.Alg5.run g ~tree:ctx.Nanongkai.Approx.tree
           ~overlay:emb.Nanongkai.Approx.overlay ~eps:params.Graphlib.Reweight.eps ~src_idx:0
