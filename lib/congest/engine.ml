@@ -125,12 +125,10 @@ let with_phase_spans f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_phase_spans prev) f
 
 (* Inboxes are reusable growable buffers: envelopes are appended in
-   arrival order and the live prefix is snapshotted (and stably sorted
-   by sender) once per activation, so the steady state allocates one
-   short-lived array + list per active node per round instead of
-   cons/rev/merge-sorting a fresh list. The buffer keeps its high-water
-   capacity (and the envelopes last stored in it) across rounds — the
-   retention is bounded by the largest inbox ever seen per node. *)
+   arrival order and the live prefix becomes the handler's inbox list
+   once per activation. The buffer keeps its high-water capacity (and
+   the envelopes last stored in it) across rounds — the retention is
+   bounded by the largest inbox ever seen per node. *)
 type 'm mailbox = { mutable data : 'm envelope array; mutable len : int }
 
 let mailbox_push b e =
@@ -142,6 +140,28 @@ let mailbox_push b e =
   end;
   b.data.(b.len) <- e;
   b.len <- b.len + 1
+
+(* Empty the buffer into an inbox list sorted by sender. Without an
+   adversary the envelopes always arrive in sender order (handlers run
+   in increasing id order), so the list is built straight from the
+   buffer. Delayed deliveries can arrive out of order; they take a
+   stable sort, which keeps each sender's envelopes in arrival order
+   and so matches the reference's rev + stable list sort. *)
+let rec in_sender_order (data : _ envelope array) len i =
+  i >= len || (data.(i - 1).src <= data.(i).src && in_sender_order data len (i + 1))
+
+let rec prefix_to_list data i acc =
+  if i < 0 then acc else prefix_to_list data (i - 1) (data.(i) :: acc)
+
+let mailbox_drain b =
+  let data = b.data and len = b.len in
+  b.len <- 0;
+  if in_sender_order data len 1 then prefix_to_list data (len - 1) []
+  else begin
+    let inbox = Array.sub data 0 len in
+    Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
+    Array.to_list inbox
+  end
 
 (* Merge two strictly-increasing id lists; equals List.sort_uniq on
    their concatenation. *)
@@ -528,24 +548,14 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
         | None -> []
       in
       let active =
-        List.filter (fun id -> crashed_at id > r) (merge_uniq from_inbox from_wake)
+        let due = merge_uniq from_inbox from_wake in
+        if adversary = None then due else List.filter (fun id -> crashed_at id > r) due
       in
       if observed then
         emit (Telemetry.Events.Round_start { round = r; active = List.length active });
       (* Snapshot and clear inboxes before running handlers so that
-         messages sent in round r arrive in round r+1. Buffers hold
-         envelopes in arrival order; the stable sort by sender matches
-         the reference's rev + stable list sort. *)
-      let snapshots =
-        List.map
-          (fun id ->
-            let b = boxes.(id) in
-            let inbox = Array.sub b.data 0 b.len in
-            b.len <- 0;
-            Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
-            (id, Array.to_list inbox))
-          active
-      in
+         messages sent in round r arrive in round r+1. *)
+      let snapshots = List.map (fun id -> (id, mailbox_drain boxes.(id))) active in
       if spans then span_end "engine.delivery" r;
       round := r;
       reset_round_ledger ();

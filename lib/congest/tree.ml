@@ -297,3 +297,37 @@ let gather_broadcast ?bandwidth ?faults ?reliable ?sink g tree ~items ~compare ~
   let collected, t1 = upcast ?bandwidth ?faults ?reliable ?sink g tree ~items ~compare ~size_words in
   let _, t2 = broadcast_tokens ?bandwidth ?faults ?reliable ?sink g tree ~tokens:collected ~size_words in
   (collected, Engine.add_traces t1 t2)
+
+(* ------------------------------------------------------------------ *)
+(* Gather traces by holder multiset.                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys are sorted holder lists. The hash reads every entry, where
+   [Hashtbl.hash] would stop after the first ten. *)
+module Holders = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+end)
+
+type gather_memo = { g : Graphlib.Wgraph.t; tree : t; traces : Engine.trace Holders.t }
+
+let gather_memo g tree = { g; tree; traces = Holders.create 64 }
+
+let gather_trace memo g tree ~holders =
+  if not (g == memo.g && tree == memo.tree) then
+    invalid_arg "Tree.gather_trace: memo of another graph or tree";
+  let key = Array.copy holders in
+  Array.sort Int.compare key;
+  match Holders.find_opt memo.traces key with
+  | Some trace -> trace
+  | None ->
+    (* Item [i] is the int [i], held by [key.(i)]. *)
+    let items = Array.make (Graphlib.Wgraph.n memo.g) [] in
+    Array.iteri (fun i v -> items.(v) <- i :: items.(v)) key;
+    let _, trace =
+      gather_broadcast memo.g memo.tree ~items ~compare:Int.compare ~size_words:(fun _ -> 1)
+    in
+    Holders.add memo.traces key trace;
+    trace

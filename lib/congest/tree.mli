@@ -102,3 +102,32 @@ val gather_broadcast :
   'tok list * Engine.trace
 (** {!upcast} then {!broadcast_tokens}: every node (and the caller)
     learns the full sorted item list. [O(depth + k)] rounds. *)
+
+(** {1 Gather traces by holder multiset}
+
+    On a fault-free network, a {!gather_broadcast} of pairwise-distinct
+    one-word items has a trace that depends only on which nodes hold
+    how many items: nothing is deduplicated, the upcast forwards one
+    item per node per round while any remain, and the broadcast sees
+    only how many items the root collected. Callers that gather many
+    item sets on one tree (Algorithm 5's overlay rounds, the leader's
+    collection of [S]) keep a memo of measured traces keyed by that
+    multiset. The memo belongs to its caller; nothing is shared
+    between memos. *)
+
+type gather_memo
+
+val gather_memo : Graphlib.Wgraph.t -> t -> gather_memo
+(** An empty memo for this graph and tree. *)
+
+val gather_trace : gather_memo -> Graphlib.Wgraph.t -> t -> holders:int array -> Engine.trace
+(** [gather_trace memo g tree ~holders] lists, once per item, the node
+    that holds it. The result is the trace of
+    [gather_broadcast g tree ~items ~compare ~size_words:(fun _ -> 1)]
+    (no faults, default bandwidth) for every [items] in which node [v]
+    holds as many items as it appears in [holders] and all items are
+    pairwise distinct. The first request for a multiset runs that
+    protocol; later ones return the stored trace.
+
+    @raise Invalid_argument unless [g] and [tree] are (physically) the
+    graph and tree the memo was made for. *)

@@ -18,13 +18,21 @@ let scaled_weight_f params ~i ~w =
 
 let scaled_weight params ~i ~w = scaled_weight_f params ~i ~w:(float_of_int w)
 
-(* The same float operations as [scaled_weight_f], in the same order,
-   so every value is bit-identical. *)
-let scaler params ~scales =
+(* [2ℓ] and the divisor [ε·2^i] of every scale [i < scales]. The
+   scalers below apply the same float operations as [scaled_weight_f],
+   in the same order, so every value is bit-identical. *)
+let divisors params ~scales =
   check params;
-  let two_ell = 2.0 *. float_of_int params.ell in
-  let denom = Array.init scales (fun i -> params.eps *. float_of_int (Util.Int_math.pow 2 i)) in
+  ( 2.0 *. float_of_int params.ell,
+    Array.init scales (fun i -> params.eps *. float_of_int (Util.Int_math.pow 2 i)) )
+
+let scaler params ~scales =
+  let two_ell, denom = divisors params ~scales in
   fun ~i ~w -> max 1 (int_of_float (ceil (two_ell *. float_of_int w /. denom.(i))))
+
+let scaler_f params ~scales =
+  let two_ell, denom = divisors params ~scales in
+  fun ~i ~w -> max 1 (int_of_float (ceil (two_ell *. w /. denom.(i))))
 
 let scaled_graph g params ~i =
   Wgraph.map_weights g ~f:(fun ~u:_ ~v:_ ~w -> scaled_weight params ~i ~w)

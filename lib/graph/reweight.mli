@@ -32,6 +32,10 @@ val scaler : params -> scales:int -> i:int -> w:int -> int
     per-call check or power. Apply it partially and keep the result for
     a per-message hot path. [w] must be positive. *)
 
+val scaler_f : params -> scales:int -> i:int -> w:float -> int
+(** {!scaler} for real weights: {!scaled_weight_f} for those scales,
+    bit for bit. *)
+
 val scaled_graph : Wgraph.t -> params -> i:int -> Wgraph.t
 (** The graph [(G, w_i)]. *)
 

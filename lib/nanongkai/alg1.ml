@@ -1,6 +1,7 @@
 type msg = { scale : int; dist : int }
 
-type state = { inst : Bh_instance.state; sent : int }
+(* The node's single instance lives in slot 0 of its own bank. *)
+type state = { inst : Bh_instance.bank; sent : int }
 
 type output = {
   dtilde : float array;
@@ -9,60 +10,53 @@ type output = {
 }
 
 let protocol ~src ~params : (state, msg) Congest.Engine.protocol =
-  let cfg view =
-    Bh_instance.make_cfg ~params ~n:view.Congest.Node_view.n ~max_w:view.Congest.Node_view.max_w
-      ~offset:0 ~is_source:(view.Congest.Node_view.id = src)
-  in
-  let apply_effect view (st, effect) =
-    let sends =
-      match effect.Bh_instance.broadcast with
-      | None -> []
-      | Some (scale, dist) ->
-        Array.to_list
-          (Array.map (fun (v, _) -> (v, { scale; dist })) view.Congest.Node_view.neighbors)
-    in
-    let wakes = match effect.Bh_instance.wake with None -> [] | Some r -> [ r ] in
-    let sent = if sends = [] then 0 else 1 in
-    ((st, sent), Congest.Engine.act ~sends ~wakes ())
+  let decide view s ~round =
+    match Bh_instance.decide s.inst 0 ~round with
+    | Bh_instance.Quiet -> (s, Congest.Engine.no_action)
+    | Bh_instance.Wake -> (s, Congest.Engine.wake (Bh_instance.wake_round s.inst 0))
+    | Bh_instance.Broadcast ->
+      let msg = { scale = Bh_instance.scale s.inst 0; dist = Bh_instance.dist s.inst 0 } in
+      let sends =
+        Array.to_list (Array.map (fun (v, _) -> (v, msg)) view.Congest.Node_view.neighbors)
+      in
+      ({ s with sent = (if sends = [] then s.sent else s.sent + 1) }, Congest.Engine.send sends)
   in
   {
     name = "alg1-bounded-hop-sssp";
     size_words = (fun _ -> 1);
     init =
       (fun view ->
-        let c = cfg view in
-        let inst = Bh_instance.init c in
-        let wakes = Bh_instance.initial_wakes c in
-        let (inst, sent), action = apply_effect view (Bh_instance.decide c inst ~round:0) in
-        ({ inst; sent }, { action with Congest.Engine.wakes = wakes @ action.Congest.Engine.wakes }))
-    ;
+        let cfg =
+          Bh_instance.make_cfg ~params ~n:view.Congest.Node_view.n
+            ~max_w:view.Congest.Node_view.max_w ~offset:0
+            ~is_source:(view.Congest.Node_view.id = src)
+        in
+        let s, action =
+          decide view { inst = Bh_instance.bank 1 (fun _ -> cfg); sent = 0 } ~round:0
+        in
+        ( s,
+          {
+            action with
+            Congest.Engine.wakes = Bh_instance.initial_wakes cfg @ action.Congest.Engine.wakes;
+          } ));
     on_round =
       (fun view ~round s ~inbox ->
-        let c = cfg view in
-        let inst =
-          List.fold_left
-            (fun inst { Congest.Engine.src = u; msg = { scale; dist } } ->
-              match Congest.Node_view.edge_weight view u with
-              | None -> inst
-              | Some w ->
-                let scaled_w = Graphlib.Reweight.scaled_weight params ~i:scale ~w in
-                Bh_instance.on_message c inst ~round ~scale ~dist ~scaled_w)
-            s.inst inbox
-        in
-        let (inst, sent), action = apply_effect view (Bh_instance.decide c inst ~round) in
-        ({ inst; sent = s.sent + sent }, action));
+        List.iter
+          (fun { Congest.Engine.src = u; msg = { scale; dist } } ->
+            match Congest.Node_view.edge_weight view u with
+            | None -> ()
+            | Some w ->
+              Bh_instance.on_message s.inst 0 ~round ~scale ~dist
+                ~scaled_w:(Graphlib.Reweight.scaled_weight params ~i:scale ~w))
+          inbox;
+        decide view s ~round);
   }
 
 let run g ~src ~params =
   if src < 0 || src >= Graphlib.Wgraph.n g then invalid_arg "Alg1.run";
   let states, trace = Congest.Engine.run g (protocol ~src ~params) in
-  let n = Graphlib.Wgraph.n g in
-  let cfg id =
-    Bh_instance.make_cfg ~params ~n ~max_w:(Graphlib.Wgraph.max_weight g) ~offset:0
-      ~is_source:(id = src)
-  in
   {
-    dtilde = Array.mapi (fun id s -> Bh_instance.finalize (cfg id) s.inst) states;
+    dtilde = Array.map (fun s -> Bh_instance.finalize s.inst 0) states;
     trace;
     broadcasts_per_node = Array.map (fun s -> s.sent) states;
   }

@@ -23,23 +23,38 @@ let instance_cfgs ~sources ~delays ~params ~n ~max_w =
   let elsewhere = Array.mapi (fun j _ -> make ~is_source:false j) sources in
   fun ~id j -> if id = sources.(j) then at_source.(j) else elsewhere.(j)
 
+(* [(v, msg)] for every neighbor [v], prepended to [acc] in neighbor
+   order (so the last neighbor ends up first). *)
+let rec prepend_sends neighbors msg i acc =
+  if i = Array.length neighbors then acc
+  else prepend_sends neighbors msg (i + 1) ((fst neighbors.(i), msg) :: acc)
+
 let concurrent_protocol ~b ~cfg ~scaled_weight :
-    (Bh_instance.state array, msg) Congest.Engine.protocol =
-  (* A node's instance array is its own and is updated in place. *)
-  let decide_all view insts ~round =
-    let id = view.Congest.Node_view.id in
-    let sends = ref [] and wakes = ref [] in
-    for j = 0 to b - 1 do
-      let inst, effect = Bh_instance.decide (cfg ~id j) insts.(j) ~round in
-      insts.(j) <- inst;
-      (match effect.Bh_instance.broadcast with
-      | Some (scale, dist) ->
-        let msg = { j; scale; dist } in
-        Array.iter (fun (v, _) -> sends := (v, msg) :: !sends) view.Congest.Node_view.neighbors
-      | None -> ());
-      match effect.Bh_instance.wake with Some r -> wakes := r :: !wakes | None -> ()
-    done;
-    (insts, Congest.Engine.act ~sends:!sends ~wakes:(List.sort_uniq compare !wakes) ())
+    (Bh_instance.bank, msg) Congest.Engine.protocol =
+  (* A node's bank holds its [b] instances and is updated in place.
+     The per-activation work is two loops built once per run, so an
+     activation allocates only its messages and its action. *)
+  let rec fold_inbox view insts ~round = function
+    | [] -> ()
+    | { Congest.Engine.src = u; msg = { j; scale; dist } } :: rest ->
+      (match Congest.Node_view.edge_weight view u with
+      | None -> ()
+      | Some w ->
+        Bh_instance.on_message insts j ~round ~scale ~dist ~scaled_w:(scaled_weight ~i:scale ~w));
+      fold_inbox view insts ~round rest
+  in
+  let rec decide_from view insts ~round j sends wakes =
+    if j = b then { Congest.Engine.sends; wakes = List.sort_uniq Int.compare wakes }
+    else
+      match Bh_instance.decide insts j ~round with
+      | Bh_instance.Quiet -> decide_from view insts ~round (j + 1) sends wakes
+      | Bh_instance.Broadcast ->
+        let msg = { j; scale = Bh_instance.scale insts j; dist = Bh_instance.dist insts j } in
+        decide_from view insts ~round (j + 1)
+          (prepend_sends view.Congest.Node_view.neighbors msg 0 sends)
+          wakes
+      | Bh_instance.Wake ->
+        decide_from view insts ~round (j + 1) sends (Bh_instance.wake_round insts j :: wakes)
   in
   {
     name = "alg3-multi-source";
@@ -47,26 +62,17 @@ let concurrent_protocol ~b ~cfg ~scaled_weight :
     init =
       (fun view ->
         let id = view.Congest.Node_view.id in
-        let insts = Array.init b (fun j -> Bh_instance.init (cfg ~id j)) in
+        let insts = Bh_instance.bank b (cfg ~id) in
         let source_wakes =
           List.concat (List.init b (fun j -> Bh_instance.initial_wakes (cfg ~id j)))
         in
         (* Every instance starts at offset >= 1, so no sends at init;
            sources just arm their phase-base wake-ups. *)
-        (insts, Congest.Engine.act ~wakes:(List.sort_uniq compare source_wakes) ()));
+        (insts, Congest.Engine.act ~wakes:(List.sort_uniq Int.compare source_wakes) ()));
     on_round =
       (fun view ~round insts ~inbox ->
-        let id = view.Congest.Node_view.id in
-        List.iter
-          (fun { Congest.Engine.src = u; msg = { j; scale; dist } } ->
-            match Congest.Node_view.edge_weight view u with
-            | None -> ()
-            | Some w ->
-              insts.(j) <-
-                Bh_instance.on_message (cfg ~id j) insts.(j) ~round ~scale ~dist
-                  ~scaled_w:(scaled_weight ~i:scale ~w))
-          inbox;
-        decide_all view insts ~round);
+        fold_inbox view insts ~round inbox;
+        (insts, decide_from view insts ~round 0 [] []));
   }
 
 let run ?delays_override g ~tree ~sources ~params ~rng =
@@ -105,7 +111,7 @@ let run ?delays_override g ~tree ~sources ~params ~rng =
   in
   let dtilde =
     Array.init b (fun j ->
-        Array.init n (fun v -> Bh_instance.finalize (cfg ~id:v j) states.(v).(j)))
+        Array.init n (fun v -> Bh_instance.finalize states.(v) j))
   in
   {
     dtilde;

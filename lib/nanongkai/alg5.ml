@@ -19,14 +19,17 @@ let run g ~tree ~(overlay : Overlay.t) ~eps ~src_idx =
         Array.fold_left (fun a x -> if x < Float.infinity && x > a then x else a) acc row)
       1.0 w2
   in
-  let cfg i =
+  (* Overlay node [i]'s configuration: only the source's differs. *)
+  let make ~is_source =
     Bh_instance.make_cfg ~params ~n:b
       ~max_w:(max 1 (int_of_float (ceil max_w2)))
-      ~offset:0 ~is_source:(i = src_idx)
+      ~offset:0 ~is_source
   in
-  let states = Array.init b (fun i -> Bh_instance.init (cfg i)) in
-  let c0 = cfg 0 in
-  let total_rounds = c0.Bh_instance.num_scales * c0.Bh_instance.phase_len in
+  let at_source = make ~is_source:true and elsewhere = make ~is_source:false in
+  let states = Bh_instance.bank b (fun i -> if i = src_idx then at_source else elsewhere) in
+  let num_scales = elsewhere.Bh_instance.num_scales in
+  let total_rounds = num_scales * elsewhere.Bh_instance.phase_len in
+  let scaled_weight = Graphlib.Reweight.scaler_f params ~scales:num_scales in
   let n = Graphlib.Wgraph.n g in
   (* Per-overlay-round synchronization: count-and-announce [a], an
      O(D) convergecast + broadcast over the tree. Its message pattern
@@ -47,40 +50,37 @@ let run g ~tree ~(overlay : Overlay.t) ~eps ~src_idx =
     (* Deliver the previous overlay round's broadcasts. *)
     List.iter
       (fun { sender; scale; dist } ->
+        let w = w2.(sender) in
         for i = 0 to b - 1 do
-          if i <> sender && w2.(sender).(i) < Float.infinity then begin
-            let scaled_w = Graphlib.Reweight.scaled_weight_f params ~i:scale ~w:w2.(sender).(i) in
-            states.(i) <- Bh_instance.on_message (cfg i) states.(i) ~round:tau ~scale ~dist ~scaled_w
-          end
+          if i <> sender && w.(i) < Float.infinity then
+            Bh_instance.on_message states i ~round:tau ~scale ~dist
+              ~scaled_w:(scaled_weight ~i:scale ~w:w.(i))
         done)
       !pending;
     pending := [];
     (* Decide who speaks in this overlay round. *)
     let speak = ref [] in
     for i = 0 to b - 1 do
-      let st, effect = Bh_instance.decide (cfg i) states.(i) ~round:tau in
-      states.(i) <- st;
-      match effect.Bh_instance.broadcast with
-      | Some (scale, dist) -> speak := { sender = i; scale; dist } :: !speak
-      | None -> ()
+      match Bh_instance.decide states i ~round:tau with
+      | Bh_instance.Broadcast ->
+        let scale = Bh_instance.scale states i and dist = Bh_instance.dist states i in
+        speak := { sender = i; scale; dist } :: !speak
+      | Bh_instance.Quiet | Bh_instance.Wake -> ()
     done;
     total := Congest.Engine.add_traces !total sync;
     if !speak <> [] then begin
       incr busy;
-      (* Physically broadcast the a messages network-wide. *)
-      let items = Array.make n [] in
-      List.iter
-        (fun tok ->
-          let v = overlay.Overlay.s_nodes.(tok.sender) in
-          items.(v) <- tok :: items.(v))
-        !speak;
-      let delivered, gtrace =
-        Congest.Tree.gather_broadcast g tree ~items ~compare ~size_words:(fun _ -> 1)
+      (* Physically broadcast the a messages network-wide: each
+         speaker's host holds one distinct token, so the set's memo
+         prices the gather-broadcast by its holders. *)
+      let holders =
+        Array.of_list (List.map (fun tok -> overlay.Overlay.s_nodes.(tok.sender)) !speak)
       in
-      assert (List.length delivered = List.length !speak);
-      total := Congest.Engine.add_traces !total gtrace;
+      total :=
+        Congest.Engine.add_traces !total
+          (Congest.Tree.gather_trace overlay.Overlay.gathers g tree ~holders);
       pending := !speak
     end
   done;
-  let row = Array.init b (fun i -> Bh_instance.finalize (cfg i) states.(i)) in
+  let row = Array.init b (fun i -> Bh_instance.finalize states i) in
   { row; trace = !total; overlay_rounds = total_rounds + 1; busy_rounds = !busy }

@@ -6,8 +6,10 @@
     the physical network: first the number [a] of overlay nodes that
     want to speak is counted and disseminated ([O(D)] rounds — charged
     for every overlay round, busy or not), then the [a] messages are
-    broadcast network-wide ([O(D + a)] rounds, measured from a real
-    gather-broadcast). Total: [Õ(|S|/(εk)·D + |S|)] (Lemma A.4).
+    broadcast network-wide ([O(D + a)] rounds of a gather-broadcast
+    whose trace depends only on which nodes speak, measured by a real
+    run the first time the overlay's {!Overlay.t.gathers} memo sees
+    that holder set). Total: [Õ(|S|/(εk)·D + |S|)] (Lemma A.4).
 
     Because the emulation broadcasts every overlay message to the whole
     network, every node (not only members of [S]) ends up knowing
@@ -31,3 +33,6 @@ val run :
   eps:float ->
   src_idx:int ->
   output
+(** @raise Invalid_argument unless [g] and [tree] are the graph and
+    tree the overlay was embedded on, the ones its gather memo
+    measures on. *)

@@ -68,12 +68,10 @@ let eval_source emb ~s_idx =
   let b = Array.length emb.s_nodes in
   if s_idx < 0 || s_idx >= b then invalid_arg "Approx.eval_source";
   let n = Graphlib.Wgraph.n ctx.g in
-  (* Setup: the leader collects S (O(D + r)) ... *)
-  let member_items = Array.make n [] in
-  Array.iter (fun v -> member_items.(v) <- [ v ]) emb.s_nodes;
-  let _, collect_trace =
-    Congest.Tree.gather_broadcast ctx.g ctx.tree ~items:member_items ~compare
-      ~size_words:(fun _ -> 1)
+  (* Setup: the leader collects S (O(D + r)): each member holds its
+     own id, the same gather for every source of the set ... *)
+  let collect_trace =
+    Congest.Tree.gather_trace emb.overlay.Overlay.gathers ctx.g ctx.tree ~holders:emb.s_nodes
   in
   (* ... and Algorithm 5 disseminates the overlay row of s. *)
   let alg5 =

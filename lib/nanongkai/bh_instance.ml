@@ -20,21 +20,6 @@ let make_cfg ~params ~n ~max_w ~offset ~is_source =
     is_source;
   }
 
-type state = {
-  scale : int;
-  dist : Graphlib.Dist.t;
-  broadcasted : bool;
-  best : float;
-}
-
-let init cfg =
-  {
-    scale = 0;
-    dist = (if cfg.is_source then 0 else Graphlib.Dist.inf);
-    broadcasted = false;
-    best = Float.infinity;
-  }
-
 let initial_wakes cfg =
   if not cfg.is_source then []
   else
@@ -46,12 +31,29 @@ let initial_wakes cfg =
         if r > 0 then Some r else None)
       (List.init cfg.num_scales (fun s -> s))
 
-type effect = {
-  broadcast : (int * int) option;
-  wake : int option;
+(* Slot [j] of every array is one instance: its configuration, its
+   current scale, its scaled distance at that scale, whether it has
+   broadcast that distance, and the best value of the scales already
+   folded. *)
+type bank = {
+  cfg : cfg array;
+  scale : int array;
+  dist : int array;
+  broadcasted : bool array;
+  best : float array;
 }
 
-let no_effect = { broadcast = None; wake = None }
+let start_dist cfg = if cfg.is_source then 0 else Graphlib.Dist.inf
+
+let bank k cfg =
+  let cfg = Array.init k cfg in
+  {
+    cfg;
+    scale = Array.make k 0;
+    dist = Array.map start_dist cfg;
+    broadcasted = Array.make k false;
+    best = Array.make k Float.infinity;
+  }
 
 let unscale cfg ~scale d =
   float_of_int d
@@ -59,56 +61,63 @@ let unscale cfg ~scale d =
   *. float_of_int (Util.Int_math.pow 2 scale)
   /. (2.0 *. float_of_int cfg.params.Graphlib.Reweight.ell)
 
-let fold_scale cfg st =
-  if Graphlib.Dist.is_finite st.dist && st.dist <= cfg.budget then
-    { st with best = Float.min st.best (unscale cfg ~scale:st.scale st.dist) }
-  else st
+let folded bk j =
+  let cfg = bk.cfg.(j) and d = bk.dist.(j) in
+  if Graphlib.Dist.is_finite d && d <= cfg.budget then
+    Float.min bk.best.(j) (unscale cfg ~scale:bk.scale.(j) d)
+  else bk.best.(j)
 
-let rollover cfg st ~target =
-  if target <= st.scale then st
-  else
-    let st = fold_scale cfg st in
-    {
-      st with
-      scale = target;
-      dist = (if cfg.is_source then 0 else Graphlib.Dist.inf);
-      broadcasted = false;
-    }
+(* Move slot [j] to the scale its clock is in, [min (num_scales - 1)
+   (lr / phase_len)] for local round [lr >= 0], folding the scale it
+   leaves. The target exceeds the current scale [s] exactly when
+   [s < num_scales - 1] and [lr >= (s + 1) * phase_len], so the
+   division runs only when a phase has ended. *)
+let rollover cfg bk j ~lr =
+  let s = bk.scale.(j) in
+  if s < cfg.num_scales - 1 && lr >= (s + 1) * cfg.phase_len then begin
+    bk.best.(j) <- folded bk j;
+    bk.scale.(j) <- min (cfg.num_scales - 1) (lr / cfg.phase_len);
+    bk.dist.(j) <- start_dist cfg;
+    bk.broadcasted.(j) <- false
+  end
 
-let local_round cfg ~round = round - cfg.offset
-
-let target_scale cfg lr = min (cfg.num_scales - 1) (lr / cfg.phase_len)
-
-let on_message cfg st ~round ~scale ~dist ~scaled_w =
-  let lr = local_round cfg ~round in
-  if lr < 0 then st
-  else begin
-    let st = rollover cfg st ~target:(target_scale cfg lr) in
-    if scale <> st.scale then st (* stale message from a finished phase *)
-    else begin
+let on_message bk j ~round ~scale ~dist ~scaled_w =
+  let cfg = bk.cfg.(j) in
+  let lr = round - cfg.offset in
+  if lr >= 0 then begin
+    rollover cfg bk j ~lr;
+    (* A message from a finished phase is stale. *)
+    if scale = bk.scale.(j) then begin
       let cand = Graphlib.Dist.add dist scaled_w in
-      if cand <= cfg.budget && Graphlib.Dist.compare cand st.dist < 0 then
-        { st with dist = cand }
-      else st
+      if cand <= cfg.budget && cand < bk.dist.(j) then bk.dist.(j) <- cand
     end
   end
 
-let decide cfg st ~round =
-  let lr = local_round cfg ~round in
-  if lr < 0 then (st, no_effect)
+type effect = Quiet | Broadcast | Wake
+
+let decide bk j ~round =
+  let cfg = bk.cfg.(j) in
+  let lr = round - cfg.offset in
+  if lr < 0 then Quiet
   else begin
-    let st = rollover cfg st ~target:(target_scale cfg lr) in
-    let rho = lr - (st.scale * cfg.phase_len) in
-    if Graphlib.Dist.is_finite st.dist && st.dist <= cfg.budget && not st.broadcasted then begin
-      if st.dist = rho then
-        ({ st with broadcasted = true }, { broadcast = Some (st.scale, st.dist); wake = None })
-      else if st.dist > rho then
-        (st, { broadcast = None; wake = Some (cfg.offset + (st.scale * cfg.phase_len) + st.dist) })
-      else (st, no_effect) (* unreachable: candidates never undercut the clock *)
+    rollover cfg bk j ~lr;
+    let d = bk.dist.(j) in
+    if Graphlib.Dist.is_finite d && d <= cfg.budget && not bk.broadcasted.(j) then begin
+      let rho = lr - (bk.scale.(j) * cfg.phase_len) in
+      if d = rho then begin
+        bk.broadcasted.(j) <- true;
+        Broadcast
+      end
+      else if d > rho then Wake
+      else Quiet (* unreachable: candidates never undercut the clock *)
     end
-    else (st, no_effect)
+    else Quiet
   end
 
-let finalize cfg st = (fold_scale cfg st).best
+let scale bk j = bk.scale.(j)
+let dist bk j = bk.dist.(j)
+let wake_round bk j =
+  let cfg = bk.cfg.(j) in
+  cfg.offset + (bk.scale.(j) * cfg.phase_len) + bk.dist.(j)
 
-let current_scale st = st.scale
+let finalize = folded

@@ -1,6 +1,7 @@
 (** Node-local state machine for one bounded-hop SSSP instance
-    (the per-node logic shared by Algorithm 1 and the concurrent
-    instances inside Algorithm 3).
+    (the per-node logic shared by Algorithm 1, the concurrent
+    instances inside Algorithm 3 and the overlay nodes of
+    Algorithm 5).
 
     One instance computes [d̃^ℓ(s, ·)] for a single source [s] by
     running, for each weight scale [i], an Algorithm-2 wavefront in a
@@ -9,8 +10,13 @@
     delay). All round arithmetic here is in the instance's own clock
     ([global round - offset]).
 
-    The surrounding protocol adapter translates engine activations into
-    {!on_message} / {!on_wake} calls and performs the sends. *)
+    Instances live in a {!bank}: flat mutable arrays, one slot per
+    instance (Algorithm 3 gives each node a bank of [b] slots,
+    Algorithm 5 one bank for its [b] overlay nodes, Algorithm 1 each
+    node a bank of one). {!on_message} and {!decide} update a slot in
+    place and allocate nothing. The surrounding protocol adapter
+    translates engine activations into these calls and performs the
+    sends. *)
 
 type cfg = {
   params : Graphlib.Reweight.params;
@@ -24,38 +30,46 @@ type cfg = {
 val make_cfg :
   params:Graphlib.Reweight.params -> n:int -> max_w:int -> offset:int -> is_source:bool -> cfg
 
-type state
-
-val init : cfg -> state
-
 val initial_wakes : cfg -> int list
 (** Global wake rounds the node must request at protocol init:
     the source wakes at every phase base; non-sources are purely
     reactive. *)
 
-type effect = {
-  broadcast : (int * int) option;
-      (** [(scale, dist)] to send to every neighbor right now. *)
-  wake : int option;  (** Global round to request. *)
-}
+type bank
 
-val no_effect : effect
+val bank : int -> (int -> cfg) -> bank
+(** [bank k cfg] holds [k] instances; slot [j] runs with [cfg j],
+    which the bank keeps, and starts in its initial state. *)
 
-val on_message :
-  cfg -> state -> round:int -> scale:int -> dist:int -> scaled_w:int -> state
-(** Fold one received message: [dist] is the sender's scaled distance
-    at [scale]; [scaled_w] is the receiving edge's weight under the
-    scale-[scale] reweighting [w_i] (the adapter computes it from the
-    edge's base weight, which may be an integer for network edges or a
-    real for overlay edges). *)
+val on_message : bank -> int -> round:int -> scale:int -> dist:int -> scaled_w:int -> unit
+(** [on_message bank j] folds one received message into slot [j]:
+    [dist] is the sender's scaled distance at [scale]; [scaled_w] is
+    the receiving edge's weight under the scale-[scale] reweighting
+    [w_i] (the adapter computes it from the edge's base weight, which
+    may be an integer for network edges or a real for overlay
+    edges). *)
 
-val decide : cfg -> state -> round:int -> state * effect
+type effect =
+  | Quiet
+  | Broadcast  (** Send [(scale, dist)] of the slot to every neighbor now. *)
+  | Wake  (** Request a wake-up at {!wake_round}. *)
+
+val decide : bank -> int -> round:int -> effect
 (** After folding the round's messages (and/or on a wake), decide
-    whether to broadcast now or schedule a wake. Also performs lazy
-    scale rollover. *)
+    whether slot [j] broadcasts now or schedules a wake. Also performs
+    lazy scale rollover. *)
 
-val finalize : cfg -> state -> float
-(** Fold the last scale and return [d̃^ℓ(s, v)] for this node
+val scale : bank -> int -> int
+(** The slot's current scale; after {!Broadcast}, the message's scale. *)
+
+val dist : bank -> int -> int
+(** The slot's scaled distance at its current scale; after
+    {!Broadcast}, the message's distance. *)
+
+val wake_round : bank -> int -> int
+(** After {!Wake}: the global round at which the slot's pending
+    distance becomes due. *)
+
+val finalize : bank -> int -> float
+(** Fold the last scale and return [d̃^ℓ(s, v)] for the slot
     ([Float.infinity] if no scale accepted). Call after the run. *)
-
-val current_scale : state -> int

@@ -5,6 +5,7 @@ type t = {
   w2 : float array array;
   trace : Congest.Engine.trace;
   tokens_broadcast : int;
+  gathers : Congest.Tree.gather_memo;
 }
 
 (* Dense float Dijkstra over an adjacency-list graph on [b] vertices. *)
@@ -81,4 +82,12 @@ let embed g ~tree ~s_nodes ~w1 ~k =
         w2.(j).(i) <- d)
       nearest
   done;
-  { s_nodes = Array.copy s_nodes; k; knn; w2; trace; tokens_broadcast = List.length tokens }
+  {
+    s_nodes = Array.copy s_nodes;
+    k;
+    knn;
+    w2;
+    trace;
+    tokens_broadcast = List.length tokens;
+    gathers = Congest.Tree.gather_memo g tree;
+  }

@@ -17,6 +17,10 @@ type t = {
   w2 : float array array;  (** [w''_S], a [b×b] symmetric matrix. *)
   trace : Congest.Engine.trace;  (** The k-shortest-edge broadcast. *)
   tokens_broadcast : int;  (** Distinct overlay edges disseminated. *)
+  gathers : Congest.Tree.gather_memo;
+      (** Measured gather-broadcast traces on the embedding's graph and
+          tree, by holder multiset: this set's own memo, shared by
+          every [Alg5.run] and [Approx.eval_source] of the set. *)
 }
 
 val embed :

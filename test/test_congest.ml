@@ -654,6 +654,68 @@ let prop_gather_broadcast_complete =
       let collected, _ = Tree.gather_broadcast g tree ~items ~compare ~size_words:(fun _ -> 1) in
       collected = List.sort_uniq compare raw)
 
+let prop_gather_memo_matches_fresh =
+  (* A gather memo keys a fault-free gather-broadcast's trace by its
+     holder multiset. On random connected graphs, random roots and
+     random holder multisets (repeated and permuted, so lookups hit),
+     the memo's trace must equal a fresh run's in every field, and so
+     must fresh runs with other pairwise-distinct token values on the
+     same holders: the key relies on that value-independence. A memo
+     asked about an equal but other tree or graph must refuse. *)
+  QCheck.Test.make ~name:"gather memo = fresh gather_broadcast trace" ~count:40
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Util.Rng.create ~seed in
+      let n = 2 + Util.Rng.int rng 30 in
+      let weighting = Graphlib.Gen.Uniform { max_w = 5 } in
+      let g =
+        match seed mod 4 with
+        | 0 -> Graphlib.Gen.gnp_connected ~n ~p:0.15 ~weighting ~rng
+        | 1 -> Graphlib.Gen.random_tree ~n ~weighting ~rng
+        | 2 -> Graphlib.Gen.cycle ~n:(max 3 n) ~weighting ~rng
+        | _ -> Graphlib.Gen.grid ~rows:2 ~cols:(1 + (n / 2)) ~weighting ~rng
+      in
+      let n = Graphlib.Wgraph.n g in
+      let root = Util.Rng.int rng n in
+      let tree, _ = Tree.build g ~root in
+      let memo = Tree.gather_memo g tree in
+      let refuses g tree =
+        match Tree.gather_trace memo g tree ~holders:[| root |] with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let distinct_tokens k =
+        let seen = Hashtbl.create k in
+        Array.init k (fun _ ->
+            let rec fresh () =
+              let x = Util.Rng.int rng 1_000_000 - 500_000 in
+              if Hashtbl.mem seen x then fresh () else (Hashtbl.replace seen x (); x)
+            in
+            fresh ())
+      in
+      let fresh_trace holders =
+        let tokens = distinct_tokens (Array.length holders) in
+        let items = Array.make n [] in
+        Array.iteri (fun i v -> items.(v) <- tokens.(i) :: items.(v)) holders;
+        snd (Tree.gather_broadcast g tree ~items ~compare ~size_words:(fun _ -> 1))
+      in
+      let multisets =
+        List.init 4 (fun _ ->
+            let k = Util.Rng.int rng ((2 * n) + 1) in
+            Array.init k (fun _ -> Util.Rng.int rng n))
+      in
+      refuses g (fst (Tree.build g ~root))
+      && refuses (Graphlib.Wgraph.map_weights g ~f:(fun ~u:_ ~v:_ ~w -> w)) tree
+      && List.for_all
+           (fun holders ->
+             let permuted = Array.copy holders in
+             Util.Rng.shuffle rng permuted;
+             let memo_trace = Tree.gather_trace memo g tree ~holders in
+             fresh_trace holders = memo_trace
+             && fresh_trace holders = memo_trace
+             && Tree.gather_trace memo g tree ~holders:permuted = memo_trace)
+           (multisets @ multisets))
+
 (* ------------------------- Golden equivalence ---------------------- *)
 
 (* The optimized Engine.run must be observationally indistinguishable
@@ -726,6 +788,49 @@ let test_engine_equals_reference_pinned () =
       checkb ("relay " ^ label) true (engines_agree ?faults g relay_protocol);
       checkb ("exerciser " ^ label) true (engines_agree ?faults g exerciser_protocol))
     (adversary_classes 77)
+
+(* The exerciser's state cannot see inbox order. This protocol records
+   every inbox it is handed, as (round, sender, payload) triples: each
+   node sends two messages with distinct payloads to every neighbor for
+   a few rounds, so delayed deliveries from different send rounds
+   interleave and one sender's messages must keep their order. *)
+let recorder_protocol : ((int * int * int) list, int) Engine.protocol =
+  let flood view ~round =
+    let id = view.Node_view.id in
+    Engine.send
+      (List.concat_map
+         (fun (v, _) -> [ (v, (1000 * round) + id); (v, (1000 * round) + id + 500) ])
+         (Array.to_list view.Node_view.neighbors))
+  in
+  {
+    name = "recorder";
+    size_words = (fun _ -> 1);
+    init = (fun view -> ([], { (flood view ~round:0) with Engine.wakes = [ 2 ] }));
+    on_round =
+      (fun view ~round s ~inbox ->
+        let s = List.rev_append (List.map (fun { Engine.src; msg } -> (round, src, msg)) inbox) s in
+        if round <= 4 then (s, flood view ~round) else (s, Engine.no_action));
+  }
+
+let prop_inbox_order_equals_reference =
+  QCheck.Test.make ~name:"inbox order = reference, sorted by sender" ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let sorted_by_sender log =
+        (* The log is newest first, so within one round the senders
+           must not increase. *)
+        let rec ok = function
+          | (r1, s1, _) :: ((r2, s2, _) :: _ as rest) -> (r1 <> r2 || s1 >= s2) && ok rest
+          | _ -> true
+        in
+        ok log
+      in
+      List.for_all
+        (fun (_, faults) ->
+          engines_agree ?faults g recorder_protocol
+          && Array.for_all sorted_by_sender (fst (Engine.run ?faults g recorder_protocol)))
+        (adversary_classes seed))
 
 let prop_engine_equals_reference =
   QCheck.Test.make ~name:"optimized engine = reference (states, trace, events)" ~count:25
@@ -923,7 +1028,9 @@ let qsuite =
       prop_tree_is_bfs;
       prop_children_match_parents;
       prop_gather_broadcast_complete;
+      prop_gather_memo_matches_fresh;
       prop_engine_equals_reference;
+      prop_inbox_order_equals_reference;
     ]
 
 let () =

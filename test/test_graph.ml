@@ -398,6 +398,26 @@ let test_reweight_scaler () =
       { Reweight.ell = 192; eps = 0.5 };
     ]
 
+let test_reweight_scaler_f () =
+  (* Real weights as the overlay has them: approximate distances,
+     integral or not. *)
+  List.iter
+    (fun params ->
+      let scales = 16 in
+      let scaled = Reweight.scaler_f params ~scales in
+      for i = 0 to scales - 1 do
+        List.iter
+          (fun w ->
+            check "scaler_f = scaled_weight_f" (Reweight.scaled_weight_f params ~i ~w)
+              (scaled ~i ~w))
+          [ 0.1; 1.0; 1.5; 2.75; 7.0; 16.125; 1000.0 /. 3.0; 65_537.0 ]
+      done)
+    [
+      { Reweight.ell = 1; eps = 1.0 };
+      { Reweight.ell = 7; eps = 0.25 };
+      { Reweight.ell = 192; eps = 0.5 };
+    ]
+
 (* ---------------------------- Skeleton ---------------------------- *)
 
 let skeleton_graph seed =
@@ -705,6 +725,7 @@ let () =
           Alcotest.test_case "scales" `Quick test_reweight_scales;
           Alcotest.test_case "self distance" `Quick test_reweight_self;
           Alcotest.test_case "scaler = scaled_weight" `Quick test_reweight_scaler;
+          Alcotest.test_case "scaler_f = scaled_weight_f" `Quick test_reweight_scaler_f;
         ] );
       ( "skeleton (Lemma 3.3)",
         [

@@ -75,6 +75,158 @@ let test_alg1_rounds_budget () =
   checkb "rounds <= scales*(L+2)" true
     (out.Nanongkai.Alg1.trace.Congest.Engine.rounds <= scales * phase_len)
 
+(* --------------------------- Instance bank ------------------------- *)
+
+(* The immutable single-instance state machine the bank replaced, kept
+   as the reference the bank must match step for step. *)
+module Reference_instance = struct
+  type cfg = Nanongkai.Bh_instance.cfg
+
+  type state = { scale : int; dist : int; broadcasted : bool; best : float }
+
+  type effect = { broadcast : (int * int) option; wake : int option }
+
+  let no_effect = { broadcast = None; wake = None }
+
+  let init (cfg : cfg) =
+    {
+      scale = 0;
+      dist = (if cfg.is_source then 0 else Graphlib.Dist.inf);
+      broadcasted = false;
+      best = Float.infinity;
+    }
+
+  let unscale (cfg : cfg) ~scale d =
+    float_of_int d
+    *. cfg.params.Graphlib.Reweight.eps
+    *. float_of_int (Util.Int_math.pow 2 scale)
+    /. (2.0 *. float_of_int cfg.params.Graphlib.Reweight.ell)
+
+  let fold_scale (cfg : cfg) st =
+    if Graphlib.Dist.is_finite st.dist && st.dist <= cfg.budget then
+      { st with best = Float.min st.best (unscale cfg ~scale:st.scale st.dist) }
+    else st
+
+  let rollover (cfg : cfg) st ~target =
+    if target <= st.scale then st
+    else
+      let st = fold_scale cfg st in
+      {
+        st with
+        scale = target;
+        dist = (if cfg.is_source then 0 else Graphlib.Dist.inf);
+        broadcasted = false;
+      }
+
+  let target_scale (cfg : cfg) lr = min (cfg.num_scales - 1) (lr / cfg.phase_len)
+
+  let on_message (cfg : cfg) st ~round ~scale ~dist ~scaled_w =
+    let lr = round - cfg.offset in
+    if lr < 0 then st
+    else begin
+      let st = rollover cfg st ~target:(target_scale cfg lr) in
+      if scale <> st.scale then st
+      else begin
+        let cand = Graphlib.Dist.add dist scaled_w in
+        if cand <= cfg.budget && Graphlib.Dist.compare cand st.dist < 0 then
+          { st with dist = cand }
+        else st
+      end
+    end
+
+  let decide (cfg : cfg) st ~round =
+    let lr = round - cfg.offset in
+    if lr < 0 then (st, no_effect)
+    else begin
+      let st = rollover cfg st ~target:(target_scale cfg lr) in
+      let rho = lr - (st.scale * cfg.phase_len) in
+      if Graphlib.Dist.is_finite st.dist && st.dist <= cfg.budget && not st.broadcasted then begin
+        if st.dist = rho then
+          ({ st with broadcasted = true }, { broadcast = Some (st.scale, st.dist); wake = None })
+        else if st.dist > rho then
+          let wake = cfg.offset + (st.scale * cfg.phase_len) + st.dist in
+          (st, { broadcast = None; wake = Some wake })
+        else (st, no_effect)
+      end
+      else (st, no_effect)
+    end
+
+  let finalize cfg st = (fold_scale cfg st).best
+end
+
+let prop_bank_matches_reference =
+  (* A bank of 1-4 slots, each with its own random cfg, against one
+     reference state per slot: random message folds and decides,
+     interleaved over non-decreasing rounds. Every decide must report
+     the same broadcast and wake, and every slot's finalize the same
+     float bits, at every step. *)
+  QCheck.Test.make ~name:"Bh_instance bank = immutable reference" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module B = Nanongkai.Bh_instance in
+      let module R = Reference_instance in
+      let rng = Util.Rng.create ~seed in
+      let slots = 1 + Util.Rng.int rng 4 in
+      let cfgs =
+        Array.init slots (fun _ ->
+            let params =
+              {
+                Graphlib.Reweight.ell = 1 + Util.Rng.int rng 12;
+                eps = Util.Rng.choose rng [| 0.25; 0.5; 1.0 |];
+              }
+            in
+            B.make_cfg ~params
+              ~n:(2 + Util.Rng.int rng 100)
+              ~max_w:(1 + Util.Rng.int rng 20)
+              ~offset:(Util.Rng.int rng 30) ~is_source:(Util.Rng.bool rng))
+      in
+      let bank = B.bank slots (fun j -> cfgs.(j)) in
+      let refs = Array.map R.init cfgs in
+      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let round = ref 0 and ok = ref true in
+      let horizon =
+        Array.fold_left
+          (fun acc (c : B.cfg) -> max acc (c.offset + (c.num_scales * c.phase_len)))
+          0 cfgs
+      in
+      while !ok && !round <= horizon + 5 do
+        let j = Util.Rng.int rng slots in
+        let c = cfgs.(j) in
+        (match Util.Rng.int rng 3 with
+        | 0 ->
+          (* A message, usually for the scale the slot's clock is in. *)
+          let lr = max 0 (!round - c.offset) in
+          let scale =
+            if Util.Rng.int rng 4 = 0 then Util.Rng.int rng c.num_scales
+            else R.target_scale c lr
+          in
+          let dist = Util.Rng.int rng (c.budget + 1) in
+          let scaled_w = 1 + Util.Rng.int rng (max 1 (c.budget / 2)) in
+          B.on_message bank j ~round:!round ~scale ~dist ~scaled_w;
+          refs.(j) <- R.on_message c refs.(j) ~round:!round ~scale ~dist ~scaled_w
+        | _ ->
+          let st, expected = R.decide c refs.(j) ~round:!round in
+          refs.(j) <- st;
+          let got =
+            match B.decide bank j ~round:!round with
+            | B.Quiet -> R.no_effect
+            | B.Broadcast -> { R.broadcast = Some (B.scale bank j, B.dist bank j); wake = None }
+            | B.Wake -> { R.broadcast = None; wake = Some (B.wake_round bank j) }
+          in
+          if got <> expected then ok := false);
+        Array.iteri
+          (fun j c ->
+            if not (same_bits (B.finalize bank j) (R.finalize c refs.(j))) then ok := false)
+          cfgs;
+        (* Mostly small steps, sometimes a jump of up to a phase. *)
+        if Util.Rng.int rng 3 = 0 then
+          round :=
+            !round
+            + (if Util.Rng.int rng 8 = 0 then Util.Rng.int rng (c.phase_len + 1)
+               else Util.Rng.int rng 3)
+      done;
+      !ok)
+
 (* ------------------------------ Alg 3 ------------------------------ *)
 
 let with_pipeline seed f =
@@ -254,10 +406,71 @@ let test_overlay_tokens_bound () =
   checkb "<= b*k distinct overlay edges" true
     (emb.Nanongkai.Approx.overlay.Nanongkai.Overlay.tokens_broadcast <= b * k)
 
+(* Trace-level golden: every trace field and every float the
+   pipeline reports, on the ci-smoke family at n = 48, 64 and 80, for
+   the three largest sampled sets of each instance. The port goldens
+   pin only total rounds; this digest also pins messages, loads and
+   activations of every measured phase and the bits of every d̃ row
+   and approximate distance. *)
+let pipeline_digest () =
+  let b = Buffer.create 65536 in
+  let trace t =
+    Buffer.add_string b (Congest.Engine.trace_to_json t);
+    Buffer.add_char b '\n'
+  in
+  let floats a =
+    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h " x)) a;
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun n ->
+      let g = Harness.Runner.make_graph Harness.Spec.ci_smoke ~n ~seed:1 in
+      let tree, _ = Congest.Tree.build g ~root:0 in
+      let params =
+        Core.Params.of_graph_params ~n ~d_hat:(max 1 (2 * tree.Congest.Tree.depth)) ()
+      in
+      let rng = Util.Rng.create ~seed:n in
+      let sets = (Core.Sets.sample ~rng ~n ~params).Core.Sets.sets in
+      let largest =
+        List.sort
+          (fun (a, i) (b, j) -> if a <> b then compare b a else compare i j)
+          (List.mapi (fun i s -> (List.length s, i)) (Array.to_list sets))
+      in
+      List.iteri
+        (fun rank (_, i) ->
+          if rank < 3 then begin
+            let ctx =
+              {
+                Nanongkai.Approx.g;
+                tree;
+                params = Core.Params.reweight_params params;
+                k = params.Core.Params.k;
+                rng;
+              }
+            in
+            let emb = Nanongkai.Approx.initialize ctx ~s:sets.(i) in
+            trace emb.Nanongkai.Approx.init_trace;
+            Array.iter floats emb.Nanongkai.Approx.dtilde_ell;
+            Array.iter
+              (fun (e : Nanongkai.Approx.source_eval) ->
+                trace e.Nanongkai.Approx.setup_trace;
+                trace e.Nanongkai.Approx.eval_trace;
+                floats e.Nanongkai.Approx.approx_dist)
+              (Nanongkai.Approx.eval_all emb)
+          end)
+        largest)
+    [ 48; 64; 80 ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pipeline_trace_golden () =
+  Alcotest.(check string)
+    "traces and distances" "e5bbea47a61743e50a7b4b84c2d146c6" (pipeline_digest ())
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_alg2_exact;
+      prop_bank_matches_reference;
       prop_alg1_matches_centralized;
       prop_alg3_matches_alg1;
       prop_overlay_matches_skeleton;
@@ -292,6 +505,7 @@ let () =
           Alcotest.test_case "ecc = max approx dist" `Quick test_pipeline_ecc_consistency;
           Alcotest.test_case "T2 is O(depth)" `Quick test_pipeline_t2_small;
           Alcotest.test_case "overlay token bound" `Quick test_overlay_tokens_bound;
+          Alcotest.test_case "trace-level golden" `Quick test_pipeline_trace_golden;
         ] );
       ("properties", qsuite);
     ]

@@ -1,5 +1,5 @@
 (* Tests for lib/util: integer math, RNG, priority queue, statistics,
-   bitsets, union-find, tables. *)
+   union-find, tables. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -411,33 +411,6 @@ let prop_minimax_monotone_in_degree =
       in
       mono errs && List.nth errs k < 1e-6)
 
-(* ----------------------------- Bitset ----------------------------- *)
-
-let test_bitset () =
-  let b = Util.Bitset.create 100 in
-  check "card 0" 0 (Util.Bitset.cardinal b);
-  Util.Bitset.add b 0;
-  Util.Bitset.add b 63;
-  Util.Bitset.add b 64;
-  Util.Bitset.add b 99;
-  checkb "mem" true (Util.Bitset.mem b 63);
-  checkb "not mem" false (Util.Bitset.mem b 50);
-  check "card" 4 (Util.Bitset.cardinal b);
-  Util.Bitset.remove b 63;
-  checkb "removed" false (Util.Bitset.mem b 63);
-  Alcotest.(check (list int)) "to_list" [ 0; 64; 99 ] (Util.Bitset.to_list b);
-  let c = Util.Bitset.copy b in
-  checkb "copy equal" true (Util.Bitset.equal b c);
-  Util.Bitset.add c 1;
-  checkb "copy detached" false (Util.Bitset.equal b c)
-
-let prop_bitset_roundtrip =
-  QCheck.Test.make ~name:"bitset of_list/to_list roundtrip" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 199))
-    (fun l ->
-      let b = Util.Bitset.of_list 200 l in
-      Util.Bitset.to_list b = List.sort_uniq compare l)
-
 (* --------------------------- Union_find --------------------------- *)
 
 let test_union_find () =
@@ -471,7 +444,7 @@ let test_table_cells () =
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_ilog2; prop_isqrt; prop_pqueue_heapsort; prop_pqueue_insert_or_decrease;
       prop_int_heap_heapsort; prop_int_pq_matches_pqueue; prop_domain_pool_matches_serial;
-      prop_bitset_roundtrip; prop_minimax_monotone_in_degree ]
+      prop_minimax_monotone_in_degree ]
 
 let () =
   Alcotest.run "util"
@@ -530,7 +503,6 @@ let () =
           Alcotest.test_case "minimax interpolation" `Quick test_minimax_interpolation;
           Alcotest.test_case "minimax constant" `Quick test_minimax_constant;
         ] );
-      ("bitset", [ Alcotest.test_case "ops" `Quick test_bitset ]);
       ("union_find", [ Alcotest.test_case "ops" `Quick test_union_find ]);
       ( "table",
         [
