@@ -40,13 +40,13 @@ let add_traces a b =
     rounds = a.rounds + b.rounds;
     messages = a.messages + b.messages;
     words = a.words + b.words;
-    max_edge_load = max a.max_edge_load b.max_edge_load;
+    max_edge_load = Int.max a.max_edge_load b.max_edge_load;
     congestion_violations = a.congestion_violations + b.congestion_violations;
     activations = a.activations + b.activations;
     dropped = a.dropped + b.dropped;
     delayed = a.delayed + b.delayed;
     duplicated = a.duplicated + b.duplicated;
-    crashed = max a.crashed b.crashed;
+    crashed = Int.max a.crashed b.crashed;
   }
 
 let pp_trace ppf t =
@@ -165,13 +165,23 @@ let mailbox_drain b =
 
 (* Merge two strictly-increasing id lists; equals List.sort_uniq on
    their concatenation. *)
-let rec merge_uniq a b =
+let rec merge_uniq (a : int list) (b : int list) =
   match (a, b) with
   | [], l | l, [] -> l
   | x :: xs, y :: ys ->
     if x < y then x :: merge_uniq xs b
     else if y < x then y :: merge_uniq a ys
     else x :: merge_uniq xs ys
+
+(* Tables keyed by round. The hash is the round itself: rounds are
+   small non-negative ints, and [Hashtbl.hash] would be a C call on
+   every lookup. *)
+module Round_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (r : int) = r
+end)
 
 (* The round loop below is the simulator's hot path: every baseline in
    the repo burns the bulk of its wall time here. It is pinned
@@ -250,15 +260,19 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
      the next-event query is O(log #buckets) instead of folding over
      every pending bucket. *)
   let calendar = Util.Int_heap.create ~capacity:64 () in
-  let wake_tbl : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* Wake round -> the nodes that asked for it, newest first. A node
+     may ask for the same round more than once (in one action or in
+     several); the bucket keeps every request and the round that
+     consumes it removes the duplicates. *)
+  let wake_tbl : int list ref Round_tbl.t = Round_tbl.create 64 in
   let schedule_wake ~now node rounds =
     List.iter
       (fun r ->
         if r <= now then invalid_arg (proto.name ^ ": wake not in the future");
-        match Hashtbl.find_opt wake_tbl r with
+        match Round_tbl.find_opt wake_tbl r with
         | Some l -> l := node :: !l
         | None ->
-          Hashtbl.replace wake_tbl r (ref [ node ]);
+          Round_tbl.replace wake_tbl r (ref [ node ]);
           Util.Int_heap.push calendar r)
       rounds
   in
@@ -304,18 +318,19 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     | None -> None
     | Some f -> Some (f, Util.Rng.create ~seed:f.Fault.seed, Fault.crash_rounds f ~n)
   in
+  let fault_free = Option.is_none adversary in
   let crashed_at id =
     match adversary with None -> max_int | Some (_, _, cr) -> cr.(id)
   in
   (* Delayed-delivery calendar (fault path only): arrival round ->
      (dst, envelope) list, reversed during accumulation. Bucket rounds
      share the wake calendar heap. *)
-  let arrivals : (int, (int * 'm envelope) list ref) Hashtbl.t = Hashtbl.create 64 in
+  let arrivals : (int * 'm envelope) list ref Round_tbl.t = Round_tbl.create 64 in
   let enqueue_arrival ~arrival dst env =
-    match Hashtbl.find_opt arrivals arrival with
+    match Round_tbl.find_opt arrivals arrival with
     | Some l -> l := (dst, env) :: !l
     | None ->
-      Hashtbl.replace arrivals arrival (ref [ (dst, env) ]);
+      Round_tbl.replace arrivals arrival (ref [ (dst, env) ]);
       Util.Int_heap.push calendar arrival
   in
   let deliver ~round src (dst, msg) =
@@ -395,10 +410,10 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
      node already crashed at [r] are lost. Returns [true] if anything
      was delivered. *)
   let flush_arrivals r =
-    match Hashtbl.find_opt arrivals r with
+    match Round_tbl.find_opt arrivals r with
     | None -> false
     | Some l ->
-      Hashtbl.remove arrivals r;
+      Round_tbl.remove arrivals r;
       let delivered = ref false in
       List.iter
         (fun (dst, env) ->
@@ -428,7 +443,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
         Array.fold_left (fun acc r -> if r <= !round then acc + 1 else acc) 0 cr
     in
     {
-      rounds = max (!last_send_round + 1) !last_arrival_round;
+      rounds = Int.max (!last_send_round + 1) !last_arrival_round;
       messages = !messages;
       words = !words;
       max_edge_load = !max_edge_load;
@@ -460,13 +475,14 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   done;
   (* Nodes whose inbox was filled this round become active next round:
      the touched list, sorted ascending (ids are distinct by
-     construction). *)
+     construction). The prefix is sorted in place with the int heap
+     sort, one O(k log k) path at every size; [touched] is a work
+     buffer, refilled from index 0 once the list is taken. *)
   let next_active_from_inboxes () =
     let k = !n_touched in
     n_touched := 0;
-    let ids = Array.sub touched 0 k in
-    Array.sort Int.compare ids;
-    Array.to_list ids
+    Util.Int_heap.sort touched k;
+    prefix_to_list touched (k - 1) []
   in
   (* Smallest calendar round still in the future; buckets the loop has
      already consumed leave stale heap entries behind, discarded here. *)
@@ -516,12 +532,12 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     (* Decide the next round with activity. *)
     if spans then span_begin "engine.heap" !round;
     let msg_round =
-      if adversary = None && !any_sends_this_round then Some (!round + 1) else None
+      if fault_free && !any_sends_this_round then Some (!round + 1) else None
     in
     let next =
       match (msg_round, calendar_round ()) with
       | None, x | x, None -> x
-      | Some a, Some b -> Some (min a b)
+      | Some a, Some b -> Some (Int.min a b)
     in
     if spans then span_end "engine.heap" !round;
     match next with
@@ -534,22 +550,22 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       (match deadline_guard with None -> () | Some check -> check r);
       (* Collect the active set: inbox recipients plus due wake-ups. *)
       if spans then span_begin "engine.delivery" r;
-      let flushed = adversary <> None && flush_arrivals r in
+      let flushed = (not fault_free) && flush_arrivals r in
       let from_inbox =
-        if flushed || (adversary = None && r = !round + 1) then next_active_from_inboxes ()
+        if flushed || (fault_free && r = !round + 1) then next_active_from_inboxes ()
         else []
       in
       (* If we fast-forwarded past round+1, inboxes must be empty. *)
       let from_wake =
-        match Hashtbl.find_opt wake_tbl r with
+        match Round_tbl.find_opt wake_tbl r with
         | Some l ->
-          Hashtbl.remove wake_tbl r;
+          Round_tbl.remove wake_tbl r;
           List.sort_uniq Int.compare !l
         | None -> []
       in
       let active =
         let due = merge_uniq from_inbox from_wake in
-        if adversary = None then due else List.filter (fun id -> crashed_at id > r) due
+        if fault_free then due else List.filter (fun id -> crashed_at id > r) due
       in
       if observed then
         emit (Telemetry.Events.Round_start { round = r; active = List.length active });

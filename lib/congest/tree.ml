@@ -319,7 +319,7 @@ let gather_trace memo g tree ~holders =
   if not (g == memo.g && tree == memo.tree) then
     invalid_arg "Tree.gather_trace: memo of another graph or tree";
   let key = Array.copy holders in
-  Array.sort Int.compare key;
+  Util.Int_heap.sort key (Array.length key);
   match Holders.find_opt memo.traces key with
   | Some trace -> trace
   | None ->

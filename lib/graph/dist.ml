@@ -6,10 +6,10 @@ let is_finite d = d < inf
 
 let add a b =
   if a < 0 || b < 0 then invalid_arg "Dist.add: negative";
-  if is_inf a || is_inf b then inf else Stdlib.min inf (a + b)
+  if is_inf a || is_inf b then inf else Int.min inf (a + b)
 
-let min (a : t) (b : t) = Stdlib.min a b
-let compare (a : t) (b : t) = Stdlib.compare a b
+let min (a : t) (b : t) = Int.min a b
+let compare (a : t) (b : t) = Int.compare a b
 
 let of_int i =
   if i < 0 || i >= inf then invalid_arg "Dist.of_int";
@@ -21,4 +21,4 @@ let to_string d = if is_inf d then "inf" else string_of_int d
 
 let scale_up_exn d c =
   if c <= 0 then invalid_arg "Dist.scale_up_exn";
-  if is_inf d then inf else Stdlib.min inf (d * c)
+  if is_inf d then inf else Int.min inf (d * c)

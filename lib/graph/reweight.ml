@@ -14,7 +14,7 @@ let scaled_weight_f params ~i ~w =
   if w <= 0.0 then invalid_arg "Reweight.scaled_weight_f: non-positive";
   let denom = params.eps *. float_of_int (Util.Int_math.pow 2 i) in
   let v = ceil (2.0 *. float_of_int params.ell *. w /. denom) in
-  max 1 (int_of_float v)
+  Int.max 1 (int_of_float v)
 
 let scaled_weight params ~i ~w = scaled_weight_f params ~i ~w:(float_of_int w)
 
@@ -28,11 +28,11 @@ let divisors params ~scales =
 
 let scaler params ~scales =
   let two_ell, denom = divisors params ~scales in
-  fun ~i ~w -> max 1 (int_of_float (ceil (two_ell *. float_of_int w /. denom.(i))))
+  fun ~i ~w -> Int.max 1 (int_of_float (ceil (two_ell *. float_of_int w /. denom.(i))))
 
 let scaler_f params ~scales =
   let two_ell, denom = divisors params ~scales in
-  fun ~i ~w -> max 1 (int_of_float (ceil (two_ell *. w /. denom.(i))))
+  fun ~i ~w -> Int.max 1 (int_of_float (ceil (two_ell *. w /. denom.(i))))
 
 let scaled_graph g params ~i =
   Wgraph.map_weights g ~f:(fun ~u:_ ~v:_ ~w -> scaled_weight params ~i ~w)

@@ -33,7 +33,10 @@ let concurrent_protocol ~b ~cfg ~scaled_weight :
     (Bh_instance.bank, msg) Congest.Engine.protocol =
   (* A node's bank holds its [b] instances and is updated in place.
      The per-activation work is two loops built once per run, so an
-     activation allocates only its messages and its action. *)
+     activation allocates only its messages and its action. Only the
+     slots that [Bh_instance.may_act] are decided: any other slot
+     would stay quiet or repeat a wake it already asked for. The wake
+     list may repeat a round; the engine removes duplicates. *)
   let rec fold_inbox view insts ~round = function
     | [] -> ()
     | { Congest.Engine.src = u; msg = { j; scale; dist } } :: rest ->
@@ -44,7 +47,9 @@ let concurrent_protocol ~b ~cfg ~scaled_weight :
       fold_inbox view insts ~round rest
   in
   let rec decide_from view insts ~round j sends wakes =
-    if j = b then { Congest.Engine.sends; wakes = List.sort_uniq Int.compare wakes }
+    if j = b then { Congest.Engine.sends; wakes }
+    else if not (Bh_instance.may_act insts j ~round) then
+      decide_from view insts ~round (j + 1) sends wakes
     else
       match Bh_instance.decide insts j ~round with
       | Bh_instance.Quiet -> decide_from view insts ~round (j + 1) sends wakes
@@ -68,7 +73,7 @@ let concurrent_protocol ~b ~cfg ~scaled_weight :
         in
         (* Every instance starts at offset >= 1, so no sends at init;
            sources just arm their phase-base wake-ups. *)
-        (insts, Congest.Engine.act ~wakes:(List.sort_uniq Int.compare source_wakes) ()));
+        (insts, Congest.Engine.act ~wakes:source_wakes ()));
     on_round =
       (fun view ~round insts ~inbox ->
         fold_inbox view insts ~round inbox;

@@ -33,14 +33,17 @@ let initial_wakes cfg =
 
 (* Slot [j] of every array is one instance: its configuration, its
    current scale, its scaled distance at that scale, whether it has
-   broadcast that distance, and the best value of the scales already
-   folded. *)
+   broadcast that distance, the best value of the scales already
+   folded, the last round it heard a message and the round of its
+   last requested wake (-1 for none). *)
 type bank = {
   cfg : cfg array;
   scale : int array;
   dist : int array;
   broadcasted : bool array;
   best : float array;
+  heard : int array;
+  due : int array;
 }
 
 let start_dist cfg = if cfg.is_source then 0 else Graphlib.Dist.inf
@@ -53,6 +56,8 @@ let bank k cfg =
     dist = Array.map start_dist cfg;
     broadcasted = Array.make k false;
     best = Array.make k Float.infinity;
+    heard = Array.make k (-1);
+    due = Array.make k (-1);
   }
 
 let unscale cfg ~scale d =
@@ -76,13 +81,14 @@ let rollover cfg bk j ~lr =
   let s = bk.scale.(j) in
   if s < cfg.num_scales - 1 && lr >= (s + 1) * cfg.phase_len then begin
     bk.best.(j) <- folded bk j;
-    bk.scale.(j) <- min (cfg.num_scales - 1) (lr / cfg.phase_len);
+    bk.scale.(j) <- Int.min (cfg.num_scales - 1) (lr / cfg.phase_len);
     bk.dist.(j) <- start_dist cfg;
     bk.broadcasted.(j) <- false
   end
 
 let on_message bk j ~round ~scale ~dist ~scaled_w =
   let cfg = bk.cfg.(j) in
+  bk.heard.(j) <- round;
   let lr = round - cfg.offset in
   if lr >= 0 then begin
     rollover cfg bk j ~lr;
@@ -94,6 +100,10 @@ let on_message bk j ~round ~scale ~dist ~scaled_w =
   end
 
 type effect = Quiet | Broadcast | Wake
+
+let wake_round bk j =
+  let cfg = bk.cfg.(j) in
+  cfg.offset + (bk.scale.(j) * cfg.phase_len) + bk.dist.(j)
 
 let decide bk j ~round =
   let cfg = bk.cfg.(j) in
@@ -108,16 +118,31 @@ let decide bk j ~round =
         bk.broadcasted.(j) <- true;
         Broadcast
       end
-      else if d > rho then Wake
+      else if d > rho then begin
+        bk.due.(j) <- wake_round bk j;
+        Wake
+      end
       else Quiet (* unreachable: candidates never undercut the clock *)
     end
     else Quiet
   end
 
+(* Outside these three cases [decide] returns [Quiet] or repeats the
+   pending wake: a slot's distance changes only by a message (which
+   makes it act that round) or by a rollover (which resets it), so an
+   unheard slot still holds the distance its last [Wake] was computed
+   from and is due only at that wake's round; a source's distance is 0,
+   due only at a phase base. Rollover is a function of the round
+   alone, so the next call brings a skipped slot to the same state. *)
+let may_act bk j ~round =
+  bk.heard.(j) = round
+  || bk.due.(j) = round
+  ||
+  let cfg = bk.cfg.(j) in
+  let lr = round - cfg.offset in
+  cfg.is_source && lr >= 0 && lr mod cfg.phase_len = 0 && lr / cfg.phase_len < cfg.num_scales
+
 let scale bk j = bk.scale.(j)
 let dist bk j = bk.dist.(j)
-let wake_round bk j =
-  let cfg = bk.cfg.(j) in
-  cfg.offset + (bk.scale.(j) * cfg.phase_len) + bk.dist.(j)
 
 let finalize = folded

@@ -14,9 +14,11 @@
     instance (Algorithm 3 gives each node a bank of [b] slots,
     Algorithm 5 one bank for its [b] overlay nodes, Algorithm 1 each
     node a bank of one). {!on_message} and {!decide} update a slot in
-    place and allocate nothing. The surrounding protocol adapter
-    translates engine activations into these calls and performs the
-    sends. *)
+    place and allocate nothing. The bank also records, per slot, the
+    last round it heard a message and the round of its last requested
+    wake, so that {!may_act} can tell which slots a round can move.
+    The surrounding protocol adapter translates engine activations
+    into these calls and performs the sends. *)
 
 type cfg = {
   params : Graphlib.Reweight.params;
@@ -57,7 +59,20 @@ type effect =
 val decide : bank -> int -> round:int -> effect
 (** After folding the round's messages (and/or on a wake), decide
     whether slot [j] broadcasts now or schedules a wake. Also performs
-    lazy scale rollover. *)
+    lazy scale rollover. On {!Wake} the bank records {!wake_round} as
+    the slot's due round, replacing any earlier one. *)
+
+val may_act : bank -> int -> round:int -> bool
+(** [may_act bank j ~round] holds exactly when slot [j] heard a
+    message at [round], its last requested wake is due at [round], or
+    it is a source and [round] is one of its phase bases. On any other
+    slot {!decide} would return {!Quiet} or repeat the wake the slot
+    already asked for, and lazy rollover brings a later call to the
+    same state. So a caller that, at every round where it folds a
+    message or a requested wake falls due, decides only these slots
+    in increasing [j] sends the same broadcasts in the same order,
+    requests the same set of wake rounds and finalizes to the same
+    values as one that decides every slot. *)
 
 val scale : bank -> int -> int
 (** The slot's current scale; after {!Broadcast}, the message's scale. *)

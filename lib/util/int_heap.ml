@@ -65,3 +65,30 @@ let pop_exn t =
   end
 
 let pop t = if t.len = 0 then None else Some (pop_exn t)
+
+(* Heap sort with plain int comparisons. [sift_down a len i x] puts
+   [x] at [i] of the max-heap [a.(0 .. len - 1)], moving larger
+   children up. *)
+let rec sift_down (a : int array) len i x =
+  let l = (2 * i) + 1 in
+  if l >= len then a.(i) <- x
+  else begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    let ac = a.(c) in
+    if ac > x then begin
+      a.(i) <- ac;
+      sift_down a len c x
+    end
+    else a.(i) <- x
+  end
+
+let sort (a : int array) k =
+  if k < 0 || k > Array.length a then invalid_arg "Int_heap.sort: prefix out of range";
+  for i = (k / 2) - 1 downto 0 do
+    sift_down a k i a.(i)
+  done;
+  for last = k - 1 downto 1 do
+    let x = a.(last) in
+    a.(last) <- a.(0);
+    sift_down a last 0 x
+  done

@@ -31,3 +31,9 @@ val pop : t -> int option
 val pop_exn : t -> int
 (** Allocation-free [pop]. Raises [Invalid_argument] on an empty
     heap. *)
+
+val sort : int array -> int -> unit
+(** [sort a k] sorts [a.(0 .. k - 1)] ascending in place and leaves
+    the rest of [a] as it is: a heap sort, O(k log k) at every [k],
+    with plain int comparisons and no allocation. Raises
+    [Invalid_argument] unless [0 <= k <= Array.length a]. *)

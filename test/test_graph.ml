@@ -27,6 +27,44 @@ let test_dist () =
   checkb "scale inf" true (Dist.is_inf (Dist.scale_up_exn Dist.inf 3));
   check "scale" 12 (Dist.scale_up_exn 4 3)
 
+(* The saturating edges of [Dist]: sums and products that reach the
+   sentinel return exactly [inf], [inf] absorbs on either side, and
+   [min]/[compare] order [inf] above every finite value. *)
+let test_dist_saturation () =
+  let inf = Dist.inf in
+  let sign c = Int.compare c 0 in
+  check "add below the bound" (inf - 1) (Dist.add (inf - 2) 1);
+  check "add at the bound" inf (Dist.add (inf - 1) 1);
+  check "add past the bound" inf (Dist.add (inf - 1) (inf - 1));
+  check "add halves past the bound" inf (Dist.add ((inf / 2) + 1) ((inf / 2) + 1));
+  check "add inf left" inf (Dist.add inf 5);
+  check "add inf right" inf (Dist.add 5 inf);
+  check "add inf zero" inf (Dist.add inf 0);
+  check "add zero inf" inf (Dist.add 0 inf);
+  check "add inf inf" inf (Dist.add inf inf);
+  check "add zeros" 0 (Dist.add 0 0);
+  Alcotest.check_raises "add negative" (Invalid_argument "Dist.add: negative") (fun () ->
+      ignore (Dist.add (-1) inf));
+  check "min inf finite" 7 (Dist.min inf 7);
+  check "min finite inf" 7 (Dist.min 7 inf);
+  check "min equal" 3 (Dist.min 3 3);
+  check "min inf inf" inf (Dist.min inf inf);
+  check "compare inf finite" 1 (sign (Dist.compare inf 7));
+  check "compare finite inf" (-1) (sign (Dist.compare 7 inf));
+  check "compare near bound" (-1) (sign (Dist.compare (inf - 1) inf));
+  check "compare equal" 0 (Dist.compare 4 4);
+  check "compare inf inf" 0 (Dist.compare inf inf);
+  check "scale below the bound" (inf - 1) (Dist.scale_up_exn (inf / 2) 2);
+  List.iter
+    (fun c ->
+      check (Printf.sprintf "scale saturates x%d" c) inf (Dist.scale_up_exn (inf - 1) c))
+    [ 2; 3; 4 ];
+  check "scale at the bound" inf (Dist.scale_up_exn ((inf / 3) + 1) 3);
+  check "scale zero" 0 (Dist.scale_up_exn 0 5);
+  check "scale by one" (inf - 1) (Dist.scale_up_exn (inf - 1) 1);
+  Alcotest.check_raises "scale by zero" (Invalid_argument "Dist.scale_up_exn") (fun () ->
+      ignore (Dist.scale_up_exn 4 0))
+
 (* ----------------------------- Wgraph ----------------------------- *)
 
 let test_wgraph_build () =
@@ -693,7 +731,11 @@ let qsuite =
 let () =
   Alcotest.run "graph"
     [
-      ("dist", [ Alcotest.test_case "ops" `Quick test_dist ]);
+      ( "dist",
+        [
+          Alcotest.test_case "ops" `Quick test_dist;
+          Alcotest.test_case "saturation" `Quick test_dist_saturation;
+        ] );
       ( "wgraph",
         [
           Alcotest.test_case "build" `Quick test_wgraph_build;

@@ -154,6 +154,27 @@ module Reference_instance = struct
   let finalize cfg st = (fold_scale cfg st).best
 end
 
+(* A random slot configuration: ℓ, ε, n, W, offset and source flag. *)
+let random_cfg rng =
+  let params =
+    {
+      Graphlib.Reweight.ell = 1 + Util.Rng.int rng 12;
+      eps = Util.Rng.choose rng [| 0.25; 0.5; 1.0 |];
+    }
+  in
+  Nanongkai.Bh_instance.make_cfg ~params
+    ~n:(2 + Util.Rng.int rng 100)
+    ~max_w:(1 + Util.Rng.int rng 20)
+    ~offset:(Util.Rng.int rng 30) ~is_source:(Util.Rng.bool rng)
+
+(* The last round of the last phase of any slot. *)
+let cfgs_horizon cfgs =
+  Array.fold_left
+    (fun acc (c : Nanongkai.Bh_instance.cfg) -> max acc (c.offset + (c.num_scales * c.phase_len)))
+    0 cfgs
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let prop_bank_matches_reference =
   (* A bank of 1-4 slots, each with its own random cfg, against one
      reference state per slot: random message folds and decides,
@@ -167,28 +188,11 @@ let prop_bank_matches_reference =
       let module R = Reference_instance in
       let rng = Util.Rng.create ~seed in
       let slots = 1 + Util.Rng.int rng 4 in
-      let cfgs =
-        Array.init slots (fun _ ->
-            let params =
-              {
-                Graphlib.Reweight.ell = 1 + Util.Rng.int rng 12;
-                eps = Util.Rng.choose rng [| 0.25; 0.5; 1.0 |];
-              }
-            in
-            B.make_cfg ~params
-              ~n:(2 + Util.Rng.int rng 100)
-              ~max_w:(1 + Util.Rng.int rng 20)
-              ~offset:(Util.Rng.int rng 30) ~is_source:(Util.Rng.bool rng))
-      in
+      let cfgs = Array.init slots (fun _ -> random_cfg rng) in
       let bank = B.bank slots (fun j -> cfgs.(j)) in
       let refs = Array.map R.init cfgs in
-      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       let round = ref 0 and ok = ref true in
-      let horizon =
-        Array.fold_left
-          (fun acc (c : B.cfg) -> max acc (c.offset + (c.num_scales * c.phase_len)))
-          0 cfgs
-      in
+      let horizon = cfgs_horizon cfgs in
       while !ok && !round <= horizon + 5 do
         let j = Util.Rng.int rng slots in
         let c = cfgs.(j) in
@@ -226,6 +230,102 @@ let prop_bank_matches_reference =
                else Util.Rng.int rng 3)
       done;
       !ok)
+
+let prop_may_act_matches_full_decide =
+  (* Two banks fed the same messages: one decides only the slots that
+     [may_act], the other every slot, as Algorithm 3 once did. The
+     activation rounds are the message rounds, some extra rounds, the
+     sources' phase bases and every wake round either bank asked for.
+     At each activation both must broadcast the same slots, in the same
+     order, with the same (scale, dist), and the two cumulative sets of
+     requested wake rounds must be equal; at the end every slot's
+     [finalize] must have the same bits. Besides random traffic, each
+     slot gets a message that makes it ask for a wake and a later,
+     better one before that wake is due. *)
+  QCheck.Test.make ~name:"decide only the slots that can act = decide every slot" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module B = Nanongkai.Bh_instance in
+      let module S = Set.Make (Int) in
+      let rng = Util.Rng.create ~seed in
+      let slots = 1 + Util.Rng.int rng 6 in
+      let cfgs = Array.init slots (fun _ -> random_cfg rng) in
+      let horizon = cfgs_horizon cfgs in
+      (* Round -> messages (slot, scale, dist, scaled_w), newest first. *)
+      let msgs = Hashtbl.create 64 in
+      let add_msg r m =
+        Hashtbl.replace msgs r (m :: Option.value (Hashtbl.find_opt msgs r) ~default:[])
+      in
+      for _ = 1 to Util.Rng.int rng (1 + (horizon / 4)) do
+        let r = Util.Rng.int rng (horizon + 5) in
+        let j = Util.Rng.int rng slots in
+        let c = cfgs.(j) in
+        let scale =
+          if Util.Rng.int rng 4 = 0 then Util.Rng.int rng c.num_scales
+          else min (c.num_scales - 1) (max 0 (r - c.offset) / c.phase_len)
+        in
+        add_msg r
+          (j, scale, Util.Rng.int rng (c.budget + 1), 1 + Util.Rng.int rng (max 1 (c.budget / 2)))
+      done;
+      Array.iteri
+        (fun j (c : B.cfg) ->
+          (* At phase-local round rho1 the slot hears cand1 > rho1 + 1
+             and asks for a wake at cand1; at rho2 < cand1 it hears
+             cand2 in [rho2, cand1), which moves its wake earlier (or
+             makes it broadcast at once). The budget is at least 3. *)
+          let s = Util.Rng.int rng c.num_scales in
+          let rho1 = Util.Rng.int rng (c.budget - 2) in
+          let cand1 = rho1 + 2 + Util.Rng.int rng (c.budget - rho1 - 1) in
+          let rho2 = rho1 + 1 + Util.Rng.int rng (cand1 - rho1 - 1) in
+          let cand2 = rho2 + Util.Rng.int rng (cand1 - rho2) in
+          let base = c.offset + (s * c.phase_len) in
+          add_msg (base + rho1) (j, s, cand1 - 1, 1);
+          add_msg (base + rho2) (j, s, cand2 - 1, 1))
+        cfgs;
+      let initial = List.concat_map B.initial_wakes (Array.to_list cfgs) in
+      let extras = List.init (Util.Rng.int rng (1 + (horizon / 8))) (fun _ ->
+          Util.Rng.int rng (horizon + 5))
+      in
+      let calendar =
+        ref (S.of_list (initial @ extras @ Hashtbl.fold (fun r _ acc -> r :: acc) msgs []))
+      in
+      let only = B.bank slots (fun j -> cfgs.(j)) and every = B.bank slots (fun j -> cfgs.(j)) in
+      let only_wakes = ref (S.of_list initial) and every_wakes = ref (S.of_list initial) in
+      let ok = ref true in
+      let activate bank wakes ~decides r =
+        let sent = ref [] in
+        for j = 0 to slots - 1 do
+          if decides bank j then
+            match B.decide bank j ~round:r with
+            | B.Quiet -> ()
+            | B.Broadcast -> sent := (j, B.scale bank j, B.dist bank j) :: !sent
+            | B.Wake ->
+              let w = B.wake_round bank j in
+              if w <= r then ok := false;
+              wakes := S.add w !wakes;
+              calendar := S.add w !calendar
+        done;
+        List.rev !sent
+      in
+      let rec loop last =
+        match S.find_first_opt (fun r -> r > last) !calendar with
+        | Some r when !ok ->
+          List.iter
+            (fun (j, scale, dist, scaled_w) ->
+              B.on_message only j ~round:r ~scale ~dist ~scaled_w;
+              B.on_message every j ~round:r ~scale ~dist ~scaled_w)
+            (List.rev (Option.value (Hashtbl.find_opt msgs r) ~default:[]));
+          let a = activate only only_wakes ~decides:(fun bk j -> B.may_act bk j ~round:r) r in
+          let b = activate every every_wakes ~decides:(fun _ _ -> true) r in
+          if a <> b || not (S.equal !only_wakes !every_wakes) then ok := false;
+          loop r
+        | _ -> ()
+      in
+      loop (-1);
+      !ok
+      && List.for_all
+           (fun j -> same_bits (B.finalize only j) (B.finalize every j))
+           (List.init slots Fun.id))
 
 (* ------------------------------ Alg 3 ------------------------------ *)
 
@@ -471,6 +571,7 @@ let qsuite =
     [
       prop_alg2_exact;
       prop_bank_matches_reference;
+      prop_may_act_matches_full_decide;
       prop_alg1_matches_centralized;
       prop_alg3_matches_alg1;
       prop_overlay_matches_skeleton;

@@ -191,7 +191,10 @@ let test_int_heap_basic () =
   Alcotest.(check (list int)) "sorted with dups" [ 1; 1; 3; 4; 5 ] (drain []);
   Util.Int_heap.push h 9;
   Util.Int_heap.clear h;
-  checkb "cleared" true (Util.Int_heap.is_empty h)
+  checkb "cleared" true (Util.Int_heap.is_empty h);
+  Alcotest.check_raises "sort past the end"
+    (Invalid_argument "Int_heap.sort: prefix out of range") (fun () ->
+      Util.Int_heap.sort [| 1 |] 2)
 
 let prop_int_heap_heapsort =
   QCheck.Test.make ~name:"Int_heap drains in sorted order" ~count:200
@@ -203,6 +206,37 @@ let prop_int_heap_heapsort =
         match Util.Int_heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
       in
       drain [] = List.sort Int.compare xs)
+
+let prop_int_heap_sort_prefix =
+  (* The engine sorts each round's touched ids with [Int_heap.sort],
+     one path at every size: it must agree with [Array.sort] on the
+     prefix and leave the suffix alone, whatever the input's order. *)
+  let shapes = [| "random"; "sorted"; "reversed"; "constant"; "clustered" |] in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 3000 >>= fun len ->
+      int_range 0 len >>= fun k ->
+      int_range 0 (Array.length shapes - 1) >>= fun shape ->
+      int_range 1 8 >>= fun clusters ->
+      array_size (return len) (int_range (-1_000_000) 1_000_000) >|= fun a ->
+      (match shapes.(shape) with
+      | "sorted" -> Array.sort compare a
+      | "reversed" -> Array.sort (fun x y -> compare y x) a
+      | "constant" -> Array.fill a 0 len 42
+      | "clustered" -> Array.iteri (fun i x -> a.(i) <- 1000 * (abs x mod clusters)) a
+      | _ -> ());
+      (shapes.(shape), a, k))
+  in
+  let print (shape, a, k) = Printf.sprintf "%s len=%d k=%d" shape (Array.length a) k in
+  QCheck.Test.make ~name:"Int_heap.sort = Array.sort on a prefix" ~count:300
+    (QCheck.make ~print gen)
+    (fun (_, a, k) ->
+      let expect = Array.sub a 0 k in
+      Array.sort compare expect;
+      let got = Array.copy a in
+      Util.Int_heap.sort got k;
+      Array.sub got 0 k = expect
+      && Array.sub got k (Array.length a - k) = Array.sub a k (Array.length a - k))
 
 let test_int_pq_basic () =
   let q = Util.Int_pq.create ~n:10 in
@@ -443,7 +477,7 @@ let test_table_cells () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_ilog2; prop_isqrt; prop_pqueue_heapsort; prop_pqueue_insert_or_decrease;
-      prop_int_heap_heapsort; prop_int_pq_matches_pqueue; prop_domain_pool_matches_serial;
+      prop_int_heap_heapsort; prop_int_heap_sort_prefix; prop_int_pq_matches_pqueue; prop_domain_pool_matches_serial;
       prop_minimax_monotone_in_degree ]
 
 let () =
