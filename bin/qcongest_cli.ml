@@ -10,7 +10,15 @@
                           check the diameter/radius gap;
      faults             — BFS under a seeded fault adversary with the
                           reliable-delivery wrapper, vs fault-free;
-     params             — print Eq. (1)/(2) parameters and formulas. *)
+     trace              — a multi-phase CONGEST scenario with the
+                          telemetry sink attached: replay-checked event
+                          stream plus JSONL/Chrome/CSV/metrics exports
+                          (and phase spans with --profile);
+     params             — print Eq. (1)/(2) parameters and formulas;
+     sweep              — run/resume/report/gate checkpointed sweeps;
+     top                — read-only progress line of a sweep store;
+     perf               — gate perf trajectories against a baseline;
+     check              — the guarantee auditor (run/sweep/chaos). *)
 
 open Cmdliner
 

@@ -126,10 +126,3 @@ let audit_events ?trace ~graph events =
   in
   Report.certificate ~name:"congest-legality" ~claim ~checked:acc.checked ~notes
     (List.rev acc.kept)
-
-let audit_run ?bandwidth ?max_rounds ?faults graph protocol =
-  let sink, drain = E.collector () in
-  let states, trace =
-    Congest.Engine.run ?bandwidth ?max_rounds ?faults ~sink graph protocol
-  in
-  (states, trace, audit_events ~trace ~graph (drain ()))

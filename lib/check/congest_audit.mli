@@ -30,15 +30,3 @@ val audit_events :
     enforces replay consistency against the trace the driver returned.
     An empty stream is [Inconclusive]. Overload accounting uses each
     segment's own [Run_start] bandwidth. *)
-
-val audit_run :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?faults:Congest.Fault.t ->
-  Graphlib.Wgraph.t ->
-  ('s, 'm) Congest.Engine.protocol ->
-  's array * Congest.Engine.trace * Report.certificate
-(** Run a protocol with a collector sink attached and audit the
-    resulting stream (replay consistency included). States and trace
-    are returned unchanged, so this wraps any existing [Engine.run]
-    call site. *)

@@ -111,12 +111,11 @@ let with_deadline ?(clock = Telemetry.Clock.wall) ~seconds f =
   Domain.DLS.set ambient_deadline merged;
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_deadline prev) f
 
-(* Ambient per-domain phase-span switch, mirroring [ambient_deadline]:
-   callers that cannot thread [?phase_spans] through intermediate
-   layers (the CLI's [--profile], the sweep runner) flip it for a
-   scope and every observed [run] on this domain brackets its round
-   work into spans. Off — the default — adds a single immutable bool
-   test per run, never per round. *)
+(* Per-domain phase-span switch, mirroring [ambient_deadline]: a caller
+   (the CLI's [--profile]) flips it for a scope and every observed
+   [run] on this domain brackets its round work into spans. Off — the
+   default — adds a single immutable bool test per run, never per
+   round. *)
 let ambient_phase_spans : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let with_phase_spans f =
@@ -186,15 +185,16 @@ end)
 (* The round loop below is the simulator's hot path: every baseline in
    the repo burns the bulk of its wall time here. It is pinned
    bit-identical — final states, trace, and full event stream — to the
-   original Hashtbl/cons-list loop kept in Engine_reference, by a
-   QCheck property over fault-free and adversarial scenario classes.
+   original Hashtbl/cons-list loop, which the test suite keeps as its
+   reference, by QCheck properties over fault-free and adversarial
+   scenario classes.
    The load/violation ledger lives in flat int arrays indexed by CSR
    arc id (which doubles as the neighbor check), reset via a dirty
    list; the next event round comes from one lazy-deletion int heap
    instead of Hashtbl.fold min-scans; and the per-round active-set
    scan over all n inboxes is replaced by a touched-node list. *)
 let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
-    ?phase_spans ?faults ?sink g proto =
+    ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
   if n = 0 then invalid_arg "Engine.run: empty graph";
   let observed = sink <> None in
@@ -202,12 +202,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   (* Phase spans are pure observation on top of [observed]: the wall
      clock is only ever read when they are on, so the default path
      stays bit-identical to the pinned reference semantics. *)
-  let spans =
-    observed
-    && (match phase_spans with
-       | Some b -> b
-       | None -> Domain.DLS.get ambient_phase_spans)
-  in
+  let spans = observed && Domain.DLS.get ambient_phase_spans in
   let span_begin name r =
     emit (Telemetry.Events.Span_begin { name; round = r; wall_s = Telemetry.Clock.now clock })
   in

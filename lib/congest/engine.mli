@@ -119,21 +119,24 @@ val with_deadline : ?clock:Telemetry.Clock.t -> seconds:float -> (unit -> 'a) ->
     is restored when [f] returns or raises. *)
 
 val with_phase_spans : (unit -> 'a) -> 'a
-(** [with_phase_spans f] runs [f] with ambient phase-span emission
-    enabled: every observed {!run} started by [f] on this domain
-    (without its own explicit [?phase_spans]) brackets each scheduled
-    round into [engine.heap] / [engine.delivery] / [engine.compute]
-    {!Telemetry.Events.Span_begin}/[Span_end] pairs on its sink. Like
-    {!with_deadline} the switch is domain-local, so [Util.Domain_pool]
-    workers profile independently; the previous state is restored when
-    [f] returns or raises. Runs without a sink are unaffected. *)
+(** [with_phase_spans f] runs [f] with phase-span emission enabled:
+    every observed {!run} started by [f] on this domain brackets each
+    scheduled round's heap query, delivery work and handler execution
+    into [engine.heap] / [engine.delivery] / [engine.compute]
+    {!Telemetry.Events.Span_begin}/[Span_end] pairs on its sink — the
+    substrate [Profile.Span.of_events] attributes wall time with. This
+    is the only switch for phase spans, and it is off by default. Like
+    {!with_deadline} it is domain-local, so [Util.Domain_pool] workers
+    profile independently; the previous state is restored when [f]
+    returns or raises. Spans are pure observation: runs without a sink
+    are unaffected, and with spans off no clock is read and the run is
+    bit-for-bit the historical behaviour. *)
 
 val run :
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?deadline:float ->
   ?clock:Telemetry.Clock.t ->
-  ?phase_spans:bool ->
   ?faults:Fault.t ->
   ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
@@ -155,23 +158,15 @@ val run :
     raised before it starts. With [?deadline] unset the run inherits
     any ambient {!with_deadline} budget; with neither, no clock is
     ever read and execution — states, trace, and event stream — is
-    bit-for-bit the unsupervised behaviour (pinned against
-    [Engine_reference] by the golden-equivalence suite).
+    bit-for-bit the unsupervised behaviour (pinned against the seed
+    round loop kept in the test suite by its golden-equivalence
+    tests).
 
     [?faults] injects the configured adversary (see {!Fault}): the
     drop/duplicate/delay decisions are drawn per message from the
     adversary's private seeded RNG stream, in send order, so runs are
     reproducible. Network-injected duplicate copies do not add to edge
     load.
-
-    [?phase_spans] (default: the ambient {!with_phase_spans} switch,
-    itself off by default) brackets each scheduled round's heap
-    query, delivery work and handler execution into
-    [engine.heap]/[engine.delivery]/[engine.compute] span events on
-    the sink — the substrate [Profile.Span.of_events] attributes wall
-    time with. Spans are pure observation: they require a sink, and
-    with them off no clock is read and the run is bit-for-bit the
-    historical behaviour.
 
     [?sink] receives the full structured event stream (see
     {!Telemetry.Events}): [Run_start], per-round [Round_start],

@@ -58,21 +58,7 @@ let extremal_node g = function
     !best
   | Radius -> Graphlib.Apsp.center g
 
-type shared = {
-  sh_g : Graphlib.Wgraph.t;
-  sh_config : config;
-  sh_tree : Congest.Tree.t;
-  sh_tree_trace : Congest.Engine.trace;
-  sh_params : Params.t;
-  sh_sets : Sets.t;
-  sh_ctx : Nanongkai.Approx.ctx;
-  sh_prepared : (int, Inner.prepared option) Hashtbl.t;
-      (* Objective-independent per-set pipelines (Initialization +
-         per-source values) — shared between the diameter and radius
-         searches by [run_both]. *)
-}
-
-let make_shared ~config g ~rng =
+let run ?(config = default_config) g objective ~rng =
   let n = Graphlib.Wgraph.n g in
   if n < 2 then invalid_arg "Algorithm.run: need n >= 2";
   if not (Graphlib.Wgraph.is_connected g) then invalid_arg "Algorithm.run: disconnected graph";
@@ -102,37 +88,24 @@ let make_shared ~config g ~rng =
       rng = Util.Rng.split rng;
     }
   in
-  {
-    sh_g = g;
-    sh_config = config;
-    sh_tree = tree;
-    sh_tree_trace = tree_trace;
-    sh_params = params;
-    sh_sets = sets;
-    sh_ctx = ctx;
-    sh_prepared = Hashtbl.create 16;
-  }
-
-let run_objective shared objective ~rng =
-  let g = shared.sh_g in
-  let config = shared.sh_config in
   let exact = Graphlib.Dist.to_int_exn (ground_truth g objective) in
   let d_unweighted = Graphlib.Bfs.diameter (Graphlib.Wgraph.with_unit_weights g) in
-  let tree = shared.sh_tree and tree_trace = shared.sh_tree_trace in
-  let params = shared.sh_params in
   let rw = Params.reweight_params params in
   let inner_obj = inner_objective objective in
-  let sets = shared.sh_sets in
   let m = Array.length sets.Sets.sets in
-  let ctx = shared.sh_ctx in
   (* Values f(i) for the amplification masses. *)
   let discrepancy = ref 0.0 in
+  (* Each set's objective-independent pipeline (Initialization +
+     per-source values) runs once, although the Fully_distributed
+     Setup, the touched-set Evaluations and the best-source read-back
+     can each ask for the same set. *)
+  let prepared_sets = Hashtbl.create 16 in
   let prepared i =
-    match Hashtbl.find_opt shared.sh_prepared i with
+    match Hashtbl.find_opt prepared_sets i with
     | Some p -> p
     | None ->
       let p = Inner.prepare ~ctx ~s:sets.Sets.sets.(i) in
-      Hashtbl.replace shared.sh_prepared i p;
+      Hashtbl.replace prepared_sets i p;
       p
   in
   let eval_dist i =
@@ -263,18 +236,6 @@ let run_objective shared objective ~rng =
     best_set = outcome.Dqo.Framework.best_idx;
     best_source;
   }
-
-let run ?(config = default_config) g objective ~rng =
-  let shared = make_shared ~config g ~rng in
-  run_objective shared objective ~rng
-
-let run_both ?(config = default_config) g ~rng =
-  let shared = make_shared ~config g ~rng in
-  let d = run_objective shared Diameter ~rng in
-  let r = run_objective shared Radius ~rng in
-  (* The BFS tree is built once for both searches. *)
-  let combined = d.rounds + r.rounds - shared.sh_tree_trace.Congest.Engine.rounds in
-  (d, r, combined)
 
 let pp_result ppf r =
   let obj = match r.objective with Diameter -> "diameter" | Radius -> "radius" in

@@ -74,12 +74,4 @@ val run :
   ?config:config -> Graphlib.Wgraph.t -> objective -> rng:Util.Rng.t -> result
 (** Requires a connected graph with at least 2 nodes. *)
 
-val run_both :
-  ?config:config -> Graphlib.Wgraph.t -> rng:Util.Rng.t -> result * result * int
-(** Diameter and radius on the same sampled sets, sharing the BFS tree
-    and the objective-independent per-set pipelines (the simulation's
-    [Inner.prepare] results). Returns [(diameter, radius,
-    combined_rounds)] where the combined count charges the shared tree
-    construction once. *)
-
 val pp_result : Format.formatter -> result -> unit

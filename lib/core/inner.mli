@@ -8,9 +8,7 @@
     [T₀ + O(√|S_i|)·(T₁+T₂)].
 
     [prepare] is the objective-independent half (everything up to and
-    including the per-source values) and can be shared between the
-    diameter (maximize) and radius (minimize) searches — this is what
-    [Core.Algorithm.run_both] exploits. [search] is the per-objective
+    including the per-source values); [search] is the per-objective
     quantum search on a prepared set; [eval_distributed] composes the
     two.
 

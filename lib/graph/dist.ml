@@ -11,10 +11,6 @@ let add a b =
 let min (a : t) (b : t) = Int.min a b
 let compare (a : t) (b : t) = Int.compare a b
 
-let of_int i =
-  if i < 0 || i >= inf then invalid_arg "Dist.of_int";
-  i
-
 let to_int_exn d = if is_inf d then invalid_arg "Dist.to_int_exn: infinite" else d
 
 let to_string d = if is_inf d then "inf" else string_of_int d

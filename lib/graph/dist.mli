@@ -19,9 +19,6 @@ val add : t -> t -> t
 val min : t -> t -> t
 val compare : t -> t -> int
 
-val of_int : int -> t
-(** Requires a non-negative, sub-sentinel argument. *)
-
 val to_int_exn : t -> int
 (** Raises [Invalid_argument] on infinity. *)
 

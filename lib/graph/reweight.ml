@@ -98,8 +98,6 @@ let row t ~src =
 
 let approx_from g params ~src = row (table g params) ~src
 
-let approx_pair g params ~u ~v = (row (table g params) ~src:u).(v)
-
 let check_sandwich g params ~src =
   let n = Wgraph.n g in
   let approx = row (table g params) ~src in

@@ -73,9 +73,6 @@ val approx_from : Wgraph.t -> params -> src:int -> float array
 (** [d̃^ℓ(src, ·)] for every node, on a fresh table (so the array is
     the caller's own). *)
 
-val approx_pair : Wgraph.t -> params -> u:int -> v:int -> float
-(** [d̃^ℓ(u, v)]. *)
-
 val check_sandwich : Wgraph.t -> params -> src:int -> bool
 (** Verify [d ≤ d̃^ℓ ≤ (1+ε)·d^ℓ] for every target (ignoring targets
     where [d^ℓ] is infinite). Used by tests and the self-check bench. *)

@@ -32,7 +32,3 @@ val embed :
   t
 (** [w1] is the [b×b] matrix of [w'_S] (0 diagonal, [infinity] for
     unavailable pairs); [s_nodes] must be distinct and sorted. *)
-
-val restricted_distances : b:int -> edges:(int * int * float) list -> src:int -> float array
-(** Dijkstra over the broadcast edge set only (what each node can
-    compute locally); exposed for the Observation 3.12 test. *)

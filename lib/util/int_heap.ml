@@ -4,7 +4,6 @@ let create ?(capacity = 16) () = { a = Array.make (max 1 capacity) 0; len = 0 }
 
 let is_empty t = t.len = 0
 let size t = t.len
-let clear t = t.len <- 0
 
 let grow t =
   if t.len = Array.length t.a then begin
@@ -31,7 +30,6 @@ let push t x =
   a.(!i) <- x
 
 let peek t = if t.len = 0 then None else Some t.a.(0)
-let peek_exn t = if t.len = 0 then invalid_arg "Int_heap.peek_exn: empty" else t.a.(0)
 
 let pop_exn t =
   if t.len = 0 then invalid_arg "Int_heap.pop_exn: empty"

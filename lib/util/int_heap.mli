@@ -14,16 +14,10 @@ val create : ?capacity:int -> unit -> t
 val is_empty : t -> bool
 val size : t -> int
 
-val clear : t -> unit
-(** Drop every element, keeping the backing store. *)
-
 val push : t -> int -> unit
 
 val peek : t -> int option
 (** Smallest element without removing it. *)
-
-val peek_exn : t -> int
-(** Raises [Invalid_argument] on an empty heap. *)
 
 val pop : t -> int option
 (** Remove and return the smallest element. *)

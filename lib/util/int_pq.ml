@@ -13,12 +13,6 @@ let is_empty t = t.len = 0
 let size t = t.len
 let mem t key = key >= 0 && key < Array.length t.pos && t.pos.(key) >= 0
 
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.pos.(t.keys.(i)) <- -1
-  done;
-  t.len <- 0
-
 (* Move [(key, prio)] up from slot [i] until the heap property holds.
    The displaced entries are shifted down in place (half the writes of
    repeated swaps). *)
@@ -67,12 +61,6 @@ let insert t ~key ~prio =
   if t.pos.(key) >= 0 then invalid_arg "Int_pq.insert: key present";
   let i = t.len in
   t.len <- t.len + 1;
-  sift_up t i key prio
-
-let decrease t ~key ~prio =
-  if not (mem t key) then invalid_arg "Int_pq.decrease: key absent";
-  let i = t.pos.(key) in
-  if prio > t.prios.(i) then invalid_arg "Int_pq.decrease: larger priority";
   sift_up t i key prio
 
 let insert_or_decrease t ~key ~prio =

@@ -1,10 +1,10 @@
 (** Indexed binary min-heap over integer keys with [int] priorities.
 
-    The int-specialized sibling of {!Pqueue}: keys are [0 .. n-1],
-    each present at most once, with [decrease]-key in O(log n). All
-    state lives in three flat [int array]s, and every comparison is a
-    direct machine comparison — no closure call, no tuple boxing, no
-    polymorphic [compare]. This is the Dijkstra hot path. *)
+    Keys are [0 .. n-1], each present at most once, with
+    [insert_or_decrease] in O(log n). All state lives in three flat
+    [int array]s, and every comparison is a direct machine comparison —
+    no closure call, no tuple boxing, no polymorphic [compare]. This is
+    the Dijkstra hot path. *)
 
 type t
 
@@ -15,15 +15,8 @@ val is_empty : t -> bool
 val size : t -> int
 val mem : t -> int -> bool
 
-val clear : t -> unit
-(** Remove every entry (O(size)), keeping the backing arrays. *)
-
 val insert : t -> key:int -> prio:int -> unit
 (** Raises [Invalid_argument] if the key is present or out of range. *)
-
-val decrease : t -> key:int -> prio:int -> unit
-(** Raises [Invalid_argument] if the key is absent or the new priority
-    is larger than the current one. *)
 
 val insert_or_decrease : t -> key:int -> prio:int -> unit
 (** Insert, or lower the priority; keeps the smaller priority. *)

@@ -1,12 +1,12 @@
 (* The seed engine round loop, kept verbatim as an executable
-   specification. Engine.run's optimized loop (flat CSR edge ledger,
-   int-heap calendar, reusable inbox buffers) is pinned bit-identical
-   to this one — states, trace, and full event stream — by a QCheck
-   property in test/test_congest.ml, and bench/main.exe's `perf`
-   section measures the two against each other. Do not optimize this
-   file: its only job is to stay obviously equal to the historical
+   specification. Congest.Engine.run's optimized loop (flat CSR edge
+   ledger, int-heap calendar, reusable inbox buffers) is pinned
+   bit-identical to this one — states, trace, and full event stream —
+   by the golden-equivalence tests in test_congest.ml. Do not optimize
+   this file: its only job is to stay obviously equal to the historical
    semantics. *)
 
+open Congest
 open Engine
 
 type 'm mailbox = { mutable inbox : 'm envelope list (* reversed during accumulation *) }

@@ -779,14 +779,42 @@ let engines_agree ?faults g proto =
   states1 = states2 && trace1 = trace2 && events1 = events2
   && Replay.trace_of_events events1 = trace1
 
+(* BFS-level flood: every node fires once, to all neighbors, so the
+   message count scales with m. On a dense ring of cliques this is the
+   many-messages-per-round shape of `bench perf`'s engine-flood case. *)
+let flood_protocol : (int, int) Engine.protocol =
+  let to_all view lvl =
+    Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, lvl)) view.Node_view.neighbors))
+  in
+  {
+    name = "flood";
+    size_words = (fun _ -> 1);
+    init =
+      (fun view ->
+        if view.Node_view.id = 0 then (0, to_all view 1) else (-1, Engine.no_action));
+    on_round =
+      (fun view ~round:_ s ~inbox ->
+        if s >= 0 || inbox = [] then (s, Engine.no_action)
+        else
+          let lvl = List.fold_left (fun acc { Engine.msg; _ } -> min acc msg) max_int inbox in
+          (lvl, to_all view (lvl + 1)));
+  }
+
 let test_engine_equals_reference_pinned () =
-  (* Deterministic spot check on a path (linear relay) so a regression
-     fails loudly before the property shrinks a counterexample. *)
+  (* Deterministic spot checks so a regression fails loudly before the
+     property shrinks a counterexample: a path (linear relay) and a
+     ring of 16 cliques of 16 nodes (a flood of about 3,900 messages). *)
   let g = unit_path 8 in
+  let cliques =
+    Graphlib.Gen.cliques_cycle ~cliques:16 ~clique_size:16
+      ~weighting:(Graphlib.Gen.Uniform { max_w = 8 })
+      ~rng:(Util.Rng.create ~seed:2)
+  in
   List.iter
     (fun (label, faults) ->
       checkb ("relay " ^ label) true (engines_agree ?faults g relay_protocol);
-      checkb ("exerciser " ^ label) true (engines_agree ?faults g exerciser_protocol))
+      checkb ("exerciser " ^ label) true (engines_agree ?faults g exerciser_protocol);
+      checkb ("flood " ^ label) true (engines_agree ?faults cliques flood_protocol))
     (adversary_classes 77)
 
 (* The exerciser's state cannot see inbox order. This protocol records

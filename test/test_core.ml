@@ -261,14 +261,7 @@ let test_algorithm_port_goldens () =
   check "R outer measurements" 22 r.outer_measurements;
   check "R inner iterations" 173 r.inner_iterations_total;
   check "R eval bound" 637_507 r.t_eval_bound;
-  check "R best set" 35 r.best_set;
-  let g2 = Harness.Runner.make_graph Harness.Spec.ci_smoke ~n:64 ~seed:42 in
-  let d2, r2, combined = run_both g2 ~rng:(Util.Rng.create ~seed:4242) in
-  Alcotest.(check (float 1e-9)) "both D estimate" 66.0 d2.estimate;
-  check "both D rounds" 29_215_159 d2.rounds;
-  Alcotest.(check (float 1e-9)) "both R estimate" 49.0 r2.estimate;
-  check "both R rounds" 32_242_217 r2.rounds;
-  check "both combined" 61_457_351 combined
+  check "R best set" 35 r.best_set
 
 let test_algorithm_rejects_bad_input () =
   let g = Graphlib.Wgraph.make ~n:3 [ { Graphlib.Wgraph.u = 0; v = 1; w = 1 } ] in
@@ -277,18 +270,6 @@ let test_algorithm_rejects_bad_input () =
        ignore (run_algorithm 1 Core.Algorithm.Diameter g);
        false
      with Invalid_argument _ -> true)
-
-let test_run_both_shares () =
-  let g = family 30 in
-  let rng = Util.Rng.create ~seed:31 in
-  let d, r, combined = Core.Algorithm.run_both g ~rng in
-  checkb "diameter within" true d.Core.Algorithm.within_guarantee;
-  checkb "radius within" true r.Core.Algorithm.within_guarantee;
-  checkb "radius <= diameter" true (r.Core.Algorithm.estimate <= d.Core.Algorithm.estimate +. 1e-6);
-  checkb "combined saves the shared tree" true
-    (combined < d.Core.Algorithm.rounds + r.Core.Algorithm.rounds);
-  (* Both searches operated on the same sampled sets. *)
-  checkb "same params" true (d.Core.Algorithm.params = r.Core.Algorithm.params)
 
 let prop_end_to_end_guarantee =
   QCheck.Test.make ~name:"Theorem 1.1 guarantee across random instances" ~count:10
@@ -350,7 +331,6 @@ let () =
           Alcotest.test_case "ledger conservation" `Quick test_algorithm_ledger_conservation;
           Alcotest.test_case "port goldens" `Quick test_algorithm_port_goldens;
           Alcotest.test_case "rejects bad input" `Quick test_algorithm_rejects_bad_input;
-          Alcotest.test_case "run_both shares work" `Quick test_run_both_shares;
         ] );
       ("properties", qsuite);
     ]

@@ -295,30 +295,6 @@ let test_bounded_distance () =
       else checkb "cut" true (Dist.is_inf bounded.(v)))
     bounded
 
-(* ------------------------------ Hop ------------------------------- *)
-
-let test_hop_distance () =
-  (* Two shortest paths of equal length; hop distance takes the
-     fewer-edge one. *)
-  let g =
-    Wgraph.make ~n:4
-      [
-        { Wgraph.u = 0; v = 3; w = 4 };
-        { u = 0; v = 1; w = 2 };
-        { u = 1; v = 2; w = 1 };
-        { u = 2; v = 3; w = 1 };
-      ]
-  in
-  let dist, hops = Hop.distances g ~src:0 in
-  check "dist" 4 dist.(3);
-  check "hops prefers short" 1 hops.(3);
-  check "self" 0 (Hop.hop_distance g ~u:2 ~v:2)
-
-let test_hop_diameter () =
-  let rng = rng () in
-  let g = Gen.path ~n:5 ~weighting:Gen.Unit ~rng in
-  check "path hop diameter" 4 (Hop.hop_diameter g)
-
 (* ------------------------------ Apsp ------------------------------ *)
 
 let test_apsp_path () =
@@ -758,8 +734,6 @@ let () =
           Alcotest.test_case "path reconstruction" `Quick test_dijkstra_path;
           Alcotest.test_case "packed weight boundary" `Quick test_dijkstra_weight_boundary;
           Alcotest.test_case "bounded distance" `Quick test_bounded_distance;
-          Alcotest.test_case "hop distance" `Quick test_hop_distance;
-          Alcotest.test_case "hop diameter" `Quick test_hop_diameter;
         ] );
       ("apsp", [ Alcotest.test_case "path graph" `Quick test_apsp_path ]);
       ( "reweight (Lemma 3.2)",

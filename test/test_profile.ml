@@ -168,7 +168,9 @@ let test_engine_phase_spans () =
     }
   in
   let sink, drain = E.collector () in
-  let states, trace = Congest.Engine.run ~sink ~phase_spans:true g relay in
+  let states, trace =
+    Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~sink g relay)
+  in
   let t = P.Span.of_events (drain ()) in
   let phase name =
     match P.Span.find t [ name ] with
@@ -186,7 +188,7 @@ let test_engine_phase_spans () =
   let plain_states, plain_trace = Congest.Engine.run g relay in
   checkb "states unchanged" true (states = plain_states);
   checkb "trace unchanged" true (trace = plain_trace);
-  (* Ambient opt-in reaches engines the caller cannot see, and resets. *)
+  (* The scoped switch reaches engines the caller cannot see, and resets. *)
   let sink2, drain2 = E.collector () in
   let _ = Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~sink:sink2 g relay) in
   checkb "ambient spans emitted" true

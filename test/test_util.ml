@@ -115,65 +115,6 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   checkb "permutation" true (sorted = Array.init 30 (fun i -> i))
 
-(* ----------------------------- Pqueue ----------------------------- *)
-
-let test_pqueue_basic () =
-  let q = Util.Pqueue.create ~n:10 ~compare in
-  checkb "empty" true (Util.Pqueue.is_empty q);
-  Util.Pqueue.insert q ~key:3 ~prio:30;
-  Util.Pqueue.insert q ~key:1 ~prio:10;
-  Util.Pqueue.insert q ~key:2 ~prio:20;
-  check "size" 3 (Util.Pqueue.size q);
-  checkb "mem" true (Util.Pqueue.mem q 1);
-  (match Util.Pqueue.pop_min q with
-  | Some (k, p) ->
-    check "min key" 1 k;
-    check "min prio" 10 p
-  | None -> Alcotest.fail "empty");
-  Util.Pqueue.decrease q ~key:3 ~prio:5;
-  (match Util.Pqueue.pop_min q with
-  | Some (k, _) -> check "after decrease" 3 k
-  | None -> Alcotest.fail "empty");
-  checkb "mem gone" false (Util.Pqueue.mem q 3)
-
-let test_pqueue_errors () =
-  let q = Util.Pqueue.create ~n:4 ~compare in
-  Util.Pqueue.insert q ~key:0 ~prio:1;
-  Alcotest.check_raises "dup" (Invalid_argument "Pqueue.insert: key present") (fun () ->
-      Util.Pqueue.insert q ~key:0 ~prio:2);
-  Alcotest.check_raises "absent" (Invalid_argument "Pqueue.decrease: key absent") (fun () ->
-      Util.Pqueue.decrease q ~key:3 ~prio:0);
-  Alcotest.check_raises "bigger" (Invalid_argument "Pqueue.decrease: larger priority")
-    (fun () -> Util.Pqueue.decrease q ~key:0 ~prio:99)
-
-let prop_pqueue_heapsort =
-  QCheck.Test.make ~name:"pqueue drains in sorted order" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 1000))
-    (fun prios ->
-      let q = Util.Pqueue.create ~n:(List.length prios + 1) ~compare in
-      List.iteri (fun i p -> Util.Pqueue.insert q ~key:i ~prio:p) prios;
-      let rec drain acc =
-        match Util.Pqueue.pop_min q with None -> List.rev acc | Some (_, p) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare prios)
-
-let prop_pqueue_insert_or_decrease =
-  QCheck.Test.make ~name:"insert_or_decrease keeps minimum" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 9) (int_range 0 1000)))
-    (fun ops ->
-      let q = Util.Pqueue.create ~n:10 ~compare in
-      let best = Hashtbl.create 10 in
-      List.iter
-        (fun (k, p) ->
-          Util.Pqueue.insert_or_decrease q ~key:k ~prio:p;
-          match Hashtbl.find_opt best k with
-          | Some b when b <= p -> ()
-          | _ -> Hashtbl.replace best k p)
-        ops;
-      Hashtbl.fold
-        (fun k p acc -> acc && Util.Pqueue.priority q k = Some p)
-        best true)
-
 (* --------------------- Int_heap / Int_pq --------------------------- *)
 
 let test_int_heap_basic () =
@@ -183,15 +124,12 @@ let test_int_heap_basic () =
   List.iter (Util.Int_heap.push h) [ 5; 1; 4; 1; 3 ];
   check "size" 5 (Util.Int_heap.size h);
   Alcotest.(check (option int)) "peek" (Some 1) (Util.Int_heap.peek h);
-  check "peek_exn" 1 (Util.Int_heap.peek_exn h);
   let rec drain acc =
     match Util.Int_heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
   in
   (* Duplicates survive: the calendar relies on lazy deletion. *)
   Alcotest.(check (list int)) "sorted with dups" [ 1; 1; 3; 4; 5 ] (drain []);
-  Util.Int_heap.push h 9;
-  Util.Int_heap.clear h;
-  checkb "cleared" true (Util.Int_heap.is_empty h);
+  checkb "drained" true (Util.Int_heap.is_empty h);
   Alcotest.check_raises "sort past the end"
     (Invalid_argument "Int_heap.sort: prefix out of range") (fun () ->
       Util.Int_heap.sort [| 1 |] 2)
@@ -251,7 +189,7 @@ let test_int_pq_basic () =
     check "min key" 1 k;
     check "min prio" 10 p
   | None -> Alcotest.fail "empty");
-  Util.Int_pq.decrease q ~key:3 ~prio:5;
+  Util.Int_pq.insert_or_decrease q ~key:3 ~prio:5;
   (match Util.Int_pq.pop_min q with
   | Some (k, _) -> check "after decrease" 3 k
   | None -> Alcotest.fail "empty");
@@ -261,34 +199,35 @@ let test_int_pq_errors () =
   let q = Util.Int_pq.create ~n:4 in
   Util.Int_pq.insert q ~key:0 ~prio:1;
   Alcotest.check_raises "dup" (Invalid_argument "Int_pq.insert: key present") (fun () ->
-      Util.Int_pq.insert q ~key:0 ~prio:2);
-  Alcotest.check_raises "absent" (Invalid_argument "Int_pq.decrease: key absent") (fun () ->
-      Util.Int_pq.decrease q ~key:3 ~prio:0);
-  Alcotest.check_raises "bigger" (Invalid_argument "Int_pq.decrease: larger priority")
-    (fun () -> Util.Int_pq.decrease q ~key:0 ~prio:99)
+      Util.Int_pq.insert q ~key:0 ~prio:2)
 
-let prop_int_pq_matches_pqueue =
-  (* The int-specialized heap is a drop-in for the closure-compare one:
-     identical pop_min sequence under the same insert_or_decrease
-     stream. *)
-  QCheck.Test.make ~name:"Int_pq = Pqueue on random workloads" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 60) (pair (int_range 0 9) (int_range 0 1000)))
-    (fun ops ->
-      let qi = Util.Int_pq.create ~n:10 in
-      let qp = Util.Pqueue.create ~n:10 ~compare in
-      let step acc (k, p) =
-        Util.Int_pq.insert_or_decrease qi ~key:k ~prio:p;
-        Util.Pqueue.insert_or_decrease qp ~key:k ~prio:p;
-        acc && Util.Int_pq.priority qi k = Util.Pqueue.priority qp k
-      in
-      let ok = List.fold_left step true ops in
+let prop_pqueue_heapsort =
+  QCheck.Test.make ~name:"pqueue drains in sorted order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 1000))
+    (fun prios ->
+      let q = Util.Int_pq.create ~n:(List.length prios + 1) in
+      List.iteri (fun i p -> Util.Int_pq.insert q ~key:i ~prio:p) prios;
       let rec drain acc =
-        match (Util.Int_pq.pop_min qi, Util.Pqueue.pop_min qp) with
-        | None, None -> acc
-        | Some (_, pi), Some (_, pp) -> drain (acc && pi = pp)
-        | _ -> false
+        match Util.Int_pq.pop_min q with None -> List.rev acc | Some (_, p) -> drain (p :: acc)
       in
-      ok && drain true)
+      drain [] = List.sort compare prios)
+
+let prop_pqueue_insert_or_decrease =
+  QCheck.Test.make ~name:"insert_or_decrease keeps minimum" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 9) (int_range 0 1000)))
+    (fun ops ->
+      let q = Util.Int_pq.create ~n:10 in
+      let best = Hashtbl.create 10 in
+      List.iter
+        (fun (k, p) ->
+          Util.Int_pq.insert_or_decrease q ~key:k ~prio:p;
+          match Hashtbl.find_opt best k with
+          | Some b when b <= p -> ()
+          | _ -> Hashtbl.replace best k p)
+        ops;
+      Hashtbl.fold
+        (fun k p acc -> acc && Util.Int_pq.priority q k = Some p)
+        best true)
 
 (* --------------------------- Domain_pool --------------------------- *)
 
@@ -477,7 +416,7 @@ let test_table_cells () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_ilog2; prop_isqrt; prop_pqueue_heapsort; prop_pqueue_insert_or_decrease;
-      prop_int_heap_heapsort; prop_int_heap_sort_prefix; prop_int_pq_matches_pqueue; prop_domain_pool_matches_serial;
+      prop_int_heap_heapsort; prop_int_heap_sort_prefix; prop_domain_pool_matches_serial;
       prop_minimax_monotone_in_degree ]
 
 let () =
@@ -499,11 +438,6 @@ let () =
           Alcotest.test_case "subset bernoulli stats" `Quick test_subset_bernoulli_stats;
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
-        ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "basic" `Quick test_pqueue_basic;
-          Alcotest.test_case "errors" `Quick test_pqueue_errors;
         ] );
       ( "int_heap",
         [ Alcotest.test_case "basic" `Quick test_int_heap_basic ] );
