@@ -82,12 +82,9 @@ let search_strategies () =
     Dqo.Optimize.budget_for ~rho:(1.0 /. float_of_int n) ~delta:0.1 ~c:3.0
   in
   let naive_rounds = (2 * iters * sssp_rounds) + (iters * sssp_rounds / 2) in
-  (* (c) The paper's nested two-level search (measured). *)
-  let config =
-    { Core.Algorithm.default_config with
-      Core.Algorithm.mode = Core.Algorithm.Centralized_calibrated }
-  in
-  let nested = Core.Algorithm.run ~config g Core.Algorithm.Diameter ~rng:(Bench_common.rng 10) in
+  (* (c) The paper's nested two-level search (measured, with the same
+     accounting as every other Theorem 1.1 run). *)
+  let nested = Core.Algorithm.run g Core.Algorithm.Diameter ~rng:(Bench_common.rng 10) in
   let t =
     Util.Table.create
       ~headers:[ "strategy"; "evaluations/iterations"; "rounds"; "paper's prediction" ]

@@ -76,15 +76,9 @@ let test_thm11 =
       ~weighting:(Graphlib.Gen.Uniform { max_w = 8 })
       ~rng:(Util.Rng.create ~seed:5)
   in
-  let config =
-    { Core.Algorithm.default_config with
-      Core.Algorithm.mode = Core.Algorithm.Centralized_calibrated }
-  in
   Test.make ~name:"thm1.1:quantum-diameter(n=20)"
     (Staged.stage (fun () ->
-         ignore
-           (Core.Algorithm.run ~config g Core.Algorithm.Diameter
-              ~rng:(Util.Rng.create ~seed:6))))
+         ignore (Core.Algorithm.run g Core.Algorithm.Diameter ~rng:(Util.Rng.create ~seed:6))))
 
 let test_thm12 =
   Test.make ~name:"thm1.2:lower-bound-chain(h=8)"

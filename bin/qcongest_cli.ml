@@ -531,6 +531,8 @@ let resolve_store_path (spec : Harness.Spec.t) override =
   | None ->
     Filename.concat (Telemetry.Export.artifacts_dir ()) (spec.Harness.Spec.name ^ ".jsonl")
 
+let deadline_usage = "--deadline must be a non-negative finite number of seconds"
+
 let sweep_error msg =
   Printf.eprintf "qcongest sweep: %s\n" msg;
   2
@@ -593,6 +595,8 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
     progress =
   set_jobs jobs;
   if retries < 1 then sweep_error "--retries must be >= 1"
+  else if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline) then
+    sweep_error deadline_usage
   else
     match load_spec spec_file builtin with
     | Error m -> sweep_error m
@@ -787,7 +791,8 @@ let sweep_cmd =
           ~doc:
             "Wall-clock budget per job attempt, checked cooperatively at round granularity; \
              a job over budget is checkpointed as a $(b,status:\"timeout\") row and the \
-             sweep continues.")
+             sweep continues. A budget that is not a finite number >= 0 is a usage error \
+             (exit 2).")
   in
   let retries_arg =
     Arg.(
@@ -1027,15 +1032,21 @@ let check_sweep spec_file builtin store_override =
     else with_store spec (Some path) (audit_sweep_store spec)
 
 let check_chaos seed deadline negative_control artifacts =
-  let report = Check.Suite.chaos ~seed ~deadline_s:deadline ~negative_control () in
-  List.iter
-    (Format.printf "%a@." Check.Report.pp_certificate)
-    report.Check.Report.certificates;
-  let name = if negative_control then "chaos.negative.json" else "chaos.report.json" in
-  Printf.printf "wrote %s\n"
-    (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
-  Printf.printf "check: %s\n" (Check.Report.status_name (Check.Report.status report));
-  Check.Report.exit_code report
+  if not (Congest.Engine.valid_deadline deadline) then begin
+    Printf.eprintf "qcongest check: %s\n" deadline_usage;
+    2
+  end
+  else begin
+    let report = Check.Suite.chaos ~seed ~deadline_s:deadline ~negative_control () in
+    List.iter
+      (Format.printf "%a@." Check.Report.pp_certificate)
+      report.Check.Report.certificates;
+    let name = if negative_control then "chaos.negative.json" else "chaos.report.json" in
+    Printf.printf "wrote %s\n"
+      (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
+    Printf.printf "check: %s\n" (Check.Report.status_name (Check.Report.status report));
+    Check.Report.exit_code report
+  end
 
 let check_cmd =
   let only_arg =
@@ -1137,7 +1148,9 @@ let check_cmd =
     Arg.(
       value & opt float 0.05
       & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget given to the planted never-terminating jobs.")
+          ~doc:
+            "Wall-clock budget given to the planted never-terminating jobs. A budget that \
+             is not a finite number >= 0 is a usage error (exit 2).")
   in
   let chaos_negative_arg =
     Arg.(

@@ -57,8 +57,8 @@ let () =
   let values = Array.init 300 (fun i -> (i * 7919) mod 10007) in
   let truth = Array.fold_left max 0 values in
   let report =
-    Dqo.Optimize.maximize ~rng ~weights:(Array.make 300 1.0) ~values ~compare
-      ~rho:(1.0 /. 300.0) ~delta:0.1
+    Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights:(Array.make 300 1.0)
+      ~values ~compare ~rho:(1.0 /. 300.0) ~delta:0.1
       ~cost:{ Dqo.Cost.setup_rounds = 120; eval_rounds = 40 }
       ()
   in
@@ -67,9 +67,8 @@ let () =
   Printf.printf "   %s\n"
     (Format.asprintf "%a" Dqo.Cost.pp report.Dqo.Optimize.ledger);
   let exhaustive =
-    Dqo.Optimize.exhaustive ~values ~compare
+    Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Maximize ~values ~compare
       ~cost:{ Dqo.Cost.setup_rounds = 120; eval_rounds = 40 }
-      ()
   in
   Printf.printf "   classical exhaustive would cost %d rounds (every element evaluated)\n"
     (Dqo.Cost.total_rounds exhaustive.Dqo.Optimize.ledger);

@@ -10,9 +10,7 @@ type result = {
   t_eval_bound : int;
 }
 
-type objective = Max | Min
-
-let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
+let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~direction () =
   let topo = Graphlib.Wgraph.with_unit_weights g in
   let n = Graphlib.Wgraph.n topo in
   if n < 2 then invalid_arg "Legall_magniez: need n >= 2";
@@ -23,8 +21,11 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
   let group_members gi = List.init (min x (n - (gi * x))) (fun j -> (gi * x) + j) in
   (* Centralized group values for the amplification masses. *)
   let ecc = Array.init n (fun src -> Graphlib.Bfs.eccentricity topo ~src) in
-  let opt a b = match objective with Max -> max a b | Min -> min a b in
-  let worst = match objective with Max -> 0 | Min -> Graphlib.Dist.inf in
+  let opt, worst =
+    match (direction : Dqo.Optimize.direction) with
+    | Maximize -> (max, 0)
+    | Minimize -> (min, Graphlib.Dist.inf)
+  in
   let group_value gi =
     List.fold_left (fun acc v -> opt acc ecc.(v)) worst (group_members gi)
   in
@@ -37,9 +38,8 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
      with one convergecast. *)
   let triple =
     Dqo.Framework.make
-      ~name:(match objective with Max -> "lm-diameter" | Min -> "lm-radius")
-      ~direction:(match objective with Max -> Dqo.Optimize.Maximize | Min -> Dqo.Optimize.Minimize)
-      ~compare
+      ~name:(match direction with Maximize -> "lm-diameter" | Minimize -> "lm-radius")
+      ~direction ~compare
       ~setup:(fun () ->
         {
           Dqo.Framework.weights = Array.make groups 1.0;
@@ -76,5 +76,5 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
     t_eval_bound = outcome.Dqo.Framework.t_eval_bound;
   }
 
-let diameter g ~rng ?delta ?c () = run g ~rng ?delta ?c ~objective:Max ()
-let radius g ~rng ?delta ?c () = run g ~rng ?delta ?c ~objective:Min ()
+let diameter g ~rng ?delta ?c () = run g ~rng ?delta ?c ~direction:Dqo.Optimize.Maximize ()
+let radius g ~rng ?delta ?c () = run g ~rng ?delta ?c ~direction:Dqo.Optimize.Minimize ()

@@ -1,5 +1,3 @@
-type objective = Max | Min
-
 type group_eval = {
   ecc : (int * int) list;  (* (node, measured eccentricity) for the group *)
   rounds : int;
@@ -20,7 +18,7 @@ type result = {
   ecc_ok : bool;
 }
 
-let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
+let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~direction () =
   let topo = Graphlib.Wgraph.with_unit_weights g in
   let n = Graphlib.Wgraph.n topo in
   if n < 2 then invalid_arg "Wwy_ecc: need n >= 2";
@@ -33,8 +31,11 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
   (* Centralized model eccentricities driving the amplification
      masses; the measured Evaluations below must reproduce them. *)
   let model_ecc = Array.init n (fun src -> Graphlib.Bfs.eccentricity topo ~src) in
-  let opt a b = match objective with Max -> max a b | Min -> min a b in
-  let worst = match objective with Max -> 0 | Min -> Graphlib.Dist.inf in
+  let opt, worst =
+    match (direction : Dqo.Optimize.direction) with
+    | Maximize -> (max, 0)
+    | Minimize -> (min, Graphlib.Dist.inf)
+  in
   let group_value gi =
     List.fold_left (fun acc v -> opt acc model_ecc.(v)) worst (group_members gi)
   in
@@ -76,9 +77,8 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
   in
   let triple =
     Dqo.Framework.make
-      ~name:(match objective with Max -> "wwy-ecc-max" | Min -> "wwy-ecc-min")
-      ~direction:(match objective with Max -> Dqo.Optimize.Maximize | Min -> Dqo.Optimize.Minimize)
-      ~compare
+      ~name:(match direction with Maximize -> "wwy-ecc-max" | Minimize -> "wwy-ecc-min")
+      ~direction ~compare
       ~setup:(fun () ->
         {
           Dqo.Framework.weights = Array.make groups 1.0;
@@ -113,5 +113,8 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~objective () =
     ecc_ok;
   }
 
-let max_eccentricity g ~rng ?delta ?c () = run g ~rng ?delta ?c ~objective:Max ()
-let min_eccentricity g ~rng ?delta ?c () = run g ~rng ?delta ?c ~objective:Min ()
+let max_eccentricity g ~rng ?delta ?c () =
+  run g ~rng ?delta ?c ~direction:Dqo.Optimize.Maximize ()
+
+let min_eccentricity g ~rng ?delta ?c () =
+  run g ~rng ?delta ?c ~direction:Dqo.Optimize.Minimize ()

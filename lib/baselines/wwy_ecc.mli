@@ -10,9 +10,8 @@
     ([O(√(n/x))] Evaluations) locates the group holding the extremal
     eccentricity; the per-node eccentricities of every group the
     search measured come out as a by-product ([ecc_known]). Running the
-    [Max] and [Min] searches brackets the diameter and the radius. *)
-
-type objective = Max | Min
+    [Maximize] and [Minimize] searches brackets the diameter and the
+    radius. *)
 
 type group_eval = {
   ecc : (int * int) list;
@@ -45,15 +44,18 @@ val run :
   rng:Util.Rng.t ->
   ?delta:float ->
   ?c:float ->
-  objective:objective ->
+  direction:Dqo.Optimize.direction ->
   unit ->
   result
-(** Operates on the topology (weights ignored). *)
+(** Search for the [direction]-extremal eccentricity. Operates on the
+    topology (weights ignored). *)
 
 val max_eccentricity :
   Graphlib.Wgraph.t -> rng:Util.Rng.t -> ?delta:float -> ?c:float -> unit -> result
-(** [objective = Max]: the extremal value is the unweighted diameter. *)
+(** [direction = Maximize]: the extremal value is the unweighted
+    diameter. *)
 
 val min_eccentricity :
   Graphlib.Wgraph.t -> rng:Util.Rng.t -> ?delta:float -> ?c:float -> unit -> result
-(** [objective = Min]: the extremal value is the unweighted radius. *)
+(** [direction = Minimize]: the extremal value is the unweighted
+    radius. *)

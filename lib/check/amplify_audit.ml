@@ -91,8 +91,8 @@ let certify ?(trials = 400) ?(cells = default_cells) ?(sabotage = false) ~seed (
     let hits = ref 0 in
     for _ = 1 to search_trials do
       let r =
-        Dqo.Optimize.maximize ~rng ~weights ~values ~compare:Int.compare
-          ~rho:(1.0 /. float_of_int n) ~delta
+        Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights ~values
+          ~compare:Int.compare ~rho:(1.0 /. float_of_int n) ~delta
           ~cost:{ Dqo.Cost.setup_rounds = 0; eval_rounds = 0 }
           ()
       in

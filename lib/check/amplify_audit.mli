@@ -9,9 +9,9 @@
     - per [(ρ, iterations)] cell, the empirical frequency of a marked
       outcome over seeded trials must sit within a binomial
       [z]-interval of [sin²((2j+1)·asin √ρ)];
-    - the end-to-end Dürr–Høyer search ([Dqo.Optimize.maximize] under
-      the Lemma 3.1 budget) must find a true maximum with frequency at
-      least [1 − δ] (minus binomial slack).
+    - the end-to-end Dürr–Høyer search ([Dqo.Optimize.search
+      ~direction:Maximize] under the Lemma 3.1 budget) must find a true
+      maximum with frequency at least [1 − δ] (minus binomial slack).
 
     Violation codes: [frequency] and [search-success]. Zero trials (or
     too few for the interval to mean anything, [< 30]) make the

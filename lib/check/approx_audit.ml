@@ -67,8 +67,8 @@ let thm11_result ?(tamper = 1.0) g (r : Core.Algorithm.result) =
     ~name:("thm11-" ^ objective_name r.Core.Algorithm.objective)
     ~claim:thm11_claim ~checked:!checked ~notes (List.rev !violations)
 
-let thm11 ?config ?tamper g objective ~rng =
-  let r = Core.Algorithm.run ?config g objective ~rng in
+let thm11 ?tamper g objective ~rng =
+  let r = Core.Algorithm.run g objective ~rng in
   thm11_result ?tamper g r
 
 let three_halves_claim =

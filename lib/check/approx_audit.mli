@@ -19,7 +19,6 @@
     of [f(i)] disagreed). *)
 
 val thm11 :
-  ?config:Core.Algorithm.config ->
   ?tamper:float ->
   Graphlib.Wgraph.t ->
   Core.Algorithm.objective ->

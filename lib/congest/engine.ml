@@ -100,7 +100,15 @@ exception Deadline_exceeded of deadline_info
 let ambient_deadline : (float * Telemetry.Clock.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+let valid_deadline seconds = Float.is_finite seconds && seconds >= 0.0
+
+(* The one budget check of [run ?deadline] and [with_deadline]. *)
+let check_deadline ~fn seconds =
+  if not (valid_deadline seconds) then
+    invalid_arg (fn ^ ": deadline must be a non-negative finite number of seconds")
+
 let with_deadline ?(clock = Telemetry.Clock.wall) ~seconds f =
+  check_deadline ~fn:"Engine.with_deadline" seconds;
   let at = Telemetry.Clock.now clock +. seconds in
   let prev = Domain.DLS.get ambient_deadline in
   (* Nested budgets only ever shrink; comparing instants assumes nested
@@ -511,8 +519,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     in
     match deadline with
     | Some budget ->
-      if not (Float.is_finite budget) || budget < 0.0 then
-        invalid_arg "Engine.run: deadline must be a non-negative finite number of seconds";
+      check_deadline ~fn:"Engine.run" budget;
       let start = Telemetry.Clock.now clock in
       make ~clk:clock ~start ~limit:(start +. budget) ~budget
     | None -> (

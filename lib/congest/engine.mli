@@ -108,6 +108,12 @@ type deadline_info = {
 
 exception Deadline_exceeded of deadline_info
 
+val valid_deadline : float -> bool
+(** [true] for a budget {!run} and {!with_deadline} accept: a finite
+    number of seconds [>= 0] ([0] is valid and cuts a run at its first
+    over-budget round). Callers that take a budget from the user check
+    it here before any work starts. *)
+
 val with_deadline : ?clock:Telemetry.Clock.t -> seconds:float -> (unit -> 'a) -> 'a
 (** [with_deadline ~seconds f] runs [f] with an ambient wall-clock
     budget: every {!run} started by [f] on this domain (without its own
@@ -116,7 +122,8 @@ val with_deadline : ?clock:Telemetry.Clock.t -> seconds:float -> (unit -> 'a) ->
     is domain-local, so [Util.Domain_pool] workers supervise their jobs
     independently; nested scopes only ever shrink the budget (nesting
     assumes both scopes use the same clock). The previous ambient state
-    is restored when [f] returns or raises. *)
+    is restored when [f] returns or raises. Raises [Invalid_argument]
+    before running [f] unless [valid_deadline seconds]. *)
 
 val with_phase_spans : (unit -> 'a) -> 'a
 (** [with_phase_spans f] runs [f] with phase-span emission enabled:

@@ -1,25 +1,15 @@
 type objective = Diameter | Radius
 
-type oracle_mode = Distributed_touched | Fully_distributed | Centralized_calibrated
-
 type config = {
   eps_override : float option;
   num_sets : int option;
   delta : float;
   c : float;
-  mode : oracle_mode;
   leader : int;
 }
 
 let default_config =
-  {
-    eps_override = Some 0.5;
-    num_sets = None;
-    delta = 0.1;
-    c = 3.0;
-    mode = Distributed_touched;
-    leader = 0;
-  }
+  { eps_override = Some 0.5; num_sets = None; delta = 0.1; c = 3.0; leader = 0 }
 
 type result = {
   objective : objective;
@@ -44,21 +34,20 @@ type result = {
   best_source : int option;
 }
 
-let inner_objective = function Diameter -> Inner.Maximize | Radius -> Inner.Minimize
+(* One sense for both searches: the outer search over sets and each
+   inner search over a set's sources. *)
+let direction_of = function Diameter -> Dqo.Optimize.Maximize | Radius -> Dqo.Optimize.Minimize
 
-let ground_truth g = function
-  | Diameter -> Graphlib.Apsp.weighted_diameter g
-  | Radius -> Graphlib.Apsp.weighted_radius g
+(* The first node of maximum (diameter) or minimum (radius)
+   eccentricity: the extremal node v* of the Good-Scale event. *)
+let extremal_node objective ecc =
+  let better e b = match objective with Diameter -> e > b | Radius -> e < b in
+  let best = ref 0 in
+  Array.iteri (fun i e -> if better e ecc.(!best) then best := i) ecc;
+  !best
 
-let extremal_node g = function
-  | Diameter ->
-    let ecc = Graphlib.Apsp.eccentricities g in
-    let best = ref 0 in
-    Array.iteri (fun i e -> if e > ecc.(!best) then best := i) ecc;
-    !best
-  | Radius -> Graphlib.Apsp.center g
-
-let run ?(config = default_config) g objective ~rng =
+let run g objective ~rng =
+  let config = default_config in
   let n = Graphlib.Wgraph.n g in
   if n < 2 then invalid_arg "Algorithm.run: need n >= 2";
   if not (Graphlib.Wgraph.is_connected g) then invalid_arg "Algorithm.run: disconnected graph";
@@ -88,58 +77,35 @@ let run ?(config = default_config) g objective ~rng =
       rng = Util.Rng.split rng;
     }
   in
-  let exact = Graphlib.Dist.to_int_exn (ground_truth g objective) in
+  (* Ground truth and the Good-Scale extremal node from one APSP. *)
+  let ecc = Graphlib.Apsp.eccentricities g in
+  let vstar = extremal_node objective ecc in
+  let exact = Graphlib.Dist.to_int_exn ecc.(vstar) in
   let d_unweighted = Graphlib.Bfs.diameter (Graphlib.Wgraph.with_unit_weights g) in
-  let rw = Params.reweight_params params in
-  let inner_obj = inner_objective objective in
+  let direction = direction_of objective in
   let m = Array.length sets.Sets.sets in
-  (* Values f(i) for the amplification masses. *)
-  let discrepancy = ref 0.0 in
-  (* Each set's objective-independent pipeline (Initialization +
-     per-source values) runs once, although the Fully_distributed
-     Setup, the touched-set Evaluations and the best-source read-back
-     can each ask for the same set. *)
-  let prepared_sets = Hashtbl.create 16 in
-  let prepared i =
-    match Hashtbl.find_opt prepared_sets i with
-    | Some p -> p
-    | None ->
-      let p = Inner.prepare ~ctx ~s:sets.Sets.sets.(i) in
-      Hashtbl.replace prepared_sets i p;
-      p
-  in
-  let eval_dist i =
-    match prepared i with
-    | None -> None
-    | Some prep ->
-      Some
-        (Inner.search prep ~objective:inner_obj ~delta:(config.delta /. 2.0) ~c:config.c
-           ~rng:ctx.Nanongkai.Approx.rng)
+  (* Values f(i) for the amplification masses, from the centralized
+     reference. One partial application: all m sets share its d̃^ℓ
+     table. *)
+  let values =
+    let eval =
+      Inner.eval_centralized g ~params:ctx.Nanongkai.Approx.params ~k:ctx.Nanongkai.Approx.k
+    in
+    Array.map
+      (fun s ->
+        match eval ~objective:direction ~s with
+        | Some v -> v
+        | None -> Inner.worst_value direction)
+      sets.Sets.sets
   in
   (* The Theorem 1.1 outer search as a (Setup, Evaluation, predicate)
      triple. Setup: sample-set superposition with the Good-Scale
      promise mass ρ = Θ(r/n) and the per-call index broadcast.
      Evaluation: the real Initialization + inner-search pipeline for
-     one sampled set. Predicate: maximize (diameter) or minimize
-     (radius) the approximate extremal eccentricity. *)
-  let model_values = ref [||] in
+     one sampled set, run on every set the search measures (an empty
+     set has nothing to evaluate). Predicate: maximize (diameter) or
+     minimize (radius) the approximate extremal eccentricity. *)
   let setup () =
-    let values =
-      match config.mode with
-      | Fully_distributed ->
-        Array.init m (fun i ->
-            match eval_dist i with
-            | Some e -> e.Inner.value
-            | None -> Inner.worst_value inner_obj)
-      | Distributed_touched | Centralized_calibrated ->
-        (* One partial application: all m sets share its d̃^ℓ table. *)
-        let eval = Inner.eval_centralized g ~params:rw ~k:params.Params.k in
-        Array.init m (fun i ->
-            match eval ~objective:inner_obj ~s:sets.Sets.sets.(i) with
-            | Some v -> v
-            | None -> Inner.worst_value inner_obj)
-    in
-    model_values := values;
     {
       Dqo.Framework.weights = Array.make m 1.0;
       values;
@@ -155,30 +121,19 @@ let run ?(config = default_config) g objective ~rng =
     in
     trace.Congest.Engine.rounds
   in
-  let calibrate touched =
-    match config.mode with
-    | Fully_distributed | Distributed_touched ->
-      List.filter (fun i -> sets.Sets.sets.(i) <> []) touched
-    | Centralized_calibrated -> (
-      match List.filter (fun i -> sets.Sets.sets.(i) <> []) touched with
-      | [] -> []
-      | i :: _ -> [ i ])
-  in
   let evaluate i =
-    match eval_dist i with
-    | Some e ->
-      discrepancy := Float.max !discrepancy (Float.abs (e.Inner.value -. !model_values.(i)));
-      Some e
-    | None -> None
+    Option.map
+      (fun prep ->
+        Inner.search prep ~objective:direction ~delta:(config.delta /. 2.0) ~c:config.c
+          ~rng:ctx.Nanongkai.Approx.rng)
+      (Inner.prepare ~ctx ~s:sets.Sets.sets.(i))
   in
   let triple =
     Dqo.Framework.make
       ~name:("thm11-" ^ match objective with Diameter -> "diameter" | Radius -> "radius")
-      ~direction:
-        (match objective with Diameter -> Dqo.Optimize.Maximize | Radius -> Dqo.Optimize.Minimize)
-      ~compare ~setup ~evaluate
+      ~direction ~compare ~setup ~evaluate
       ~eval_rounds:(fun (e : Inner.eval) -> e.Inner.total_rounds)
-      ~setup_cost:broadcast_rounds ~calibrate ~finalize:broadcast_rounds ()
+      ~setup_cost:broadcast_rounds ~finalize:broadcast_rounds ()
   in
   let outcome = Dqo.Framework.run ~rng ~delta:(config.delta /. 2.0) ~c:config.c triple in
   let t_setup_outer = outcome.Dqo.Framework.t_setup in
@@ -201,18 +156,23 @@ let run ?(config = default_config) g objective ~rng =
     ]
   in
   let estimate = outcome.Dqo.Framework.best_value in
-  let vstar = extremal_node g objective in
   let scale = Sets.check_good_scale sets ~vstar in
   let within_guarantee =
     let ex = float_of_int exact in
     let ub = ((1.0 +. params.Params.eps) ** 2.0) *. ex in
     estimate >= ex -. 1e-6 && estimate <= ub +. 1e-6
   in
+  (* Max |centralized − distributed| over the measured sets. *)
+  let discrepancy =
+    List.fold_left
+      (fun acc (i, (e : Inner.eval)) ->
+        Float.max acc (Float.abs (e.Inner.value -. values.(i))))
+      0.0 outcome.Dqo.Framework.evals
+  in
   let best_source =
-    match eval_dist outcome.Dqo.Framework.best_idx with
-    | Some e -> Some e.Inner.best_s
-    | None -> None
-    | exception _ -> None
+    Option.map
+      (fun (e : Inner.eval) -> e.Inner.best_s)
+      (List.assoc_opt outcome.Dqo.Framework.best_idx outcome.Dqo.Framework.evals)
   in
   {
     objective;
@@ -232,7 +192,7 @@ let run ?(config = default_config) g objective ~rng =
     touched_sets = outcome.Dqo.Framework.touched;
     good_scale = scale.Sets.ok;
     congestion_ok;
-    value_discrepancy = !discrepancy;
+    value_discrepancy = discrepancy;
     best_set = outcome.Dqo.Framework.best_idx;
     best_source;
   }

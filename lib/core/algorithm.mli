@@ -11,40 +11,30 @@
     [O(√(n/r))] evaluations — giving
     [Õ(√(n/r)·(D + T₀ + √r(T₁+T₂))) = Õ(min{n^{9/10}D^{3/10}, n})].
 
-    Simulation fidelity (see DESIGN.md): the values [f(i)] used to
-    compute exact amplification masses come from the centralized
-    reference (proven equal to the distributed pipeline); every
-    candidate the search actually measures is re-run through the real
-    message-passing pipeline, and the charged per-evaluation cost is
-    the worst measured one ([Fully_distributed] mode instead runs the
-    pipeline for every [i]). *)
+    Simulation fidelity (DESIGN.md, key decision 5): the values [f(i)]
+    that set the exact amplification masses come from the centralized
+    reference {!Inner.eval_centralized}, which equals the distributed
+    pipeline on every set; every set the outer search measures is run
+    through the real message-passing pipeline ({!Inner.prepare} then
+    {!Inner.search}), and the charged per-evaluation cost is the worst
+    measured one. *)
 
 type objective = Diameter | Radius
-
-type oracle_mode =
-  | Distributed_touched
-      (** Centralized values for masses; real pipeline runs (and
-          measured costs) for every candidate the search measures. *)
-  | Fully_distributed
-      (** Real pipeline for every set — small instances only. *)
-  | Centralized_calibrated
-      (** Centralized values; costs calibrated from one pipeline run.
-          For large parameter sweeps. *)
 
 type config = {
   eps_override : float option;
   num_sets : int option;
   delta : float;  (** Overall failure budget for the searches. *)
   c : float;  (** Lemma 3.1 budget constant. *)
-  mode : oracle_mode;
   leader : int;
 }
 
 val default_config : config
-(** [eps_override = Some 0.5] (asymptotic [1/log n] is impractical at
-    simulable sizes and only affects constants), [num_sets = None]
-    (paper's [m = n]), [delta = 0.1], [c = 3.0],
-    [mode = Distributed_touched], [leader = 0]. *)
+(** The constants {!run} uses: [eps_override = Some 0.5] (asymptotic
+    [1/log n] is impractical at simulable sizes and only affects
+    constants), [num_sets = None] (paper's [m = n]), [delta = 0.1]
+    (the outer search and each inner one get [delta/2]), [c = 3.0],
+    [leader = 0] (the root of the BFS tree). *)
 
 type result = {
   objective : objective;
@@ -68,10 +58,12 @@ type result = {
       (** Max |centralized − distributed| over cross-checked sets. *)
   best_set : int;
   best_source : int option;
+      (** The source realizing [f(best_set)] in that set's measured
+          Evaluation; [None] if the set is empty. *)
 }
 
-val run :
-  ?config:config -> Graphlib.Wgraph.t -> objective -> rng:Util.Rng.t -> result
-(** Requires a connected graph with at least 2 nodes. *)
+val run : Graphlib.Wgraph.t -> objective -> rng:Util.Rng.t -> result
+(** Runs with {!default_config}. Requires a connected graph with at
+    least 2 nodes. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1,4 +1,4 @@
-type objective = Maximize | Minimize
+type objective = Dqo.Optimize.direction = Maximize | Minimize
 
 type eval = {
   value : float;
@@ -59,13 +59,8 @@ let search prep ~objective ~delta ~c ~rng =
   let weights = Array.make b 1.0 in
   let rho = 1.0 /. float_of_int b in
   let report =
-    match objective with
-    | Maximize ->
-      Dqo.Optimize.maximize ~rng ~weights ~values:prep.source_values ~compare ~rho ~delta ~c
-        ~cost ()
-    | Minimize ->
-      Dqo.Optimize.minimize ~rng ~weights ~values:prep.source_values ~compare ~rho ~delta ~c
-        ~cost ()
+    Dqo.Optimize.search ~direction:objective ~rng ~weights ~values:prep.source_values ~compare
+      ~rho ~delta ~c ~cost ()
   in
   let ledger = report.Dqo.Optimize.ledger in
   {
@@ -80,11 +75,6 @@ let search prep ~objective ~delta ~c ~rng =
     inner_measurements = ledger.Dqo.Cost.measurements;
     congestion_ok = prep.congestion_ok;
   }
-
-let eval_distributed ~ctx ~objective ~s ~delta ~c =
-  match prepare ~ctx ~s with
-  | None -> None
-  | Some prep -> Some (search prep ~objective ~delta ~c ~rng:ctx.Nanongkai.Approx.rng)
 
 (* The table is made by the partial application [eval_centralized g
    ~params ~k], so every set priced through one such closure shares it. *)

@@ -9,15 +9,18 @@
 
     [prepare] is the objective-independent half (everything up to and
     including the per-source values); [search] is the per-objective
-    quantum search on a prepared set; [eval_distributed] composes the
-    two.
+    quantum search on a prepared set. [Core.Algorithm] prepares each
+    set once and searches it for the objective it needs.
 
     The centralized evaluator computes the same value through
-    [Graphlib.Skeleton] — the two are tested to agree — and is used by
-    the outer search to price marked-set masses without simulating all
-    [n] pipelines. *)
+    [Graphlib.Skeleton] — the two are tested to agree on every set of
+    a sampled family, in both directions — and is used by the outer
+    search to price marked-set masses without simulating all [n]
+    pipelines. *)
 
-type objective = Maximize | Minimize
+type objective = Dqo.Optimize.direction = Maximize | Minimize
+(** The optimization sense of [f(i)]: the one [Dqo.Optimize.direction]
+    type, re-exported so [Core.Inner.Maximize] names it here. *)
 
 type eval = {
   value : float;  (** [f(i)]. *)
@@ -47,18 +50,9 @@ val prepare : ctx:Nanongkai.Approx.ctx -> s:int list -> prepared option
 
 val search :
   prepared -> objective:objective -> delta:float -> c:float -> rng:Util.Rng.t -> eval
-(** The inner quantum search (Lemma 3.1) over a prepared set. *)
-
-val eval_distributed :
-  ctx:Nanongkai.Approx.ctx ->
-  objective:objective ->
-  s:int list ->
-  delta:float ->
-  c:float ->
-  eval option
-(** [prepare] + [search]. [None] when [S_i] is empty (the paper's
-    Good-Scale event excludes this; we surface it instead of
-    crashing). *)
+(** The inner quantum search (Lemma 3.1, {!Dqo.Optimize.search}) over a
+    prepared set: uniform amplitudes over its sources, promise
+    [ρ = 1/|S_i|], per-call cost [T₁ + T₂]. *)
 
 val eval_centralized :
   Graphlib.Wgraph.t ->

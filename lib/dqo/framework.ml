@@ -38,14 +38,14 @@ type ('v, 'e) outcome = {
 
 let zero_cost = { Cost.setup_rounds = 0; eval_rounds = 0 }
 
-let run ~rng ?(delta = 0.1) ?(c = 3.0) ?(growth = 1.2) a =
+let run ~rng ?(delta = 0.1) ?(c = 3.0) a =
   let s = a.setup () in
   (* The stochastic search itself charges a zero-cost ledger: only its
      iteration/measurement counts matter, the real per-call rounds are
      not known until the calibrated Evaluations below have run. *)
   let report =
     Optimize.search ~direction:a.direction ~rng ~weights:s.weights ~values:s.values
-      ~compare:a.compare ~rho:s.rho ~delta ~c ~growth ~cost:zero_cost ()
+      ~compare:a.compare ~rho:s.rho ~delta ~c ~cost:zero_cost ()
   in
   let best_idx = report.Optimize.best_idx in
   let t_setup = a.setup_cost best_idx in
@@ -85,7 +85,7 @@ let reference ?cost a =
     | Some c -> c
     | None -> { Cost.setup_rounds = a.setup_cost 0; eval_rounds = 0 }
   in
-  Optimize.exhaustive ~direction:a.direction ~values:s.values ~compare:a.compare ~cost ()
+  Optimize.exhaustive ~direction:a.direction ~values:s.values ~compare:a.compare ~cost
 
 let conserved o =
   let per = o.t_setup + o.t_eval_bound in

@@ -20,9 +20,9 @@
       amplification: [direction] fixes the sense ([{x : f(x) > best}]
       or [<]), [compare] orders values.
 
-    [run] executes the amplified search (Lemma 3.1 / Le Gall–Magniez
-    Theorem 2.4 schedule via {!Optimize}), then settles the round bill:
-    [T_init + iterations·2·(T_setup+T_eval) + measurements·(T_setup+T_eval)
+    [run] executes the amplified search ({!Optimize.search}, the Lemma
+    3.1 / Le Gall–Magniez Theorem 2.4 schedule), then settles the round
+    bill: [T_init + iterations·2·(T_setup+T_eval) + measurements·(T_setup+T_eval)
     + T_answer]. The Theorem 1.1 diameter/radius path ([Core.Algorithm]),
     the Le Gall–Magniez baseline, and the Wang–Wu–Yao eccentricities /
     APSP algorithms ([Baselines.Wwy_ecc], [Baselines.Wwy_apsp]) are all
@@ -87,23 +87,21 @@ type ('v, 'e) outcome = {
   rounds : int;  (** [Cost.total_rounds ledger + answer_rounds]. *)
 }
 
-val run :
-  rng:Util.Rng.t -> ?delta:float -> ?c:float -> ?growth:float -> ('v, 'e) t ->
-  ('v, 'e) outcome
-(** Execute the triple: Setup once, amplified search over the model
-    values (zero-cost ledger during the stochastic simulation), real
-    Evaluations for the calibrated candidates, then the ledger
-    re-charged with the measured per-call costs. With probability at
-    least [1-delta] (default 0.1) the winner matches the
-    [direction]-extremum promised by [rho]. *)
+val run : rng:Util.Rng.t -> ?delta:float -> ?c:float -> ('v, 'e) t -> ('v, 'e) outcome
+(** Execute the triple: Setup once, one {!Optimize.search} over the
+    model values (zero-cost ledger during the stochastic simulation),
+    real Evaluations for the calibrated candidates, then the ledger
+    re-charged with the measured per-call costs. [c] (default 3.0) is
+    the Lemma 3.1 budget constant. With probability at least [1-delta]
+    (default 0.1) the winner matches the [direction]-extremum promised
+    by [rho]. *)
 
 val reference : ?cost:Cost.per_call -> ('v, 'e) t -> 'v Optimize.report
 (** The classical exhaustive reference for the same triple: Setup once,
     every index evaluated ({!Optimize.exhaustive} with the algorithm's
-    own [direction] — the minimize-direction fix applies here), each
-    charged [cost] (default [{setup_rounds = setup_cost 0; eval_rounds
-    = 0}]). Runs no real Evaluations, so it never perturbs the
-    plug-in's RNG stream. *)
+    own [direction]), each charged [cost] (default [{setup_rounds =
+    setup_cost 0; eval_rounds = 0}]). Runs no real Evaluations, so it
+    never perturbs the plug-in's RNG stream. *)
 
 val conserved : ('v, 'e) outcome -> bool
 (** Ledger conservation: the charged search rounds equal

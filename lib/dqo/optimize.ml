@@ -13,12 +13,16 @@ let budget_for ~rho ~delta ~c =
   if delta <= 0.0 || delta >= 1.0 then invalid_arg "Optimize.budget_for: delta";
   int_of_float (ceil (c *. sqrt (log (exp 1.0 /. delta) /. rho)))
 
+(* The BBHT schedule's growth rate for the iteration bound [m]. *)
+let growth = 1.2
+
 let better_of ~direction ~compare =
   match direction with
   | Maximize -> fun a b -> compare a b > 0
   | Minimize -> fun a b -> compare a b < 0
 
-let optimize ~rng ~weights ~values ~rho ~delta ~c ~growth ~cost ~better =
+let search ~direction ~rng ~weights ~values ~compare ~rho ~delta ?(c = 3.0) ~cost () =
+  let better = better_of ~direction ~compare in
   let n = Array.length values in
   if Array.length weights <> n then invalid_arg "Optimize: weights/values length mismatch";
   if n = 0 then invalid_arg "Optimize: empty space";
@@ -62,20 +66,7 @@ let optimize ~rng ~weights ~values ~rho ~delta ~c ~growth ~cost ~better =
   let best, ledger = loop start ledger 1.0 0 1 in
   { best_idx = best; best_value = values.(best); ledger; touched = List.rev !touched; budget }
 
-let maximize ~rng ~weights ~values ~compare ~rho ~delta ?(c = 3.0) ?(growth = 1.2) ~cost () =
-  optimize ~rng ~weights ~values ~rho ~delta ~c ~growth ~cost
-    ~better:(better_of ~direction:Maximize ~compare)
-
-let minimize ~rng ~weights ~values ~compare ~rho ~delta ?(c = 3.0) ?(growth = 1.2) ~cost () =
-  optimize ~rng ~weights ~values ~rho ~delta ~c ~growth ~cost
-    ~better:(better_of ~direction:Minimize ~compare)
-
-let search ~direction ~rng ~weights ~values ~compare ~rho ~delta ?(c = 3.0) ?(growth = 1.2)
-    ~cost () =
-  optimize ~rng ~weights ~values ~rho ~delta ~c ~growth ~cost
-    ~better:(better_of ~direction ~compare)
-
-let exhaustive ?(direction = Maximize) ~values ~compare ~cost () =
+let exhaustive ~direction ~values ~compare ~cost =
   let n = Array.length values in
   if n = 0 then invalid_arg "Optimize.exhaustive: empty space";
   let better = better_of ~direction ~compare in
@@ -92,6 +83,3 @@ let exhaustive ?(direction = Maximize) ~values ~compare ~cost () =
     touched = List.init n (fun i -> i);
     budget = n;
   }
-
-let exhaustive_min ~values ~compare ~cost =
-  exhaustive ~direction:Minimize ~values ~compare ~cost ()

@@ -7,9 +7,10 @@
 
     The search is Dürr–Høyer-style extremum finding: keep the best
     value seen; repeatedly amplify the set [{x : f(x) better-than best}]
-    with a BBHT iteration schedule; measure, re-evaluate classically,
-    update. Once the iteration budget [⌈c·√(ln(e/δ)/ρ)⌉] is spent, the
-    best element exceeds [M] with probability at least [1-δ].
+    with a BBHT iteration schedule (growth rate 1.2); measure,
+    re-evaluate classically, update. Once the iteration budget
+    [⌈c·√(ln(e/δ)/ρ)⌉] is spent, the best element exceeds [M] with
+    probability at least [1-δ].
 
     Values are supplied as a precomputed array: the simulation needs
     them all to compute marked masses exactly. The report lists the
@@ -18,9 +19,9 @@
     pipeline on exactly those (this is what [lib/core] does). *)
 
 type direction = Maximize | Minimize
-(** The optimization sense of a search, shared by the amplified search
-    and its classical [exhaustive] reference (the [Dqo.Framework]
-    triple interface carries one of these per pluggable algorithm). *)
+(** The optimization sense of a search: the one type for it, shared by
+    {!search}, {!exhaustive}, the [Dqo.Framework] triple and
+    [Core.Inner.objective] (an alias of this type). *)
 
 type 'v report = {
   best_idx : int;
@@ -35,36 +36,6 @@ type 'v report = {
 val budget_for : rho:float -> delta:float -> c:float -> int
 (** [⌈c·√(ln(e/δ)/ρ)⌉]. *)
 
-val maximize :
-  rng:Util.Rng.t ->
-  weights:float array ->
-  values:'v array ->
-  compare:('v -> 'v -> int) ->
-  rho:float ->
-  delta:float ->
-  ?c:float ->
-  ?growth:float ->
-  cost:Cost.per_call ->
-  unit ->
-  'v report
-(** Find [x] maximizing [values.(x)] under the Lemma 3.1 promise.
-    [rho] is the promised marked mass (e.g. [Θ(r)/n] for the outer
-    search, [1/|S_i|] for the inner one); [c] (default 3.0) is the
-    budget constant; [growth] (default 1.2) the BBHT growth rate. *)
-
-val minimize :
-  rng:Util.Rng.t ->
-  weights:float array ->
-  values:'v array ->
-  compare:('v -> 'v -> int) ->
-  rho:float ->
-  delta:float ->
-  ?c:float ->
-  ?growth:float ->
-  cost:Cost.per_call ->
-  unit ->
-  'v report
-
 val search :
   direction:direction ->
   rng:Util.Rng.t ->
@@ -74,26 +45,19 @@ val search :
   rho:float ->
   delta:float ->
   ?c:float ->
-  ?growth:float ->
   cost:Cost.per_call ->
   unit ->
   'v report
-(** [maximize]/[minimize] with the sense as a value — the entry point
-    the pluggable framework uses. [search ~direction:Maximize] is
-    [maximize]; [search ~direction:Minimize] is [minimize]. *)
+(** Find [x] whose [values.(x)] is the [direction]-extremum under the
+    Lemma 3.1 promise. [rho] is the promised marked mass (e.g.
+    [Θ(r)/n] for the outer search, [1/|S_i|] for the inner one); [c]
+    (default 3.0) is the budget constant. *)
 
 val exhaustive :
-  ?direction:direction ->
+  direction:direction ->
   values:'v array ->
   compare:('v -> 'v -> int) ->
   cost:Cost.per_call ->
-  unit ->
   'v report
-(** The classical baseline: evaluate everything;
-    [N × (setup + eval)] rounds. [direction] (default [Maximize])
-    selects the sense — minimize-style callers must pass [Minimize]
-    (or use [exhaustive_min]) rather than flipping [compare]. *)
-
-val exhaustive_min :
-  values:'v array -> compare:('v -> 'v -> int) -> cost:Cost.per_call -> 'v report
-(** [exhaustive ~direction:Minimize]. *)
+(** The classical baseline: evaluate everything; [N × (setup + eval)]
+    rounds. On ties the first extremum wins in either direction. *)

@@ -302,6 +302,8 @@ let attempt_job ~retry ~sleep ~execute spec (j : Spec.job) =
 let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
     ?execute ?metrics ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
   if retry.max_attempts < 1 then invalid_arg "Runner.run: retry.max_attempts must be >= 1";
+  if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline_s) then
+    invalid_arg "Runner.run: deadline_s must be a non-negative finite number of seconds";
   let execute =
     match execute with
     | Some f -> f

@@ -91,9 +91,11 @@ val run :
     whose final attempt still fails is checkpointed to
     {!quarantine_path} instead of the main store. [deadline_s] gives
     every attempt a wall-clock budget (surfaced as [status:"timeout"]
-    rows). [sleep] (default [Unix.sleepf]) and [execute] (default
-    {!run_job}) are injection points for the chaos suite — [execute]
-    must never raise. Returns [(executed, failures_among_executed)];
+    rows). Raises [Invalid_argument] before running any job if
+    [retry.max_attempts < 1] or [deadline_s] fails
+    {!Congest.Engine.valid_deadline}. [sleep] (default [Unix.sleepf])
+    and [execute] (default {!run_job}) are injection points for the
+    chaos suite — [execute] must never raise. Returns [(executed, failures_among_executed)];
     quarantined jobs count in both.
 
     [metrics] (default: none) receives live execution telemetry:

@@ -3,7 +3,7 @@
 
      0  clean run (including "jobs still pending")
      1  the sweep completed but checkpointed failures
-     2  sweep usage errors (unknown spec, bad file)
+     2  sweep usage errors (unknown spec, bad file, bad --deadline)
      3  a scaling gate rejected the measured exponents
      124  cmdliner CLI parse errors
 
@@ -89,6 +89,15 @@ let () =
   expect ~what:"unknown built-in spec" 2 (sweep "run --builtin no-such-spec");
   expect ~what:"unreadable spec file" 2 (sweep "run --spec /nonexistent/spec.json");
   expect ~what:"--retries below 1" 2 (sweep "run --builtin ci-smoke --retries 0");
+  (* A budget that is negative, NaN or infinite is a usage error, before
+     any job runs: a negative one would checkpoint every job as a
+     settled timeout row, and a NaN one would never fire. *)
+  expect ~what:"negative --deadline" 2
+    (sweep "run --builtin ci-smoke --max-jobs 3 --deadline=-1");
+  expect ~what:"NaN --deadline (resume)" 2
+    (sweep "resume --builtin ci-smoke --max-jobs 3 --deadline=nan");
+  expect ~what:"negative check chaos --deadline" 2
+    (Printf.sprintf "%s check chaos --deadline=-1" exe);
 
   (* 2: a malformed QCONGEST_JOBS is rejected at startup, before any
      command dispatch, with a clear message. *)

@@ -917,7 +917,21 @@ let test_deadline_invalid () =
   in
   expect_invalid (-1.0);
   expect_invalid Float.nan;
-  expect_invalid Float.infinity
+  expect_invalid Float.infinity;
+  (* The ambient scope applies the same check, before its body runs. *)
+  let expect_invalid_scope d =
+    let ran = ref false in
+    (match Engine.with_deadline ~seconds:d (fun () -> ran := true) with
+    | () -> Alcotest.fail "invalid ambient deadline accepted"
+    | exception Invalid_argument _ -> ());
+    checkb "body not run under an invalid budget" false !ran
+  in
+  expect_invalid_scope (-1.0);
+  expect_invalid_scope Float.nan;
+  expect_invalid_scope Float.infinity;
+  expect_invalid_scope Float.neg_infinity;
+  checkb "zero is a valid budget" true (Engine.valid_deadline 0.0);
+  checkb "zero scope runs its body" true (Engine.with_deadline ~seconds:0.0 (fun () -> true))
 
 let test_deadline_ambient () =
   (* with_deadline supervises Engine.run calls it cannot reach through

@@ -98,7 +98,7 @@ let test_budget_formula () =
        false
      with Invalid_argument _ -> true)
 
-let success_rate ~objective ~n ~trials ~seed =
+let success_rate ~direction ~n ~trials ~seed =
   let rng = Util.Rng.create ~seed in
   let ok = ref 0 in
   let cost = { Dqo.Cost.setup_rounds = 1; eval_rounds = 1 } in
@@ -107,24 +107,24 @@ let success_rate ~objective ~n ~trials ~seed =
     let weights = Array.make n 1.0 in
     let rho = 1.0 /. float_of_int n in
     let r =
-      match objective with
-      | `Max -> Dqo.Optimize.maximize ~rng ~weights ~values ~compare ~rho ~delta:0.1 ~cost ()
-      | `Min -> Dqo.Optimize.minimize ~rng ~weights ~values ~compare ~rho ~delta:0.1 ~cost ()
+      Dqo.Optimize.search ~direction ~rng ~weights ~values ~compare ~rho ~delta:0.1 ~cost ()
     in
     let truth =
-      match objective with
-      | `Max -> Array.fold_left max min_int values
-      | `Min -> Array.fold_left min max_int values
+      match direction with
+      | Dqo.Optimize.Maximize -> Array.fold_left max min_int values
+      | Dqo.Optimize.Minimize -> Array.fold_left min max_int values
     in
     if r.Dqo.Optimize.best_value = truth then incr ok
   done;
   float_of_int !ok /. float_of_int trials
 
 let test_maximize_success () =
-  checkb "maximize >= 1-delta" true (success_rate ~objective:`Max ~n:100 ~trials:150 ~seed:5 >= 0.9)
+  checkb "maximize >= 1-delta" true
+    (success_rate ~direction:Dqo.Optimize.Maximize ~n:100 ~trials:150 ~seed:5 >= 0.9)
 
 let test_minimize_success () =
-  checkb "minimize >= 1-delta" true (success_rate ~objective:`Min ~n:100 ~trials:150 ~seed:6 >= 0.9)
+  checkb "minimize >= 1-delta" true
+    (success_rate ~direction:Dqo.Optimize.Minimize ~n:100 ~trials:150 ~seed:6 >= 0.9)
 
 let test_quantum_speedup_vs_exhaustive () =
   (* The whole point: far fewer evaluations than exhaustive search. *)
@@ -136,13 +136,16 @@ let test_quantum_speedup_vs_exhaustive () =
   for _ = 1 to trials do
     let values = Array.init n (fun _ -> Util.Rng.int rng 1_000_000) in
     let r =
-      Dqo.Optimize.maximize ~rng ~weights:(Array.make n 1.0) ~values ~compare
-        ~rho:(1.0 /. float_of_int n) ~delta:0.1 ~cost ()
+      Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights:(Array.make n 1.0)
+        ~values ~compare ~rho:(1.0 /. float_of_int n) ~delta:0.1 ~cost ()
     in
     total_iters := !total_iters + r.Dqo.Optimize.ledger.Dqo.Cost.grover_iterations
   done;
   let avg = float_of_int !total_iters /. float_of_int trials in
-  let exhaustive = Dqo.Optimize.exhaustive ~values:(Array.make n 0) ~compare ~cost () in
+  let exhaustive =
+    Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Maximize ~values:(Array.make n 0) ~compare
+      ~cost
+  in
   checkb "iterations << n" true (avg < float_of_int n /. 2.0);
   check "exhaustive touches all" n (List.length exhaustive.Dqo.Optimize.touched);
   check "exhaustive rounds" (n * 150) (Dqo.Cost.total_rounds exhaustive.Dqo.Optimize.ledger)
@@ -158,8 +161,8 @@ let test_touched_tracks_measurements () =
   let rng = Util.Rng.create ~seed:8 in
   let values = Array.init 50 (fun i -> i) in
   let r =
-    Dqo.Optimize.maximize ~rng ~weights:(Array.make 50 1.0) ~values ~compare ~rho:0.02
-      ~delta:0.1
+    Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights:(Array.make 50 1.0)
+      ~values ~compare ~rho:0.02 ~delta:0.1
       ~cost:{ Dqo.Cost.setup_rounds = 1; eval_rounds = 1 }
       ()
   in
@@ -178,7 +181,8 @@ let test_weighted_search () =
   let ok = ref 0 in
   for _ = 1 to 50 do
     let r =
-      Dqo.Optimize.maximize ~rng ~weights ~values ~compare ~rho:0.9 ~delta:0.1
+      Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights ~values ~compare
+        ~rho:0.9 ~delta:0.1
         ~cost:{ Dqo.Cost.setup_rounds = 1; eval_rounds = 1 }
         ()
     in
@@ -200,8 +204,8 @@ let test_measurement_cap_matches_ledger () =
   let rng = Util.Rng.create ~seed:11 in
   let n = 8 in
   let r =
-    Dqo.Optimize.maximize ~rng ~weights:(Array.make n 1.0) ~values:(Array.make n 0) ~compare
-      ~rho:1.0 ~delta:0.1
+    Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights:(Array.make n 1.0)
+      ~values:(Array.make n 0) ~compare ~rho:1.0 ~delta:0.1
       ~cost:{ Dqo.Cost.setup_rounds = 1; eval_rounds = 1 }
       ()
   in
@@ -219,8 +223,8 @@ let test_touched_dedup_golden () =
   let n = 60 in
   let values = Array.init n (fun i -> i * 37 mod 101) in
   let r =
-    Dqo.Optimize.maximize ~rng ~weights:(Array.make n 1.0) ~values ~compare
-      ~rho:(1.0 /. float_of_int n) ~delta:0.1
+    Dqo.Optimize.search ~direction:Dqo.Optimize.Maximize ~rng ~weights:(Array.make n 1.0)
+      ~values ~compare ~rho:(1.0 /. float_of_int n) ~delta:0.1
       ~cost:{ Dqo.Cost.setup_rounds = 2; eval_rounds = 3 }
       ()
   in
@@ -236,20 +240,20 @@ let test_touched_dedup_golden () =
 let test_exhaustive_direction () =
   let values = [| 5; 1; 9; 3 |] in
   let cost = { Dqo.Cost.setup_rounds = 0; eval_rounds = 1 } in
-  let mx = Dqo.Optimize.exhaustive ~values ~compare ~cost () in
-  check "default still maximizes" 2 mx.Dqo.Optimize.best_idx;
-  let mn = Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Minimize ~values ~compare ~cost () in
+  let mx = Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Maximize ~values ~compare ~cost in
+  check "explicit maximize" 2 mx.Dqo.Optimize.best_idx;
+  let mn = Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Minimize ~values ~compare ~cost in
   check "explicit minimize" 1 mn.Dqo.Optimize.best_idx;
-  let mn2 = Dqo.Optimize.exhaustive_min ~values ~compare ~cost in
-  check "exhaustive_min" 1 mn2.Dqo.Optimize.best_idx;
-  check "min charges every element" 4 mn2.Dqo.Optimize.ledger.Dqo.Cost.measurements;
+  check "min charges every element" 4 mn.Dqo.Optimize.ledger.Dqo.Cost.measurements;
   (* Strict [better] keeps the first extremum on ties in both
      directions. *)
   let ties = [| 7; 7; 7 |] in
   check "tie keeps first (max)" 0
-    (Dqo.Optimize.exhaustive ~values:ties ~compare ~cost ()).Dqo.Optimize.best_idx;
+    (Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Maximize ~values:ties ~compare ~cost)
+      .Dqo.Optimize.best_idx;
   check "tie keeps first (min)" 0
-    (Dqo.Optimize.exhaustive_min ~values:ties ~compare ~cost).Dqo.Optimize.best_idx
+    (Dqo.Optimize.exhaustive ~direction:Dqo.Optimize.Minimize ~values:ties ~compare ~cost)
+      .Dqo.Optimize.best_idx
 
 (* --------------------------- Framework ----------------------------- *)
 

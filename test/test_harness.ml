@@ -629,6 +629,28 @@ let test_runner_retry_recovers () =
     (Sys.file_exists (Harness.Runner.quarantine_path store));
   Sys.remove path
 
+let test_runner_rejects_bad_deadline () =
+  (* A budget the engine would refuse is refused before any job runs:
+     a negative one would checkpoint every job as a settled timeout
+     row, and a NaN one would never fire. *)
+  let path = temp_store_path () in
+  let store = Harness.Store.load ~path () in
+  let ran = ref 0 in
+  let execute spec j ~attempt =
+    incr ran;
+    Harness.Runner.run_job ~attempt spec j
+  in
+  List.iter
+    (fun d ->
+      match Harness.Runner.run ~jobs:1 ~deadline_s:d ~execute small_spec store with
+      | _ -> Alcotest.fail "invalid deadline accepted"
+      | exception Invalid_argument _ -> ())
+    [ -1.0; Float.nan; Float.infinity ];
+  check "no job ran" 0 !ran;
+  check "nothing checkpointed" 0 (Harness.Store.count store);
+  Harness.Store.close store;
+  if Sys.file_exists path then Sys.remove path
+
 let test_runner_quarantine () =
   let spec = small_spec in
   (* Poison every job of the first series at its first size: the
@@ -846,6 +868,7 @@ let () =
           Alcotest.test_case "protect deadline" `Quick test_protect_deadline;
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "retry recovers" `Slow test_runner_retry_recovers;
+          Alcotest.test_case "rejects bad deadline" `Quick test_runner_rejects_bad_deadline;
           Alcotest.test_case "quarantine" `Slow test_runner_quarantine;
           QCheck_alcotest.to_alcotest prop_kill_corrupt_resume;
         ] );
