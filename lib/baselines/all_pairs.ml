@@ -37,19 +37,13 @@ let rec next_fresh st =
 let protocol ~sources : (state, msg) Congest.Engine.protocol =
   let source_set = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace source_set s ()) sources;
-  let broadcast view m =
-    Array.to_list (Array.map (fun (v, _) -> (v, m)) view.Congest.Node_view.neighbors)
-  in
-  let flush view st ~round =
+  let flush st ~round =
     match next_fresh st with
     | None -> (st, Congest.Engine.no_action)
     | Some m ->
       st.sent <- st.sent + 1;
-      let act =
-        if Queue.is_empty st.queue then Congest.Engine.send (broadcast view m)
-        else Congest.Engine.send_and_wake (broadcast view m) (round + 1)
-      in
-      (st, act)
+      let wakes = if Queue.is_empty st.queue then [] else [ round + 1 ] in
+      (st, { Congest.Engine.sends = []; broadcast = [ m ]; wakes })
   in
   {
     name = "apsp-token-flood";
@@ -65,26 +59,23 @@ let protocol ~sources : (state, msg) Congest.Engine.protocol =
           Hashtbl.replace st.table me 0;
           enqueue st { src_node = me; dist = 0 }
         end;
-        flush view st ~round:0);
+        flush st ~round:0);
     on_round =
-      (fun view ~round st ~inbox ->
+      (fun _ ~round st ~inbox ->
         List.iter
-          (fun { Congest.Engine.src = u; msg = { src_node; dist } } ->
-            match Congest.Node_view.edge_weight view u with
-            | None -> ()
-            | Some w ->
-              let cand = dist + w in
-              let better =
-                match Hashtbl.find_opt st.table src_node with
-                | Some best -> cand < best
-                | None -> true
-              in
-              if better then begin
-                Hashtbl.replace st.table src_node cand;
-                enqueue st { src_node; dist = cand }
-              end)
+          (fun { Congest.Engine.w; msg = { src_node; dist }; _ } ->
+            let cand = dist + w in
+            let better =
+              match Hashtbl.find_opt st.table src_node with
+              | Some best -> cand < best
+              | None -> true
+            in
+            if better then begin
+              Hashtbl.replace st.table src_node cand;
+              enqueue st { src_node; dist = cand }
+            end)
           inbox;
-        flush view st ~round);
+        flush st ~round);
   }
 
 let run g ~sources =

@@ -4,7 +4,8 @@ module Spec = Harness.Spec
 
 let claim =
   "every ok sweep row matches a recomputed oracle: the instance, its exact \
-   diameter/radius, the stored ratio, and the algorithm's own guarantee flag"
+   diameter/radius, the stored ratio, and the algorithm's guarantee, as its own \
+   flag and re-derived from the estimate and the exact value"
 
 (* Ground truth for a job cell given its (already built) instance. *)
 let exact_of ~oracle (j : Spec.job) g =
@@ -18,6 +19,24 @@ let exact_of ~oracle (j : Spec.job) g =
     Graphlib.Dist.to_int_exn (Oracle.hop_diameter oracle g)
   | Spec.Wwy_apsp -> Graphlib.Dist.to_int_exn (Oracle.weighted_diameter oracle g)
   | Spec.Bfs_reliable -> (fst (Congest.Tree.build g ~root:0)).Congest.Tree.depth
+
+(* The guarantee each algorithm states, as a predicate on (estimate,
+   exact), to within 1e-6. The algorithm's own [within] flag implies it
+   (Theorem 1.1 runs at eps = 1/2, so its cap (1+eps)^2 is 2.25;
+   approx-APSP's 1+eps at its default eps = 1/2 is tighter), so a row
+   stored [within = true] that fails it was not written by the
+   algorithm. *)
+let guarantee (algo : Spec.algo) ~estimate ~exact =
+  let e = float_of_int exact in
+  let ( <=~ ) a b = a <= b +. 1e-6 in
+  match algo with
+  | Spec.Thm11_diameter | Spec.Thm11_radius | Spec.Approx_apsp ->
+    e <=~ estimate && estimate <=~ 2.25 *. e
+  | Spec.Sssp_two_approx -> estimate <=~ e && e <=~ 2.0 *. estimate
+  | Spec.Three_halves -> 2.0 *. e <=~ 3.0 *. estimate && estimate <=~ e
+  | Spec.Classical_diameter | Spec.Classical_radius | Spec.Lm_unweighted
+  | Spec.Bfs_reliable | Spec.Wwy_ecc | Spec.Wwy_apsp ->
+    estimate <=~ e && e <=~ estimate
 
 let default_graph_of_job (spec : Spec.t) (j : Spec.job) =
   Harness.Runner.make_graph spec ~n:j.Spec.n ~seed:j.Spec.seed
@@ -72,6 +91,13 @@ let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
       flag "guarantee"
         (Printf.sprintf "row %s (%s): the run itself recorded a violated guarantee"
            j.Spec.id (Spec.algo_name j.Spec.algo))
+        (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ])
+    else if not (guarantee j.Spec.algo ~estimate ~exact) then
+      flag "within-drift"
+        (Printf.sprintf
+           "row %s (%s): stored within=true but estimate=%g against exact=%d breaks the \
+            algorithm's guarantee"
+           j.Spec.id (Spec.algo_name j.Spec.algo) estimate exact)
         (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ])
   | _ ->
     flag "corrupt-row"

@@ -1,15 +1,17 @@
-type 'm envelope = { src : int; msg : 'm }
+type 'm envelope = { src : int; w : int; msg : 'm }
 
 type 'm action = {
   sends : (int * 'm) list;
+  broadcast : 'm list;
   wakes : int list;
 }
 
-let no_action = { sends = []; wakes = [] }
-let send sends = { sends; wakes = [] }
-let send_and_wake sends r = { sends; wakes = [ r ] }
-let wake r = { sends = []; wakes = [ r ] }
-let act ?(sends = []) ?(wakes = []) () = { sends; wakes }
+let no_action = { sends = []; broadcast = []; wakes = [] }
+let send sends = { sends; broadcast = []; wakes = [] }
+let send_and_wake sends r = { sends; broadcast = []; wakes = [ r ] }
+let broadcast msgs = { sends = []; broadcast = msgs; wakes = [] }
+let wake r = { sends = []; broadcast = []; wakes = [ r ] }
+let act ?(sends = []) ?(wakes = []) () = { sends; broadcast = []; wakes }
 
 type ('s, 'm) protocol = {
   name : string;
@@ -170,16 +172,6 @@ let mailbox_drain b =
     Array.to_list inbox
   end
 
-(* Merge two strictly-increasing id lists; equals List.sort_uniq on
-   their concatenation. *)
-let rec merge_uniq (a : int list) (b : int list) =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | x :: xs, y :: ys ->
-    if x < y then x :: merge_uniq xs b
-    else if y < x then y :: merge_uniq a ys
-    else x :: merge_uniq xs ys
-
 (* Tables keyed by round. The hash is the round itself: rounds are
    small non-negative ints, and [Hashtbl.hash] would be a C call on
    every lookup. *)
@@ -200,7 +192,12 @@ end)
    arc id (which doubles as the neighbor check), reset via a dirty
    list; the next event round comes from one lazy-deletion int heap
    instead of Hashtbl.fold min-scans; and the per-round active-set
-   scan over all n inboxes is replaced by a touched-node list. *)
+   scan over all n inboxes is replaced by a touched-node list.
+   A broadcast walks the sender's CSR row, so it needs no arc search,
+   and every envelope takes its weight from the arc it crossed. The
+   active set and the drained inboxes live in arrays reused across
+   rounds, and actions are applied by recursive functions defined once
+   per run, so the loop allocates nothing of its own per activation. *)
 let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
     ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
@@ -222,7 +219,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     Array.init n (fun id ->
         { Node_view.id; n; max_w; neighbors = Graphlib.Wgraph.neighbors g id })
   in
-  let { Graphlib.Wgraph.row_start; csr_dst; csr_w = _ } = Graphlib.Wgraph.csr g in
+  let { Graphlib.Wgraph.row_start; csr_dst; csr_w } = Graphlib.Wgraph.csr g in
   let arc_count = row_start.(n) in
   (* Directed arc id of (src, dst), or -1 if dst is not a neighbor of
      src: rank of dst in src's sorted CSR row. One binary search serves
@@ -268,16 +265,16 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
      several); the bucket keeps every request and the round that
      consumes it removes the duplicates. *)
   let wake_tbl : int list ref Round_tbl.t = Round_tbl.create 64 in
-  let schedule_wake ~now node rounds =
-    List.iter
-      (fun r ->
-        if r <= now then invalid_arg (proto.name ^ ": wake not in the future");
-        match Round_tbl.find_opt wake_tbl r with
-        | Some l -> l := node :: !l
-        | None ->
-          Round_tbl.replace wake_tbl r (ref [ node ]);
-          Util.Int_heap.push calendar r)
-      rounds
+  let rec schedule_wakes now node = function
+    | [] -> ()
+    | r :: rest ->
+      if r <= now then invalid_arg (proto.name ^ ": wake not in the future");
+      (match Round_tbl.find_opt wake_tbl r with
+      | Some l -> l := node :: !l
+      | None ->
+        Round_tbl.replace wake_tbl r (ref [ node ]);
+        Util.Int_heap.push calendar r);
+      schedule_wakes now node rest
   in
   (* Per-round per-directed-edge load and the violated flag (so one
      overloaded edge-round counts as exactly one violation no matter how
@@ -336,10 +333,9 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       Round_tbl.replace arrivals arrival (ref [ (dst, env) ]);
       Util.Int_heap.push calendar arrival
   in
-  let deliver ~round src (dst, msg) =
-    let a = arc_of ~src ~dst in
-    if a < 0 then
-      invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
+  (* Send [msg] from [src] over its arc [a]. *)
+  let deliver ~round src a msg =
+    let dst = csr_dst.(a) in
     let sz = proto.size_words msg in
     if sz < 1 then invalid_arg (proto.name ^ ": message size < 1 word");
     incr messages;
@@ -355,7 +351,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       if cur' > !max_edge_load then max_edge_load := cur';
       if cur' > bandwidth then record_violation a;
       if observed then emit (Telemetry.Events.Message { round; src; dst; words = sz });
-      inbox_put dst { src; msg }
+      inbox_put dst { src; w = csr_w.(a); msg }
     | Some (f, rng, _) ->
       if f.Fault.strict_bandwidth && cur + sz > bandwidth then begin
         (* NIC-enforced bandwidth: the whole message is dropped at the
@@ -393,6 +389,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
             end
             else 1
           in
+          let env = { src; w = csr_w.(a); msg } in
           for _ = 1 to copies do
             let jitter =
               if f.Fault.delay > 0 then Util.Rng.int_in rng ~lo:0 ~hi:f.Fault.delay else 0
@@ -404,10 +401,34 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
                   (Telemetry.Events.Fault
                      { round; node = src; peer = dst; kind = Telemetry.Events.Delay jitter })
             end;
-            enqueue_arrival ~arrival:(round + 1 + jitter) dst { src; msg }
+            enqueue_arrival ~arrival:(round + 1 + jitter) dst env
           done
         end
       end
+  in
+  let rec deliver_sends ~round src = function
+    | [] -> ()
+    | (dst, msg) :: rest ->
+      let a = arc_of ~src ~dst in
+      if a < 0 then
+        invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
+      deliver ~round src a msg;
+      deliver_sends ~round src rest
+  in
+  (* Each message to every neighbor in increasing id order: the CSR
+     row is sorted, so this is the order of the equivalent sends. *)
+  let rec deliver_broadcast ~round src = function
+    | [] -> ()
+    | msg :: rest ->
+      for a = row_start.(src) to row_start.(src + 1) - 1 do
+        deliver ~round src a msg
+      done;
+      deliver_broadcast ~round src rest
+  in
+  let apply ~round id act =
+    deliver_sends ~round id act.sends;
+    deliver_broadcast ~round id act.broadcast;
+    schedule_wakes round id act.wakes
   in
   (* Move every message due at round [r] into its inbox; messages to a
      node already crashed at [r] are lost. Returns [true] if anything
@@ -468,24 +489,63 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   let init id =
     let s, act = proto.init views.(id) in
     incr activations;
-    List.iter (deliver ~round:0 id) act.sends;
-    schedule_wake ~now:0 id act.wakes;
+    apply ~round:0 id act;
     s
   in
   let states = Array.make n (init 0) in
   for id = 1 to n - 1 do
     states.(id) <- init id
   done;
-  (* Nodes whose inbox was filled this round become active next round:
-     the touched list, sorted ascending (ids are distinct by
-     construction). The prefix is sorted in place with the int heap
-     sort, one O(k log k) path at every size; [touched] is a work
-     buffer, refilled from index 0 once the list is taken. *)
-  let next_active_from_inboxes () =
-    let k = !n_touched in
-    n_touched := 0;
-    Util.Int_heap.sort touched k;
-    prefix_to_list touched (k - 1) []
+  (* The active set of the round being run, ascending, and each active
+     node's drained inbox at the same index; [stamp.(id)] is the last
+     round [id] joined the set. All three are reused across rounds. *)
+  let active = Array.make n 0 in
+  let n_active = ref 0 in
+  let inboxes = Array.make n [] in
+  let stamp = Array.make n (-1) in
+  let join r id =
+    if stamp.(id) <> r then begin
+      stamp.(id) <- r;
+      active.(!n_active) <- id;
+      incr n_active
+    end
+  in
+  let rec join_wakes r = function
+    | [] -> ()
+    | id :: rest ->
+      join r id;
+      join_wakes r rest
+  in
+  (* Nodes whose inbox was filled since the last activation round (the
+     touched list; [touched] is a work buffer, refilled from index 0
+     once it is taken) and the nodes due to wake at [r], once each, in
+     increasing id order. The prefix is sorted in place with the int
+     heap sort, one O(k log k) path at every size. *)
+  let collect_active r ~from_inboxes =
+    n_active := 0;
+    if from_inboxes then begin
+      for i = 0 to !n_touched - 1 do
+        join r touched.(i)
+      done;
+      n_touched := 0
+    end;
+    (match Round_tbl.find_opt wake_tbl r with
+    | Some l ->
+      Round_tbl.remove wake_tbl r;
+      join_wakes r !l
+    | None -> ());
+    Util.Int_heap.sort active !n_active;
+    if not fault_free then begin
+      let k = ref 0 in
+      for i = 0 to !n_active - 1 do
+        let id = active.(i) in
+        if crashed_at id > r then begin
+          active.(!k) <- id;
+          incr k
+        end
+      done;
+      n_active := !k
+    end
   in
   (* Smallest calendar round still in the future; buckets the loop has
      already consumed leave stale heap entries behind, discarded here. *)
@@ -553,43 +613,28 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       (* Collect the active set: inbox recipients plus due wake-ups. *)
       if spans then span_begin "engine.delivery" r;
       let flushed = (not fault_free) && flush_arrivals r in
-      let from_inbox =
-        if flushed || (fault_free && r = !round + 1) then next_active_from_inboxes ()
-        else []
-      in
       (* If we fast-forwarded past round+1, inboxes must be empty. *)
-      let from_wake =
-        match Round_tbl.find_opt wake_tbl r with
-        | Some l ->
-          Round_tbl.remove wake_tbl r;
-          List.sort_uniq Int.compare !l
-        | None -> []
-      in
-      let active =
-        let due = merge_uniq from_inbox from_wake in
-        if fault_free then due else List.filter (fun id -> crashed_at id > r) due
-      in
-      if observed then
-        emit (Telemetry.Events.Round_start { round = r; active = List.length active });
-      (* Snapshot and clear inboxes before running handlers so that
+      collect_active r ~from_inboxes:(flushed || (fault_free && r = !round + 1));
+      let k = !n_active in
+      if observed then emit (Telemetry.Events.Round_start { round = r; active = k });
+      (* Drain every active inbox before running handlers so that
          messages sent in round r arrive in round r+1. *)
-      let snapshots = List.map (fun id -> (id, mailbox_drain boxes.(id))) active in
+      for i = 0 to k - 1 do
+        inboxes.(i) <- mailbox_drain boxes.(active.(i))
+      done;
       if spans then span_end "engine.delivery" r;
       round := r;
       reset_round_ledger ();
       any_sends_this_round := false;
       if spans then span_begin "engine.compute" r;
-      (* The action is applied inline, as in [init]: a shared helper
-         call per activation cost ~5% of wall time on WWY token floods
-         (n = 192, 2-vCPU host). *)
-      List.iter
-        (fun (id, inbox) ->
-          incr activations;
-          let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
-          states.(id) <- s';
-          List.iter (deliver ~round:r id) act.sends;
-          schedule_wake ~now:r id act.wakes)
-        snapshots;
+      for i = 0 to k - 1 do
+        let id = active.(i) and inbox = inboxes.(i) in
+        inboxes.(i) <- [];
+        incr activations;
+        let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
+        states.(id) <- s';
+        apply ~round:r id act
+      done;
       if spans then span_end "engine.compute" r
   done;
   let trace = current_trace () in

@@ -20,10 +20,23 @@
     unset the execution is bit-for-bit the historical fault-free
     semantics. *)
 
-type 'm envelope = { src : int; msg : 'm }
+type 'm envelope = {
+  src : int;  (** The sender. *)
+  w : int;
+      (** The weight of the edge the message crossed, [src] to the
+          receiver: the engine reads it from the arc it delivers on,
+          so a handler needs no lookup of its own. *)
+  msg : 'm;
+}
 
 type 'm action = {
   sends : (int * 'm) list;  (** [(neighbor, message)] pairs. *)
+  broadcast : 'm list;
+      (** Messages for every neighbor. After [sends], each message goes
+          to every neighbor in increasing id order, and the messages go
+          in list order: the same deliveries, in the same order, as
+          [sends] listing [(v, m)] for each [m] and each neighbor [v]
+          in turn, without building those pairs. *)
   wakes : int list;  (** Future rounds to be re-activated at; each must
                          be strictly in the future. *)
 }
@@ -31,6 +44,7 @@ type 'm action = {
 val no_action : 'm action
 val send : (int * 'm) list -> 'm action
 val send_and_wake : (int * 'm) list -> int -> 'm action
+val broadcast : 'm list -> 'm action
 val wake : int -> 'm action
 val act : ?sends:(int * 'm) list -> ?wakes:int list -> unit -> 'm action
 

@@ -12,13 +12,9 @@ type t = {
   max_w : int;  (** [W = max_e w(e)] (public, per Appendix A). *)
   neighbors : (int * int) array;
       (** Incident edges as [(neighbor, weight)], sorted by neighbor id
-          (the graph's own adjacency row); do not mutate.
-          {!edge_weight} relies on the order. *)
+          (the graph's own adjacency row); do not mutate. A received
+          message carries the weight of the edge it crossed
+          ({!Engine.envelope}), so handlers need no lookup here. *)
 }
 
 val degree : t -> int
-val is_neighbor : t -> int -> bool
-
-val edge_weight : t -> int -> int option
-(** Weight of the edge to a node, if it is a neighbor. Binary search
-    over [neighbors]: O(log deg). *)

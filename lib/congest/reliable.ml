@@ -51,11 +51,18 @@ let check_config c =
   if c.max_timeout < c.timeout then invalid_arg "Reliable: max_timeout < timeout";
   if c.max_retries < 0 then invalid_arg "Reliable: max_retries < 0"
 
-(* Wrap the inner action produced at [round]: assign per-destination
-   sequence numbers, register pending entries, pass inner wakes
-   through. *)
-let integrate config st ~round (inner', act) =
+(* Wrap the inner action produced at [round]: expand its broadcast into
+   per-neighbor sends after its own sends (the engine's delivery
+   order), assign per-destination sequence numbers, register pending
+   entries, pass inner wakes through. *)
+let integrate config view st ~round (inner', act) =
   let st = ref { st with st_inner = inner' } in
+  let inner_sends =
+    act.Engine.sends
+    @ List.concat_map
+        (fun m -> Array.to_list (Array.map (fun (v, _) -> (v, m)) view.Node_view.neighbors))
+        act.Engine.broadcast
+  in
   let data_sends =
     List.map
       (fun (dst, body) ->
@@ -75,7 +82,7 @@ let integrate config st ~round (inner', act) =
             next_seq = (dst, seq + 1) :: List.remove_assoc dst !st.next_seq;
             pending = pend :: !st.pending };
         (dst, Data { seq; body }))
-      act.Engine.sends
+      inner_sends
   in
   let inner_wakes =
     List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) !st.inner_wakes
@@ -150,7 +157,7 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
       | Some d when d > round -> d :: extra_wakes
       | _ -> extra_wakes
     in
-    (st, { Engine.sends; wakes = List.sort_uniq Int.compare wakes })
+    (st, { Engine.sends; broadcast = []; wakes = List.sort_uniq Int.compare wakes })
   in
   {
     name = "reliable:" ^ p.name;
@@ -168,14 +175,15 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
             st_abandoned = [];
           }
         in
-        let st, data_sends, inner_wakes = integrate config st0 ~round:0 (inner0, act) in
+        let st, data_sends, inner_wakes = integrate config view st0 ~round:0 (inner0, act) in
         finish ~round:0 (st, data_sends, inner_wakes));
     on_round =
       (fun view ~round st ~inbox ->
         (* 1. Acknowledgements release pending entries. *)
         let acked =
           List.filter_map
-            (fun { Engine.src; msg } -> match msg with Ack seq -> Some (src, seq) | Data _ -> None)
+            (fun { Engine.src; msg; _ } ->
+              match msg with Ack seq -> Some (src, seq) | Data _ -> None)
             inbox
         in
         let st =
@@ -191,14 +199,14 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
         let streams = ref st.streams in
         let fresh = ref [] in
         List.iter
-          (fun { Engine.src; msg } ->
+          (fun { Engine.src; w; msg } ->
             match msg with
             | Ack _ -> ()
             | Data { seq; body } ->
               ack_sends := (src, Ack seq) :: !ack_sends;
               let streams', delivered = accept !streams ~src ~seq ~body in
               streams := streams';
-              List.iter (fun b -> fresh := { Engine.src; msg = b } :: !fresh) delivered)
+              List.iter (fun b -> fresh := { Engine.src; w; msg = b } :: !fresh) delivered)
           inbox;
         let st = { st with streams = !streams } in
         let ack_sends = List.rev !ack_sends in
@@ -214,7 +222,7 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
         let st = { st with inner_wakes = List.filter (fun w -> w <> round) st.inner_wakes } in
         let st, data_sends, inner_wakes =
           if fresh <> [] || wants_wake then
-            integrate config st ~round (p.on_round view ~round st.st_inner ~inbox:fresh)
+            integrate config view st ~round (p.on_round view ~round st.st_inner ~inbox:fresh)
           else (st, [], [])
         in
         (* 4. Retransmissions due now. *)

@@ -28,6 +28,12 @@
     qualify); the cost shows up as measured round/message/word
     overhead in the trace.
 
+    The inner protocol's [broadcast] is expanded into one data message
+    per neighbor (each needs its own sequence number), after its
+    [sends] and in the engine's delivery order; each payload reaches
+    the inner protocol with the weight of the edge it crossed, as on a
+    perfect network.
+
     Header cost: a data message costs 1 word more than its payload
     (the sequence number), an acknowledgement costs 1 word. *)
 

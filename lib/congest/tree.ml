@@ -50,9 +50,7 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
     init =
       (fun view ->
         if view.Node_view.id = root then
-          ( { initial with b_parent = -1; b_level = 0 },
-            Engine.send
-              (Array.to_list (Array.map (fun (v, _) -> (v, Level 0)) view.neighbors)) )
+          ({ initial with b_parent = -1; b_level = 0 }, Engine.broadcast [ Level 0 ])
         else (initial, Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
@@ -61,7 +59,7 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
            that neighbor takes effect. *)
         let s =
           List.fold_left
-            (fun s { Engine.src; msg } ->
+            (fun s { Engine.src; msg; _ } ->
               match msg with
               | Level _ -> s
               | Child c | Retract c ->
@@ -80,7 +78,7 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
         else begin
           let offers =
             List.filter_map
-              (fun { Engine.src; msg } ->
+              (fun { Engine.src; msg; _ } ->
                 match msg with Level l -> Some (src, l) | Child _ | Retract _ -> None)
               inbox
           in

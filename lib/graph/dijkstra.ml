@@ -8,13 +8,16 @@
    [du = dist.(u)] settled check, and there is no position index to
    maintain on every sift. When the weights are so large that packing
    could overflow (finite distances are < n * max_w + 1), the loop
-   falls back to the indexed heap. *)
+   falls back to the indexed heap. Both loops relax an arc only to a
+   distance within [bound]: with positive weights every prefix of a
+   path within the bound is within it too, so the distances within it
+   come out exact and the rest stay [Dist.inf]. *)
 
 let node_shift n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
   go 1
 
-let run_dijkstra_packed g ~src ~parent ~shift =
+let run_dijkstra_packed g ~src ~parent ~bound ~shift =
   let n = Wgraph.n g in
   let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
   let dist = Array.make n Dist.inf in
@@ -30,7 +33,7 @@ let run_dijkstra_packed g ~src ~parent ~shift =
       for i = row_start.(u) to row_start.(u + 1) - 1 do
         let v = csr_dst.(i) in
         let cand = du + csr_w.(i) in
-        if cand < dist.(v) then begin
+        if cand <= bound && cand < dist.(v) then begin
           dist.(v) <- cand;
           (match parent with Some p -> p.(v) <- u | None -> ());
           Util.Int_heap.push heap ((cand lsl shift) lor v)
@@ -39,7 +42,7 @@ let run_dijkstra_packed g ~src ~parent ~shift =
   done;
   dist
 
-let run_dijkstra_pq g ~src ~parent =
+let run_dijkstra_pq g ~src ~parent ~bound =
   let n = Wgraph.n g in
   let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
   let dist = Array.make n Dist.inf in
@@ -55,7 +58,7 @@ let run_dijkstra_pq g ~src ~parent =
         for i = row_start.(u) to row_start.(u + 1) - 1 do
           let v = csr_dst.(i) in
           let cand = Dist.add du csr_w.(i) in
-          if cand < dist.(v) then begin
+          if cand <= bound && cand < dist.(v) then begin
             dist.(v) <- cand;
             (match parent with Some p -> p.(v) <- u | None -> ());
             Util.Int_pq.insert_or_decrease pq ~key:v ~prio:cand
@@ -64,21 +67,20 @@ let run_dijkstra_pq g ~src ~parent =
   done;
   dist
 
-let run_dijkstra g ~src ~parent =
+let run_dijkstra g ~src ~parent ~bound =
   let n = Wgraph.n g in
   if src < 0 || src >= n then invalid_arg "Dijkstra.distances";
   let shift = node_shift n in
   (* Packing is safe iff every finite tentative distance (< n * max_w
      + 1, all weights positive) survives the shift. *)
-  if Wgraph.max_weight g <= (max_int lsr (shift + 1)) / max 1 n then
-    run_dijkstra_packed g ~src ~parent ~shift
-  else run_dijkstra_pq g ~src ~parent
+  if bound < 0 then Array.make n Dist.inf (* not even [src] is within it *)
+  else if Wgraph.max_weight g <= (max_int lsr (shift + 1)) / max 1 n then
+    run_dijkstra_packed g ~src ~parent ~bound ~shift
+  else run_dijkstra_pq g ~src ~parent ~bound
 
-let distances g ~src = run_dijkstra g ~src ~parent:None
+let distances g ~src = run_dijkstra g ~src ~parent:None ~bound:Dist.inf
 
-let distances_bounded g ~src ~bound =
-  let dist = distances g ~src in
-  Array.map (fun d -> if Dist.is_finite d && d <= bound then d else Dist.inf) dist
+let distances_bounded g ~src ~bound = run_dijkstra g ~src ~parent:None ~bound
 
 let bounded_hop_distances g ~src ~hops =
   let n = Wgraph.n g in
@@ -115,7 +117,7 @@ let bounded_hop_distances g ~src ~hops =
 let path g ~src ~dst =
   let n = Wgraph.n g in
   let parent = Array.make n (-1) in
-  let dist = run_dijkstra g ~src ~parent:(Some parent) in
+  let dist = run_dijkstra g ~src ~parent:(Some parent) ~bound:Dist.inf in
   if Dist.is_inf dist.(dst) then None
   else begin
     let rec walk v acc = if v = src then src :: acc else walk parent.(v) (v :: acc) in

@@ -7,7 +7,8 @@ val distances : Wgraph.t -> src:int -> Dist.t array
 val distances_bounded : Wgraph.t -> src:int -> bound:int -> Dist.t array
 (** Distances, with values exceeding [bound] reported as [Dist.inf].
     Centralized counterpart of the paper's Algorithm 2
-    (Bounded-Distance SSSP). *)
+    (Bounded-Distance SSSP). The search relaxes no arc past [bound],
+    so it settles only the nodes within it. *)
 
 val bounded_hop_distances : Wgraph.t -> src:int -> hops:int -> Dist.t array
 (** Exact [ℓ]-hop distances [d^ℓ_{G,w}(src, ·)]: least length over

@@ -84,10 +84,10 @@ let row t ~src =
   | None ->
     let best = Array.make n Float.infinity in
     for i = 0 to Array.length t.scaled - 1 do
-      let di = Dijkstra.distances (scale_graph t i) ~src in
+      let di = Dijkstra.distances_bounded (scale_graph t i) ~src ~bound:t.budget in
       Array.iteri
         (fun v d ->
-          if Dist.is_finite d && d <= t.budget then begin
+          if Dist.is_finite d then begin
             let value = unscale t.params ~i d in
             if value < best.(v) then best.(v) <- value
           end)

@@ -72,10 +72,10 @@ let overlay_approx_rows ~w2 ~eps ~hops =
         best.(src) <- 0.0;
         Array.iteri
           (fun i gi ->
-            let di = Dijkstra.distances gi ~src in
+            let di = Dijkstra.distances_bounded gi ~src ~bound:budget in
             Array.iteri
               (fun v d ->
-                if Dist.is_finite d && d <= budget then begin
+                if Dist.is_finite d then begin
                   let value =
                     float_of_int d *. params.eps *. float_of_int (Util.Int_math.pow 2 i)
                     /. (2.0 *. float_of_int params.ell)

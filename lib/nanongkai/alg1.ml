@@ -16,10 +16,8 @@ let protocol ~src ~params : (state, msg) Congest.Engine.protocol =
     | Bh_instance.Wake -> (s, Congest.Engine.wake (Bh_instance.wake_round s.inst 0))
     | Bh_instance.Broadcast ->
       let msg = { scale = Bh_instance.scale s.inst 0; dist = Bh_instance.dist s.inst 0 } in
-      let sends =
-        Array.to_list (Array.map (fun (v, _) -> (v, msg)) view.Congest.Node_view.neighbors)
-      in
-      ({ s with sent = (if sends = [] then s.sent else s.sent + 1) }, Congest.Engine.send sends)
+      let sent = if Congest.Node_view.degree view = 0 then s.sent else s.sent + 1 in
+      ({ s with sent }, Congest.Engine.broadcast [ msg ])
   in
   {
     name = "alg1-bounded-hop-sssp";
@@ -42,12 +40,9 @@ let protocol ~src ~params : (state, msg) Congest.Engine.protocol =
     on_round =
       (fun view ~round s ~inbox ->
         List.iter
-          (fun { Congest.Engine.src = u; msg = { scale; dist } } ->
-            match Congest.Node_view.edge_weight view u with
-            | None -> ()
-            | Some w ->
-              Bh_instance.on_message s.inst 0 ~round ~scale ~dist
-                ~scaled_w:(Graphlib.Reweight.scaled_weight params ~i:scale ~w))
+          (fun { Congest.Engine.w; msg = { scale; dist }; _ } ->
+            Bh_instance.on_message s.inst 0 ~round ~scale ~dist
+              ~scaled_w:(Graphlib.Reweight.scaled_weight params ~i:scale ~w))
           inbox;
         decide view s ~round);
   }

@@ -6,34 +6,28 @@ type output = {
 }
 
 let protocol ~src ~bound : (state, int) Congest.Engine.protocol =
-  let broadcast view d =
-    Array.to_list (Array.map (fun (v, _) -> (v, d)) view.Congest.Node_view.neighbors)
-  in
   {
     name = "alg2-bounded-distance-sssp";
     size_words = (fun _ -> 1);
     init =
       (fun view ->
         if view.Congest.Node_view.id = src then
-          ({ dist = 0; broadcasted = true }, Congest.Engine.send (broadcast view 0))
+          ({ dist = 0; broadcasted = true }, Congest.Engine.broadcast [ 0 ])
         else ({ dist = Graphlib.Dist.inf; broadcasted = false }, Congest.Engine.no_action));
     on_round =
-      (fun view ~round s ~inbox ->
+      (fun _ ~round s ~inbox ->
         let s =
           List.fold_left
-            (fun (s : state) { Congest.Engine.src = u; msg = du } ->
-              match Congest.Node_view.edge_weight view u with
-              | None -> s
-              | Some w ->
-                let cand = Graphlib.Dist.add du w in
-                if cand <= bound && Graphlib.Dist.compare cand s.dist < 0 then
-                  { s with dist = cand }
-                else s)
+            (fun (s : state) { Congest.Engine.w; msg = du; _ } ->
+              let cand = Graphlib.Dist.add du w in
+              if cand <= bound && Graphlib.Dist.compare cand s.dist < 0 then
+                { s with dist = cand }
+              else s)
             s inbox
         in
         if (not s.broadcasted) && Graphlib.Dist.is_finite s.dist then begin
           if s.dist = round then
-            ({ s with broadcasted = true }, Congest.Engine.send (broadcast view s.dist))
+            ({ s with broadcasted = true }, Congest.Engine.broadcast [ s.dist ])
           else if s.dist > round then (s, Congest.Engine.wake s.dist)
           else (s, Congest.Engine.no_action)
         end

@@ -23,43 +23,35 @@ let instance_cfgs ~sources ~delays ~params ~n ~max_w =
   let elsewhere = Array.mapi (fun j _ -> make ~is_source:false j) sources in
   fun ~id j -> if id = sources.(j) then at_source.(j) else elsewhere.(j)
 
-(* [(v, msg)] for every neighbor [v], prepended to [acc] in neighbor
-   order (so the last neighbor ends up first). *)
-let rec prepend_sends neighbors msg i acc =
-  if i = Array.length neighbors then acc
-  else prepend_sends neighbors msg (i + 1) ((fst neighbors.(i), msg) :: acc)
-
 let concurrent_protocol ~b ~cfg ~scaled_weight :
     (Bh_instance.bank, msg) Congest.Engine.protocol =
   (* A node's bank holds its [b] instances and is updated in place.
      The per-activation work is two loops built once per run, so an
-     activation allocates only its messages and its action. Only the
+     activation allocates only its broadcast list (one message per
+     instance that speaks, whatever the degree) and its action. Only the
      slots that [Bh_instance.may_act] are decided: any other slot
      would stay quiet or repeat a wake it already asked for. The wake
-     list may repeat a round; the engine removes duplicates. *)
-  let rec fold_inbox view insts ~round = function
+     list may repeat a round; the engine removes duplicates. The
+     broadcast list is built newest first, so each neighbor receives
+     one activation's messages in decreasing [j]. *)
+  let rec fold_inbox insts ~round = function
     | [] -> ()
-    | { Congest.Engine.src = u; msg = { j; scale; dist } } :: rest ->
-      (match Congest.Node_view.edge_weight view u with
-      | None -> ()
-      | Some w ->
-        Bh_instance.on_message insts j ~round ~scale ~dist ~scaled_w:(scaled_weight ~i:scale ~w));
-      fold_inbox view insts ~round rest
+    | { Congest.Engine.w; msg = { j; scale; dist }; _ } :: rest ->
+      Bh_instance.on_message insts j ~round ~scale ~dist ~scaled_w:(scaled_weight ~i:scale ~w);
+      fold_inbox insts ~round rest
   in
-  let rec decide_from view insts ~round j sends wakes =
-    if j = b then { Congest.Engine.sends; wakes }
+  let rec decide_from insts ~round j broadcast wakes =
+    if j = b then { Congest.Engine.sends = []; broadcast; wakes }
     else if not (Bh_instance.may_act insts j ~round) then
-      decide_from view insts ~round (j + 1) sends wakes
+      decide_from insts ~round (j + 1) broadcast wakes
     else
       match Bh_instance.decide insts j ~round with
-      | Bh_instance.Quiet -> decide_from view insts ~round (j + 1) sends wakes
+      | Bh_instance.Quiet -> decide_from insts ~round (j + 1) broadcast wakes
       | Bh_instance.Broadcast ->
         let msg = { j; scale = Bh_instance.scale insts j; dist = Bh_instance.dist insts j } in
-        decide_from view insts ~round (j + 1)
-          (prepend_sends view.Congest.Node_view.neighbors msg 0 sends)
-          wakes
+        decide_from insts ~round (j + 1) (msg :: broadcast) wakes
       | Bh_instance.Wake ->
-        decide_from view insts ~round (j + 1) sends (Bh_instance.wake_round insts j :: wakes)
+        decide_from insts ~round (j + 1) broadcast (Bh_instance.wake_round insts j :: wakes)
   in
   {
     name = "alg3-multi-source";
@@ -75,9 +67,9 @@ let concurrent_protocol ~b ~cfg ~scaled_weight :
            sources just arm their phase-base wake-ups. *)
         (insts, Congest.Engine.act ~wakes:source_wakes ()));
     on_round =
-      (fun view ~round insts ~inbox ->
-        fold_inbox view insts ~round inbox;
-        (insts, decide_from view insts ~round 0 [] []));
+      (fun _ ~round insts ~inbox ->
+        fold_inbox insts ~round inbox;
+        (insts, decide_from insts ~round 0 [] []));
   }
 
 let run ?delays_override g ~tree ~sources ~params ~rng =

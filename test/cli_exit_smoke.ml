@@ -8,13 +8,32 @@
      124  cmdliner CLI parse errors
 
    It also renders every command's --help=plain page and fails if one
-   writes to stderr.
+   writes to stderr, and runs `check sweep`'s negative control: a row
+   that keeps `within: true` over a forged estimate must exit 1.
 
    Run via `dune build @cli-exit-codes` (also under `dune runtest`);
    argv.(1) is the CLI executable. The driver links the harness
    library so it can fabricate specs and checkpoint rows directly. *)
 
 let failures = ref 0
+
+(* [row] with the number stored under [key] replaced by [by]. *)
+let set_number key by row =
+  let key = Printf.sprintf "\"%s\":" key in
+  let klen = String.length key and len = String.length row in
+  let rec find i =
+    if i + klen > len then None else if String.sub row i klen = key then Some i else find (i + 1)
+  in
+  match find 0 with
+  | None -> row
+  | Some i ->
+    let j = ref (i + klen) in
+    while
+      !j < len && match row.[!j] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    do
+      incr j
+    done;
+    String.sub row 0 i ^ key ^ by ^ String.sub row !j (len - !j)
 
 let expect ~what code cmd =
   let rc = Sys.command (cmd ^ " > /dev/null") in
@@ -219,6 +238,44 @@ let () =
   expect ~what:"top renders a real store" 0
     (Printf.sprintf "%s top --total 1 %s" exe
        (Filename.quote (Filename.concat dir "exit-smoke-failed.jsonl")));
+
+  (* check sweep's negative control. The ci-smoke instance n = 32,
+     seed 1, run by Theorem 1.1 (exact diameter 75), then its row
+     forged to an estimate ten times the exact value, with a consistent
+     ratio of 10, `within: true` as stored and a valid crc: the honest
+     store certifies (0) and the forged one is a violation (1). *)
+  let thm11 =
+    Harness.Spec.make ~name:"exit-smoke-thm11"
+      ~algos:[ Harness.Spec.Thm11_diameter ]
+      ~family:(Harness.Spec.Ring { cliques = 8 })
+      ~max_w:16 ~sizes:[ 32 ] ~seeds:[ 1 ] ()
+  in
+  let spec_path = Filename.concat dir "exit-smoke-thm11.spec.json" in
+  Out_channel.with_open_text spec_path (fun oc ->
+      output_string oc (Harness.Spec.to_json thm11));
+  let spec = Printf.sprintf "--spec %s" (Filename.quote spec_path) in
+  let check_sweep args = Printf.sprintf "%s check sweep %s %s" exe spec args in
+  expect ~what:"thm11 sweep runs clean" 0 (sweep ("run " ^ spec));
+  expect ~what:"check sweep certifies the honest store" 0 (check_sweep "");
+  let honest = Harness.Store.load ~path:(Filename.concat dir "exit-smoke-thm11.jsonl") () in
+  let forged_path = Filename.concat dir "exit-smoke-thm11.forged.jsonl" in
+  let forged = Harness.Store.load ~path:forged_path () in
+  List.iter
+    (fun (j : Harness.Spec.job) ->
+      let id = j.Harness.Spec.id in
+      let row = Option.get (Harness.Store.find honest id) in
+      let exact =
+        Option.get
+          (Option.bind (Harness.Hjson.member "exact" (Harness.Hjson.parse_exn row))
+             Harness.Hjson.to_int_opt)
+      in
+      Harness.Store.append forged ~id
+        (row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"))
+    (Harness.Spec.jobs thm11);
+  Harness.Store.close honest;
+  Harness.Store.close forged;
+  expect ~what:"check sweep rejects a forged within flag" 1
+    (check_sweep (Printf.sprintf "--store %s" (Filename.quote forged_path)));
 
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   if !failures > 0 then begin

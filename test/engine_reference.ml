@@ -1,10 +1,13 @@
-(* The seed engine round loop, kept verbatim as an executable
-   specification. Congest.Engine.run's optimized loop (flat CSR edge
-   ledger, int-heap calendar, reusable inbox buffers) is pinned
-   bit-identical to this one — states, trace, and full event stream —
-   by the golden-equivalence tests in test_congest.ml. Do not optimize
-   this file: its only job is to stay obviously equal to the historical
-   semantics. *)
+(* The seed engine round loop, kept as an executable specification.
+   Congest.Engine.run's optimized loop (flat CSR edge ledger, int-heap
+   calendar, reusable inbox buffers and active-set arrays, broadcasts
+   straight from the CSR row) is pinned bit-identical to this one —
+   states, trace, and full event stream — by the golden-equivalence
+   tests in test_congest.ml. Since the seed it has gained only the
+   action's [broadcast] field, as the equivalent neighbor-order sends,
+   and the envelope's edge weight, by a scan of the sender's row. Do
+   not optimize this file: its only job is to stay obviously equal to
+   the historical semantics. *)
 
 open Congest
 open Engine
@@ -70,8 +73,18 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
     | None -> Hashtbl.replace arrivals arrival (ref [ (dst, env) ])
   in
   let deliver ~round src (dst, msg) =
-    if not (Node_view.is_neighbor views.(src) dst) then
-      invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
+    (* The weight of the edge to [dst], by a scan of the sender's row. *)
+    let w =
+      Array.fold_left
+        (fun acc (v, w) -> if v = dst then Some w else acc)
+        None views.(src).Node_view.neighbors
+    in
+    let w =
+      match w with
+      | Some w -> w
+      | None ->
+        invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst)
+    in
     let sz = proto.size_words msg in
     if sz < 1 then invalid_arg (proto.name ^ ": message size < 1 word");
     incr messages;
@@ -87,7 +100,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
       if cur' > !max_edge_load then max_edge_load := cur';
       if cur' > bandwidth then record_violation key;
       if observed then emit (Telemetry.Events.Message { round; src; dst; words = sz });
-      boxes.(dst).inbox <- { src; msg } :: boxes.(dst).inbox
+      boxes.(dst).inbox <- { src; w; msg } :: boxes.(dst).inbox
     | Some (f, rng, _) ->
       if f.Fault.strict_bandwidth && cur + sz > bandwidth then begin
         (* NIC-enforced bandwidth: the whole message is dropped at the
@@ -135,7 +148,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
                   (Telemetry.Events.Fault
                      { round; node = src; peer = dst; kind = Telemetry.Events.Delay jitter })
             end;
-            enqueue_arrival ~arrival:(round + 1 + jitter) dst { src; msg }
+            enqueue_arrival ~arrival:(round + 1 + jitter) dst { src; w; msg }
           done
         end
       end
@@ -197,9 +210,18 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
   Hashtbl.reset load;
   Hashtbl.reset violated;
   any_sends_this_round := false;
+  (* Sends first, then each broadcast message to every neighbor in
+     increasing id order (the order of the neighbor row). *)
+  let send_all ~round id act =
+    List.iter (deliver ~round id) act.sends;
+    List.iter
+      (fun msg ->
+        Array.iter (fun (v, _) -> deliver ~round id (v, msg)) views.(id).Node_view.neighbors)
+      act.broadcast
+  in
   let apply_init id (s, act) =
     incr activations;
-    List.iter (deliver ~round:0 id) act.sends;
+    send_all ~round:0 id act;
     schedule_wake ~now:0 id act.wakes;
     s
   in
@@ -285,7 +307,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
           incr activations;
           let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
           states.(id) <- s';
-          List.iter (deliver ~round:r id) act.sends;
+          send_all ~round:r id act;
           schedule_wake ~now:r id act.wakes)
         snapshots
   done;

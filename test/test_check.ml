@@ -235,19 +235,31 @@ let replace ~sub ~by row =
     let k = i + String.length sub in
     String.sub row 0 i ^ by ^ String.sub row k (String.length row - k)
 
-let bend_exact row =
-  let key = "\"exact\":" in
+(* [row] with the number stored under [key] replaced by [by]. *)
+let set_number key by row =
+  let key = Printf.sprintf "\"%s\":" key in
   match find_sub row key with
   | None -> row
   | Some i ->
     let j = ref (i + String.length key) in
     while
-      !j < String.length row && (match row.[!j] with '0' .. '9' | '-' -> true | _ -> false)
+      !j < String.length row
+      && match row.[!j] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
     do
       incr j
     done;
-    String.sub row 0 i ^ key ^ "99999" ^ String.sub row !j (String.length row - !j)
+    String.sub row 0 i ^ key ^ by ^ String.sub row !j (String.length row - !j)
 
+(* The forged row of the negative control: an estimate ten times the
+   exact value, a consistent ratio of 10, and [within] left true. *)
+let forge_within row =
+  let v = Harness.Hjson.parse_exn row in
+  let exact =
+    Option.get (Option.bind (Harness.Hjson.member "exact" v) Harness.Hjson.to_int_opt)
+  in
+  row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"
+
+let bend_exact = set_number "exact" "99999"
 let fail_row = replace ~sub:"\"status\":\"ok\"" ~by:"\"status\":\"failed\""
 let corrupt_row = replace ~sub:"\"within\":true" ~by:"\"within\":\"yes\""
 
@@ -335,6 +347,49 @@ let test_sweep_audit () =
       Alcotest.check status "empty store inconclusive" Check.Report.Inconclusive
         none.Check.Report.status;
       [ tampered; empty ])
+
+let test_sweep_forged_within () =
+  with_swept_store (fun store ->
+      (* Every row forged ten times over its exact value, its ratio kept
+         consistent and its own flag left true: only re-deriving the
+         guarantee can tell, and it must flag every row, each once. *)
+      let forged = copy_store store (fun _ row -> Some (forge_within row)) in
+      let c = Check.Sweep_audit.audit_store sweep_spec forged in
+      Alcotest.check status "forged rows fail" Check.Report.Fail c.Check.Report.status;
+      check "one within-drift per row" rows
+        (List.length
+           (List.filter
+              (fun (v : Check.Report.violation) -> v.Check.Report.code = "within-drift")
+              c.Check.Report.violations));
+      check "nothing else flagged" rows (List.length c.Check.Report.violations);
+      [ forged ])
+
+let test_guarantee_predicates () =
+  let holds algo estimate exact = Check.Sweep_audit.guarantee algo ~estimate ~exact in
+  let open Harness.Spec in
+  List.iter
+    (fun algo ->
+      checkb (algo_name algo ^ ": exact answer holds") true (holds algo 75.0 75);
+      checkb (algo_name algo ^ ": ten times over fails") false (holds algo 750.0 75))
+    [ Thm11_diameter; Thm11_radius; Classical_diameter; Classical_radius; Lm_unweighted;
+      Approx_apsp; Three_halves; Sssp_two_approx; Bfs_reliable; Wwy_ecc; Wwy_apsp ];
+  List.iter
+    (fun (what, algo, estimate, exact, expect) ->
+      checkb what expect (holds algo estimate exact))
+    [
+      ("thm11 at the 2.25 cap", Thm11_diameter, 225.0, 100, true);
+      ("thm11 past the cap", Thm11_radius, 225.1, 100, false);
+      ("thm11 below exact", Thm11_diameter, 99.9, 100, false);
+      ("approx-apsp within 1e-6", Approx_apsp, 99.9999995, 100, true);
+      ("2-approx at half", Sssp_two_approx, 50.0, 100, true);
+      ("2-approx below half", Sssp_two_approx, 49.0, 100, false);
+      ("2-approx above exact", Sssp_two_approx, 101.0, 100, false);
+      ("3/2-approx at two thirds", Three_halves, 2.0, 3, true);
+      ("3/2-approx below two thirds", Three_halves, 1.0, 3, false);
+      ("3/2-approx above exact", Three_halves, 4.0, 3, false);
+      ("exact algorithm one off", Wwy_ecc, 76.0, 75, false);
+      ("exact algorithm one under", Bfs_reliable, 8.0, 9, false);
+    ]
 
 let test_sweep_one_build_per_instance () =
   with_swept_store (fun store ->
@@ -476,6 +531,8 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "store audit" `Quick test_sweep_audit;
+          Alcotest.test_case "forged within flag" `Quick test_sweep_forged_within;
+          Alcotest.test_case "guarantee predicates" `Quick test_guarantee_predicates;
           Alcotest.test_case "one build per instance" `Quick test_sweep_one_build_per_instance;
           Alcotest.test_case "hooked audit byte-identical" `Quick
             test_sweep_hooked_audit_identical;

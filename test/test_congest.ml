@@ -800,10 +800,36 @@ let flood_protocol : (int, int) Engine.protocol =
           (lvl, to_all view (lvl + 1)));
   }
 
+(* [flood_protocol] with each all-neighbor send list replaced by a
+   one-message broadcast. The engine must deliver the same messages in
+   the same order, so the states, trace and event stream are those of
+   the send version. *)
+let broadcast_flood_protocol : (int, int) Engine.protocol =
+  {
+    flood_protocol with
+    init =
+      (fun view ->
+        if view.Node_view.id = 0 then (0, Engine.broadcast [ 1 ]) else (-1, Engine.no_action));
+    on_round =
+      (fun _ ~round:_ s ~inbox ->
+        if s >= 0 || inbox = [] then (s, Engine.no_action)
+        else
+          let lvl = List.fold_left (fun acc { Engine.msg; _ } -> min acc msg) max_int inbox in
+          (lvl, Engine.broadcast [ lvl + 1 ]));
+  }
+
+let same_run ?faults g p q =
+  let sink1, drain1 = Telemetry.Events.collector () in
+  let r1 = Engine.run ?faults ~sink:sink1 g p in
+  let sink2, drain2 = Telemetry.Events.collector () in
+  let r2 = Engine.run ?faults ~sink:sink2 g q in
+  r1 = r2 && drain1 () = drain2 ()
+
 let test_engine_equals_reference_pinned () =
   (* Deterministic spot checks so a regression fails loudly before the
      property shrinks a counterexample: a path (linear relay) and a
-     ring of 16 cliques of 16 nodes (a flood of about 3,900 messages). *)
+     ring of 16 cliques of 16 nodes (a flood of about 3,900 messages,
+     sent as lists and as broadcasts). *)
   let g = unit_path 8 in
   let cliques =
     Graphlib.Gen.cliques_cycle ~cliques:16 ~clique_size:16
@@ -814,7 +840,11 @@ let test_engine_equals_reference_pinned () =
     (fun (label, faults) ->
       checkb ("relay " ^ label) true (engines_agree ?faults g relay_protocol);
       checkb ("exerciser " ^ label) true (engines_agree ?faults g exerciser_protocol);
-      checkb ("flood " ^ label) true (engines_agree ?faults cliques flood_protocol))
+      checkb ("flood " ^ label) true (engines_agree ?faults cliques flood_protocol);
+      checkb ("broadcast flood " ^ label) true
+        (engines_agree ?faults cliques broadcast_flood_protocol);
+      checkb ("broadcast flood = send flood " ^ label) true
+        (same_run ?faults cliques flood_protocol broadcast_flood_protocol))
     (adversary_classes 77)
 
 (* The exerciser's state cannot see inbox order. This protocol records
@@ -836,7 +866,9 @@ let recorder_protocol : ((int * int * int) list, int) Engine.protocol =
     init = (fun view -> ([], { (flood view ~round:0) with Engine.wakes = [ 2 ] }));
     on_round =
       (fun view ~round s ~inbox ->
-        let s = List.rev_append (List.map (fun { Engine.src; msg } -> (round, src, msg)) inbox) s in
+        let s =
+          List.rev_append (List.map (fun { Engine.src; msg; _ } -> (round, src, msg)) inbox) s
+        in
         if round <= 4 then (s, flood view ~round) else (s, Engine.no_action));
   }
 
@@ -860,14 +892,89 @@ let prop_inbox_order_equals_reference =
           && Array.for_all sorted_by_sender (fst (Engine.run ?faults g recorder_protocol)))
         (adversary_classes seed))
 
+(* A protocol drawn from [seed] that mixes every action field: each
+   activation before round 6 sends to up to two (possibly equal)
+   neighbors, broadcasts up to two messages of one or two words, and
+   may ask for a wake-up, all chosen by a generator seeded with
+   (seed, node, round). Its state logs every envelope the node
+   received as (round, sender, weight, payload), newest first, so equal
+   states mean equal inboxes in equal order. *)
+let mixed_protocol seed : ((int * int * int * int) list, int) Engine.protocol =
+  let act view ~round =
+    let nbrs = view.Node_view.neighbors in
+    let deg = Array.length nbrs in
+    if round >= 6 || deg = 0 then Engine.no_action
+    else begin
+      let rng = Util.Rng.create ~seed:((seed * 7919) + (view.Node_view.id * 131) + round) in
+      let sends =
+        List.init (Util.Rng.int rng 3) (fun _ ->
+            let v = fst nbrs.(Util.Rng.int rng deg) in
+            (v, Util.Rng.int rng 1000))
+      in
+      let broadcast = List.init (Util.Rng.int rng 3) (fun _ -> Util.Rng.int rng 1000) in
+      let wakes = if Util.Rng.int rng 3 = 0 then [ round + 1 + Util.Rng.int rng 3 ] else [] in
+      { Engine.sends; broadcast; wakes }
+    end
+  in
+  {
+    name = "mixed";
+    size_words = (fun m -> 1 + (m mod 2));
+    init = (fun view -> ([], act view ~round:0));
+    on_round =
+      (fun view ~round log ~inbox ->
+        let log =
+          List.fold_left (fun log { Engine.src; w; msg } -> (round, src, w, msg) :: log) log inbox
+        in
+        (log, act view ~round));
+  }
+
+(* Few retransmissions, so a strict-bandwidth run (where every 2- and
+   3-word data message is dropped) gives up quickly. *)
+let mixed_reliable_config = { Reliable.default_config with Reliable.max_retries = 3 }
+
 let prop_engine_equals_reference =
   QCheck.Test.make ~name:"optimized engine = reference (states, trace, events)" ~count:25
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let g = random_graph seed in
+      let mixed = mixed_protocol seed in
       List.for_all
-        (fun (_, faults) -> engines_agree ?faults g exerciser_protocol)
+        (fun (_, faults) ->
+          engines_agree ?faults g exerciser_protocol
+          && engines_agree ?faults g mixed
+          && engines_agree ?faults g (Reliable.wrap ~config:mixed_reliable_config mixed))
         (adversary_classes seed))
+
+let prop_envelope_weight =
+  (* Every envelope a handler receives carries the weight of the edge
+     it crossed, on sends and broadcasts alike, under every adversary
+     class and through [Reliable]. Weights up to 1000 make a weight
+     read from the wrong arc show. *)
+  QCheck.Test.make ~name:"envelope weight = Wgraph.weight" ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Util.Rng.create ~seed in
+      let n = 3 + Util.Rng.int rng 30 in
+      let g =
+        Graphlib.Gen.gnp_connected ~n ~p:0.2
+          ~weighting:(Graphlib.Gen.Uniform { max_w = 1000 }) ~rng
+      in
+      let mixed = mixed_protocol seed in
+      let weights_ok logs =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun v log ->
+               List.for_all (fun (_, src, w, _) -> Graphlib.Wgraph.weight g src v = Some w) log)
+             logs)
+      in
+      Array.exists (fun log -> log <> []) (fst (Engine.run g mixed))
+      && List.for_all
+           (fun (_, faults) ->
+             weights_ok (fst (Engine.run ?faults g mixed))
+             && weights_ok
+                  (fst
+                     (Reliable.run ~bandwidth:4 ?faults ~config:mixed_reliable_config g mixed)))
+           (adversary_classes seed))
 
 (* ----------------------------- Deadlines --------------------------- *)
 
@@ -1027,51 +1134,15 @@ let test_runner_pp_and_json () =
   checkb "json has total" true (contains json "\"total\":{");
   checkb "json carries fault stats" true (contains json "\"dropped\":2")
 
-(* ---------------------------- Node_view --------------------------- *)
-
-let prop_edge_weight_matches_scan =
-  (* [edge_weight] binary-searches the neighbor row; on the views the
-     engine hands out it must agree with a scan of the row for every id
-     in [-1, n], neighbors, non-neighbors and out-of-range ids alike. *)
-  QCheck.Test.make ~name:"Node_view.edge_weight = linear scan" ~count:60
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let rng = Util.Rng.create ~seed in
-      let n = 2 + Util.Rng.int rng 40 in
-      let p = [| 0.1; 0.3; 0.9 |].(seed mod 3) in
-      let g =
-        Graphlib.Gen.gnp_connected ~n ~p ~weighting:(Graphlib.Gen.Uniform { max_w = 9 }) ~rng
-      in
-      let capture : (Node_view.t, unit) Engine.protocol =
-        {
-          name = "capture-views";
-          size_words = (fun () -> 1);
-          init = (fun view -> (view, Engine.no_action));
-          on_round = (fun _ ~round:_ view ~inbox:_ -> (view, Engine.no_action));
-        }
-      in
-      let views, _ = Engine.run g capture in
-      let scan view v =
-        Array.fold_left
-          (fun acc (u, w) -> if u = v then Some w else acc)
-          None view.Node_view.neighbors
-      in
-      Array.for_all
-        (fun view ->
-          List.for_all
-            (fun v -> Node_view.edge_weight view v = scan view v)
-            (List.init (n + 2) (fun i -> i - 1)))
-        views)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_edge_weight_matches_scan;
       prop_tree_is_bfs;
       prop_children_match_parents;
       prop_gather_broadcast_complete;
       prop_gather_memo_matches_fresh;
       prop_engine_equals_reference;
+      prop_envelope_weight;
       prop_inbox_order_equals_reference;
     ]
 

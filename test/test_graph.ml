@@ -295,6 +295,35 @@ let test_bounded_distance () =
       else checkb "cut" true (Dist.is_inf bounded.(v)))
     bounded
 
+let prop_bounded_matches_cut =
+  (* The bounded search stops relaxing at the bound; it must still
+     return exactly the full search's distances cut at the bound, on
+     the packed path and on the Int_pq fallback (weights scaled past
+     the packing threshold), for bounds from -1 to past the farthest
+     node. *)
+  QCheck.Test.make ~name:"distances_bounded = distances cut at the bound" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 100))
+    (fun (seed, pct) ->
+      let g = random_graph ~max_w:10 seed in
+      let n = Wgraph.n g in
+      let scale = (packed_weight_threshold n / 10) + 1 in
+      let big =
+        Wgraph.make ~n
+          (Array.to_list (Wgraph.edge_array g)
+          |> List.map (fun e -> { e with Wgraph.w = e.Wgraph.w * scale }))
+      in
+      List.for_all
+        (fun g ->
+          let src = seed mod n in
+          let exact = Dijkstra.distances g ~src in
+          let far =
+            Array.fold_left (fun acc d -> if Dist.is_finite d then max acc d else acc) 0 exact
+          in
+          let bound = (pct * (far + 2) / 100) - 1 in
+          Dijkstra.distances_bounded g ~src ~bound
+          = Array.map (fun d -> if Dist.is_finite d && d <= bound then d else Dist.inf) exact)
+        [ g; big ])
+
 (* ------------------------------ Apsp ------------------------------ *)
 
 let test_apsp_path () =
@@ -694,6 +723,7 @@ let qsuite =
       prop_dijkstra_triangle;
       prop_bounded_hop_monotone;
       prop_dijkstra_scale_across_boundary;
+      prop_bounded_matches_cut;
       prop_radius_diameter_sandwich;
       prop_ecc_max_min;
       prop_reweight_sandwich;
