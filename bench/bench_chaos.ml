@@ -8,7 +8,7 @@
    - v2 checkpoint frames: Store.append / reload throughput with the
      per-row FNV-1a checksum enabled (every row in this repo pays it).
    - detection path: one poisoned byte mid-file must land the damaged
-     row in the quarantine sibling while every other row survives.
+     row in the *.corrupt.jsonl sibling while every other row survives.
 
    Results go to BENCH_chaos.json under bench_artifacts/.
 

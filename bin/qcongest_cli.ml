@@ -60,7 +60,14 @@ let jobs_arg =
            checks). Defaults to $(b,QCONGEST_JOBS), else the machine's recommended domain \
            count; the environment variable takes precedence over this flag.")
 
-let set_jobs = function Some j -> Util.Domain_pool.set_default_jobs j | None -> ()
+(* A --jobs below 1 is a usage error (exit 2) before any work starts,
+   like a malformed QCONGEST_JOBS. *)
+let set_jobs = function
+  | Some j when j < 1 ->
+    Printf.eprintf "qcongest: --jobs must be >= 1\n";
+    exit 2
+  | Some j -> Util.Domain_pool.set_default_jobs j
+  | None -> ()
 
 let make_graph ?input family n max_w cliques seed =
   match input with
@@ -561,13 +568,6 @@ let with_store ?fsync spec override f =
          holder lock_path)
   | store -> Fun.protect ~finally:(fun () -> Harness.Store.close store) (fun () -> f store)
 
-(* Poison jobs settled into the quarantine sibling (if any). *)
-let quarantine_count store =
-  let qp = Harness.Runner.quarantine_path store in
-  if Sys.file_exists qp then
-    Harness.Store.count (Harness.Store.load ~lock:false ~path:qp ())
-  else 0
-
 let stored_failures store =
   List.length
     (List.filter
@@ -591,11 +591,9 @@ let audit_sweep_store (spec : Harness.Spec.t) store =
        (Check.Report.to_json report));
   Check.Report.exit_code report
 
-let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadline retries
-    progress =
+let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadline progress =
   set_jobs jobs;
-  if retries < 1 then sweep_error "--retries must be >= 1"
-  else if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline) then
+  if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline) then
     sweep_error deadline_usage
   else
     match load_spec spec_file builtin with
@@ -606,16 +604,12 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
       Printf.printf "sweep %s: %d jobs (%d already checkpointed in %s)\n%!"
         spec.Harness.Spec.name total (Harness.Store.count store)
         (Harness.Store.path store);
-      let retry =
-        if retries = 1 then Harness.Runner.no_retry
-        else { Harness.Runner.default_retry with Harness.Runner.max_attempts = retries }
-      in
       (* --progress: a single \r-rewritten status line driven by
          read-only store observation, plus a live metrics registry
          (job wall-time histogram) exported as Prometheus text. *)
       let metrics = if progress then Some (Telemetry.Metrics.create ()) else None in
       let t0 = Unix.gettimeofday () in
-      let baseline = Harness.Store.count store + quarantine_count store in
+      let baseline = Harness.Store.count store in
       let on_progress =
         if progress then fun ~completed:_ ~total ->
           let stats =
@@ -628,7 +622,7 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
         else fun ~completed ~total -> Printf.printf "  checkpoint: %d/%d jobs\n%!" completed total
       in
       let executed, failed =
-        Harness.Runner.run ?max_jobs ~retry ?deadline_s:deadline ?metrics spec store
+        Harness.Runner.run ?max_jobs ?deadline_s:deadline ?metrics spec store
           ~on_progress
       in
       if progress then print_newline ();
@@ -646,12 +640,8 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
            ~name:(spec.Harness.Spec.name ^ ".sweep.json")
            report);
       let audit_rc = if audit then audit_sweep_store spec store else 0 in
-      let quarantined = quarantine_count store in
-      if quarantined > 0 then
-        Printf.printf "%d poison job(s) quarantined in %s\n" quarantined
-          (Harness.Runner.quarantine_path store);
-      let settled = Harness.Store.count store + quarantined in
-      let failures = stored_failures store + quarantined in
+      let settled = Harness.Store.count store in
+      let failures = stored_failures store in
       if settled < total then begin
         Printf.printf "%d job(s) still pending — rerun `sweep run` to resume\n"
           (total - settled);
@@ -669,11 +659,19 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
       end
       else 0
 
+(* For the commands that only read a store (sweep report and gate,
+   check sweep) a missing one is a usage error: loading would create
+   it and its directory, and answer for a sweep that never ran. *)
+let with_existing_store ~usage spec override f =
+  let path = resolve_store_path spec override in
+  if not (Sys.file_exists path) then usage ("no store at " ^ path)
+  else with_store spec (Some path) f
+
 let sweep_report spec_file builtin store_override =
   match load_spec spec_file builtin with
   | Error m -> sweep_error m
   | Ok spec ->
-    with_store spec store_override @@ fun store ->
+    with_existing_store ~usage:sweep_error spec store_override @@ fun store ->
     print_endline (Harness.Runner.report spec store);
     0
 
@@ -717,9 +715,9 @@ let sweep_gate jobs spec_file builtin store_override negative_control =
         (Harness.Fit.evaluate spec.Harness.Spec.gates ~series)
     end
     else
-      with_store spec store_override @@ fun store ->
-      (* Series degraded by timeouts/quarantine gate as Inconclusive
-         (exit 3), never as a measured pass or fail. *)
+      with_existing_store ~usage:sweep_error spec store_override @@ fun store ->
+      (* Series degraded by failed or timed-out jobs gate as
+         Inconclusive (exit 3), never as a measured pass or fail. *)
       let degraded = Harness.Runner.degraded_series spec store in
       let series = Harness.Runner.series_points spec store in
       print_gate_verdict spec ~negative_control
@@ -789,20 +787,10 @@ let sweep_cmd =
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock budget per job attempt, checked cooperatively at round granularity; \
+            "Wall-clock budget per job, checked cooperatively at round granularity; \
              a job over budget is checkpointed as a $(b,status:\"timeout\") row and the \
              sweep continues. A budget that is not a finite number >= 0 is a usage error \
              (exit 2).")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"K"
-          ~doc:
-            "Attempts per job (default 1 = no retry). Failed attempts are re-run after a \
-             deterministic seeded exponential backoff; a job failing all $(docv) attempts \
-             is quarantined to the $(b,*.quarantine.jsonl) sibling and the sweep completes \
-             without it.")
   in
   let progress_arg =
     Arg.(
@@ -810,14 +798,14 @@ let sweep_cmd =
       & info [ "progress" ]
           ~doc:
             "Replace the per-batch checkpoint lines with a single live status line (rows \
-             done/total, rows/s, ETA, failure/timeout/quarantine counts, redrawn in place \
+             done/total, rows/s, ETA, failure/timeout counts, redrawn in place \
              after a carriage return) and export the run's job wall-time metrics as \
              $(i,spec-name).metrics.prom (Prometheus text exposition).")
   in
   let run_term =
     Term.(
       const sweep_run $ jobs_arg $ spec_arg $ builtin_arg $ store_arg
-      $ max_jobs_arg $ audit_arg $ fsync_arg $ deadline_arg $ retries_arg $ progress_arg)
+      $ max_jobs_arg $ audit_arg $ fsync_arg $ deadline_arg $ progress_arg)
   in
   let run_cmd =
     Cmd.v
@@ -858,7 +846,13 @@ let sweep_cmd =
 (* ------------------------------- top ------------------------------- *)
 
 let run_top store_path total watch =
-  if not (Sys.file_exists store_path) then begin
+  if not (Float.is_finite watch) then begin
+    (* Checked before the first line: the watch loop's Unix.sleepf
+       would raise on NaN or infinity only after printing it. *)
+    Printf.eprintf "qcongest top: --watch must be a finite number of seconds\n";
+    2
+  end
+  else if not (Sys.file_exists store_path) then begin
     Printf.eprintf "qcongest top: no store at %s\n" store_path;
     2
   end
@@ -911,14 +905,15 @@ let top_cmd =
           ~doc:
             "Re-observe every $(docv) seconds, rewriting the status line in place; exits \
              when $(b,--total) rows are settled (without $(b,--total): watches forever). \
-             Default 0 = print once and exit.")
+             Default 0 = print once and exit, as does any value <= 0; NaN or infinity is a \
+             usage error (exit 2).")
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Read-only tail of a sweep checkpoint store: rows settled, ok/failed/timeout/\
-          quarantined counts, rate and ETA. Never locks, repairs or mutates the store, so \
-          it is safe against a live $(b,sweep run).")
+         "Read-only tail of a sweep checkpoint store: rows settled, ok/failed/timeout \
+          counts, rate and ETA. Never locks, repairs or mutates the store, so it is safe \
+          against a live $(b,sweep run).")
     Term.(const run_top $ store_arg $ total_arg $ watch_arg)
 
 (* ------------------------------- perf ------------------------------- *)
@@ -1024,12 +1019,9 @@ let check_sweep spec_file builtin store_override =
   match load_spec spec_file builtin with
   | Error m -> usage m
   | Ok spec ->
-    (* Loading would create a missing store, and an empty store is
-       only inconclusive: a mistyped path must not read as "nothing to
-       audit". *)
-    let path = resolve_store_path spec store_override in
-    if not (Sys.file_exists path) then usage ("no store at " ^ path)
-    else with_store spec (Some path) (audit_sweep_store spec)
+    (* An empty store is only inconclusive, so a mistyped path must
+       not read as "nothing to audit". *)
+    with_existing_store ~usage spec store_override (audit_sweep_store spec)
 
 let check_chaos seed deadline negative_control artifacts =
   if not (Congest.Engine.valid_deadline deadline) then begin
@@ -1158,8 +1150,7 @@ let check_cmd =
       & info [ "negative-control" ]
           ~doc:
             "Arm one sabotage per chaos certificate (a silently deleted checkpoint row, a \
-             supervisor that forgot to arm the deadline, an ignored retry policy, a lost \
-             quarantine file). A sound chaos auditor must exit 1.")
+             supervisor that forgot to arm the deadline). A sound chaos auditor must exit 1.")
   in
   let chaos_cmd =
     Cmd.v
@@ -1167,11 +1158,10 @@ let check_cmd =
          ~doc:
            "Chaos-injection audit of the supervised execution layer: kill a sweep mid-batch \
             and corrupt its checkpoint store in place (bit-flip, spliced line, truncated \
-            row), plant a never-terminating job under a deadline, inject transient and \
-            permanent faults under the seeded retry policy — then certify recovery: \
-            byte-identical resumed reports, timeout rows within tolerance, deterministic \
-            backoff schedules, poison-job quarantine and Inconclusive gates over degraded \
-            series. Exits 0 when every invariant holds, 1 on a violation.")
+            row), and plant a never-terminating job under a deadline — then certify \
+            recovery: byte-identical resumed reports, timeout rows within tolerance that \
+            the report counts, and Inconclusive gates over the degraded series. Exits 0 \
+            when every invariant holds, 1 on a violation.")
       Term.(
         const check_chaos $ chaos_seed_arg $ chaos_deadline_arg $ chaos_negative_arg
         $ artifacts_arg)

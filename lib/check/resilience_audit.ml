@@ -2,17 +2,15 @@
 
    Each certificate stages a real failure against real sweeps in a
    throwaway directory — a run killed mid-batch with its checkpoint
-   store corrupted in place, a planted never-terminating job, an
-   injected transient fault, an injected permanent fault — and then
-   certifies the supervision invariants: no row lost except
-   quarantined ones, resume byte-identical to an uninterrupted run,
-   deadlines firing within tolerance, retry schedules deterministic,
-   poison jobs quarantined with the sweep still completing.
+   store corrupted in place, a planted never-terminating job — and
+   then certifies the supervision invariants: no row lost, resume
+   byte-identical to an uninterrupted run, deadlines firing within
+   tolerance, and a timed-out job settling as a row that degrades its
+   series instead of wedging the sweep.
 
    [negative_control] arms one sabotage per certificate (a silently
-   deleted row, a supervisor that forgot to arm the deadline, an
-   ignored retry policy, a lost quarantine file), so the audit must
-   come back Fail — the proof that it can reject. *)
+   deleted row, a supervisor that forgot to arm the deadline), so the
+   audit must come back Fail — the proof that it can reject. *)
 
 module J = Telemetry.Tjson
 module Hjson = Harness.Hjson
@@ -69,7 +67,6 @@ let row_member row name get =
   | Error _ -> None
 
 let row_status row = row_member row "status" Hjson.to_string_opt
-let row_attempts row = row_member row "attempts" Hjson.to_int_opt
 
 let row_error_kind row =
   match Hjson.parse row with
@@ -283,137 +280,6 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
     ~code:"sweep-wedged"
     ~data:[ ("rows", J.int (Store.count store)) ]
     "the sweep must complete around the timed-out job";
-  Store.close store;
-  finish l ~name:"chaos-deadline"
-    ~claim:
-      "a planted never-terminating job is stopped by the cooperative wall-clock \
-       deadline within tolerance and surfaces as a timeout row, with the sweep \
-       completing"
-    ~notes:[ ("budget_s", J.float deadline_s) ]
-    ()
-
-(* --------------------------- chaos-retry --------------------------- *)
-
-let retry_policy =
-  { Runner.max_attempts = 4; backoff_s = 0.004; multiplier = 2.0; jitter = 0.25;
-    retry_seed = 7 }
-
-let retry_certificate ~seed ~negative_control =
-  let l = ledger () in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let spec = tiny_spec ~name:"chaos-retry" ~seed in
-  let flaky = List.nth (Spec.jobs spec) 1 in
-  let run_once name =
-    let sleeps = ref [] in
-    let store = Store.load ~path:(Filename.concat dir name) () in
-    let execute spec (j : Spec.job) ~attempt =
-      if j.Spec.id = flaky.Spec.id && attempt <= 2 then
-        Runner.protect ~attempt j (fun () -> failwith "injected transient fault")
-      else Runner.run_job ~attempt spec j
-    in
-    (* Sabotage: the retry policy is silently ignored. *)
-    let retry = if negative_control then Runner.no_retry else retry_policy in
-    let (_ : int * int) =
-      Runner.run ~jobs:1 ~retry ~sleep:(fun d -> sleeps := d :: !sleeps) ~execute spec
-        store
-    in
-    (store, List.rev !sleeps)
-  in
-  let store1, sleeps1 = run_once "retry-a.jsonl" in
-  let store2, sleeps2 = run_once "retry-b.jsonl" in
-  (match Store.find store1 flaky.Spec.id with
-  | Some row ->
-    check l
-      (row_status row = Some "ok" && row_attempts row = Some 3)
-      ~code:"retry-not-honored"
-      ~data:
-        [ ("status", J.str (Option.value ~default:"?" (row_status row)));
-          ("attempts", J.int (Option.value ~default:0 (row_attempts row))) ]
-      "a transient double fault must succeed on the third attempt and record it"
-  | None ->
-    check l false ~code:"retry-not-honored"
-      ~data:[ ("id", J.str flaky.Spec.id) ]
-      "the flaky job was never checkpointed to the main store");
-  let expected_sleeps =
-    match Runner.backoff_schedule retry_policy ~job_id:flaky.Spec.id with
-    | d1 :: d2 :: _ -> [ d1; d2 ]
-    | short -> short
-  in
-  check l (sleeps1 = expected_sleeps) ~code:"schedule-mismatch"
-    ~data:
-      [ ("slept", J.arr (List.map J.float sleeps1));
-        ("expected", J.arr (List.map J.float expected_sleeps)) ]
-    "the observed backoff sleeps must equal the job's seeded schedule";
-  check l
-    (sleeps1 = sleeps2 && Store.find store1 flaky.Spec.id = Store.find store2 flaky.Spec.id)
-    ~code:"retry-nondeterministic" ~data:[]
-    "two identical flaky sweeps must retry on identical schedules to identical rows";
-  check l
-    (not (Sys.file_exists (Runner.quarantine_path store1)))
-    ~code:"spurious-quarantine" ~data:[]
-    "a job that eventually succeeds must not be quarantined";
-  Store.close store1;
-  Store.close store2;
-  finish l ~name:"chaos-retry"
-    ~claim:
-      "transient faults are retried on a deterministic seeded backoff schedule; \
-       same seed, same schedule, same rows"
-    ()
-
-(* ------------------------- chaos-quarantine ------------------------ *)
-
-let quarantine_certificate ~seed ~negative_control =
-  let l = ledger () in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let spec = tiny_spec ~name:"chaos-quarantine" ~seed in
-  let poison = List.hd (Spec.jobs spec) in
-  let retry = { retry_policy with Runner.max_attempts = 2; backoff_s = 0.0; jitter = 0.0 } in
-  let execute spec (j : Spec.job) ~attempt =
-    if j.Spec.id = poison.Spec.id then
-      Runner.protect ~attempt j (fun () -> failwith "injected permanent fault")
-    else Runner.run_job ~attempt spec j
-  in
-  let store = Store.load ~path:(Filename.concat dir "quarantine.jsonl") () in
-  let total = List.length (Spec.jobs spec) in
-  let executed, failures = Runner.run ~jobs:1 ~retry ~sleep:(fun _ -> ()) ~execute spec store in
-  check l
-    (executed = total && failures = 1)
-    ~code:"sweep-wedged"
-    ~data:[ ("executed", J.int executed); ("failed", J.int failures) ]
-    "the sweep must complete with the poison job counted as its one failure";
-  check l
-    (Store.count store = total - 1 && not (Store.mem store poison.Spec.id))
-    ~code:"poison-in-main"
-    ~data:[ ("rows", J.int (Store.count store)) ]
-    "a job failing every attempt must not be checkpointed to the main store";
-  if negative_control then begin
-    (* Sabotage: the poison row vanishes entirely. *)
-    try Sys.remove (Runner.quarantine_path store) with Sys_error _ -> ()
-  end;
-  (match
-     if Sys.file_exists (Runner.quarantine_path store) then
-       Store.find (Store.load ~lock:false ~path:(Runner.quarantine_path store) ()) poison.Spec.id
-     else None
-   with
-  | Some row ->
-    check l
-      (row_status row = Some "failed" && row_attempts row = Some 2)
-      ~code:"quarantine-row-wrong"
-      ~data:
-        [ ("status", J.str (Option.value ~default:"?" (row_status row)));
-          ("attempts", J.int (Option.value ~default:0 (row_attempts row))) ]
-      "the quarantined row must record the final failed attempt"
-  | None ->
-    check l false ~code:"quarantine-row-lost"
-      ~data:[ ("id", J.str poison.Spec.id) ]
-      "the poison job's final row must survive in the quarantine sibling");
-  (* A resume treats quarantined jobs as settled. *)
-  let resumed, _ = Runner.run ~jobs:1 ~retry ~sleep:(fun _ -> ()) ~execute spec store in
-  check l (resumed = 0) ~code:"quarantine-not-settled"
-    ~data:[ ("re_executed", J.int resumed) ]
-    "a resume must not re-execute quarantined jobs";
   let report = Runner.report spec store in
   let report_int name =
     match Hjson.parse report with
@@ -421,24 +287,25 @@ let quarantine_certificate ~seed ~negative_control =
     | Error _ -> -1
   in
   check l
-    (report_int "quarantined" = 1 && report_int "missing" = 0)
-    ~data:
-      [ ("quarantined", J.int (report_int "quarantined"));
-        ("missing", J.int (report_int "missing")) ]
+    (report_int "timeout" = 1 && report_int "missing" = 0)
     ~code:"report-miscounts"
-    "the report must count the poison job as quarantined, not missing";
-  (* Degradation: the poisoned series has one size left — no slope to
-     fit — so a gate on it must come back Inconclusive, never Pass. *)
+    ~data:
+      [ ("timeout", J.int (report_int "timeout"));
+        ("missing", J.int (report_int "missing")) ]
+    "the report must count the timed-out job as a timeout, not missing";
+  (* Degradation: the victim was its series' only job at n = 6, so
+     the series has one size left — no slope to fit — and a gate on
+     it must come back Inconclusive, never a verdict. *)
   let degraded = Runner.degraded_series spec store in
-  let poison_series = Spec.algo_name poison.Spec.algo in
+  let victim_series = Spec.algo_name victim.Spec.algo in
   check l
-    (List.mem poison_series degraded)
+    (List.mem victim_series degraded)
     ~code:"degradation-unmarked"
     ~data:[ ("degraded", J.arr (List.map J.str degraded)) ]
     "a series with too few ok rows must be marked degraded";
   let verdict =
     Fit.evaluate ~degraded
-      [ { Spec.series = poison_series; expected = 1.0; tol = 100.0; min_r2 = 0.0 } ]
+      [ { Spec.series = victim_series; expected = 1.0; tol = 100.0; min_r2 = 0.0 } ]
       ~series:(Runner.series_points spec store)
   in
   check l
@@ -447,12 +314,13 @@ let quarantine_certificate ~seed ~negative_control =
     ~data:[ ("status", J.str (Fit.status_name verdict.Fit.status)) ]
     "gates over a degraded series must be Inconclusive (exit 3), not a verdict";
   Store.close store;
-  finish l ~name:"chaos-quarantine"
+  finish l ~name:"chaos-deadline"
     ~claim:
-      "a job failing K attempts is quarantined to the sibling store; the sweep \
-       completes, reports count it, and gates over the degraded series are \
+      "a planted never-terminating job is stopped by the cooperative wall-clock \
+       deadline within tolerance and surfaces as a timeout row, with the sweep \
+       completing, the report counting it and gates over its degraded series \
        Inconclusive"
-    ~notes:[ ("max_attempts", J.int retry.Runner.max_attempts) ]
+    ~notes:[ ("budget_s", J.float deadline_s) ]
     ()
 
 (* ------------------------------ entry ------------------------------ *)
@@ -461,6 +329,4 @@ let certify ?(seed = 11) ?(deadline_s = 0.05) ?(negative_control = false) () =
   [
     resume_certificate ~seed ~negative_control;
     deadline_certificate ~seed ~deadline_s ~negative_control;
-    retry_certificate ~seed ~negative_control;
-    quarantine_certificate ~seed ~negative_control;
   ]

@@ -1,6 +1,6 @@
 (** Chaos-injection certifier for the supervised execution layer.
 
-    Four certificates, each staging a real failure in a throwaway
+    Two certificates, each staging a real failure in a throwaway
     directory and checking the supervision invariants end to end:
 
     - {b chaos-resume} — a sweep is killed mid-batch and its
@@ -14,21 +14,15 @@
       both directly under {!Congest.Engine.run} (the cooperative
       [?deadline] must raise within tolerance of its budget) and as a
       sweep job (which must settle as a [status:"timeout"] row with
-      the sweep completing around it).
-    - {b chaos-retry} — a job fails its first two attempts; the
-      seeded retry policy must succeed on the third, sleep exactly
-      the job's deterministic backoff schedule, reproduce identical
-      rows and sleeps on a second run, and quarantine nothing.
-    - {b chaos-quarantine} — a job fails every attempt; after
-      [max_attempts] it must move to the quarantine sibling (not the
-      main store), count as settled on resume, be reported as
-      [quarantined], and drag its series to [degraded] so fit gates
-      over it return Inconclusive (exit 3) rather than a verdict.
+      the sweep completing around it). The victim is its series' only
+      job at one size, so the report must count it as a timeout (none
+      missing) and the series must be [degraded], with fit gates over
+      it Inconclusive (exit 3) rather than a verdict.
 
     [negative_control] arms one sabotage per certificate — a silently
-    deleted row, a supervisor that forgot the deadline, an ignored
-    retry policy, a lost quarantine file — so the audit must Fail;
-    [check chaos --negative-control] proves the suite can reject. *)
+    deleted row, a supervisor that forgot the deadline — so the audit
+    must Fail; [check chaos --negative-control] proves the suite can
+    reject. *)
 
 val certify :
   ?seed:int ->
@@ -36,6 +30,6 @@ val certify :
   ?negative_control:bool ->
   unit ->
   Report.certificate list
-(** Run all four chaos certificates. [seed] (default 11) seeds the
+(** Run both chaos certificates. [seed] (default 11) seeds the
     staged sweeps; [deadline_s] (default 0.05) is the wall-clock
     budget given to the planted infinite jobs. *)

@@ -97,8 +97,8 @@ let sweep_report ?oracle ?graph_of_job spec store =
   { Report.certificates = [ Sweep_audit.audit_store ?oracle ?graph_of_job spec store ] }
 
 (* Deliberately not part of [run]'s certifier list: the chaos suite
-   spins real sweeps, sleeps through real backoff and burns a real
-   wall-clock deadline budget, so it gets its own entry point
-   ([qcongest check chaos]) instead of slowing every [check run]. *)
+   spins real sweeps and burns a real wall-clock deadline budget, so
+   it gets its own entry point ([qcongest check chaos]) instead of
+   slowing every [check run]. *)
 let chaos ?(seed = 11) ?(deadline_s = 0.05) ?(negative_control = false) () =
   { Report.certificates = Resilience_audit.certify ~seed ~deadline_s ~negative_control () }

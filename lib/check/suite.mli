@@ -57,6 +57,6 @@ val chaos :
   ?seed:int -> ?deadline_s:float -> ?negative_control:bool -> unit -> Report.report
 (** {!Resilience_audit.certify} wrapped as a report — the [qcongest
     check chaos] entry point. Kept out of {!run}'s certifier list
-    because it stages real kills, corruption, backoff sleeps and
-    deadline budgets; [negative_control] arms one sabotage per
-    certificate so the report must [Fail]. *)
+    because it stages real kills, corruption and deadline budgets;
+    [negative_control] arms one sabotage per certificate so the report
+    must [Fail]. *)

@@ -4,8 +4,6 @@
     and {!Store} (per-row checksums), so the two can never drift. Not
     cryptographic — it detects corruption, not tampering. *)
 
-val hash64 : string -> int64
-(** FNV-1a over the raw bytes. *)
-
 val hex64 : string -> string
-(** {!hash64} rendered as 16 lowercase hex digits (zero-padded). *)
+(** FNV-1a over the raw bytes, rendered as 16 lowercase hex digits
+    (zero-padded). *)

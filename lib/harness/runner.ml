@@ -92,42 +92,6 @@ let protect ?(attempt = 1) (j : Spec.job) f =
         ("message", Telemetry.Tjson.str (Printexc.to_string exn));
       ]
 
-(* ------------------------- retry scheduling ------------------------ *)
-
-type retry = {
-  max_attempts : int;
-  backoff_s : float;
-  multiplier : float;
-  jitter : float;
-  retry_seed : int;
-}
-
-let no_retry =
-  { max_attempts = 1; backoff_s = 0.0; multiplier = 2.0; jitter = 0.0; retry_seed = 0 }
-
-let default_retry =
-  { max_attempts = 3; backoff_s = 0.05; multiplier = 2.0; jitter = 0.25; retry_seed = 0 }
-
-(* The whole schedule is a pure function of (policy, job id): the
-   jitter RNG is seeded from both, so one job's draws never perturb
-   another's and a resumed run replays the identical schedule — the
-   property that keeps kill-and-resume byte-identical under retries. *)
-let backoff_schedule retry ~job_id =
-  if retry.max_attempts <= 1 then []
-  else begin
-    let salt = Int64.to_int (Fnv.hash64 job_id) land 0x3FFFFFFF in
-    let rng = Util.Rng.create ~seed:(retry.retry_seed lxor salt) in
-    List.init
-      (retry.max_attempts - 1)
-      (fun i ->
-        let base = retry.backoff_s *. (retry.multiplier ** float_of_int i) in
-        let factor =
-          if retry.jitter <= 0.0 then 1.0
-          else 1.0 -. retry.jitter +. Util.Rng.float rng (2.0 *. retry.jitter)
-        in
-        Float.max 0.0 (base *. factor))
-  end
-
 (* --------------------------- job execution ------------------------- *)
 
 let run_job ?(attempt = 1) ?deadline_s (spec : Spec.t) (j : Spec.job) =
@@ -280,28 +244,8 @@ let row_failed row =
   | Ok v -> Hjson.member "status" v <> Some (Hjson.Str "ok")
   | Error _ -> true
 
-let quarantine_path store = Store.sibling (Store.path store) ~tag:"quarantine"
-
-(* Run one job to settlement under the retry policy: re-execute failed
-   attempts, sleeping the job's deterministic backoff schedule between
-   them, until a row is ok or the attempt budget is spent. Runs inside
-   a Domain_pool worker, so concurrent jobs back off in parallel. *)
-let attempt_job ~retry ~sleep ~execute spec (j : Spec.job) =
-  let rec go attempt = function
-    | [] -> execute spec j ~attempt
-    | delay :: rest ->
-      let row = execute spec j ~attempt in
-      if row_failed row then begin
-        sleep delay;
-        go (attempt + 1) rest
-      end
-      else row
-  in
-  go 1 (backoff_schedule retry ~job_id:j.Spec.id)
-
-let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
-    ?execute ?metrics ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
-  if retry.max_attempts < 1 then invalid_arg "Runner.run: retry.max_attempts must be >= 1";
+let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
+    ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
   if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline_s) then
     invalid_arg "Runner.run: deadline_s must be a non-negative finite number of seconds";
   let execute =
@@ -311,37 +255,12 @@ let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
   in
   let all = Spec.jobs spec in
   let total = List.length all in
-  (* Poison jobs quarantined by an earlier invocation are settled: a
-     resume must neither re-run them nor wait for them. The sibling
-     store is only opened (and its file only created) when needed. *)
-  let qstore = ref None in
-  let force_qstore () =
-    match !qstore with
-    | Some q -> q
-    | None ->
-      (* The runner appends poison rows here, so this is a writer's
-         open: it takes the quarantine store's own lock (re-entrant
-         for this process) rather than the read-only [~lock:false]
-         path, which since the lock-coexistence fix never writes. *)
-      let q = Store.load ~path:(quarantine_path store) () in
-      qstore := Some q;
-      q
-  in
-  if Sys.file_exists (quarantine_path store) then ignore (force_qstore ());
-  let quarantined id = match !qstore with Some q -> Store.mem q id | None -> false in
-  let pending =
-    List.filter
-      (fun (j : Spec.job) -> not (Store.mem store j.Spec.id || quarantined j.Spec.id))
-      all
-  in
+  let pending = List.filter (fun (j : Spec.job) -> not (Store.mem store j.Spec.id)) all in
   let pending = match max_jobs with Some k -> take k pending | None -> pending in
   let domain_count =
     match jobs with Some x -> max 1 x | None -> Util.Domain_pool.default_jobs ()
   in
   let executed = ref 0 and failed = ref 0 in
-  let settled () =
-    Store.count store + match !qstore with Some q -> Store.count q | None -> 0
-  in
   (* Job wall time is observation only — it is measured on the worker
      but recorded into the (single-domain) registry on the coordinator,
      and it never enters a row, so checkpoint bytes stay a pure
@@ -349,10 +268,10 @@ let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
      [?metrics] unset no clock is read at all. *)
   let timed_job (j : Spec.job) =
     match metrics with
-    | None -> (attempt_job ~retry ~sleep ~execute spec j, 0.0)
+    | None -> (execute spec j ~attempt:1, 0.0)
     | Some _ ->
       let t0 = Telemetry.Clock.now Telemetry.Clock.wall in
-      let row = attempt_job ~retry ~sleep ~execute spec j in
+      let row = execute spec j ~attempt:1 in
       (row, Telemetry.Clock.now Telemetry.Clock.wall -. t0)
   in
   let record_job row wall_s =
@@ -369,18 +288,13 @@ let run ?jobs ?max_jobs ?(retry = no_retry) ?deadline_s ?(sleep = Unix.sleepf)
       let rows = Util.Domain_pool.map_list ~jobs:domain_count timed_job batch in
       List.iter2
         (fun (j : Spec.job) (row, wall_s) ->
-          let poison = row_failed row && retry.max_attempts > 1 in
-          if poison then Store.append (force_qstore ()) ~id:j.Spec.id row
-          else Store.append store ~id:j.Spec.id row;
+          Store.append store ~id:j.Spec.id row;
           incr executed;
           if row_failed row then incr failed;
           record_job row wall_s)
         batch rows;
-      on_progress ~completed:(settled ()) ~total)
+      on_progress ~completed:(Store.count store) ~total)
     (batches (max 1 domain_count) pending);
-  (* Release the quarantine store's writer lock (the main store's lock
-     belongs to the caller that opened it). *)
-  (match !qstore with Some q -> Store.close q | None -> ());
   (!executed, !failed)
 
 (* ------------------------------ report ----------------------------- *)
@@ -428,16 +342,6 @@ let series_points (spec : Spec.t) store =
       (Spec.algo_name algo, points))
     spec.Spec.algos
 
-(* The quarantine sibling participates in reports (and degradation)
-   whenever it exists; [?quarantine] lets callers supply an
-   already-open handle instead. *)
-let quarantine_rows ?quarantine store =
-  match quarantine with
-  | Some q -> parsed_rows q
-  | None ->
-    let qp = quarantine_path store in
-    if Sys.file_exists qp then parsed_rows (Store.load ~lock:false ~path:qp ()) else []
-
 (* A series degrades when its surviving ok rows can no longer support
    the verdicts built on them: fewer than two distinct sizes (no slope
    to fit) or less than half of the expected cells. *)
@@ -457,20 +361,18 @@ let degraded_series (spec : Spec.t) store =
       if series_degraded spec rows algo then Some (Spec.algo_name algo) else None)
     spec.Spec.algos
 
-let report ?quarantine (spec : Spec.t) store =
+let report (spec : Spec.t) store =
   let module J = Telemetry.Tjson in
   let rows = parsed_rows store in
-  let qrows = quarantine_rows ?quarantine store in
   let all = Spec.jobs spec in
-  let find_status rows (j : Spec.job) =
+  let status_of (j : Spec.job) =
     List.find_map
       (fun (id, _, v) ->
         if id = j.Spec.id then Option.bind (Hjson.member "status" v) Hjson.to_string_opt
         else None)
       rows
   in
-  let status_of j = find_status rows j in
-  let attempts_of (j : Spec.job) rows =
+  let attempts_of (j : Spec.job) =
     List.find_map
       (fun (id, _, v) ->
         if id = j.Spec.id then Option.bind (Hjson.member "attempts" v) Hjson.to_int_opt
@@ -478,7 +380,6 @@ let report ?quarantine (spec : Spec.t) store =
       rows
   in
   let ok = ref 0 and failed = ref 0 and timeout = ref 0 and missing = ref 0 in
-  let quarantined = ref 0 in
   List.iter
     (fun j ->
       match status_of j with
@@ -488,7 +389,7 @@ let report ?quarantine (spec : Spec.t) store =
         incr failed;
         incr timeout
       | Some _ -> incr failed
-      | None -> if find_status qrows j <> None then incr quarantined else incr missing)
+      | None -> incr missing)
     all;
   (* Per-series metric registries, merged into one snapshot — counters
      and histogram buckets add across series. *)
@@ -510,16 +411,8 @@ let report ?quarantine (spec : Spec.t) store =
                   Telemetry.Metrics.incr m "sweep.jobs.failed";
                   Telemetry.Metrics.incr m "sweep.jobs.timeout"
                 | Some _ -> Telemetry.Metrics.incr m "sweep.jobs.failed"
-                | None ->
-                  if find_status qrows j <> None then
-                    Telemetry.Metrics.incr m "sweep.jobs.quarantined"));
-              match
-                (attempts_of j rows, attempts_of j qrows)
-              with
-              | Some a, _ | None, Some a ->
-                Telemetry.Metrics.add m "sweep.attempts.total" a;
-                if a > 1 then Telemetry.Metrics.incr m "sweep.jobs.retried"
-              | None, None -> ()
+                | None -> ()));
+              Option.iter (Telemetry.Metrics.add m "sweep.attempts.total") (attempts_of j)
             end)
           all;
         Telemetry.Metrics.merge acc (Telemetry.Metrics.snapshot m))
@@ -555,10 +448,6 @@ let report ?quarantine (spec : Spec.t) store =
     List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows
     |> List.map (fun (_, raw, _) -> raw)
   in
-  let sorted_quarantine =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) qrows
-    |> List.map (fun (_, raw, _) -> raw)
-  in
   J.obj
     [
       ("schema", J.str "qcongest-sweep/v1");
@@ -569,11 +458,14 @@ let report ?quarantine (spec : Spec.t) store =
       ("ok", J.int !ok);
       ("failed", J.int !failed);
       ("timeout", J.int !timeout);
-      ("quarantined", J.int !quarantined);
+      (* Every job settles in the one store, so [quarantined] is
+         always 0 and [quarantine_rows] always empty; both keys stay
+         for the qcongest-sweep/v1 format. *)
+      ("quarantined", J.int 0);
       ("missing", J.int !missing);
       ("degraded", J.arr (List.map J.str degraded_names));
       ("series", J.arr series);
       ("metrics", Telemetry.Metrics.to_json merged);
       ("rows", J.arr sorted_rows);
-      ("quarantine_rows", J.arr sorted_quarantine);
+      ("quarantine_rows", J.arr []);
     ]

@@ -7,16 +7,16 @@
     the sweep ran in one shot or was killed and resumed — the
     property the kill-and-resume QCheck test pins byte-for-byte.
 
-    Failure isolation and supervision: a job that raises — including
+    Failure isolation and supervision: each job runs once and settles
+    as one row in the checkpoint store. A job that raises — including
     a structured {!Congest.Engine.Round_limit_exceeded} — produces a
     [status:"failed"] row with the error payload instead of aborting
     the sweep; a job that overruns its wall-clock budget
     ({!Congest.Engine.Deadline_exceeded}) produces a
-    [status:"timeout"] row. Under a {!retry} policy, failed attempts
-    are re-executed on a deterministic seeded backoff schedule, and a
-    job that fails every attempt is a {e poison job}: its final row is
-    checkpointed to the sibling [*.quarantine.jsonl] store instead of
-    the main one, and the sweep completes without it. *)
+    [status:"timeout"] row. A settled job is never re-run: since the
+    job is pure, a second attempt at a failed row would fail the same
+    way, and re-running a timed-out cell takes a fresh store or a
+    larger deadline. *)
 
 val make_graph : Spec.t -> n:int -> seed:int -> Graphlib.Wgraph.t
 (** The instance a job cell runs on — a pure function of
@@ -39,72 +39,37 @@ val protect : ?attempt:int -> Spec.job -> (unit -> string) -> string
     [Deadline_exceeded] into a [status:"timeout"] row, and any other
     exception into an [exception] error row. *)
 
-type retry = {
-  max_attempts : int;  (** Total attempts per job, including the first
-                           ([>= 1]; [1] disables retry and quarantine). *)
-  backoff_s : float;  (** Base delay before the second attempt. *)
-  multiplier : float;  (** Exponential growth factor per further attempt. *)
-  jitter : float;  (** Multiplicative jitter fraction in [[0,1]]: each
-                       delay is scaled by a seeded uniform draw from
-                       [[1-jitter, 1+jitter]]. *)
-  retry_seed : int;  (** Seed of the jitter stream. *)
-}
-
-val no_retry : retry
-(** One attempt, no backoff — the default, and bit-identical to the
-    pre-supervision runner. *)
-
-val default_retry : retry
-(** 3 attempts, 50 ms base, doubling, 25% jitter, seed 0. *)
-
-val backoff_schedule : retry -> job_id:string -> float list
-(** The [max_attempts - 1] sleep durations (seconds) between a job's
-    attempts. A pure function of the policy and the job id — same
-    seed, same job, same schedule — which is what makes retrying
-    sweeps resumable byte-for-byte. *)
-
-val quarantine_path : Store.t -> string
-(** The sibling [*.quarantine.jsonl] poison-job store of a main store. *)
-
 val run :
   ?jobs:int ->
   ?max_jobs:int ->
-  ?retry:retry ->
   ?deadline_s:float ->
-  ?sleep:(float -> unit) ->
   ?execute:(Spec.t -> Spec.job -> attempt:int -> string) ->
   ?metrics:Telemetry.Metrics.t ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   Spec.t ->
   Store.t ->
   int * int
-(** Execute every spec job not yet settled — checkpointed in the
-    store {e or} quarantined in its sibling — fanning each batch out
-    over [jobs] domains (default: {!Util.Domain_pool} resolution) and
-    appending rows batch by batch, so an interrupted run loses at most
-    one batch of work. [max_jobs] caps how many jobs this invocation
-    executes (the hook the kill/resume tests use to simulate an
-    interruption).
+(** Execute every spec job not yet checkpointed in the store, once
+    each, fanning each batch out over [jobs] domains (default:
+    {!Util.Domain_pool} resolution) and appending rows batch by batch,
+    so an interrupted run loses at most one batch of work. [max_jobs]
+    caps how many jobs this invocation executes (the hook the
+    kill/resume tests use to simulate an interruption).
 
-    [retry] (default {!no_retry}) re-runs failed attempts after the
-    job's {!backoff_schedule} delays; with [max_attempts > 1] a job
-    whose final attempt still fails is checkpointed to
-    {!quarantine_path} instead of the main store. [deadline_s] gives
-    every attempt a wall-clock budget (surfaced as [status:"timeout"]
-    rows). Raises [Invalid_argument] before running any job if
-    [retry.max_attempts < 1] or [deadline_s] fails
-    {!Congest.Engine.valid_deadline}. [sleep] (default [Unix.sleepf])
-    and [execute] (default {!run_job}) are injection points for the
-    chaos suite — [execute] must never raise. Returns [(executed, failures_among_executed)];
-    quarantined jobs count in both.
+    [deadline_s] gives every job a wall-clock budget (surfaced as
+    [status:"timeout"] rows). Raises [Invalid_argument] before running
+    any job if [deadline_s] fails {!Congest.Engine.valid_deadline}.
+    [execute] (default {!run_job}) is the injection point for the
+    chaos suite; it is called with [~attempt:1] and must never raise.
+    Returns [(executed, failures_among_executed)].
 
     [metrics] (default: none) receives live execution telemetry:
     every settled job observes its wall time into the
     [sweep.job.wall_ms] histogram and bumps [sweep.job.ok] or
-    [sweep.job.failed]. Timing is measured around the whole attempt
-    chain on the worker but recorded on the coordinating domain, and
-    it never enters a checkpoint row — row bytes stay a pure function
-    of the job, so kill-and-resume identity is unaffected. With
+    [sweep.job.failed]. Timing is measured around the job on the
+    worker but recorded on the coordinating domain, and it never
+    enters a checkpoint row — row bytes stay a pure function of the
+    job, so kill-and-resume identity is unaffected. With
     [?metrics] unset no clock is read. The live monitor
     ([--progress]) and the Prometheus exporter consume the
     registry. *)
@@ -118,15 +83,12 @@ val degraded_series : Spec.t -> Store.t -> string list
     fewer than two distinct sizes measured, or under half of the
     expected cells ok. {!Fit} gates treat these as Inconclusive. *)
 
-val report : ?quarantine:Store.t -> Spec.t -> Store.t -> string
+val report : Spec.t -> Store.t -> string
 (** The [qcongest-sweep/v1] report: job accounting (ok / failed —
     timeouts counted there and also surfaced as [timeout] — /
-    quarantined / missing), per-series points with exponent fits
-    (bootstrap CIs included) and [degraded] flags, the merged
-    {!Telemetry.Metrics} snapshot of every row (including
-    [sweep.jobs.retried], [sweep.jobs.timeout],
-    [sweep.jobs.quarantined], [sweep.attempts.total]), and the raw
-    rows — main then quarantine — sorted by job id. A deterministic
-    function of the spec and the row sets; [?quarantine] overrides
-    where quarantined rows are read from (default: the sibling file,
-    when present). *)
+    missing; [quarantined] is always 0), per-series points with
+    exponent fits (bootstrap CIs included) and [degraded] flags, the
+    merged {!Telemetry.Metrics} snapshot of every row (including
+    [sweep.jobs.timeout] and [sweep.attempts.total]), and the raw
+    rows sorted by job id ([quarantine_rows] is always empty). A
+    deterministic function of the spec and the row set. *)

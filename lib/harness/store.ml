@@ -20,12 +20,12 @@ let mem t id = Hashtbl.mem t.ids id
 let rows t = List.rev t.entries
 let find t id = List.assoc_opt id (rows t)
 
-let sibling path ~tag =
+let corrupt_sibling path =
   if Filename.check_suffix path ".jsonl" then
-    Filename.chop_suffix path ".jsonl" ^ "." ^ tag ^ ".jsonl"
-  else path ^ "." ^ tag
+    Filename.chop_suffix path ".jsonl" ^ ".corrupt.jsonl"
+  else path ^ ".corrupt"
 
-let corrupt_path t = sibling t.path ~tag:"corrupt"
+let corrupt_path t = corrupt_sibling t.path
 
 (* A valid row is a one-line JSON object carrying a string "id". *)
 let row_id line =
@@ -206,7 +206,7 @@ let load ?(fsync = false) ?(lock = true) ~path () =
        rows in memory and leave every on-disk byte alone. *)
     if not t.read_only then begin
       if bad <> [] then begin
-        let cpath = sibling path ~tag:"corrupt" in
+        let cpath = corrupt_sibling path in
         Telemetry.Export.mkdir_p (Filename.dirname cpath);
         let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 cpath in
         List.iter

@@ -86,12 +86,9 @@ val close : t -> unit
 val path : t -> string
 
 val corrupt_path : t -> string
-(** The sibling file quarantined corrupt lines are appended to. *)
-
-val sibling : string -> tag:string -> string
-(** [sibling "runs/x.jsonl" ~tag:"quarantine"] is
-    ["runs/x.quarantine.jsonl"] (non-[.jsonl] paths get [".tag"]
-    appended). Shared naming scheme for per-store side files. *)
+(** The sibling file quarantined corrupt lines are appended to:
+    ["runs/x.jsonl"] gets ["runs/x.corrupt.jsonl"] (a non-[.jsonl]
+    path gets [".corrupt"] appended). *)
 
 val append : t -> id:string -> string -> unit
 (** Persist one row. [row] must be a single-line JSON object, ending

@@ -4,12 +4,10 @@ type stats = {
   ok : int;
   failed : int;
   timeout : int;
-  quarantined : int;
   skipped : int;
 }
 
-let empty =
-  { settled = 0; total = 0; ok = 0; failed = 0; timeout = 0; quarantined = 0; skipped = 0 }
+let empty = { settled = 0; total = 0; ok = 0; failed = 0; timeout = 0; skipped = 0 }
 
 let row_status raw =
   let module H = Harness.Hjson in
@@ -17,7 +15,7 @@ let row_status raw =
   | Ok v -> Option.bind (H.member "status" v) H.to_string_opt
   | Error _ -> None
 
-let of_rows ?(total = 0) ~rows ~quarantine_rows ~skipped () =
+let of_rows ?(total = 0) ~rows ~skipped () =
   let ok = ref 0 and failed = ref 0 and timeout = ref 0 in
   List.iter
     (fun (_, raw) ->
@@ -28,31 +26,21 @@ let of_rows ?(total = 0) ~rows ~quarantine_rows ~skipped () =
         incr timeout
       | Some _ | None -> incr failed)
     rows;
-  let quarantined = List.length quarantine_rows in
-  {
-    settled = List.length rows + quarantined;
-    total;
-    ok = !ok;
-    failed = !failed;
-    timeout = !timeout;
-    quarantined;
-    skipped;
-  }
+  { settled = List.length rows; total; ok = !ok; failed = !failed; timeout = !timeout; skipped }
 
-(* One [Store.peek] per file: the main store and its quarantine
-   sibling. Read-only by construction, so watching a live sweep is
-   safe (and so is pointing [qcongest top] at a finished one). *)
+(* One [Store.peek]: read-only by construction, so watching a live
+   sweep is safe (and so is pointing [qcongest top] at a finished
+   one). *)
 let observe ?(total = 0) ~path () =
   let rows, skipped = Harness.Store.peek ~path in
-  let qpath = Harness.Store.sibling path ~tag:"quarantine" in
-  let quarantine_rows, qskipped = Harness.Store.peek ~path:qpath in
-  of_rows ~total ~rows ~quarantine_rows ~skipped:(skipped + qskipped) ()
+  of_rows ~total ~rows ~skipped ()
 
 let rate ~baseline ~elapsed_s s =
   if elapsed_s <= 0.0 then 0.0 else float_of_int (max 0 (s.settled - baseline)) /. elapsed_s
 
 let eta_s ~baseline ~elapsed_s s =
-  if s.total <= s.settled then Some 0.0
+  if s.total <= 0 then None
+  else if s.total <= s.settled then Some 0.0
   else
     let r = rate ~baseline ~elapsed_s s in
     if r <= 0.0 then None else Some (float_of_int (s.total - s.settled) /. r)
@@ -76,12 +64,10 @@ let render ?(width = 0) ?(baseline = 0) ?(elapsed_s = 0.0) s =
   let r = rate ~baseline ~elapsed_s s in
   if r > 0.0 then Buffer.add_string b (Printf.sprintf " | %.1f rows/s" r);
   (match eta_s ~baseline ~elapsed_s s with
-  | Some eta when s.total > 0 && eta > 0.0 ->
+  | Some eta when eta > 0.0 ->
     Buffer.add_string b (" eta " ^ human_duration eta)
   | _ -> ());
-  Buffer.add_string b
-    (Printf.sprintf " | ok %d fail %d timeout %d quarantined %d" s.ok s.failed s.timeout
-       s.quarantined);
+  Buffer.add_string b (Printf.sprintf " | ok %d fail %d timeout %d" s.ok s.failed s.timeout);
   if s.skipped > 0 then Buffer.add_string b (Printf.sprintf " skipped %d" s.skipped);
   let line = Buffer.contents b in
   if width <= 0 then line

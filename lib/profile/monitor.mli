@@ -7,16 +7,14 @@
     live runner without wedging it, mutating it, or triggering a
     repair. Row statuses follow the [qcongest-sweep-row/v2]
     convention: [ok], [timeout] (counted as a failure and surfaced
-    separately) and anything else failed; the quarantine sibling's
-    rows count as settled-but-quarantined. *)
+    separately) and anything else failed. *)
 
 type stats = {
-  settled : int;  (** Main rows + quarantined rows. *)
+  settled : int;  (** Rows in the store. *)
   total : int;  (** Expected jobs; [0] when unknown. *)
   ok : int;
-  failed : int;  (** Non-ok main rows (timeouts included). *)
+  failed : int;  (** Non-ok rows (timeouts included). *)
   timeout : int;
-  quarantined : int;
   skipped : int;  (** Unparseable lines seen by {!Harness.Store.peek}
                       — usually a partial append in progress. *)
 }
@@ -26,7 +24,6 @@ val empty : stats
 val of_rows :
   ?total:int ->
   rows:(string * string) list ->
-  quarantine_rows:(string * string) list ->
   skipped:int ->
   unit ->
   stats
@@ -34,8 +31,7 @@ val of_rows :
     a filesystem). *)
 
 val observe : ?total:int -> path:string -> unit -> stats
-(** Peek the store at [path] and its [*.quarantine.jsonl] sibling.
-    Missing files are empty stores. *)
+(** Peek the store at [path]. A missing file is an empty store. *)
 
 val rate : baseline:int -> elapsed_s:float -> stats -> float
 (** Rows settled per second since the watcher started: [baseline] is
@@ -49,7 +45,7 @@ val eta_s : baseline:int -> elapsed_s:float -> stats -> float option
 
 val render : ?width:int -> ?baseline:int -> ?elapsed_s:float -> stats -> string
 (** The status line: ["12/40 rows (30%) | 2.3 rows/s eta 12s | ok 11
-    fail 1 timeout 0 quarantined 0"]. With [?width > 0] the line is
+    fail 1 timeout 0"]. With [?width > 0] the line is
     clipped or space-padded to exactly [width] characters, so a
     [\r]-rewriting TTY loop cleanly overwrites its previous output.
     No newline, no escape codes. *)

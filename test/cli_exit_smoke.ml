@@ -3,7 +3,8 @@
 
      0  clean run (including "jobs still pending")
      1  the sweep completed but checkpointed failures
-     2  sweep usage errors (unknown spec, bad file, bad --deadline)
+     2  usage errors (unknown spec, bad file, bad --deadline, --jobs 0,
+        a missing store)
      3  a scaling gate rejected the measured exponents
      124  cmdliner CLI parse errors
 
@@ -107,7 +108,13 @@ let () =
   (* 2: usage errors the sweep layer detects itself. *)
   expect ~what:"unknown built-in spec" 2 (sweep "run --builtin no-such-spec");
   expect ~what:"unreadable spec file" 2 (sweep "run --spec /nonexistent/spec.json");
-  expect ~what:"--retries below 1" 2 (sweep "run --builtin ci-smoke --retries 0");
+  (* Each job runs once: --retries is not an option (cmdliner's 124). *)
+  expect ~what:"--retries is not an option" 124
+    (sweep "run --builtin ci-smoke --retries 2 --max-jobs 0");
+  (* --jobs below 1 is a usage error before any work, like a malformed
+     QCONGEST_JOBS. *)
+  expect ~what:"diameter --jobs 0" 2 (Printf.sprintf "%s diameter --jobs 0 --n 8" exe);
+  expect ~what:"sweep run --jobs 0" 2 (sweep "run --builtin ci-smoke --jobs 0 --max-jobs 0");
   (* A budget that is negative, NaN or infinite is a usage error, before
      any job runs: a negative one would checkpoint every job as a
      settled timeout row, and a NaN one would never fire. *)
@@ -130,8 +137,11 @@ let () =
   expect ~what:"--shards is not an option" 124
     (Printf.sprintf "%s diameter --shards 2 --family ring --n 8" exe);
 
-  (* 2: a checkpoint store held by another live process is refused. *)
+  (* 2: a checkpoint store held by another live process is refused.
+     The store file exists, so this is the lock's refusal and not the
+     missing-store check below. *)
   let locked_path = Filename.concat dir "locked.jsonl" in
+  Out_channel.with_open_text locked_path ignore;
   Out_channel.with_open_text (locked_path ^ ".lock") (fun oc ->
       output_string oc (string_of_int (Unix.getpid ()) ^ "\n"));
   expect ~what:"store locked by a live process" 2
@@ -190,6 +200,18 @@ let () =
      inconclusive audit of nothing (an existing empty store exits 3). *)
   expect ~what:"check sweep on a missing store" 2
     (Printf.sprintf "%s check sweep --store %s" exe missing_store);
+  (* sweep report and gate only read a store: a missing one is a usage
+     error, and neither creates the file or its directory. *)
+  let nodir = Filename.concat dir "nodir" in
+  let nodir_store = Filename.quote (Filename.concat nodir "x.jsonl") in
+  expect ~what:"sweep report on a missing store" 2
+    (sweep (Printf.sprintf "report --builtin ci-smoke --store %s" nodir_store));
+  expect ~what:"sweep gate on a missing store" 2
+    (sweep (Printf.sprintf "gate --builtin ci-smoke --store %s" nodir_store));
+  if Sys.file_exists nodir then begin
+    Printf.printf "FAIL report/gate on a missing store created %s\n%!" nodir;
+    incr failures
+  end;
 
   (* A real tiny sweep: two 4–6 node exact-classical jobs, gated by an
      absurd exponent so `run` passes and `gate` fails. *)
@@ -235,9 +257,15 @@ let () =
   Harness.Store.close store;
   expect ~what:"complete store with failures exits 1" 1
     (sweep (Printf.sprintf "run --spec %s" (Filename.quote spec_path)));
+  let failed_store = Filename.quote (Filename.concat dir "exit-smoke-failed.jsonl") in
   expect ~what:"top renders a real store" 0
-    (Printf.sprintf "%s top --total 1 %s" exe
-       (Filename.quote (Filename.concat dir "exit-smoke-failed.jsonl")));
+    (Printf.sprintf "%s top --total 1 %s" exe failed_store);
+  (* A --watch the sleep cannot take is a usage error before the first
+     line; 0 and negative values print once. *)
+  expect ~what:"top --watch nan" 2 (Printf.sprintf "%s top %s --watch nan" exe failed_store);
+  expect ~what:"top --watch inf" 2 (Printf.sprintf "%s top %s --watch inf" exe failed_store);
+  expect ~what:"top --watch -1 prints once" 0
+    (Printf.sprintf "%s top %s --watch=-1" exe failed_store);
 
   (* check sweep's negative control. The ci-smoke instance n = 32,
      seed 1, run by Theorem 1.1 (exact diameter 75), then its row

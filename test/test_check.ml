@@ -466,7 +466,11 @@ let test_expected_exact_matches_rows () =
 
 let test_resilience_certifies () =
   let report = Check.Suite.chaos ~seed:11 ~deadline_s:0.05 () in
-  check "four certificates" 4 (List.length report.Check.Report.certificates);
+  Alcotest.(check (list string))
+    "two certificates" [ "chaos-resume"; "chaos-deadline" ]
+    (List.map
+       (fun (c : Check.Report.certificate) -> c.Check.Report.name)
+       report.Check.Report.certificates);
   List.iter
     (fun (c : Check.Report.certificate) ->
       Alcotest.check status
@@ -476,8 +480,8 @@ let test_resilience_certifies () =
   check "exit 0" 0 (Check.Report.exit_code report)
 
 let test_resilience_negative_controls () =
-  (* Every staged sabotage — deleted row, unarmed deadline, ignored
-     retry policy, lost quarantine file — must be caught. *)
+  (* Both staged sabotages — deleted row, unarmed deadline — must be
+     caught. *)
   let report = Check.Suite.chaos ~seed:11 ~deadline_s:0.05 ~negative_control:true () in
   List.iter
     (fun (c : Check.Report.certificate) ->

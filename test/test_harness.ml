@@ -240,6 +240,9 @@ let test_store_garbage_middle () =
   check "rows kept" 2 (Harness.Store.count s);
   check "quarantined" 1 (Harness.Store.quarantined_lines s);
   check "no tail drop" 0 (Harness.Store.dropped_lines s);
+  checks "corrupt sibling naming"
+    (Filename.chop_suffix path ".jsonl" ^ ".corrupt.jsonl")
+    (Harness.Store.corrupt_path s);
   checkb "corrupt sibling" true (Sys.file_exists (Harness.Store.corrupt_path s));
   (* The repairing load rewrote the file: a fresh load is clean. *)
   let s' = Harness.Store.load ~path () in
@@ -303,8 +306,6 @@ let test_store_checksum_detects_bitflip () =
 
 let test_store_lock () =
   let path = temp_store_path () in
-  checks "sibling naming" "x.quarantine.jsonl"
-    (Harness.Store.sibling "x.jsonl" ~tag:"quarantine");
   let lock_path = path ^ ".lock" in
   (* A live foreign holder (pid 1 always exists) blocks the load. *)
   Telemetry.Export.write_file ~path:lock_path "1\n";
@@ -580,54 +581,12 @@ let test_protect_deadline () =
   check "round" 17
     (Option.get (Option.bind (Harness.Hjson.member "round" err) Harness.Hjson.to_int_opt))
 
-let test_backoff_schedule () =
-  let retry =
-    { Harness.Runner.max_attempts = 4; backoff_s = 0.05; multiplier = 2.0;
-      jitter = 0.25; retry_seed = 3 }
-  in
-  let sched id = Harness.Runner.backoff_schedule retry ~job_id:id in
-  check "max_attempts - 1 delays" 3 (List.length (sched "job-a"));
-  checkb "pure function of (policy, job id)" true (sched "job-a" = sched "job-a");
-  checkb "distinct jobs get distinct jitter" true (sched "job-a" <> sched "job-b");
-  List.iteri
-    (fun i d ->
-      let base = 0.05 *. (2.0 ** float_of_int i) in
-      checkb "within jitter band" true (d >= 0.75 *. base -. 1e-9 && d <= 1.25 *. base +. 1e-9))
-    (sched "job-a");
-  check "no_retry has no delays" 0
-    (List.length (Harness.Runner.backoff_schedule Harness.Runner.no_retry ~job_id:"x"))
-
-let retry_fast max_attempts =
-  { Harness.Runner.max_attempts; backoff_s = 1e-4; multiplier = 2.0; jitter = 0.25;
-    retry_seed = 9 }
-
-(* Fails [j] deterministically on attempts [< succeed_at]; other jobs
-   run normally. *)
-let flaky_execute ~flaky_id ~succeed_at spec (j : Harness.Spec.job) ~attempt =
-  if j.Harness.Spec.id = flaky_id && attempt < succeed_at then
-    Harness.Runner.protect ~attempt j (fun () -> failwith "injected transient fault")
+(* Fails every job [failing] selects with an injected permanent fault;
+   other jobs run normally. *)
+let failing_execute failing spec (j : Harness.Spec.job) ~attempt =
+  if failing j then
+    Harness.Runner.protect ~attempt j (fun () -> failwith "injected permanent fault")
   else Harness.Runner.run_job ~attempt spec j
-
-let test_runner_retry_recovers () =
-  let spec = small_spec in
-  let flaky_id = (job_of spec).Harness.Spec.id in
-  let path = temp_store_path () in
-  let store = Harness.Store.load ~path () in
-  let executed, failed =
-    Harness.Runner.run ~jobs:1 ~retry:(retry_fast 3) ~sleep:(fun _ -> ())
-      ~execute:(flaky_execute ~flaky_id ~succeed_at:2)
-      spec store
-  in
-  check "all executed" (List.length (Harness.Spec.jobs spec)) executed;
-  check "no terminal failure" 0 failed;
-  let v = Harness.Hjson.parse_exn (Option.get (Harness.Store.find store flaky_id)) in
-  checkb "ok after retry" true
-    (Option.bind (Harness.Hjson.member "status" v) Harness.Hjson.to_string_opt = Some "ok");
-  check "attempts counted" 2
-    (Option.get (Option.bind (Harness.Hjson.member "attempts" v) Harness.Hjson.to_int_opt));
-  checkb "nothing quarantined" false
-    (Sys.file_exists (Harness.Runner.quarantine_path store));
-  Sys.remove path
 
 let test_runner_rejects_bad_deadline () =
   (* A budget the engine would refuse is refused before any job runs:
@@ -651,53 +610,48 @@ let test_runner_rejects_bad_deadline () =
   Harness.Store.close store;
   if Sys.file_exists path then Sys.remove path
 
-let test_runner_quarantine () =
+let test_runner_failed_rows_degrade () =
   let spec = small_spec in
-  (* Poison every job of the first series at its first size: the
+  (* Fail every job of the first series at its first size: the
      series keeps only one measured size and must degrade. *)
   let first = job_of spec in
-  let is_poison (j : Harness.Spec.job) =
+  let is_failing (j : Harness.Spec.job) =
     j.Harness.Spec.algo = first.Harness.Spec.algo && j.Harness.Spec.n = first.Harness.Spec.n
   in
-  let poison_ids =
+  let failing_ids =
     List.filter_map
-      (fun j -> if is_poison j then Some j.Harness.Spec.id else None)
+      (fun j -> if is_failing j then Some j.Harness.Spec.id else None)
       (Harness.Spec.jobs spec)
   in
-  let execute spec (j : Harness.Spec.job) ~attempt =
-    if is_poison j then
-      Harness.Runner.protect ~attempt j (fun () -> failwith "injected permanent fault")
-    else Harness.Runner.run_job ~attempt spec j
-  in
+  let execute = failing_execute is_failing in
   let path = temp_store_path () in
   let store = Harness.Store.load ~path () in
-  let executed, failed =
-    Harness.Runner.run ~jobs:1 ~retry:(retry_fast 2) ~sleep:(fun _ -> ()) ~execute spec
-      store
-  in
+  let executed, failed = Harness.Runner.run ~jobs:1 ~execute spec store in
   let total = List.length (Harness.Spec.jobs spec) in
   check "sweep completed" total executed;
-  check "terminal failures" (List.length poison_ids) failed;
-  checkb "poison kept out of the main store" false
-    (List.exists (Harness.Store.mem store) poison_ids);
-  let qpath = Harness.Runner.quarantine_path store in
-  let q = Harness.Store.load ~lock:false ~path:qpath () in
-  checkb "poison quarantined" true (List.for_all (Harness.Store.mem q) poison_ids);
-  let v =
-    Harness.Hjson.parse_exn (Option.get (Harness.Store.find q (List.hd poison_ids)))
-  in
-  check "final attempt recorded" 2
-    (Option.get (Option.bind (Harness.Hjson.member "attempts" v) Harness.Hjson.to_int_opt));
-  (* Quarantined jobs are settled: a resume executes nothing. *)
-  let again, _ = Harness.Runner.run ~jobs:1 ~retry:(retry_fast 2) ~sleep:(fun _ -> ()) ~execute spec store in
+  check "terminal failures" (List.length failing_ids) failed;
+  (* Each failing job ran once and settled as a failed row in the one
+     store. *)
+  List.iter
+    (fun id ->
+      let v = Harness.Hjson.parse_exn (Option.get (Harness.Store.find store id)) in
+      checkb "failed row" true
+        (Option.bind (Harness.Hjson.member "status" v) Harness.Hjson.to_string_opt
+        = Some "failed");
+      check "one attempt" 1
+        (Option.get (Option.bind (Harness.Hjson.member "attempts" v) Harness.Hjson.to_int_opt)))
+    failing_ids;
+  (* Failed jobs are settled: a resume executes nothing. *)
+  let again, _ = Harness.Runner.run ~jobs:1 ~execute spec store in
   check "resume settles" 0 again;
   (* ... and the report accounts for them. *)
   let report = Harness.Hjson.parse_exn (Harness.Runner.report spec store) in
   let rint f = Option.get (Option.bind (Harness.Hjson.member f report) Harness.Hjson.to_int_opt) in
-  check "report quarantined" (List.length poison_ids) (rint "quarantined");
+  check "report failed" (List.length failing_ids) (rint "failed");
   check "report missing" 0 (rint "missing");
-  (* The poisoned series lost a size: degraded, and its gate refuses
-     a verdict. *)
+  check "report quarantined" 0 (rint "quarantined");
+  (* The failing series lost a size: degraded, and its gate refuses a
+     verdict. *)
   let degraded = Harness.Runner.degraded_series spec store in
   let series_name = Harness.Spec.algo_name first.Harness.Spec.algo in
   checkb "series degraded" true (List.mem series_name degraded);
@@ -709,7 +663,7 @@ let test_runner_quarantine () =
   checkb "degraded gate inconclusive" true
     (verdict.Harness.Fit.status = Harness.Fit.Inconclusive);
   check "exit 3" 3 (Harness.Fit.exit_code verdict);
-  Sys.remove qpath;
+  Harness.Store.close store;
   Sys.remove path
 
 let test_gate_inconclusive_vs_fail () =
@@ -731,37 +685,29 @@ let test_gate_inconclusive_vs_fail () =
   in
   checkb "fail dominates" true (v.Harness.Fit.status = Harness.Fit.Fail)
 
-(* Satellite: kill-and-resume stays byte-identical when the store is
-   corrupted mid-file between the kill and the resume, and when the
-   kill lands inside a retry backoff window. *)
+(* Kill-and-resume stays byte-identical when the store is corrupted
+   mid-file between the kill and the resume, with a failed row among
+   the checkpointed ones. *)
 let prop_kill_corrupt_resume =
   QCheck.Test.make ~name:"kill+corrupt+resume is byte-identical" ~count:8
-    QCheck.(
-      quad (int_range 0 4) (int_range 0 2) bool (int_range 0 100))
-    (fun (kill_after, corruption, interrupt_backoff, flip_salt) ->
+    QCheck.(triple (int_range 0 4) (int_range 0 2) (int_range 0 100))
+    (fun (kill_after, corruption, flip_salt) ->
       let spec =
         Harness.Spec.make ~name:"kcr"
           ~algos:[ Harness.Spec.Classical_diameter; Harness.Spec.Sssp_two_approx ]
           ~family:(Harness.Spec.Chain { cliques = 2 })
           ~max_w:6 ~sizes:[ 6; 9 ] ~seeds:[ 3 ] ()
       in
-      let flaky_id = (job_of spec).Harness.Spec.id in
-      let execute = flaky_execute ~flaky_id ~succeed_at:2 in
-      let retry = retry_fast 2 in
-      (* Reference arm: uninterrupted, instant sleeps. *)
+      let failing_id = (job_of spec).Harness.Spec.id in
+      let execute = failing_execute (fun j -> j.Harness.Spec.id = failing_id) in
+      (* Reference arm: uninterrupted. *)
       let ref_path = temp_store_path () in
       let ref_store = Harness.Store.load ~path:ref_path () in
-      let _ =
-        Harness.Runner.run ~jobs:1 ~retry ~sleep:(fun _ -> ()) ~execute spec ref_store
-      in
-      (* Victim arm: killed after [kill_after] jobs — or mid-backoff. *)
+      let _ = Harness.Runner.run ~jobs:1 ~execute spec ref_store in
+      (* Victim arm: killed after [kill_after] jobs. *)
       let path = temp_store_path () in
       let s = Harness.Store.load ~path () in
-      let sleep _ = if interrupt_backoff then raise Exit in
-      (try
-         ignore
-           (Harness.Runner.run ~jobs:1 ~max_jobs:kill_after ~retry ~sleep ~execute spec s)
-       with Exit -> ());
+      let _ = Harness.Runner.run ~jobs:1 ~max_jobs:kill_after ~execute spec s in
       Harness.Store.close s;
       (* Corrupt whatever the kill left behind, mid-file. *)
       let lines =
@@ -792,9 +738,7 @@ let prop_kill_corrupt_resume =
         Telemetry.Export.write_file ~path (String.concat "\n" (prefix @ [ cut ])));
       (* Resume to completion. *)
       let resumed = Harness.Store.load ~path () in
-      let _ =
-        Harness.Runner.run ~jobs:1 ~retry ~sleep:(fun _ -> ()) ~execute spec resumed
-      in
+      let _ = Harness.Runner.run ~jobs:1 ~execute spec resumed in
       (* Mid-file repair re-appends the refilled job at the tail, so
          raw file order may differ; the invariant is the row set (every
          row byte-identical) and the report (byte-identical, rows
@@ -866,10 +810,8 @@ let () =
           Alcotest.test_case "jobs determinism" `Slow test_runner_jobs_determinism;
           QCheck_alcotest.to_alcotest prop_kill_resume;
           Alcotest.test_case "protect deadline" `Quick test_protect_deadline;
-          Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
-          Alcotest.test_case "retry recovers" `Slow test_runner_retry_recovers;
           Alcotest.test_case "rejects bad deadline" `Quick test_runner_rejects_bad_deadline;
-          Alcotest.test_case "quarantine" `Slow test_runner_quarantine;
+          Alcotest.test_case "failed rows degrade" `Slow test_runner_failed_rows_degrade;
           QCheck_alcotest.to_alcotest prop_kill_corrupt_resume;
         ] );
     ]

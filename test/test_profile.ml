@@ -411,25 +411,21 @@ let test_monitor_of_rows () =
       ("j5", "not json");
     ]
   in
-  let s =
-    P.Monitor.of_rows ~total:10 ~rows ~quarantine_rows:[ ("q1", "{}") ] ~skipped:2 ()
-  in
-  check "settled = rows + quarantine" 6 s.P.Monitor.settled;
+  let s = P.Monitor.of_rows ~total:10 ~rows ~skipped:2 () in
+  check "settled = rows" 5 s.P.Monitor.settled;
   check "ok" 2 s.P.Monitor.ok;
   check "failed counts timeout and garbage" 3 s.P.Monitor.failed;
   check "timeout surfaced separately" 1 s.P.Monitor.timeout;
-  check "quarantined" 1 s.P.Monitor.quarantined;
   check "skipped" 2 s.P.Monitor.skipped
 
 let test_monitor_render () =
   let s =
-    { P.Monitor.settled = 12; total = 40; ok = 11; failed = 1; timeout = 0; quarantined = 0;
-      skipped = 0 }
+    { P.Monitor.settled = 12; total = 40; ok = 11; failed = 1; timeout = 0; skipped = 0 }
   in
   checks "full line"
-    "12/40 rows (30%) | 2.4 rows/s eta 12s | ok 11 fail 1 timeout 0 quarantined 0"
+    "12/40 rows (30%) | 2.4 rows/s eta 12s | ok 11 fail 1 timeout 0"
     (P.Monitor.render ~baseline:0 ~elapsed_s:5.0 s);
-  checks "no total, no rate" "12 rows | ok 11 fail 1 timeout 0 quarantined 0"
+  checks "no total, no rate" "12 rows | ok 11 fail 1 timeout 0"
     (P.Monitor.render { s with P.Monitor.total = 0 });
   let skipped = { s with P.Monitor.skipped = 3 } in
   checkb "partial appends surfaced" true
@@ -449,11 +445,13 @@ let test_monitor_rate_eta () =
   | None -> Alcotest.fail "eta expected");
   checkb "no rate, no eta" true (P.Monitor.eta_s ~baseline:30 ~elapsed_s:10.0 s = None);
   checkf "zero elapsed is zero rate" 0.0 (P.Monitor.rate ~baseline:0 ~elapsed_s:0.0 s);
+  checkb "unknown total, no eta" true
+    (P.Monitor.eta_s ~baseline:10 ~elapsed_s:10.0 { s with P.Monitor.total = 0 } = None);
   match P.Monitor.eta_s ~baseline:0 ~elapsed_s:1.0 { s with P.Monitor.settled = 50 } with
   | Some eta -> checkf "complete eta 0" 0.0 eta
   | None -> Alcotest.fail "complete store has eta 0"
 
-(* Monitor.observe end-to-end over a real store + quarantine sibling. *)
+(* Monitor.observe end-to-end over a real store. *)
 let test_monitor_observe_store () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -471,7 +469,6 @@ let test_monitor_observe_store () =
   check "settled" 2 s.P.Monitor.settled;
   check "ok" 1 s.P.Monitor.ok;
   check "failed" 1 s.P.Monitor.failed;
-  check "no quarantine sibling = none quarantined" 0 s.P.Monitor.quarantined;
   (* Observation left the store bytes untouched (peek, not load). *)
   let bytes = In_channel.with_open_bin path In_channel.input_all in
   let s2 = P.Monitor.observe ~total:4 ~path () in
