@@ -19,14 +19,9 @@ let ring_of_cliques ~cliques ~clique_size ~max_w ~seed =
     ~rng:(rng seed)
 
 let chain_of_cliques ~cliques ~clique_size ~max_w ~seed =
-  if cliques = 1 then
-    Graphlib.Gen.complete ~n:clique_size
-      ~weighting:(Graphlib.Gen.Uniform { max_w })
-      ~rng:(rng seed)
-  else
-    Graphlib.Gen.cliques_path ~cliques ~clique_size
-      ~weighting:(Graphlib.Gen.Uniform { max_w })
-      ~rng:(rng seed)
+  Graphlib.Gen.cliques_path ~cliques ~clique_size
+    ~weighting:(Graphlib.Gen.Uniform { max_w })
+    ~rng:(rng seed)
 
 let d_unweighted g = Graphlib.Dist.to_int_exn (Graphlib.Bfs.diameter (Graphlib.Wgraph.with_unit_weights g))
 

@@ -60,33 +60,54 @@ let jobs_arg =
            checks). Defaults to $(b,QCONGEST_JOBS), else the machine's recommended domain \
            count; the environment variable takes precedence over this flag.")
 
+(* A usage error: one line on stderr and exit 2, before any algorithm
+   runs. *)
+let usage_error msg =
+  Printf.eprintf "qcongest: %s\n" msg;
+  exit 2
+
 (* A --jobs below 1 is a usage error (exit 2) before any work starts,
    like a malformed QCONGEST_JOBS. *)
 let set_jobs = function
-  | Some j when j < 1 ->
-    Printf.eprintf "qcongest: --jobs must be >= 1\n";
-    exit 2
+  | Some j when j < 1 -> usage_error "--jobs must be >= 1"
   | Some j -> Util.Domain_pool.set_default_jobs j
   | None -> ()
 
+(* An edge-list file every subcommand can run on: it loads, and it is
+   one connected graph with at least one node. *)
+let load_input path =
+  match Graphlib.Io.load ~path with
+  | exception Sys_error msg -> usage_error msg
+  | exception (Failure msg | Invalid_argument msg) ->
+    usage_error (Printf.sprintf "%s: %s" path msg)
+  | g when Graphlib.Wgraph.n g = 0 -> usage_error (path ^ ": the graph has no nodes")
+  | g when not (Graphlib.Wgraph.is_connected g) ->
+    usage_error (path ^ ": the graph is not connected")
+  | g -> g
+
 let make_graph ?input family n max_w cliques seed =
   match input with
-  | Some path -> Graphlib.Io.load ~path
-  | None ->
-  let rng = Util.Rng.create ~seed in
-  let weighting = Graphlib.Gen.Uniform { max_w } in
-  match family with
-  | "ring" ->
-    Graphlib.Gen.cliques_cycle ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
-  | "chain" ->
-    Graphlib.Gen.cliques_path ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
-  | "gnp" -> Graphlib.Gen.gnp_connected ~n ~p:0.15 ~weighting ~rng
-  | "grid" ->
-    let side = max 1 (Util.Int_math.isqrt n) in
-    Graphlib.Gen.grid ~rows:side ~cols:(Util.Int_math.ceil_div n side) ~weighting ~rng
-  | "hard" -> Graphlib.Gen.weighted_hard_diameter ~n ~heavy:(max_w * 50) ~rng
-  | "tree" -> Graphlib.Gen.random_tree ~n ~weighting ~rng
-  | other -> failwith (Printf.sprintf "unknown family %S" other)
+  | Some path -> load_input path
+  | None -> (
+    let family =
+      match family with
+      | "ring" -> Harness.Spec.Ring { cliques }
+      | "chain" -> Harness.Spec.Chain { cliques }
+      | "gnp" -> Harness.Spec.Gnp { p = 0.15 }
+      | "grid" -> Harness.Spec.Grid
+      | "hard" -> Harness.Spec.Hard
+      | "tree" -> Harness.Spec.Random_tree
+      | other -> usage_error (Printf.sprintf "unknown family %S" other)
+    in
+    try Harness.Spec.build_graph family ~max_w ~n ~rng:(Util.Rng.create ~seed)
+    with Invalid_argument msg -> usage_error msg)
+
+(* Theorem 1.1 and Le Gall–Magniez search over at least two nodes. *)
+let require_two_nodes g =
+  if Graphlib.Wgraph.n g < 2 then
+    usage_error
+      (Printf.sprintf "the instance has %d node(s); this algorithm needs at least 2"
+         (Graphlib.Wgraph.n g))
 
 let describe g =
   Printf.printf "graph: n = %d, m = %d, W = %d, D_G = %d\n" (Graphlib.Wgraph.n g)
@@ -98,6 +119,7 @@ let describe g =
 let run_quantum objective jobs input family n max_w cliques seed =
   set_jobs jobs;
   let g = make_graph ?input family n max_w cliques seed in
+  require_two_nodes g;
   describe g;
   let rng = Util.Rng.create ~seed:(seed + 1) in
   let r = Core.Algorithm.run g objective ~rng in
@@ -154,6 +176,7 @@ let classical_cmd =
 
 let run_unweighted family n max_w cliques seed =
   let g = make_graph family n max_w cliques seed in
+  require_two_nodes g;
   describe g;
   let rng = Util.Rng.create ~seed:(seed + 1) in
   let r = Baselines.Legall_magniez.diameter g ~rng () in
@@ -227,18 +250,14 @@ let run_faults input family n max_w cliques seed drop dup delay crashes strict b
     try
       Congest.Fault.make ~seed:fault_seed ~drop ~duplicate:dup ~delay ~crashes
         ~strict_bandwidth:strict ()
-    with Invalid_argument msg ->
-      Printf.eprintf "qcongest: %s\n" msg;
-      exit 2
+    with Invalid_argument msg -> usage_error msg
   in
   Format.printf "adversary: %a@." Congest.Fault.pp faults;
   let base_tree, base = Congest.Tree.build ~bandwidth g ~root:0 in
   let config = { Congest.Reliable.default_config with Congest.Reliable.timeout } in
   let tree, tr =
     try Congest.Tree.build ~bandwidth ~faults ~reliable:config g ~root:0
-    with Invalid_argument msg ->
-      Printf.eprintf "qcongest: %s\n" msg;
-      exit 2
+    with Invalid_argument msg -> usage_error msg
   in
   Format.printf "fault-free BFS : %a@." Congest.Engine.pp_trace base;
   Format.printf "reliable BFS   : %a@." Congest.Engine.pp_trace tr;
@@ -489,6 +508,8 @@ let trace_cmd =
     term
 
 let run_params n d =
+  if n < 1 then usage_error "--n must be >= 1";
+  if d < 1 then usage_error "--d must be >= 1";
   let p = Core.Params.of_graph_params ~n ~d_hat:d () in
   Format.printf "Eq. (1): %a@." Core.Params.pp p;
   let t0, t1, t2 = Core.Params.lemma_3_5_terms p in
@@ -510,13 +531,21 @@ let params_cmd =
 
 (* ------------------------------ sweep ------------------------------ *)
 
-let builtin_specs =
-  [
-    ("ci-smoke", Harness.Spec.ci_smoke);
-    ("thm11-scaling", Harness.Spec.thm11_scaling);
-    ("table1-measured", Harness.Spec.table1_measured);
-    ("ecc-scaling", Harness.Spec.ecc_scaling);
-  ]
+let builtin_names =
+  List.map (fun (s : Harness.Spec.t) -> s.Harness.Spec.name) Harness.Spec.builtins
+
+(* The spec a sweep or check subcommand runs on, shared by both. *)
+let spec_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "spec" ] ~docv:"FILE" ~doc:"Sweep spec JSON file (overrides $(b,--builtin)).")
+
+let builtin_arg =
+  Arg.(
+    value & opt string "ci-smoke"
+    & info [ "builtin" ] ~docv:"NAME"
+        ~doc:("Built-in spec, one of: " ^ String.concat ", " builtin_names ^ "."))
 
 let load_spec spec_file builtin =
   match spec_file with
@@ -525,12 +554,16 @@ let load_spec spec_file builtin =
     | Ok s -> Ok s
     | Error m -> Error (Printf.sprintf "%s: %s" path m))
   | None -> (
-    match List.assoc_opt builtin builtin_specs with
+    match
+      List.find_opt
+        (fun (s : Harness.Spec.t) -> s.Harness.Spec.name = builtin)
+        Harness.Spec.builtins
+    with
     | Some s -> Ok s
     | None ->
       Error
         (Printf.sprintf "unknown built-in spec %S (have: %s)" builtin
-           (String.concat ", " (List.map fst builtin_specs))))
+           (String.concat ", " builtin_names)))
 
 let resolve_store_path (spec : Harness.Spec.t) override =
   match override with
@@ -557,11 +590,12 @@ let load_store ?fsync spec override =
   store
 
 (* Open the store for the duration of [f], surfacing a held lock as a
-   usage error instead of a raw exception. *)
-let with_store ?fsync spec override f =
+   usage error (reported through the calling subcommand's [usage])
+   instead of a raw exception. *)
+let with_store ?fsync ~usage spec override f =
   match load_store ?fsync spec override with
   | exception Harness.Store.Locked { lock_path; holder } ->
-    sweep_error
+    usage
       (Printf.sprintf
          "store is locked by running process %d (%s); wait for it or remove the lock file \
           if that process is gone"
@@ -595,11 +629,13 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
   set_jobs jobs;
   if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline) then
     sweep_error deadline_usage
+  else if Option.fold ~none:false ~some:(fun k -> k < 0) max_jobs then
+    sweep_error "--max-jobs must be >= 0"
   else
     match load_spec spec_file builtin with
     | Error m -> sweep_error m
     | Ok spec ->
-      with_store ~fsync spec store_override @@ fun store ->
+      with_store ~fsync ~usage:sweep_error spec store_override @@ fun store ->
       let total = List.length (Harness.Spec.jobs spec) in
       Printf.printf "sweep %s: %d jobs (%d already checkpointed in %s)\n%!"
         spec.Harness.Spec.name total (Harness.Store.count store)
@@ -665,7 +701,7 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
 let with_existing_store ~usage spec override f =
   let path = resolve_store_path spec override in
   if not (Sys.file_exists path) then usage ("no store at " ^ path)
-  else with_store spec (Some path) f
+  else with_store ~usage spec (Some path) f
 
 let sweep_report spec_file builtin store_override =
   match load_spec spec_file builtin with
@@ -724,19 +760,6 @@ let sweep_gate jobs spec_file builtin store_override negative_control =
         (Harness.Fit.evaluate ~degraded spec.Harness.Spec.gates ~series)
 
 let sweep_cmd =
-  let spec_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spec" ] ~docv:"FILE"
-          ~doc:"Sweep spec JSON file (overrides $(b,--builtin)).")
-  in
-  let builtin_arg =
-    Arg.(
-      value & opt string "ci-smoke"
-      & info [ "builtin" ] ~docv:"NAME"
-          ~doc:"Built-in spec: ci-smoke, thm11-scaling, table1-measured or ecc-scaling.")
-  in
   let store_arg =
     Arg.(
       value
@@ -753,7 +776,9 @@ let sweep_cmd =
       value
       & opt (some int) None
       & info [ "max-jobs" ] ~docv:"K"
-          ~doc:"Execute at most $(docv) pending jobs then stop (for partial/staged runs).")
+          ~doc:
+            "Execute at most $(docv) pending jobs then stop (for partial/staged runs). A \
+             negative $(docv) is a usage error (exit 2).")
   in
   let negative_arg =
     Arg.(
@@ -1047,8 +1072,9 @@ let check_cmd =
       & opt_all string []
       & info [ "only" ] ~docv:"NAME"
           ~doc:
-            "Run only this certifier (repeatable): congest, approx, gadget, determinism, \
-             amplify, ecc or apsp. Default: all.")
+            ("Run only this certifier (repeatable), one of: "
+            ^ String.concat ", " Check.Suite.certifier_names
+            ^ ". Default: all."))
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed of the audited instances.")
@@ -1086,18 +1112,6 @@ let check_cmd =
           ~doc:
             "Output directory for the report artifact. Defaults to $(b,ARTIFACTS_DIR), then \
              $(b,bench_artifacts).")
-  in
-  let spec_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spec" ] ~docv:"FILE" ~doc:"Sweep spec JSON file (overrides $(b,--builtin)).")
-  in
-  let builtin_arg =
-    Arg.(
-      value & opt string "ci-smoke"
-      & info [ "builtin" ] ~docv:"NAME"
-          ~doc:"Built-in spec: ci-smoke, thm11-scaling, table1-measured or ecc-scaling.")
   in
   let store_arg =
     Arg.(

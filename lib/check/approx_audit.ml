@@ -8,18 +8,21 @@ let objective_name = function
   | Core.Algorithm.Diameter -> "diameter"
   | Core.Algorithm.Radius -> "radius"
 
-let thm11_result ?(tamper = 1.0) g (r : Core.Algorithm.result) =
+let thm11 ?(tamper = 1.0) g objective ~rng =
+  let r = Core.Algorithm.run g objective ~rng in
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
   let estimate = r.Core.Algorithm.estimate *. tamper in
   (* Ground truth recomputed here, not read back from the run. *)
-  let oracle =
-    Graphlib.Dist.to_int_exn
-      (match r.Core.Algorithm.objective with
-      | Core.Algorithm.Diameter -> Oracle.weighted_diameter Oracle.direct g
-      | Core.Algorithm.Radius -> Oracle.weighted_radius Oracle.direct g)
+  let algo, truth =
+    match objective with
+    | Core.Algorithm.Diameter ->
+      (Harness.Spec.Thm11_diameter, Oracle.weighted_diameter Oracle.direct g)
+    | Core.Algorithm.Radius ->
+      (Harness.Spec.Thm11_radius, Oracle.weighted_radius Oracle.direct g)
   in
+  let oracle = Graphlib.Dist.to_int_exn truth in
   incr checked;
   if r.Core.Algorithm.exact <> oracle then
     flag "oracle-mismatch"
@@ -28,7 +31,7 @@ let thm11_result ?(tamper = 1.0) g (r : Core.Algorithm.result) =
   let eps = r.Core.Algorithm.params.Core.Params.eps in
   let upper = (1.0 +. eps) ** 2.0 *. float_of_int oracle in
   incr checked;
-  let within = float_of_int oracle <= estimate +. 1e-9 && estimate <= upper +. 1e-9 in
+  let within = Harness.Spec.guarantee algo ~estimate ~exact:oracle in
   if not within then
     flag "ratio-bound"
       (Printf.sprintf "estimate %.1f outside [%d, %.1f] (eps=%.3f)" estimate oracle upper eps)
@@ -67,10 +70,6 @@ let thm11_result ?(tamper = 1.0) g (r : Core.Algorithm.result) =
     ~name:("thm11-" ^ objective_name r.Core.Algorithm.objective)
     ~claim:thm11_claim ~checked:!checked ~notes (List.rev !violations)
 
-let thm11 ?tamper g objective ~rng =
-  let r = Core.Algorithm.run g objective ~rng in
-  thm11_result ?tamper g r
-
 let three_halves_claim =
   "Table 1 (3/2-approx row): unweighted estimate within [floor(2D/3), D]"
 
@@ -91,7 +90,10 @@ let three_halves ?(tamper = 1.0) g ~rng =
          oracle)
       [ ("recorded", J.int r.Baselines.Three_halves.exact); ("oracle", J.int oracle) ];
   incr checked;
-  let within = estimate <= oracle && 3 * estimate >= 2 * oracle in
+  let within =
+    Harness.Spec.guarantee Harness.Spec.Three_halves ~estimate:(float_of_int estimate)
+      ~exact:oracle
+  in
   if not within then
     flag "ratio-bound"
       (Printf.sprintf "estimate %d outside [%d, %d]" estimate ((2 * oracle) / 3) oracle)

@@ -2,12 +2,12 @@
 
     Cross-checks what an algorithm {e reports} against ground truth
     recomputed here from scratch ([Graphlib.Apsp] / BFS), then asserts
-    the paper's ratio bounds:
+    the paper's ratio bounds, as {!Harness.Spec.guarantee} states them:
 
     - Theorem 1.1: [exact <= estimate <= (1+ε)²·exact] for the quantum
-      weighted diameter/radius pipeline (the run's own [ε]);
+      weighted diameter/radius pipeline ([ε = 1/2], a cap of 2.25);
     - the 3/2-approximation row of Table 1:
-      [⌊2D/3⌋ <= estimate <= D] for the unweighted estimator.
+      [⌈2D/3⌉ <= estimate <= D] for the unweighted estimator.
 
     Violation codes: [oracle-mismatch] (the algorithm's recorded
     ground truth differs from the recomputed oracle — a corrupted or
@@ -28,13 +28,6 @@ val thm11 :
     multiplies the reported estimate before auditing — the negative
     control proving the certifier can reject (a factor outside
     [(1+ε)²] must fail). *)
-
-val thm11_result :
-  ?tamper:float ->
-  Graphlib.Wgraph.t ->
-  Core.Algorithm.result ->
-  Report.certificate
-(** Certify an already-computed result (the sweep-audit path). *)
 
 val three_halves :
   ?tamper:float ->

@@ -18,20 +18,9 @@
     [estimate/exact]), [guarantee] (the row itself records a violated
     guarantee, [within = false]) and [within-drift] (the row records
     [within = true] but its estimate and exact value fail
-    {!guarantee}). Failed rows are skipped (noted, not violations —
-    the sweep already reports them); a store with no auditable rows
-    yields [Inconclusive]. *)
-
-val guarantee : Harness.Spec.algo -> estimate:float -> exact:int -> bool
-(** The guarantee an algorithm states, re-derived from a row's
-    estimate and exact value, to within [1e-6]:
-    - Theorem 1.1 and approx-APSP: [exact <= estimate <= 2.25 * exact];
-    - the 2-approximation: [estimate <= exact <= 2 * estimate];
-    - the 3/2-approximation: [2 * exact <= 3 * estimate] and
-      [estimate <= exact];
-    - every other algorithm: [estimate = exact].
-
-    Each algorithm's own [within] flag implies it. *)
+    {!Harness.Spec.guarantee}). Failed rows are skipped (noted, not
+    violations — the sweep already reports them); a store with no
+    auditable rows yields [Inconclusive]. *)
 
 val expected_exact : Harness.Spec.t -> Harness.Spec.job -> int
 (** The recomputed ground truth for a job cell: weighted

@@ -6,20 +6,8 @@
 let graph_seed ~n ~seed = (seed * 131) + n
 
 let make_graph (spec : Spec.t) ~n ~seed =
-  let rng = Util.Rng.create ~seed:(graph_seed ~n ~seed) in
-  let weighting = Graphlib.Gen.Uniform { max_w = spec.Spec.max_w } in
-  match spec.Spec.family with
-  | Spec.Ring { cliques } ->
-    Graphlib.Gen.cliques_cycle ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
-  | Spec.Chain { cliques } ->
-    if cliques = 1 then Graphlib.Gen.complete ~n ~weighting ~rng
-    else Graphlib.Gen.cliques_path ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
-  | Spec.Gnp { p } -> Graphlib.Gen.gnp_connected ~n ~p ~weighting ~rng
-  | Spec.Grid ->
-    let side = max 1 (Util.Int_math.isqrt n) in
-    Graphlib.Gen.grid ~rows:side ~cols:(Util.Int_math.ceil_div n side) ~weighting ~rng
-  | Spec.Hard -> Graphlib.Gen.weighted_hard_diameter ~n ~heavy:(spec.Spec.max_w * 50) ~rng
-  | Spec.Random_tree -> Graphlib.Gen.random_tree ~n ~weighting ~rng
+  Spec.build_graph spec.Spec.family ~max_w:spec.Spec.max_w ~n
+    ~rng:(Util.Rng.create ~seed:(graph_seed ~n ~seed))
 
 (* Per-algorithm RNG stream, decorrelated from the graph stream and
    from sibling algorithms on the same instance. *)

@@ -19,11 +19,11 @@
     larger deadline. *)
 
 val make_graph : Spec.t -> n:int -> seed:int -> Graphlib.Wgraph.t
-(** The instance a job cell runs on — a pure function of
-    [(family, max_w, n, seed)], shared by every algorithm in the spec
-    (so per-instance comparisons are meaningful). Exposed so benches
-    can recompute instance facts (e.g. the unweighted diameter) that
-    rows do not carry. *)
+(** The instance a job cell runs on: {!Spec.build_graph} seeded by the
+    cell, a pure function of [(family, max_w, n, seed)] shared by every
+    algorithm in the spec (so per-instance comparisons are meaningful).
+    Exposed so benches can recompute instance facts (e.g. the
+    unweighted diameter) that rows do not carry. *)
 
 val run_job : ?attempt:int -> ?deadline_s:float -> Spec.t -> Spec.job -> string
 (** Execute one job and return its canonical single-line JSON row

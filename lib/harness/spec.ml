@@ -87,6 +87,33 @@ let validate_probability what p =
   if p < 0.0 || p > 1.0 || Float.is_nan p then
     invalid_arg (Printf.sprintf "Spec: %s=%g outside [0,1]" what p)
 
+(* The generators' floors, for {!make} (per size) and {!build_graph}:
+   a bad family is one [Invalid_argument] naming it. *)
+let check_floors family ~max_w ~n =
+  if max_w < 1 then invalid_arg "Spec: max_w < 1";
+  match family with
+  | Ring { cliques } -> if cliques < 3 then invalid_arg "Spec: ring needs >= 3 cliques"
+  | Chain { cliques } -> if cliques < 1 then invalid_arg "Spec: chain needs >= 1 clique"
+  | Gnp { p } -> validate_probability "gnp p" p
+  | Hard -> if n < 4 then invalid_arg "Spec: hard family needs n >= 4"
+  | Grid | Random_tree -> ()
+
+let build_graph family ~max_w ~n ~rng =
+  check_floors family ~max_w ~n;
+  let module Gen = Graphlib.Gen in
+  let weighting = Gen.Uniform { max_w } in
+  match family with
+  | Ring { cliques } ->
+    Gen.cliques_cycle ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
+  | Chain { cliques } ->
+    Gen.cliques_path ~cliques ~clique_size:(max 1 (n / cliques)) ~weighting ~rng
+  | Gnp { p } -> Gen.gnp_connected ~n ~p ~weighting ~rng
+  | Grid ->
+    let side = max 1 (Util.Int_math.isqrt n) in
+    Gen.grid ~rows:side ~cols:(Util.Int_math.ceil_div n side) ~weighting ~rng
+  | Hard -> Gen.weighted_hard_diameter ~n ~heavy:(max_w * 50) ~rng
+  | Random_tree -> Gen.random_tree ~n ~weighting ~rng
+
 let make ~name ?(version = current_version) ~algos ~family ?(max_w = 16) ~sizes ~seeds
     ?(faults = benign) ?(gates = []) () =
   if name = "" then invalid_arg "Spec: empty name";
@@ -95,21 +122,11 @@ let make ~name ?(version = current_version) ~algos ~family ?(max_w = 16) ~sizes 
   if algos = [] then invalid_arg "Spec: empty algorithm list";
   if sizes = [] then invalid_arg "Spec: empty size grid";
   if seeds = [] then invalid_arg "Spec: empty seed set";
-  if max_w < 1 then invalid_arg "Spec: max_w < 1";
   List.iter (fun n -> if n < 2 then invalid_arg "Spec: size < 2") sizes;
   validate_probability "drop" faults.drop;
   validate_probability "duplicate" faults.duplicate;
   if faults.delay < 0 then invalid_arg "Spec: negative delay";
-  (match family with
-  | Ring { cliques } ->
-    (* Gen.cliques_cycle's own floor. *)
-    if cliques < 3 then invalid_arg "Spec: ring needs >= 3 cliques"
-  | Chain { cliques } -> if cliques < 1 then invalid_arg "Spec: cliques < 1"
-  | Gnp { p } -> validate_probability "gnp p" p
-  | Hard ->
-    if List.exists (fun n -> n < 4) sizes then
-      invalid_arg "Spec: hard family needs sizes >= 4"
-  | Grid | Random_tree -> ());
+  List.iter (fun n -> check_floors family ~max_w ~n) sizes;
   let series_names = List.map algo_name algos in
   List.iter
     (fun g ->
@@ -137,6 +154,21 @@ let geometric ~n_min ~n_max ~factor =
       go (n :: acc) next
   in
   go [] n_min
+
+(* ----------------------------- Guarantees -------------------------- *)
+
+(* Theorem 1.1 runs at eps = 1/2, so its cap (1+eps)^2 is 2.25;
+   approx-APSP's 1+eps at its default eps = 1/2 is tighter. *)
+let guarantee algo ~estimate ~exact =
+  let e = float_of_int exact in
+  let ( <=~ ) a b = a <= b +. 1e-6 in
+  match algo with
+  | Thm11_diameter | Thm11_radius | Approx_apsp -> e <=~ estimate && estimate <=~ 2.25 *. e
+  | Sssp_two_approx -> estimate <=~ e && e <=~ 2.0 *. estimate
+  | Three_halves -> 2.0 *. e <=~ 3.0 *. estimate && estimate <=~ e
+  | Classical_diameter | Classical_radius | Lm_unweighted | Bfs_reliable | Wwy_ecc
+  | Wwy_apsp ->
+    estimate <=~ e && e <=~ estimate
 
 (* ------------------------------ Job ids ---------------------------- *)
 
@@ -375,3 +407,5 @@ let ecc_scaling =
         { series = "wwy-apsp"; expected = 0.5; tol = 0.35; min_r2 = 0.5 };
       ]
     ()
+
+let builtins = [ ci_smoke; thm11_scaling; table1_measured; ecc_scaling ]

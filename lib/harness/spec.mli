@@ -46,6 +46,15 @@ type family =
 
 val family_name : family -> string
 
+val build_graph :
+  family -> max_w:int -> n:int -> rng:Util.Rng.t -> Graphlib.Wgraph.t
+(** The instance of [family] at target size [n], weights uniform in
+    [[1, max_w]], drawn from [rng]: the family dispatch behind
+    {!Runner.make_graph} and the CLI's [--family]. Raises
+    [Invalid_argument] below the floors {!make} checks per size
+    ([max_w >= 1], [Ring] >= 3 cliques, [Chain] >= 1, [Gnp]'s [p] in
+    [[0,1]], [Hard] [n >= 4]) or where a generator refuses [n]. *)
+
 type fault_profile = {
   drop : float;
   delay : int;
@@ -89,17 +98,28 @@ val make :
   unit ->
   t
 (** Validating constructor. Raises [Invalid_argument] on an empty
-    name/algos/sizes/seeds, a size [< 2], [max_w < 1], probabilities
-    outside [[0,1]], a negative delay, a family below its generator's
-    floor ([Ring] needs >= 3 cliques, [Hard] sizes >= 4), or a gate
-    naming a series not
-    in [algos]. Sizes are sorted and de-duplicated; algos and seeds
-    are de-duplicated keeping first occurrences (a duplicate cell
-    would hash to a duplicate job id). *)
+    name/algos/sizes/seeds, a size [< 2], fault probabilities outside
+    [[0,1]], a negative delay, a size below a floor of
+    {!build_graph}, or a gate naming a series not in [algos]. Sizes
+    are sorted and de-duplicated; algos and seeds are de-duplicated
+    keeping first occurrences (a duplicate cell would hash to a
+    duplicate job id). *)
 
 val geometric : n_min:int -> n_max:int -> factor:float -> int list
 (** The geometric size grid [n_min, ⌈n_min·factor⌉, …] up to [n_max]
     inclusive ([n_max] is always included). Requires [factor > 1]. *)
+
+val guarantee : algo -> estimate:float -> exact:int -> bool
+(** The guarantee an algorithm states, as a predicate on its estimate
+    and the exact value, to within [1e-6]:
+    - Theorem 1.1 and approx-APSP: [exact <= estimate <= 2.25 * exact];
+    - the 2-approximation: [estimate <= exact <= 2 * estimate];
+    - the 3/2-approximation: [2 * exact <= 3 * estimate] and
+      [estimate <= exact];
+    - every other algorithm: [estimate = exact].
+
+    Each algorithm's own [within] flag implies it; the auditors in
+    [Check] re-derive it from here, the runner never does. *)
 
 type job = { id : string; algo : algo; n : int; seed : int }
 
@@ -139,3 +159,6 @@ val ecc_scaling : t
     APSP series' search term still rivals the pipelined flood, so its
     measured exponent is sublinear; the [Θ̃(n)] claim at scale is the
     certifier's business). *)
+
+val builtins : t list
+(** The four built-in specs above, each found by its [name]. *)

@@ -1,10 +1,15 @@
-(* Exit-code regression for the qcongest CLI, focused on the sweep
+(* Exit-code regression for the qcongest CLI, mostly the sweep
    subcommand's contract:
 
      0  clean run (including "jobs still pending")
      1  the sweep completed but checkpointed failures
-     2  usage errors (unknown spec, bad file, bad --deadline, --jobs 0,
-        a missing store)
+     2  usage errors, each one `qcongest...:` line on stderr: unknown
+        spec, bad file, bad --deadline, --jobs 0, a negative
+        --max-jobs, a missing or locked store; on the graph
+        subcommands an unknown family or one below its generator's
+        floor, an --input file that does not load or is not one
+        connected graph, fewer than 2 nodes for diameter, radius or
+        unweighted, and params --n/--d below 1
      3  a scaling gate rejected the measured exponents
      124  cmdliner CLI parse errors
 
@@ -43,6 +48,23 @@ let expect ~what code cmd =
     Printf.printf "FAIL exit %d (wanted %d): %s\n   %s\n%!" rc code what cmd;
     incr failures
   end
+
+(* A usage error: exit 2 and exactly one line on stderr, starting with
+   [prefix] (no backtrace, no uncaught-exception report). *)
+let expect_usage ?(prefix = "qcongest: ") ~what ~dir cmd =
+  let err = Filename.concat dir "usage.err" in
+  let rc = Sys.command (Printf.sprintf "%s > /dev/null 2> %s" cmd (Filename.quote err)) in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin err In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  match lines with
+  | [ line ] when rc = 2 && String.starts_with ~prefix line ->
+    Printf.printf "ok   exit 2   %s\n%!" what
+  | _ ->
+    Printf.printf "FAIL exit %d (wanted 2 and one %S line): %s\n   %s\n   stderr: %s\n%!" rc
+      prefix what cmd (String.concat " | " lines);
+    incr failures
 
 (* The subcommand names listed in a help page's COMMANDS section. *)
 let subcommands page =
@@ -124,6 +146,59 @@ let () =
     (sweep "resume --builtin ci-smoke --max-jobs 3 --deadline=nan");
   expect ~what:"negative check chaos --deadline" 2
     (Printf.sprintf "%s check chaos --deadline=-1" exe);
+  (* A negative --max-jobs would run nothing and exit 0; 0 stays valid
+     (the first case above). *)
+  expect_usage ~prefix:"qcongest sweep: " ~what:"negative --max-jobs" ~dir
+    (sweep "run --builtin ci-smoke --max-jobs=-1");
+  expect_usage ~prefix:"qcongest sweep: " ~what:"negative --max-jobs (resume)" ~dir
+    (sweep "resume --builtin ci-smoke --max-jobs=-1");
+
+  (* 2: graph subcommands. Every instance is built by Spec.build_graph,
+     so a family it cannot build is one usage line, not an uncaught
+     exception (exit 125). *)
+  let graph args = Printf.sprintf "%s %s" exe args in
+  List.iter
+    (fun (what, args) -> expect_usage ~what ~dir (graph args))
+    [
+      ("unknown --family", "classical --family nosuch");
+      ("ring of 2 cliques", "classical --family ring --cliques 2");
+      ("chain of 0 cliques", "classical --family chain --cliques 0 --n 8");
+      ("--max-weight 0", "classical --max-weight 0");
+      ("hard family below 4 nodes", "classical --family hard --n 3");
+      ("empty grid", "classical --family grid --n 0");
+      ("diameter on 1 node", "diameter --family gnp --n 1");
+      ("radius on 1 node", "radius --family gnp --n 1");
+      ("unweighted on 1 node", "unweighted --family gnp --n 1");
+      ("params --n 0", "params --n 0");
+      ("params --d 0", "params --d 0");
+    ];
+  (* The algorithms that run on one node keep running. *)
+  expect ~what:"classical on 1 node" 0 (graph "classical --family gnp --n 1");
+  expect ~what:"faults on 1 node" 0 (graph "faults --family gnp --n 1");
+  expect ~what:"params --n 1 --d 1" 0 (graph "params --n 1 --d 1");
+  (* --input files that do not load, or load as no connected graph. *)
+  let graph_file name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    Filename.quote path
+  in
+  let missing = Filename.quote (Filename.concat dir "no-such-graph.txt") in
+  let malformed = graph_file "malformed.txt" "n 3\n0 1 1\nbogus\n" in
+  let out_of_range = graph_file "out-of-range.txt" "n 3\n0 1 1\n1 7 1\n" in
+  let disconnected = graph_file "disconnected.txt" "n 4\n0 1 1\n2 3 1\n" in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (what, file) ->
+          expect_usage ~what:(Printf.sprintf "%s --input %s" cmd what) ~dir
+            (graph (Printf.sprintf "%s --input %s" cmd file)))
+        [
+          ("missing file", missing);
+          ("malformed file", malformed);
+          ("endpoint out of range", out_of_range);
+          ("disconnected graph", disconnected);
+        ])
+    [ "diameter"; "radius"; "classical"; "faults"; "trace" ];
 
   (* 2: a malformed QCONGEST_JOBS is rejected at startup, before any
      command dispatch, with a clear message. *)
@@ -147,6 +222,10 @@ let () =
   expect ~what:"store locked by a live process" 2
     (sweep
        (Printf.sprintf "report --builtin ci-smoke --store %s" (Filename.quote locked_path)));
+  (* The lock is reported by the subcommand that met it. *)
+  expect_usage ~prefix:"qcongest check: store is locked" ~what:"check sweep on a locked store"
+    ~dir
+    (Printf.sprintf "%s check sweep --store %s" exe (Filename.quote locked_path));
 
   (* 3: the negative control — synthesized mis-scaled series that a
      healthy gate must reject. *)

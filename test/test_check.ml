@@ -364,15 +364,19 @@ let test_sweep_forged_within () =
       check "nothing else flagged" rows (List.length c.Check.Report.violations);
       [ forged ])
 
+let all_algos =
+  Harness.Spec.
+    [ Thm11_diameter; Thm11_radius; Classical_diameter; Classical_radius; Lm_unweighted;
+      Approx_apsp; Three_halves; Sssp_two_approx; Bfs_reliable; Wwy_ecc; Wwy_apsp ]
+
 let test_guarantee_predicates () =
-  let holds algo estimate exact = Check.Sweep_audit.guarantee algo ~estimate ~exact in
+  let holds algo estimate exact = Harness.Spec.guarantee algo ~estimate ~exact in
   let open Harness.Spec in
   List.iter
     (fun algo ->
       checkb (algo_name algo ^ ": exact answer holds") true (holds algo 75.0 75);
       checkb (algo_name algo ^ ": ten times over fails") false (holds algo 750.0 75))
-    [ Thm11_diameter; Thm11_radius; Classical_diameter; Classical_radius; Lm_unweighted;
-      Approx_apsp; Three_halves; Sssp_two_approx; Bfs_reliable; Wwy_ecc; Wwy_apsp ];
+    all_algos;
   List.iter
     (fun (what, algo, estimate, exact, expect) ->
       checkb what expect (holds algo estimate exact))
@@ -390,6 +394,34 @@ let test_guarantee_predicates () =
       ("exact algorithm one off", Wwy_ecc, 76.0, 75, false);
       ("exact algorithm one under", Bfs_reliable, 8.0, 9, false);
     ]
+
+(* Every algorithm on one n = 12 instance of every family, under a
+   fault profile that bfs-reliable meets: each row is audited, and the
+   only violation allowed is a run's own recorded miss ([guarantee]),
+   which is the algorithm's to explain, not the audit's. *)
+let test_sweep_every_family () =
+  let open Harness.Spec in
+  let faults = { drop = 0.1; delay = 1; duplicate = 0.05; fault_seed = 3 } in
+  List.iter
+    (fun family ->
+      let name = family_name family in
+      let spec =
+        make ~name:("every-algo-" ^ name) ~algos:all_algos ~family ~sizes:[ 12 ] ~seeds:[ 1 ]
+          ~faults ()
+      in
+      let store = temp_store () in
+      let _executed, failed = Harness.Runner.run spec store in
+      check (name ^ ": no failed jobs") 0 failed;
+      let c = Check.Sweep_audit.audit_store spec store in
+      check (name ^ ": every row audited") (List.length all_algos) c.Check.Report.checked;
+      List.iter
+        (fun (v : Check.Report.violation) ->
+          Alcotest.(check string) (name ^ ": " ^ v.Check.Report.detail) "guarantee"
+            v.Check.Report.code)
+        c.Check.Report.violations;
+      remove_store store)
+    [ Ring { cliques = 3 }; Chain { cliques = 1 }; Chain { cliques = 3 }; Gnp { p = 0.3 };
+      Grid; Hard; Random_tree ]
 
 let test_sweep_one_build_per_instance () =
   with_swept_store (fun store ->
@@ -537,6 +569,8 @@ let () =
           Alcotest.test_case "store audit" `Quick test_sweep_audit;
           Alcotest.test_case "forged within flag" `Quick test_sweep_forged_within;
           Alcotest.test_case "guarantee predicates" `Quick test_guarantee_predicates;
+          Alcotest.test_case "every algorithm on every family" `Quick
+            test_sweep_every_family;
           Alcotest.test_case "one build per instance" `Quick test_sweep_one_build_per_instance;
           Alcotest.test_case "hooked audit byte-identical" `Quick
             test_sweep_hooked_audit_identical;

@@ -147,6 +147,29 @@ let test_weighted_hard () =
   checkb "low hop diameter" true (Bfs.diameter g <= 3);
   checkb "weighted diameter much larger" true (Apsp.weighted_diameter g > 10)
 
+(* A chain of one clique is the complete graph, edge for edge and
+   weight for weight from the same RNG stream, so no caller needs a
+   [cliques = 1] branch. *)
+let test_one_clique_chain () =
+  List.iter
+    (fun max_w ->
+      for n = 2 to 64 do
+        for seed = 1 to 3 do
+          let weighting = Gen.Uniform { max_w } in
+          let chain =
+            Gen.cliques_path ~cliques:1 ~clique_size:n ~weighting
+              ~rng:(Util.Rng.create ~seed)
+          in
+          let complete = Gen.complete ~n ~weighting ~rng:(Util.Rng.create ~seed) in
+          check (Printf.sprintf "n of n=%d seed=%d W=%d" n seed max_w) n (Wgraph.n chain);
+          checkb
+            (Printf.sprintf "edges of n=%d seed=%d W=%d" n seed max_w)
+            true
+            (Wgraph.edge_array chain = Wgraph.edge_array complete)
+        done
+      done)
+    [ 1; 16 ]
+
 let prop_gnp_connected =
   QCheck.Test.make ~name:"gnp_connected is connected" ~count:50
     QCheck.(pair (int_range 2 40) (int_range 0 1000))
@@ -758,6 +781,7 @@ let () =
           Alcotest.test_case "cliques cycle" `Quick test_cliques_cycle;
           Alcotest.test_case "barbell" `Quick test_barbell;
           Alcotest.test_case "weighted-hard family" `Quick test_weighted_hard;
+          Alcotest.test_case "one-clique chain = complete" `Quick test_one_clique_chain;
         ] );
       ( "shortest paths",
         [
