@@ -53,14 +53,6 @@ let write_trace_json ~name trace =
   in
   note "wrote %s" path
 
-(* Same for a multi-phase runner record. *)
-let write_runner_json ~name runner =
-  let path =
-    Telemetry.Export.write_artifact ~name:(name ^ ".phases.json")
-      (Congest.Runner.to_json runner)
-  in
-  note "wrote %s" path
-
 (* Every bench section's top-level JSON artifact goes through here:
    the canonical copy lands under bench_artifacts/ (ARTIFACTS_DIR
    override respected). [~root_copy:true] — used only by the perf

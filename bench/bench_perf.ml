@@ -3,7 +3,8 @@
    Times the production implementations on the three workloads every
    experiment in this repo is built from: a long relay chain (round-loop
    overhead), a dense flood (per-message ledger cost), and the exact
-   APSP/eccentricity baseline (Dijkstra + domain fan-out). Their
+   APSP/eccentricity baseline ([Graphlib.Apsp.eccentricities], one
+   Dijkstra per source on the calling domain). Their
    outputs are pinned elsewhere: the engine against the seed round loop
    by test_congest's golden-equivalence tests, Dijkstra against
    Bellman-Ford oracles by test_graph.
@@ -118,13 +119,10 @@ let flood_case ~reps ~cliques ~clique_size =
     ~count:(fun t -> t.Congest.Engine.messages)
     g flood_protocol ~reps
 
-let apsp_case ~reps ~jobs ~cliques ~clique_size =
+let apsp_case ~reps ~cliques ~clique_size =
   let g = Bench_common.ring_of_cliques ~cliques ~clique_size ~max_w:16 ~seed:3 in
   let n = Graphlib.Wgraph.n g in
-  let _, wall_s, median_s =
-    best_of reps (fun () ->
-        Util.Domain_pool.run ~jobs n (fun src -> Graphlib.Dijkstra.eccentricity g ~src))
-  in
+  let _, wall_s, median_s = best_of reps (fun () -> Graphlib.Apsp.eccentricities g) in
   {
     name = "apsp-ecc";
     n;
@@ -160,7 +158,6 @@ let run () =
      median-of-1 makes the CI regression gate flaky on shared runners.
      Smoke sizes are tiny, so the extra evals cost milliseconds. *)
   let reps = 3 in
-  let jobs = Util.Domain_pool.default_jobs () in
   let relay_sizes = if smoke then [ 500 ] else [ 1000; 2000; 4000 ] in
   let flood_shapes = if smoke then [ (16, 16) ] else [ (32, 32); (32, 48); (32, 64) ] in
   let apsp_shapes = if smoke then [ (10, 12) ] else [ (40, 25); (50, 40) ] in
@@ -178,7 +175,7 @@ let run () =
   let cases =
     List.map (fun n -> relay_case ~reps n) relay_sizes
     @ List.map (fun (c, s) -> flood_case ~reps ~cliques:c ~clique_size:s) flood_shapes
-    @ List.map (fun (c, s) -> apsp_case ~reps ~jobs ~cliques:c ~clique_size:s) apsp_shapes
+    @ List.map (fun (c, s) -> apsp_case ~reps ~cliques:c ~clique_size:s) apsp_shapes
   in
   List.iter
     (fun c ->
@@ -192,7 +189,10 @@ let run () =
         ])
     cases;
   Util.Table.print t;
-  Bench_common.note "APSP case ran with %d domains" jobs;
+  (* Every case runs on one domain; [jobs] records the worker count the
+     trial-fanning sections (lower, ablation, thm11) of this process use. *)
+  let jobs = Util.Domain_pool.default_jobs () in
+  Bench_common.note "every case ran on one domain (bench worker count: %d)" jobs;
   let json = cases_to_json ~jobs ~smoke cases in
   ignore (Bench_common.write_bench_json ~root_copy:true ~name:"BENCH_engine.json" json);
   (* Perf-trajectory rows: one qcongest-perf-row/v1 per case, appended

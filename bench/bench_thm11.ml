@@ -277,12 +277,14 @@ let crossover () =
       let d = Bench_common.d_unweighted g in
       let qrounds =
         Util.Stats.median
-          (Util.Domain_pool.init_list 3 (fun i ->
+          (Util.Domain_pool.map_list
+             (fun i ->
                let q =
                  Core.Algorithm.run g Core.Algorithm.Diameter
                    ~rng:(Bench_common.rng (cliques + 50 + i))
                in
-               float_of_int q.Core.Algorithm.rounds))
+               float_of_int q.Core.Algorithm.rounds)
+             [ 0; 1; 2 ])
       in
       let tree, _ = Congest.Tree.build g ~root:0 in
       let c = Baselines.All_pairs.diameter g ~tree in

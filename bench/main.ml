@@ -24,16 +24,10 @@ let sections : (string * string * (unit -> unit)) list =
     ("chaos", "Supervision overhead: deadline guard, checksummed store", Bench_chaos.run);
   ]
 
-let flag_value a ~prefix =
-  let pl = String.length prefix in
-  if String.length a > pl && String.sub a 0 pl = prefix then
-    Some (String.sub a pl (String.length a - pl))
-  else None
-
 let () =
-  (* [--jobs=N] (anywhere on the command line) sets the Domain_pool
-     default for every section; QCONGEST_JOBS overrides it. [--smoke]
-     shrinks sizes for the sections that honor QCONGEST_PERF_SMOKE. *)
+  (* [--smoke] shrinks sizes for the sections that honor
+     QCONGEST_PERF_SMOKE. The sections that fan trials out take their
+     worker count from QCONGEST_JOBS. *)
   let args =
     List.filter
       (fun a ->
@@ -42,17 +36,7 @@ let () =
           Unix.putenv "QCONGEST_PERF_SMOKE" "1";
           false
         end
-        else
-          match flag_value a ~prefix:"--jobs=" with
-          | Some v ->
-            (match int_of_string_opt v with
-            | Some j when j >= 1 ->
-              Util.Domain_pool.set_default_jobs j;
-              false
-            | _ ->
-              Printf.eprintf "bad --jobs value in %S\n" a;
-              exit 1)
-          | None -> true)
+        else true)
       (List.tl (Array.to_list Sys.argv))
   in
   let requested =

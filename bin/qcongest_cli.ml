@@ -50,28 +50,11 @@ let input_arg =
         ~doc:"Load the graph from an edge-list file (overrides --family; format: 'n <count>' \
               header then 'u v w' lines).")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs" ] ~docv:"J"
-        ~doc:
-          "Worker domains for host-side parallel sweeps (exact APSP baselines, ground-truth \
-           checks). Defaults to $(b,QCONGEST_JOBS), else the machine's recommended domain \
-           count; the environment variable takes precedence over this flag.")
-
 (* A usage error: one line on stderr and exit 2, before any algorithm
    runs. *)
 let usage_error msg =
   Printf.eprintf "qcongest: %s\n" msg;
   exit 2
-
-(* A --jobs below 1 is a usage error (exit 2) before any work starts,
-   like a malformed QCONGEST_JOBS. *)
-let set_jobs = function
-  | Some j when j < 1 -> usage_error "--jobs must be >= 1"
-  | Some j -> Util.Domain_pool.set_default_jobs j
-  | None -> ()
 
 (* An edge-list file every subcommand can run on: it loads, and it is
    one connected graph with at least one node. *)
@@ -116,8 +99,7 @@ let describe g =
 
 (* --------------------------- subcommands --------------------------- *)
 
-let run_quantum objective jobs input family n max_w cliques seed =
-  set_jobs jobs;
+let run_quantum objective input family n max_w cliques seed =
   let g = make_graph ?input family n max_w cliques seed in
   require_two_nodes g;
   describe g;
@@ -136,8 +118,7 @@ let diameter_cmd =
   let term =
     Term.(
       const (run_quantum Core.Algorithm.Diameter)
-      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
-      $ seed_arg)
+      $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg $ seed_arg)
   in
   Cmd.v (Cmd.info "diameter" ~doc:"Quantum (1+o(1))-approximate weighted diameter (Theorem 1.1).")
     term
@@ -146,13 +127,11 @@ let radius_cmd =
   let term =
     Term.(
       const (run_quantum Core.Algorithm.Radius)
-      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
-      $ seed_arg)
+      $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg $ seed_arg)
   in
   Cmd.v (Cmd.info "radius" ~doc:"Quantum (1+o(1))-approximate weighted radius (Theorem 1.1).") term
 
-let run_classical jobs input family n max_w cliques seed =
-  set_jobs jobs;
+let run_classical input family n max_w cliques seed =
   let g = make_graph ?input family n max_w cliques seed in
   describe g;
   let tree, ttrace = Congest.Tree.build g ~root:0 in
@@ -169,8 +148,7 @@ let classical_cmd =
   let term =
     Term.(
       const run_classical
-      $ jobs_arg $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg
-      $ seed_arg)
+      $ input_arg $ family_arg $ n_arg $ max_w_arg $ cliques_arg $ seed_arg)
   in
   Cmd.v (Cmd.info "classical" ~doc:"Exact classical APSP baseline (token-flood protocol).") term
 
@@ -202,8 +180,9 @@ let unweighted_cmd =
     term
 
 let run_gadget h density seed =
+  let p = try Lowerbound.Gadget.params_of_h ~h with Invalid_argument msg -> usage_error msg in
+  if not (density >= 0.0 && density <= 1.0) then usage_error "--density must be in [0,1]";
   let rng = Util.Rng.create ~seed in
-  let p = Lowerbound.Gadget.params_of_h ~h in
   let s2 = Util.Int_math.pow 2 p.Lowerbound.Gadget.s in
   let input = Lowerbound.Boolfun.random_input ~rng ~s2 ~ell:p.Lowerbound.Gadget.ell ~p:density in
   Printf.printf "h = %d: s = %d, ell = %d, m = %d, n = %d\n" h p.Lowerbound.Gadget.s
@@ -244,14 +223,14 @@ let gadget_cmd =
 
 let run_faults input family n max_w cliques seed drop dup delay crashes strict bandwidth
     fault_seed timeout json =
-  let g = make_graph ?input family n max_w cliques seed in
-  describe g;
   let faults =
     try
       Congest.Fault.make ~seed:fault_seed ~drop ~duplicate:dup ~delay ~crashes
         ~strict_bandwidth:strict ()
     with Invalid_argument msg -> usage_error msg
   in
+  let g = make_graph ?input family n max_w cliques seed in
+  describe g;
   Format.printf "adversary: %a@." Congest.Fault.pp faults;
   let base_tree, base = Congest.Tree.build ~bandwidth g ~root:0 in
   let config = { Congest.Reliable.default_config with Congest.Reliable.timeout } in
@@ -348,16 +327,16 @@ let faults_cmd =
 
 let run_trace input family n max_w cliques seed drop dup delay fault_seed artifacts
     events_path chrome_path heatmap_path timeline_path profile =
+  let faults =
+    match Congest.Fault.make ~seed:fault_seed ~drop ~duplicate:dup ~delay () with
+    | exception Invalid_argument msg -> usage_error msg
+    | f -> if Congest.Fault.is_benign f then None else Some f
+  in
   let g = make_graph ?input family n max_w cliques seed in
   describe g;
   let dir = Telemetry.Export.artifacts_dir ?override:artifacts () in
   let sink, drain = Telemetry.Events.collector () in
   let runner = Congest.Runner.create ~sink () in
-  let faults =
-    if drop > 0.0 || dup > 0.0 || delay > 0 then
-      Some (Congest.Fault.make ~seed:fault_seed ~drop ~duplicate:dup ~delay ())
-    else None
-  in
   (match faults with
   | Some f -> Format.printf "adversary: %a@." Congest.Fault.pp f
   | None -> ());
@@ -625,8 +604,7 @@ let audit_sweep_store (spec : Harness.Spec.t) store =
        (Check.Report.to_json report));
   Check.Report.exit_code report
 
-let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadline progress =
-  set_jobs jobs;
+let sweep_run spec_file builtin store_override max_jobs audit fsync deadline progress =
   if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline) then
     sweep_error deadline_usage
   else if Option.fold ~none:false ~some:(fun k -> k < 0) max_jobs then
@@ -727,8 +705,7 @@ let print_gate_verdict (spec : Harness.Spec.t) ~negative_control verdict =
        (Harness.Fit.verdict_to_json verdict));
   Harness.Fit.exit_code verdict
 
-let sweep_gate jobs spec_file builtin store_override negative_control =
-  set_jobs jobs;
+let sweep_gate spec_file builtin store_override negative_control =
   match load_spec spec_file builtin with
   | Error m -> sweep_error m
   | Ok spec ->
@@ -829,15 +806,16 @@ let sweep_cmd =
   in
   let run_term =
     Term.(
-      const sweep_run $ jobs_arg $ spec_arg $ builtin_arg $ store_arg
-      $ max_jobs_arg $ audit_arg $ fsync_arg $ deadline_arg $ progress_arg)
+      const sweep_run $ spec_arg $ builtin_arg $ store_arg $ max_jobs_arg $ audit_arg
+      $ fsync_arg $ deadline_arg $ progress_arg)
   in
   let run_cmd =
     Cmd.v
       (Cmd.info "run"
          ~doc:
-           "Execute the sweep's pending jobs over the domain pool, checkpointing each result; \
-            exits 1 if any checkpointed job failed.")
+           "Execute the sweep's pending jobs over $(b,QCONGEST_JOBS) worker domains (default: \
+            the machine's recommended domain count), checkpointing each result; exits 1 if \
+            any checkpointed job failed.")
       run_term
   in
   let resume_cmd =
@@ -859,7 +837,7 @@ let sweep_cmd =
          ~doc:
            "Fit each gated series' round-complexity exponent and compare against the spec's \
             prediction band; exits 3 on any failed gate.")
-      Term.(const sweep_gate $ jobs_arg $ spec_arg $ builtin_arg $ store_arg $ negative_arg)
+      Term.(const sweep_gate $ spec_arg $ builtin_arg $ store_arg $ negative_arg)
   in
   Cmd.group
     (Cmd.info "sweep"

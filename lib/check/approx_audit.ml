@@ -71,7 +71,7 @@ let thm11 ?(tamper = 1.0) g objective ~rng =
     ~claim:thm11_claim ~checked:!checked ~notes (List.rev !violations)
 
 let three_halves_claim =
-  "Table 1 (3/2-approx row): unweighted estimate within [floor(2D/3), D]"
+  "Table 1 (3/2-approx row): unweighted estimate within [ceil(2D/3), D]"
 
 let three_halves ?(tamper = 1.0) g ~rng =
   let tree = fst (Congest.Tree.build g ~root:0) in
@@ -96,7 +96,9 @@ let three_halves ?(tamper = 1.0) g ~rng =
   in
   if not within then
     flag "ratio-bound"
-      (Printf.sprintf "estimate %d outside [%d, %d]" estimate ((2 * oracle) / 3) oracle)
+      (Printf.sprintf "estimate %d outside [%d, %d]" estimate
+         (Util.Int_math.ceil_div (2 * oracle) 3)
+         oracle)
       [ ("estimate", J.int estimate); ("exact", J.int oracle) ];
   incr checked;
   if tamper = 1.0 && r.Baselines.Three_halves.within_three_halves <> within then

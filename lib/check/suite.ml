@@ -12,9 +12,6 @@ type config = {
 let default =
   { seed = 42; n = 48; trials = 200; h = 2; negative_control = false; only = [] }
 
-let certifier_names =
-  [ "congest"; "approx"; "gadget"; "determinism"; "amplify"; "ecc"; "apsp" ]
-
 (* The same ring-of-cliques family the CI sweep runs on: weighted,
    connected, with a diameter the quantum pipeline actually has to
    work for. *)
@@ -65,6 +62,19 @@ let determinism cfg =
 let amplify cfg =
   [ Amplify_audit.certify ~trials:cfg.trials ~sabotage:cfg.negative_control ~seed:cfg.seed () ]
 
+let certifiers =
+  [
+    ("congest", congest);
+    ("approx", approx);
+    ("gadget", gadget);
+    ("determinism", determinism);
+    ("amplify", amplify);
+    ("ecc", ecc);
+    ("apsp", apsp);
+  ]
+
+let certifier_names = List.map fst certifiers
+
 let run cfg =
   List.iter
     (fun name ->
@@ -75,17 +85,6 @@ let run cfg =
              (String.concat ", " certifier_names)))
     cfg.only;
   let selected name = cfg.only = [] || List.mem name cfg.only in
-  let certifiers =
-    [
-      ("congest", congest);
-      ("approx", approx);
-      ("gadget", gadget);
-      ("determinism", determinism);
-      ("amplify", amplify);
-      ("ecc", ecc);
-      ("apsp", apsp);
-    ]
-  in
   let certificates =
     List.concat_map
       (fun (name, f) -> if selected name then f cfg else [])

@@ -1,13 +1,10 @@
-(* The n source sweeps are independent, so they fan out over
-   Util.Domain_pool (QCONGEST_JOBS / --jobs; deterministic merge order,
-   so every function below returns exactly what the serial loop
-   returns, at any job count). *)
+(* Not fanned out over the domain pool: sweep workers call these
+   oracles, and a fan-out inside each of J workers would hold up to J^2
+   domains. *)
 
-let all_distances g =
-  Util.Domain_pool.run (Wgraph.n g) (fun src -> Dijkstra.distances g ~src)
+let all_distances g = Array.init (Wgraph.n g) (fun src -> Dijkstra.distances g ~src)
 
-let eccentricities g =
-  Util.Domain_pool.run (Wgraph.n g) (fun src -> Dijkstra.eccentricity g ~src)
+let eccentricities g = Array.init (Wgraph.n g) (fun src -> Dijkstra.eccentricity g ~src)
 
 let weighted_diameter g =
   let n = Wgraph.n g in
@@ -24,32 +21,16 @@ let center g =
   !best
 
 let peripheral_pair g =
-  let n = Wgraph.n g in
-  if n <= 1 then (0, 0)
-  else begin
-    (* Per-source scans are independent; the strict-> merge below picks
-       the first (lowest-u, then lowest-v) maximizing pair, exactly as
-       the serial double loop did. *)
-    let per_source =
-      Util.Domain_pool.run n (fun u ->
-          let dist = Dijkstra.distances g ~src:u in
-          let best_v = ref 0 and best_d = ref (-1) in
-          Array.iteri
-            (fun v d ->
-              if Dist.is_finite d && d > !best_d then begin
-                best_d := d;
-                best_v := v
-              end)
-            dist;
-          (!best_d, !best_v))
-    in
-    let best = ref (0, 0) and best_d = ref (-1) in
+  (* The first (lowest-u, then lowest-v) pair at the maximum finite
+     distance: strict [>] keeps the earliest. *)
+  let best = ref (0, 0) and best_d = ref (-1) in
+  for u = 0 to Wgraph.n g - 1 do
     Array.iteri
-      (fun u (d, v) ->
-        if d > !best_d then begin
+      (fun v d ->
+        if Dist.is_finite d && d > !best_d then begin
           best_d := d;
           best := (u, v)
         end)
-      per_source;
-    !best
-  end
+      (Dijkstra.distances g ~src:u)
+  done;
+  !best

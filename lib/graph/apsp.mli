@@ -1,7 +1,9 @@
 (** All-pairs shortest paths and the derived graph parameters
     (eccentricities, weighted diameter [D_{G,w}], weighted radius
     [R_{G,w}]) — the ground truth every approximation is checked
-    against. *)
+    against. Every function runs one Dijkstra per source on the
+    caller's domain and never spawns one, so a sweep worker can call
+    it. *)
 
 val all_distances : Wgraph.t -> Dist.t array array
 (** [d.(u).(v) = d_{G,w}(u,v)] by [n] Dijkstra runs. *)

@@ -90,6 +90,7 @@ let validate_probability what p =
 (* The generators' floors, for {!make} (per size) and {!build_graph}:
    a bad family is one [Invalid_argument] naming it. *)
 let check_floors family ~max_w ~n =
+  if n < 1 then invalid_arg "Spec: target size needs n >= 1";
   if max_w < 1 then invalid_arg "Spec: max_w < 1";
   match family with
   | Ring { cliques } -> if cliques < 3 then invalid_arg "Spec: ring needs >= 3 cliques"

@@ -52,8 +52,8 @@ val build_graph :
     [[1, max_w]], drawn from [rng]: the family dispatch behind
     {!Runner.make_graph} and the CLI's [--family]. Raises
     [Invalid_argument] below the floors {!make} checks per size
-    ([max_w >= 1], [Ring] >= 3 cliques, [Chain] >= 1, [Gnp]'s [p] in
-    [[0,1]], [Hard] [n >= 4]) or where a generator refuses [n]. *)
+    ([n >= 1], [max_w >= 1], [Ring] >= 3 cliques, [Chain] >= 1,
+    [Gnp]'s [p] in [[0,1]], [Hard] [n >= 4]). *)
 
 type fault_profile = {
   drop : float;

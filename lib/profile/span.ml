@@ -14,7 +14,7 @@ type t = node list
 
 (* Mutable accumulation tree: one [acc] per distinct call path, looked
    up by name in the parent's table. The recorder is strictly
-   single-domain (each Domain_pool worker owns its own; [merge] is the
+   single-domain (each recording domain owns its own; [merge] is the
    cross-domain story), so plain Hashtbls are fine. *)
 type acc = {
   a_name : string;

@@ -8,12 +8,12 @@
     heap) — the counters [Gc.quick_stat] exposes, deltas taken at span
     boundaries.
 
-    Recording is strictly per-domain: each [Util.Domain_pool] worker
-    owns a private {!recorder} (create it in the worker via
-    [Domain_pool.run_local]'s [~local]) and the coordinator folds the
-    finished trees with {!merge}, which is deterministic — siblings
-    are kept name-sorted and merging is associative and commutative,
-    so the folded tree is independent of the job count.
+    Recording is strictly per-domain: a domain that records owns a
+    private {!recorder} (created on that domain), and whoever collects
+    the finished trees folds them with {!merge}, which is deterministic
+    — siblings are kept name-sorted and merging is associative and
+    commutative, so the folded tree is independent of how the work was
+    split.
 
     Two feeding paths share one recorder: {!span} brackets a scoped
     thunk with clock + GC reads, and {!event_sink} consumes the

@@ -36,39 +36,22 @@ let chunk ~n ~jobs w =
   let hi = lo + base + (if w < extra then 1 else 0) in
   (lo, hi)
 
-(* [run] and [run_local] share one fan-out; [run_local] additionally
-   gives each worker a private accumulator created on the worker's own
-   domain (so domain-local state like a profiler's span recorder never
-   crosses domains mid-flight) and returns the accumulators in worker
-   order — a deterministic merge order by construction. *)
-let run_local ?jobs n ~local f =
-  if n < 0 then invalid_arg "Domain_pool.run_local: negative size";
+let run ?jobs n f =
+  if n < 0 then invalid_arg "Domain_pool.run: negative size";
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs = min jobs (max 1 n) in
-  if jobs <= 1 || n <= 1 then begin
-    let l = local () in
-    (Array.init n (f l), [ l ])
-  end
+  if jobs <= 1 then Array.init n f
   else begin
     let work w () =
       let lo, hi = chunk ~n ~jobs w in
-      let l = local () in
-      (Array.init (hi - lo) (fun i -> f l (lo + i)), l)
+      Array.init (hi - lo) (fun i -> f (lo + i))
     in
     (* Fan out chunks 1..jobs-1; chunk 0 runs on the calling domain so
        a pool of [jobs] uses exactly [jobs] domains in total. *)
     let others = Array.init (jobs - 1) (fun w -> Domain.spawn (work (w + 1))) in
-    let first, l0 = work 0 () in
-    let rest = Array.map Domain.join others in
-    ( Array.concat (first :: List.map fst (Array.to_list rest)),
-      l0 :: List.map snd (Array.to_list rest) )
+    let first = work 0 () in
+    Array.concat (first :: List.map Domain.join (Array.to_list others))
   end
-
-let run ?jobs n f = fst (run_local ?jobs n ~local:(fun () -> ()) (fun () i -> f i))
-
-let map ?jobs f a = run ?jobs (Array.length a) (fun i -> f a.(i))
-
-let init_list ?jobs n f = Array.to_list (run ?jobs n f)
 
 let map_list ?jobs f l =
   let a = Array.of_list l in

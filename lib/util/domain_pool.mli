@@ -6,21 +6,25 @@
     are joined in index order, so the output is *deterministic and
     independent of [jobs]* as long as [f] is a pure function of its
     index (the determinism contract; a QCheck test pins jobs=1 ≡
-    jobs=N for the APSP sweeps).
+    jobs=N).
 
     The job count resolves as: the [?jobs] argument if given, else the
-    [QCONGEST_JOBS] environment variable, else {!set_default_jobs}
-    (the CLI's [--jobs]), else [Domain.recommended_domain_count ()].
-    With one job the work runs inline on the calling domain — no
-    domain is ever spawned, so [jobs = 1] is always a safe fallback.
-    Callers must not nest pool calls inside a worker's [f]. *)
+    [QCONGEST_JOBS] environment variable, else {!set_default_jobs},
+    else [Domain.recommended_domain_count ()]. With one job the work
+    runs inline on the calling domain — no domain is ever spawned, so
+    [jobs = 1] is always a safe fallback.
+
+    Callers must not nest pool calls inside a worker's [f]. This holds
+    by construction: the sweep runner and the bench sections are the
+    only callers, each fanning out whole jobs or trials, and nothing
+    below a job (graph oracles included) calls the pool. *)
 
 val env_var : string
 (** ["QCONGEST_JOBS"]. *)
 
 val set_default_jobs : int -> unit
 (** Process-wide default used when neither [?jobs] nor the environment
-    variable is set (wired to [--jobs] flags). Raises on [jobs < 1]. *)
+    variable is set. Raises on [jobs < 1]. *)
 
 val validate_env : unit -> (int option, string) result
 (** Eager [QCONGEST_JOBS] validation for process startup: [Ok None]
@@ -37,21 +41,5 @@ val default_jobs : unit -> int
 val run : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. *)
 
-val run_local :
-  ?jobs:int -> int -> local:(unit -> 'l) -> ('l -> int -> 'a) -> 'a array * 'l list
-(** {!run} with per-worker local state: each worker calls [local ()]
-    once on its own domain and threads the result through its chunk's
-    [f] calls; the locals come back in worker (i.e. chunk/index)
-    order, so folding over them is a deterministic merge regardless
-    of [jobs]. This is how per-domain accumulators — a profiler's
-    span recorder, a metrics registry — record contention-free and
-    combine reproducibly. The result array keeps {!run}'s contract. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] (same chunking and merge order). *)
-
-val init_list : ?jobs:int -> int -> (int -> 'a) -> 'a list
-(** [List.init] counterpart of {!run}. *)
-
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [List.map] counterpart of {!map}. *)
+(** Parallel [List.map] (same chunking and merge order). *)

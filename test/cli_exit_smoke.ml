@@ -4,14 +4,18 @@
      0  clean run (including "jobs still pending")
      1  the sweep completed but checkpointed failures
      2  usage errors, each one `qcongest...:` line on stderr: unknown
-        spec, bad file, bad --deadline, --jobs 0, a negative
-        --max-jobs, a missing or locked store; on the graph
-        subcommands an unknown family or one below its generator's
-        floor, an --input file that does not load or is not one
-        connected graph, fewer than 2 nodes for diameter, radius or
-        unweighted, and params --n/--d below 1
+        spec, bad file, bad --deadline, a malformed QCONGEST_JOBS, a
+        negative --max-jobs, a missing or locked store; on the graph
+        subcommands an unknown family, an --n below 1 (check run's -n
+        too) or a size below the family's floor, an --input file that
+        does not load or is not one connected graph, fewer than 2
+        nodes for diameter, radius or unweighted, and params --n/--d
+        below 1; adversary flags outside their range (--drop/--dup
+        outside [0,1], a negative --delay); gadget --height that is
+        odd or below 2, and --density outside [0,1]
      3  a scaling gate rejected the measured exponents
-     124  cmdliner CLI parse errors
+     124  cmdliner CLI parse errors (an unknown command or option,
+          --jobs included: QCONGEST_JOBS is the one worker count)
 
    It also renders every command's --help=plain page and fails if one
    writes to stderr, and runs `check sweep`'s negative control: a row
@@ -133,10 +137,12 @@ let () =
   (* Each job runs once: --retries is not an option (cmdliner's 124). *)
   expect ~what:"--retries is not an option" 124
     (sweep "run --builtin ci-smoke --retries 2 --max-jobs 0");
-  (* --jobs below 1 is a usage error before any work, like a malformed
-     QCONGEST_JOBS. *)
-  expect ~what:"diameter --jobs 0" 2 (Printf.sprintf "%s diameter --jobs 0 --n 8" exe);
-  expect ~what:"sweep run --jobs 0" 2 (sweep "run --builtin ci-smoke --jobs 0 --max-jobs 0");
+  (* QCONGEST_JOBS is the one worker-count setting: --jobs is not an
+     option either (cmdliner's 124). *)
+  expect ~what:"diameter --jobs is not an option" 124
+    (Printf.sprintf "%s diameter --jobs 2 --n 8" exe);
+  expect ~what:"sweep run --jobs is not an option" 124
+    (sweep "run --builtin ci-smoke --jobs 2 --max-jobs 0");
   (* A budget that is negative, NaN or infinite is a usage error, before
      any job runs: a negative one would checkpoint every job as a
      settled timeout row, and a NaN one would never fire. *)
@@ -165,13 +171,43 @@ let () =
       ("chain of 0 cliques", "classical --family chain --cliques 0 --n 8");
       ("--max-weight 0", "classical --max-weight 0");
       ("hard family below 4 nodes", "classical --family hard --n 3");
-      ("empty grid", "classical --family grid --n 0");
       ("diameter on 1 node", "diameter --family gnp --n 1");
       ("radius on 1 node", "radius --family gnp --n 1");
       ("unweighted on 1 node", "unweighted --family gnp --n 1");
       ("params --n 0", "params --n 0");
       ("params --d 0", "params --d 0");
     ];
+  (* An --n below 1 names the floor on every family, ring and chain
+     included (they round a small --n up to one node per clique). *)
+  List.iter
+    (fun (what, args) ->
+      expect_usage ~prefix:"qcongest: Spec: target size needs n >= 1" ~what ~dir (graph args))
+    [
+      ("empty grid", "classical --family grid --n 0");
+      ("empty ring", "classical --family ring --n 0");
+      ("empty chain", "classical --family chain --n 0");
+      ("empty gnp", "classical --family gnp --n 0");
+      ("empty tree", "classical --family tree --n 0");
+      ("negative --n", "diameter --family ring --n=-5");
+    ];
+  expect_usage ~prefix:"qcongest check: Spec: target size needs n >= 1"
+    ~what:"check run -n 0" ~dir
+    (Printf.sprintf "%s check run -n 0 --only congest" exe);
+  (* Adversary and gadget flags outside their range, before any work. *)
+  List.iter
+    (fun (what, args) -> expect_usage ~what ~dir (graph args))
+    [
+      ("faults --drop 2", "faults --family ring --n 12 --drop 2");
+      ("trace --drop 2", "trace --family ring --n 12 --drop 2");
+      ("trace --dup 1.5", "trace --family ring --n 12 --dup 1.5");
+      ("trace --delay=-1", "trace --family ring --n 12 --delay=-1");
+      ("gadget --height 3", "gadget --height 3");
+      ("gadget --height 0", "gadget --height 0");
+      ("gadget --density 2", "gadget --density 2");
+      ("gadget --density=-0.5", "gadget --density=-0.5");
+    ];
+  expect ~what:"trace with every adversary flag at 0" 0
+    (graph "trace --family ring --n 12 --drop 0 --dup 0 --delay 0");
   (* The algorithms that run on one node keep running. *)
   expect ~what:"classical on 1 node" 0 (graph "classical --family gnp --n 1");
   expect ~what:"faults on 1 node" 0 (graph "faults --family gnp --n 1");

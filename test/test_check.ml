@@ -143,6 +143,28 @@ let test_approx_three_halves () =
   let bad = Check.Approx_audit.three_halves ~tamper:10.0 g ~rng:(Util.Rng.create ~seed:8) in
   Alcotest.check status "tampered baseline fails" Check.Report.Fail bad.Check.Report.status
 
+(* The bracket's lower end is the ceiling: on a 5-node path D = 4, so
+   an estimate must be at least ceil(8/3) = 3, and a halved estimate
+   is reported against [3, 4] (the floor would print [2, 4]). *)
+let test_approx_three_halves_lower_end () =
+  let g =
+    Graphlib.Gen.path ~n:5 ~weighting:Graphlib.Gen.Unit ~rng:(Util.Rng.create ~seed:1)
+  in
+  let c = Check.Approx_audit.three_halves ~tamper:0.5 g ~rng:(Util.Rng.create ~seed:8) in
+  checkb "claim states the ceiling" true
+    (String.ends_with ~suffix:"within [ceil(2D/3), D]" c.Check.Report.claim);
+  match
+    List.find_opt
+      (fun (v : Check.Report.violation) -> v.Check.Report.code = "ratio-bound")
+      c.Check.Report.violations
+  with
+  | Some v ->
+    checkb
+      (Printf.sprintf "detail %S names [3, 4]" v.Check.Report.detail)
+      true
+      (String.ends_with ~suffix:"outside [3, 4]" v.Check.Report.detail)
+  | None -> Alcotest.fail "halved estimate not reported as ratio-bound"
+
 (* ------------------------------ gadget ----------------------------- *)
 
 let test_gadget () =
@@ -556,6 +578,8 @@ let () =
         [
           Alcotest.test_case "thm11" `Quick test_approx_thm11;
           Alcotest.test_case "three halves" `Quick test_approx_three_halves;
+          Alcotest.test_case "three halves lower end" `Quick
+            test_approx_three_halves_lower_end;
         ] );
       ("gadget", [ Alcotest.test_case "table2 + gap" `Quick test_gadget ]);
       ( "determinism",

@@ -724,8 +724,9 @@ let prop_weight_lookup_matches_scan =
       !ok && raises 0 n && raises (-1) 0)
 
 let prop_apsp_jobs_invariant =
-  (* Domain-parallel APSP returns exactly the serial sweep at any job
-     count (merge order is deterministic). *)
+  (* APSP runs on the caller's domain, so QCONGEST_JOBS cannot move it;
+     fanning the same sweep out over the pool (as the sweep runner fans
+     out jobs) returns it unchanged too. *)
   QCheck.Test.make ~name:"Apsp ignores QCONGEST job count" ~count:20
     QCheck.(int_range 0 10_000)
     (fun seed ->

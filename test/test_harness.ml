@@ -161,7 +161,15 @@ let test_spec_validation () =
         ~family:(Harness.Spec.Ring { cliques = 2 }) ~sizes:[ 8 ] ~seeds:[ 1 ] ());
   expect_invalid (fun () ->
       Harness.Spec.make ~name:"x" ~algos:[ Harness.Spec.Three_halves ]
-        ~family:Harness.Spec.Hard ~sizes:[ 3; 8 ] ~seeds:[ 1 ] ())
+        ~family:Harness.Spec.Hard ~sizes:[ 3; 8 ] ~seeds:[ 1 ] ());
+  (* Below one node no family builds, ring and chain included (they
+     would otherwise round up to one node per clique). *)
+  List.iter
+    (fun family ->
+      expect_invalid (fun () ->
+          Harness.Spec.build_graph family ~max_w:4 ~n:0 ~rng:(Util.Rng.create ~seed:1)))
+    Harness.Spec.
+      [ Ring { cliques = 3 }; Chain { cliques = 1 }; Gnp { p = 0.5 }; Grid; Random_tree ]
 
 let test_job_ids () =
   let s = small_spec in

@@ -247,26 +247,31 @@ let prop_span_merge_roundtrip =
       && P.Span.merge t1 t2 = P.Span.merge t2 t1
       && P.Span.total_self (P.Span.merge t1 t1) -. (2.0 *. P.Span.total_self t1) < 1e-9)
 
-(* Cross-domain determinism: per-worker recorders created via
-   [run_local], folded with [merge_all] — the tree is independent of
-   the job count. *)
+(* Per-recorder determinism: the 24 items split into contiguous
+   chunks, one private recorder per chunk (as each worker domain owns
+   one), folded with [merge_all] — the tree is independent of the
+   chunking. *)
 let test_cross_domain_merge () =
   let names = [| "alpha"; "beta"; "gamma" |] in
-  let record jobs =
-    let results, locals =
-      Util.Domain_pool.run_local ~jobs 24
-        ~local:(fun () -> P.Span.recorder ~clock:(T.Clock.fixed 0.0) ~gc:false ())
-        (fun r i ->
-          P.Span.span r "item" (fun () -> P.Span.span r names.(i mod 3) (fun () -> i * i)))
+  let record chunks =
+    let results = Array.make 24 0 in
+    let trees =
+      List.init chunks (fun c ->
+          let r = P.Span.recorder ~clock:(T.Clock.fixed 0.0) ~gc:false () in
+          for i = c * 24 / chunks to ((c + 1) * 24 / chunks) - 1 do
+            results.(i) <-
+              P.Span.span r "item" (fun () -> P.Span.span r names.(i mod 3) (fun () -> i * i))
+          done;
+          P.Span.tree r)
     in
-    (results, P.Span.merge_all (List.map P.Span.tree locals))
+    (results, P.Span.merge_all trees)
   in
   let r1, t1 = record 1 in
   let r3, t3 = record 3 in
   let r8, t8 = record 8 in
-  checkb "results independent of jobs" true (r1 = r3 && r3 = r8);
-  checkb "merged tree jobs 1 = 3" true (t1 = t3);
-  checkb "merged tree jobs 3 = 8" true (t3 = t8);
+  checkb "results independent of chunks" true (r1 = r3 && r3 = r8);
+  checkb "merged tree chunks 1 = 3" true (t1 = t3);
+  checkb "merged tree chunks 3 = 8" true (t3 = t8);
   (match P.Span.find t1 [ "item" ] with
   | Some item -> check "every item recorded once" 24 item.P.Span.calls
   | None -> Alcotest.fail "item missing");

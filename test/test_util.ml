@@ -252,8 +252,8 @@ let test_domain_pool_jobs_invariant () =
     [ 1; 2; 3; 4; 8; 64 ];
   Alcotest.(check (list int)) "map_list" [ 2; 4; 6 ]
     (Util.Domain_pool.map_list ~jobs:3 (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Alcotest.(check (array int)) "map" [| 1; 4; 9 |]
-    (Util.Domain_pool.map ~jobs:2 (fun x -> x * x) [| 1; 2; 3 |])
+  Alcotest.(check (list int)) "map_list jobs=2" [ 1; 4; 9 ]
+    (Util.Domain_pool.map_list ~jobs:2 (fun x -> x * x) [ 1; 2; 3 ])
 
 let prop_domain_pool_matches_serial =
   QCheck.Test.make ~name:"Domain_pool.run = Array.init at any job count" ~count:50
