@@ -336,49 +336,96 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
   describe g;
   let dir = Telemetry.Export.artifacts_dir ?override:artifacts () in
   let sink, drain = Telemetry.Events.collector () in
-  let runner = Congest.Runner.create ~sink () in
   (match faults with
   | Some f -> Format.printf "adversary: %a@." Congest.Fault.pp f
   | None -> ());
+  (* Each phase runs inside a span: [Span_begin]/[Span_end] bracket its
+     slice of the stream, stamped with the cumulative simulated rounds
+     and the wall clock. [phases] keeps (name, trace, wall_s), latest
+     first. *)
+  let phases = ref [] in
+  let phase name f =
+    let round = List.fold_left (fun acc (_, tr, _) -> acc + tr.Congest.Engine.rounds) 0 !phases in
+    let t0 = Telemetry.Clock.now Telemetry.Clock.wall in
+    sink (Telemetry.Events.Span_begin { name; round; wall_s = t0 });
+    let value, trace = f () in
+    let t1 = Telemetry.Clock.now Telemetry.Clock.wall in
+    phases := (name, trace, t1 -. t0) :: !phases;
+    sink
+      (Telemetry.Events.Span_end { name; round = round + trace.Congest.Engine.rounds; wall_s = t1 });
+    value
+  in
   (* With --profile every engine round is additionally bracketed into
      engine.heap/delivery/compute spans, nested under the phase spans. *)
   let scoped f = if profile then Congest.Engine.with_phase_spans f else f () in
   scoped @@ fun () ->
   (* A representative multi-phase scenario: BFS tree, an aggregation
      up it, a pipelined broadcast down it — each phase a span. *)
-  let tree =
-    Congest.Runner.time_phase runner "bfs-tree" (fun () ->
-        Congest.Tree.build ?faults ~sink g ~root:0)
-  in
+  let tree = phase "bfs-tree" (fun () -> Congest.Tree.build ?faults ~sink g ~root:0) in
   let nn = Graphlib.Wgraph.n g in
   let degrees = Array.init nn (fun v -> Array.length (Graphlib.Wgraph.neighbors g v)) in
   let total_degree =
-    Congest.Runner.time_phase runner "degree-convergecast" (fun () ->
+    phase "degree-convergecast" (fun () ->
         Congest.Tree.convergecast ?faults ~sink g tree ~values:degrees ~combine:( + )
           ~size_words:(fun _ -> 1))
   in
   let _per_node =
-    Congest.Runner.time_phase runner "token-broadcast" (fun () ->
+    phase "token-broadcast" (fun () ->
         Congest.Tree.broadcast_tokens ?faults ~sink g tree ~tokens:[ tree.Congest.Tree.depth ]
           ~size_words:(fun _ -> 1))
   in
   Printf.printf "tree depth = %d, sum of degrees = %d (= 2m = %d)\n" tree.Congest.Tree.depth
     total_degree (2 * Graphlib.Wgraph.m g);
-  Format.printf "%a@." Congest.Runner.pp runner;
+  let phases = List.rev !phases in
+  let total =
+    List.fold_left
+      (fun acc (_, tr, _) -> Congest.Engine.add_traces acc tr)
+      Congest.Engine.empty_trace phases
+  in
+  let wall_s = List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 phases in
+  List.iter
+    (fun (name, tr, _) -> Format.printf "%-28s %a@." name Congest.Engine.pp_trace tr)
+    phases;
+  Format.printf "%-28s %a@." "TOTAL" Congest.Engine.pp_trace total;
   let events = drain () in
-  (* Internal consistency: the stream must replay to the recorded
-     trace — the same invariant the property tests pin. *)
-  let replayed = Congest.Replay.trace_of_events events in
-  let total = Congest.Runner.total runner in
-  if replayed <> total then begin
-    Format.eprintf "qcongest trace: replay mismatch!@.  recorded: %a@.  replayed: %a@."
-      Congest.Engine.pp_trace total Congest.Engine.pp_trace replayed;
-    exit 1
-  end
-  else Printf.printf "replay check: %d events reconstruct the trace counters exactly\n"
+  (* Conservation: the whole stream replays to the summed trace, and
+     each phase's slice to the trace that phase returned — the same
+     invariant the property tests pin. *)
+  let check_replay ~where recorded events =
+    let replayed = Congest.Replay.trace_of_events events in
+    if replayed <> recorded then begin
+      Format.eprintf "qcongest trace: replay mismatch%s!@.  recorded: %a@.  replayed: %a@." where
+        Congest.Engine.pp_trace recorded Congest.Engine.pp_trace replayed;
+      exit 1
+    end
+  in
+  check_replay ~where:"" total events;
+  List.iter
+    (fun (name, tr, _) ->
+      check_replay ~where:(" in phase " ^ name) tr (Congest.Replay.span_slice name events))
+    phases;
+  Printf.printf "replay check: %d events reconstruct the trace counters exactly\n"
     (List.length events);
   let metrics = Telemetry.Metrics.create () in
-  Congest.Runner.export_metrics runner metrics;
+  let counter name v = Telemetry.Metrics.add metrics ("congest." ^ name) v in
+  let gauge name v = Telemetry.Metrics.set_gauge metrics ("congest." ^ name) v in
+  counter "rounds" total.Congest.Engine.rounds;
+  counter "messages" total.Congest.Engine.messages;
+  counter "words" total.Congest.Engine.words;
+  counter "activations" total.Congest.Engine.activations;
+  counter "congestion_violations" total.Congest.Engine.congestion_violations;
+  counter "dropped" total.Congest.Engine.dropped;
+  counter "delayed" total.Congest.Engine.delayed;
+  counter "duplicated" total.Congest.Engine.duplicated;
+  gauge "max_edge_load" (float_of_int total.Congest.Engine.max_edge_load);
+  gauge "crashed" (float_of_int total.Congest.Engine.crashed);
+  gauge "wall_s" wall_s;
+  List.iter
+    (fun (name, tr, w) ->
+      counter ("phase." ^ name ^ ".rounds") tr.Congest.Engine.rounds;
+      counter ("phase." ^ name ^ ".messages") tr.Congest.Engine.messages;
+      gauge ("phase." ^ name ^ ".wall_s") w)
+    phases;
   let out default override =
     match override with Some p -> p | None -> Filename.concat dir default
   in
@@ -400,7 +447,17 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
     (Telemetry.Metrics.to_json (Telemetry.Metrics.snapshot metrics));
   wrote metrics_file;
   let phases_file = Filename.concat dir "trace.phases.json" in
-  Telemetry.Export.write_file ~path:phases_file (Congest.Runner.to_json runner);
+  let module J = Telemetry.Tjson in
+  let phase_json (name, tr, w) =
+    J.obj [ ("name", J.str name); ("wall_s", J.float w); ("trace", Congest.Engine.trace_to_json tr) ]
+  in
+  Telemetry.Export.write_file ~path:phases_file
+    (J.obj
+       [
+         ("phases", J.arr (List.map phase_json phases));
+         ("wall_s", J.float wall_s);
+         ("total", Congest.Engine.trace_to_json total);
+       ]);
   wrote phases_file;
   if profile then begin
     (* Span attribution from the recorded stream: the phase spans and
@@ -1060,7 +1117,11 @@ let check_cmd =
   let n_arg =
     Arg.(
       value & opt int 48
-      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Instance size for the graph-based certifiers.")
+      & info [ "n"; "nodes" ] ~docv:"N"
+          ~doc:
+            "Instance size for the graph-based certifiers. Write $(b,-n) N or $(b,--nodes) N: \
+             here $(b,--n) is a prefix of both $(b,--nodes) and $(b,--negative-control), so \
+             cmdliner rejects it as ambiguous.")
   in
   let trials_arg =
     Arg.(

@@ -40,12 +40,6 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) () =
     in
     Some cc.Congest.Engine.rounds
   in
-  let broadcast_rounds i =
-    let _, trace =
-      Congest.Tree.broadcast_tokens g tree ~tokens:[ i ] ~size_words:(fun _ -> 1)
-    in
-    trace.Congest.Engine.rounds
-  in
   let triple =
     Dqo.Framework.make ~name:"wwy-apsp" ~direction:Dqo.Optimize.Maximize ~compare
       ~setup:(fun () ->
@@ -58,7 +52,7 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) () =
       ~evaluate
       ~eval_rounds:(fun r -> r)
       ~setup_cost:(fun _ -> tree.Congest.Tree.depth + 1)
-      ~finalize:broadcast_rounds ()
+      ~finalize:(Congest.Tree.broadcast_rounds g tree) ()
   in
   let o = Dqo.Framework.run ~rng ~delta ~c triple in
   let exact = Graphlib.Dist.to_int_exn (Graphlib.Apsp.weighted_diameter g) in

@@ -69,12 +69,6 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~direction () =
     in
     Some { ecc; rounds }
   in
-  let broadcast_rounds i =
-    let _, trace =
-      Congest.Tree.broadcast_tokens topo tree ~tokens:[ i ] ~size_words:(fun _ -> 1)
-    in
-    trace.Congest.Engine.rounds
-  in
   let triple =
     Dqo.Framework.make
       ~name:(match direction with Maximize -> "wwy-ecc-max" | Minimize -> "wwy-ecc-min")
@@ -89,7 +83,7 @@ let run g ~rng ?(delta = 0.1) ?(c = 3.0) ~direction () =
       ~evaluate
       ~eval_rounds:(fun e -> e.rounds)
       ~setup_cost:(fun _ -> tree.Congest.Tree.depth + 1)
-      ~finalize:broadcast_rounds ()
+      ~finalize:(Congest.Tree.broadcast_rounds topo tree) ()
   in
   let o = Dqo.Framework.run ~rng ~delta ~c triple in
   let ecc_known =

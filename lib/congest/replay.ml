@@ -66,6 +66,18 @@ let segments events =
   in
   go [] [] events
 
+let span_slice name events =
+  let rec skip = function
+    | [] -> []
+    | E.Span_begin { name = n; _ } :: rest when n = name -> take [] rest
+    | _ :: rest -> skip rest
+  and take acc = function
+    | E.Span_end { name = n; _ } :: _ when n = name -> List.rev acc
+    | [] -> List.rev acc
+    | e :: rest -> take (e :: acc) rest
+  in
+  skip events
+
 let trace_of_events ?(bandwidth = 1) events =
   let segments = ref [] in
   let cur = ref (fresh_seg bandwidth) in

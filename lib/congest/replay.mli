@@ -15,6 +15,14 @@ val segments : Telemetry.Events.t list -> Telemetry.Events.t list list
     input. The per-segment view is what [Check.Congest_audit] iterates
     over to hold each execution to its own declared bandwidth. *)
 
+val span_slice : string -> Telemetry.Events.t list -> Telemetry.Events.t list
+(** [span_slice name events] is one phase's slice of a multi-phase
+    driver's stream: the events strictly between the first
+    [Span_begin] named [name] and the next [Span_end] of that name (to
+    the end of the stream if it never closes; [[]] if it never opens).
+    A phase's slice replays through {!trace_of_events} to the trace
+    that phase returned, which [qcongest trace] checks per phase. *)
+
 val trace_of_events : ?bandwidth:int -> Telemetry.Events.t list -> Engine.trace
 (** Replay a stream and return the trace it implies.
 

@@ -199,6 +199,9 @@ let broadcast_tokens ?bandwidth ?faults ?reliable ?sink g tree ~tokens ~size_wor
   let states, trace = run_protocol ?bandwidth ?faults ?reliable ?sink g (broadcast_protocol tree ~tokens ~size_words) in
   (Array.map (fun s -> List.rev s.bc_received) states, trace)
 
+let broadcast_rounds g tree i =
+  (snd (broadcast_tokens g tree ~tokens:[ i ] ~size_words:(fun _ -> 1))).Engine.rounds
+
 (* ------------------------------------------------------------------ *)
 (* Pipelined upcast of distinct items.                                 *)
 (* ------------------------------------------------------------------ *)

@@ -74,6 +74,11 @@ val broadcast_tokens :
 (** Pipelined broadcast of the root's token list to every node;
     [O(depth + k)] rounds. Result preserves the root's token order. *)
 
+val broadcast_rounds : Graphlib.Wgraph.t -> t -> int -> int
+(** [broadcast_rounds g tree i]: the measured rounds of a fault-free
+    {!broadcast_tokens} of the one-word token [i] — what a distributed
+    search charges to send an index or its answer down the tree. *)
+
 val upcast :
   ?bandwidth:int ->
   ?faults:Fault.t ->

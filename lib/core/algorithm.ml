@@ -115,12 +115,7 @@ let run g objective ~rng =
   in
   (* Measured Setup / answer broadcast: the index |i⟩ (resp. the final
      estimate) down the BFS tree. *)
-  let broadcast_rounds i =
-    let _, trace =
-      Congest.Tree.broadcast_tokens g tree ~tokens:[ i ] ~size_words:(fun _ -> 1)
-    in
-    trace.Congest.Engine.rounds
-  in
+  let broadcast_rounds = Congest.Tree.broadcast_rounds g tree in
   let evaluate i =
     Option.map
       (fun prep ->

@@ -36,14 +36,6 @@ let merge a b =
     search_rounds = a.search_rounds + b.search_rounds;
   }
 
-let export ?(prefix = "dqo") l m =
-  let c name v = Telemetry.Metrics.add m (prefix ^ "." ^ name) v in
-  c "init_rounds" l.init_rounds;
-  c "grover_iterations" l.grover_iterations;
-  c "measurements" l.measurements;
-  c "search_rounds" l.search_rounds;
-  c "total_rounds" (total_rounds l)
-
 let pp ppf l =
   Format.fprintf ppf "init=%d search=%d (iterations=%d measurements=%d) total=%d" l.init_rounds
     l.search_rounds l.grover_iterations l.measurements (total_rounds l)

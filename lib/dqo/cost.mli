@@ -27,13 +27,4 @@ val charge_measurement : ledger -> per_call -> ledger
 val total_rounds : ledger -> int
 val merge : ledger -> ledger -> ledger
 
-val export : ?prefix:string -> ledger -> Telemetry.Metrics.t -> unit
-(** Export the ledger into a metrics registry as counters
-    [<prefix>.init_rounds], [.grover_iterations], [.measurements],
-    [.search_rounds] and [.total_rounds] (default prefix ["dqo"]), so
-    the quantum-query accounting lands in the same snapshot as the
-    CONGEST round counters ({!Congest.Runner.export_metrics}) and the
-    state-vector query histograms ([Qsim.Search]). Repeated exports
-    accumulate, matching {!merge}. *)
-
 val pp : Format.formatter -> ledger -> unit

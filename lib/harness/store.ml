@@ -234,40 +234,6 @@ let load ?(fsync = false) ?(lock = true) ~path () =
   end;
   t
 
-(* Read-only tail view for live monitors ([qcongest top]): parse
-   whatever is on disk right now without taking the lock, quarantining
-   anything or rewriting — a store owned by a running sweep must not
-   be mutated (or wedged) by an observer. A partial trailing line or a
-   damaged row is simply counted as skipped; the next [load] by the
-   owner will deal with it. *)
-let peek ~path =
-  if not (Sys.file_exists path) then ([], 0)
-  else begin
-    let content = In_channel.with_open_bin path In_channel.input_all in
-    let seen = Hashtbl.create 64 in
-    let skipped = ref 0 in
-    let keep line =
-      match parse_line line with
-      | Valid (id, logical) when not (Hashtbl.mem seen id) ->
-        Hashtbl.replace seen id ();
-        Some (id, logical)
-      | Valid _ | Corrupt ->
-        incr skipped;
-        None
-    in
-    let rec consume acc = function
-      | [] | [ "" ] -> List.rev acc
-      | line :: rest -> (
-        match keep line with
-        | Some row -> consume (row :: acc) rest
-        | None -> consume acc rest)
-    in
-    (* Bind the rows before reading the counter: a tuple would
-       evaluate right-to-left and snapshot [skipped] at 0. *)
-    let rows = consume [] (String.split_on_char '\n' content) in
-    (rows, !skipped)
-  end
-
 let append t ~id row =
   if t.closed then invalid_arg "Store.append: store is closed";
   if t.read_only then

@@ -30,7 +30,7 @@
 
     {2 Lock protocol}
 
-    Every store path has exactly three access modes, and the mode is
+    Every store path has exactly two access modes, and the mode is
     chosen at {!load} time:
 
     - {b writer} ([load] with [~lock] true, the default): creates
@@ -51,12 +51,10 @@
       partial trailing line may be a healthy append in flight on the
       owner's side, so judgement (and repair) is deferred to the next
       writer. {!append} on such a handle raises [Invalid_argument].
-    - {b peek} ({!peek}): the cheapest observation — no handle, no
-      lock, no mutation, skip-and-count on damage. What [qcongest
-      top] and {!Profile.Monitor} use against stores a live runner
-      owns.
+      This is what [qcongest top] and [Profile.Monitor] use against
+      stores a live runner owns.
 
-    The invariant the three modes preserve: at most one process writes
+    The invariant the two modes preserve: at most one process writes
     a store at a time, and observers never mutate (or steal the lock
     of) a store they do not own — a monitor pointed at a store a live
     sweep owns reports progress instead of racing the sweep's lock. *)
@@ -98,16 +96,6 @@ val append : t -> id:string -> string -> unit
     (written and flushed to the OS) when [append] returns; it is
     guaranteed on disk only when the store was opened with
     [~fsync:true], which pays one [fsync] per append. *)
-
-val peek : path:string -> (string * string) list * int
-(** Read-only snapshot of the rows currently on disk at [path]:
-    [(id, logical_row)] pairs in file order (duplicates after the
-    first occurrence ignored) plus the number of lines skipped as
-    unparseable — a partial append in progress, a damaged row. Unlike
-    {!load} it never locks, quarantines or rewrites, so it is safe to
-    call against a store owned by a live runner; that is exactly what
-    the [qcongest top] monitor does. A missing file is an empty store,
-    not an error. *)
 
 val mem : t -> string -> bool
 (** Is a row with this job id present? *)

@@ -28,12 +28,13 @@ let of_rows ?(total = 0) ~rows ~skipped () =
     rows;
   { settled = List.length rows; total; ok = !ok; failed = !failed; timeout = !timeout; skipped }
 
-(* One [Store.peek]: read-only by construction, so watching a live
-   sweep is safe (and so is pointing [qcongest top] at a finished
-   one). *)
+(* One read-only [Store.load]: it never locks, repairs or writes, so
+   watching a live sweep is safe (and so is pointing [qcongest top] at
+   a finished one). *)
 let observe ?(total = 0) ~path () =
-  let rows, skipped = Harness.Store.peek ~path in
-  of_rows ~total ~rows ~skipped ()
+  let store = Harness.Store.load ~lock:false ~path () in
+  let skipped = Harness.Store.dropped_lines store + Harness.Store.quarantined_lines store in
+  of_rows ~total ~rows:(Harness.Store.rows store) ~skipped ()
 
 let rate ~baseline ~elapsed_s s =
   if elapsed_s <= 0.0 then 0.0 else float_of_int (max 0 (s.settled - baseline)) /. elapsed_s

@@ -2,9 +2,9 @@
     TTY rendering behind [qcongest sweep run --progress] and
     [qcongest top].
 
-    Observation goes through {!Harness.Store.peek} — never the locking
-    {!Harness.Store.load} — so a monitor can watch a store owned by a
-    live runner without wedging it, mutating it, or triggering a
+    Observation goes through a read-only [Harness.Store.load ~lock:false]
+    — never a locking writer open — so a monitor can watch a store owned
+    by a live runner without wedging it, mutating it, or triggering a
     repair. Row statuses follow the [qcongest-sweep-row/v2]
     convention: [ok], [timeout] (counted as a failure and surfaced
     separately) and anything else failed. *)
@@ -15,8 +15,11 @@ type stats = {
   ok : int;
   failed : int;  (** Non-ok rows (timeouts included). *)
   timeout : int;
-  skipped : int;  (** Unparseable lines seen by {!Harness.Store.peek}
-                      — usually a partial append in progress. *)
+  skipped : int;
+      (** Lines the read-only load could not keep: a partial tail
+          (usually an append in progress), mid-file damage or a
+          duplicate id ({!Harness.Store.dropped_lines} plus
+          {!Harness.Store.quarantined_lines}). *)
 }
 
 val empty : stats
@@ -27,11 +30,12 @@ val of_rows :
   skipped:int ->
   unit ->
   stats
-(** Classify already-peeked rows (the pure core, unit-testable without
+(** Classify already-loaded rows (the pure core, unit-testable without
     a filesystem). *)
 
 val observe : ?total:int -> path:string -> unit -> stats
-(** Peek the store at [path]. A missing file is an empty store. *)
+(** Load the store at [path] read-only. A missing file is an empty
+    store. *)
 
 val rate : baseline:int -> elapsed_s:float -> stats -> float
 (** Rows settled per second since the watcher started: [baseline] is

@@ -90,20 +90,14 @@ let close_top r ~wall_s =
     r.stack <- rest;
     (top r).a_child_s <- (top r).a_child_s +. dt
 
-let enter r name = enter_at r name ~wall_s:(Telemetry.Clock.now r.clock)
-
-let exit_all r =
-  let wall_s = Telemetry.Clock.now r.clock in
-  while r.stack <> [] do
-    close_top r ~wall_s
-  done
-
 let span r name f =
-  enter r name;
+  enter_at r name ~wall_s:(Telemetry.Clock.now r.clock);
   Fun.protect
     ~finally:(fun () -> close_top r ~wall_s:(Telemetry.Clock.now r.clock))
     f
 
+(* Feed the recorder from a span event stream: durations come from the
+   events' [wall_s] stamps; all other events are ignored. *)
 let event_sink r : Telemetry.Events.sink = function
   | Telemetry.Events.Span_begin { name; wall_s; _ } -> enter_at r name ~wall_s
   | Telemetry.Events.Span_end { name; wall_s; _ } ->

@@ -15,11 +15,11 @@
     commutative, so the folded tree is independent of how the work was
     split.
 
-    Two feeding paths share one recorder: {!span} brackets a scoped
-    thunk with clock + GC reads, and {!event_sink} consumes the
-    [Span_begin]/[Span_end] events the engine and [Congest.Runner]
+    Two feeding paths build the same tree: {!span} brackets a scoped
+    thunk with clock + GC reads on a recorder, and {!of_events} replays
+    the [Span_begin]/[Span_end] events the engine and [qcongest trace]
     emit (timestamps come from the events, so replaying a recorded
-    stream through {!of_events} reproduces the same durations). *)
+    stream reproduces the same durations). *)
 
 type node = {
   name : string;
@@ -51,31 +51,18 @@ val span : recorder -> string -> (unit -> 'a) -> 'a
     innermost open span (or a root). Exceptions propagate; the span is
     closed either way. *)
 
-val enter : recorder -> string -> unit
-(** Open a span without scoping — for callers bracketing non-lexical
-    regions. Every [enter] should eventually be matched by the
-    recorder's event/exit machinery; {!tree} ignores still-open
-    frames. *)
-
-val exit_all : recorder -> unit
-(** Close every open frame at the current clock instant (outermost
-    last). For finalizing a recorder whose [enter]s were interrupted. *)
-
-val event_sink : recorder -> Telemetry.Events.sink
-(** Feed the recorder from a span event stream: [Span_begin] opens,
-    [Span_end] closes (unwinding to the matching open span, exactly
-    like [Telemetry.Export.chrome_trace]'s repair; a close with no
-    matching open is dropped), all other events are ignored. Durations
-    come from the events' [wall_s] stamps. The sink runs on the
-    emitting domain — attach one recorder per domain. *)
-
 val tree : recorder -> t
 (** Immutable snapshot of the finished spans recorded so far
     (still-open frames contribute nothing). *)
 
 val of_events : ?gc:bool -> Telemetry.Events.t list -> t
-(** Build a profile from a recorded event list: {!event_sink} over a
-    fresh recorder ([?gc] default [false]), unclosed spans dropped. *)
+(** Build a profile from a recorded event list: [Span_begin] opens,
+    [Span_end] closes (unwinding to the matching open span, exactly
+    like [Telemetry.Export.chrome_trace]'s repair; a close with no
+    matching open is dropped), all other events are ignored.
+    Durations come from the events' [wall_s] stamps; [?gc] (default
+    [false]) samples GC counters at replay time. Unclosed spans are
+    dropped. *)
 
 (** {1 Merging and queries} *)
 

@@ -4,15 +4,10 @@ type 'a result = {
   measurements : int;
 }
 
-let record metrics ~name (r : 'a result) =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Telemetry.Metrics.incr m (Printf.sprintf "qsim.%s.searches" name);
-    Telemetry.Metrics.observe m (Printf.sprintf "qsim.%s.oracle_calls" name) r.oracle_calls;
-    Telemetry.Metrics.observe m (Printf.sprintf "qsim.%s.measurements" name) r.measurements
+(* The BBHT schedule's growth rate for the iteration bound [m]. *)
+let growth = 1.2
 
-let bbht ~rng ~init ~marked ?(growth = 1.2) ?max_oracle_calls ?metrics () =
+let bbht ~rng ~init ~marked ?max_oracle_calls () =
   let n = State.dim init in
   let budget =
     match max_oracle_calls with
@@ -31,11 +26,9 @@ let bbht ~rng ~init ~marked ?(growth = 1.2) ?max_oracle_calls ?metrics () =
       else attempt (Float.min (growth *. m) sqrt_n) (calls + j) (meas + 1)
     end
   in
-  let r = attempt 1.0 0 0 in
-  record metrics ~name:"bbht" r;
-  r
+  attempt 1.0 0 0
 
-let optimum ~rng ~n ~value ?(budget_factor = 9.0) ?metrics () ~better =
+let optimum ~rng ~n ~value ?(budget_factor = 9.0) () ~better =
   if n < 1 then invalid_arg "Search.optimum";
   let init = State.uniform n in
   let budget = int_of_float (budget_factor *. sqrt (float_of_int n)) + 10 in
@@ -45,9 +38,7 @@ let optimum ~rng ~n ~value ?(budget_factor = 9.0) ?metrics () ~better =
       { found = Some (best_idx, best_v); oracle_calls = calls; measurements = meas }
     else begin
       let marked x = better (value x) best_v in
-      let r =
-        bbht ~rng ~init ~marked ~max_oracle_calls:(budget - calls) ?metrics ()
-      in
+      let r = bbht ~rng ~init ~marked ~max_oracle_calls:(budget - calls) () in
       let calls = calls + r.oracle_calls and meas = meas + r.measurements in
       match r.found with
       | Some x -> improve x (value x) calls meas
@@ -56,12 +47,10 @@ let optimum ~rng ~n ~value ?(budget_factor = 9.0) ?metrics () ~better =
         { found = Some (best_idx, best_v); oracle_calls = calls; measurements = meas }
     end
   in
-  let r = improve start (value start) 0 1 in
-  record metrics ~name:"optimum" r;
-  r
+  improve start (value start) 0 1
 
-let maximum ~rng ~n ~value ~compare ?budget_factor ?metrics () =
-  optimum ~rng ~n ~value ?budget_factor ?metrics () ~better:(fun a b -> compare a b > 0)
+let maximum ~rng ~n ~value ~compare ?budget_factor () =
+  optimum ~rng ~n ~value ?budget_factor () ~better:(fun a b -> compare a b > 0)
 
-let minimum ~rng ~n ~value ~compare ?budget_factor ?metrics () =
-  optimum ~rng ~n ~value ?budget_factor ?metrics () ~better:(fun a b -> compare a b < 0)
+let minimum ~rng ~n ~value ~compare ?budget_factor () =
+  optimum ~rng ~n ~value ?budget_factor () ~better:(fun a b -> compare a b < 0)

@@ -6,16 +6,7 @@
     [minimum] are Dürr–Høyer optimum finding ([O(√N)] expected oracle
     calls). Both evolve the real state vector; query counts are what
     the benchmarks compare against the [√] scaling and against the
-    closed-form [dqo] model.
-
-    Each function optionally records into a {!Telemetry.Metrics}
-    registry: per completed search, one sample in the
-    [qsim.<algo>.oracle_calls] and [qsim.<algo>.measurements]
-    histograms plus a [qsim.<algo>.searches] counter tick, where
-    [<algo>] is [bbht] or [optimum]. [maximum]/[minimum] record under
-    [optimum] (and their inner [bbht] rounds under [bbht]), so the
-    per-call query distribution — not just the total — lands in the
-    unified snapshot. *)
+    closed-form [dqo] model. *)
 
 type 'a result = {
   found : 'a option;
@@ -27,15 +18,13 @@ val bbht :
   rng:Util.Rng.t ->
   init:State.t ->
   marked:(int -> bool) ->
-  ?growth:float ->
   ?max_oracle_calls:int ->
-  ?metrics:Telemetry.Metrics.t ->
   unit ->
   int result
 (** Search for any marked element starting from [init]. Returns
     [found = None] when the call budget (default [9√N + 10]) runs out —
     with a marked element present this has vanishing probability; with
-    none it is certain. *)
+    none it is certain. The iteration bound grows by 1.2 per miss. *)
 
 val maximum :
   rng:Util.Rng.t ->
@@ -43,7 +32,6 @@ val maximum :
   value:(int -> 'v) ->
   compare:('v -> 'v -> int) ->
   ?budget_factor:float ->
-  ?metrics:Telemetry.Metrics.t ->
   unit ->
   (int * 'v) result
 (** Dürr–Høyer maximum finding over [f : [0,N) -> 'v] starting from the
@@ -57,6 +45,5 @@ val minimum :
   value:(int -> 'v) ->
   compare:('v -> 'v -> int) ->
   ?budget_factor:float ->
-  ?metrics:Telemetry.Metrics.t ->
   unit ->
   (int * 'v) result

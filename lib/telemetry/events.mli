@@ -11,7 +11,8 @@
     round's [Message]/[Fault]/[Deliver] events, then any end-of-run
     [Fault Crash] events (sorted by crash round), then [Run_end].
     Multi-phase drivers concatenate segments; [Span_begin]/[Span_end]
-    pairs (from [Congest.Runner]) bracket them. *)
+    pairs (from [qcongest trace]'s phases and the engine's optional
+    per-round spans) bracket them. *)
 
 type fault_kind =
   | Drop_random  (** Lost to the adversary's per-message drop. *)

@@ -111,6 +111,66 @@ let check_help_pages exe dir =
   in
   visit []
 
+(* `qcongest trace` keeps one account of its run, and its artifacts
+   must agree with it: the rounds on the printed TOTAL line equal
+   trace.metrics.json's congest.rounds and trace.phases.json's
+   total.rounds, whose phases are the scenario's three in run order.
+   The stream files hold what the replay check counted: one
+   trace.events.jsonl line per event, and a Chrome trace with one
+   balanced span per phase. *)
+let check_trace exe dir =
+  let module H = Harness.Hjson in
+  let tdir = Filename.concat dir "trace" and out = Filename.concat dir "trace.out" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s trace --family gnp --n 24 --artifacts %s > %s" exe
+         (Filename.quote tdir) (Filename.quote out))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let artifact name = read (Filename.concat tdir name) in
+  let at keys v = List.fold_left (fun v k -> Option.bind v (H.member k)) (Some v) keys in
+  let int_at name keys = Option.bind (at keys (H.parse_exn (artifact name))) H.to_int_opt in
+  let verdicts () =
+    let lines = String.split_on_char '\n' (read out) in
+    let scan fmt = List.find_map (fun l -> try Some (Scanf.sscanf l fmt Fun.id) with _ -> None) lines in
+    let total = scan "TOTAL rounds=%d" and events = scan "replay check: %d events" in
+    let phases =
+      Option.bind (at [ "phases" ] (H.parse_exn (artifact "trace.phases.json"))) H.to_list_opt
+      |> Option.map (List.filter_map (fun p -> Option.bind (H.member "name" p) H.to_string_opt))
+    in
+    let chrome_ph ph =
+      Option.bind (at [ "traceEvents" ] (H.parse_exn (artifact "trace.chrome.json"))) H.to_list_opt
+      |> Option.map (List.filter (fun e -> H.member "ph" e = Some (H.Str ph)))
+      |> Option.map List.length
+    in
+    let jsonl_lines =
+      List.length (List.filter (( <> ) "") (String.split_on_char '\n' (artifact "trace.events.jsonl")))
+    in
+    [
+      ("TOTAL line printed", total <> None);
+      ("metrics congest.rounds = TOTAL rounds",
+       int_at "trace.metrics.json" [ "congest.rounds"; "value" ] = total);
+      ("phases total.rounds = TOTAL rounds", int_at "trace.phases.json" [ "total"; "rounds" ] = total);
+      ("phases in run order",
+       phases = Some [ "bfs-tree"; "degree-convergecast"; "token-broadcast" ]);
+      ("one events.jsonl line per replayed event", events = Some jsonl_lines);
+      ("one balanced chrome span per phase", chrome_ph "B" = Some 3 && chrome_ph "E" = Some 3);
+    ]
+  in
+  match if rc = 0 then verdicts () else [ ("trace exits 0", false) ] with
+  | exception (Sys_error msg | Invalid_argument msg) ->
+    Printf.printf "FAIL trace    artifacts unreadable: %s\n%!" msg;
+    incr failures
+  | verdicts ->
+    List.iter
+      (fun (what, ok) ->
+        if ok then Printf.printf "ok   trace    %s\n%!" what
+        else begin
+          Printf.printf "FAIL trace    %s\n%!" what;
+          incr failures
+        end)
+      verdicts
+
 let () =
   if Array.length Sys.argv < 2 then begin
     prerr_endline "usage: cli_exit_smoke <qcongest-cli-exe>";
@@ -190,9 +250,12 @@ let () =
       ("empty tree", "classical --family tree --n 0");
       ("negative --n", "diameter --family ring --n=-5");
     ];
-  expect_usage ~prefix:"qcongest check: Spec: target size needs n >= 1"
-    ~what:"check run -n 0" ~dir
-    (Printf.sprintf "%s check run -n 0 --only congest" exe);
+  List.iter
+    (fun flag ->
+      expect_usage ~prefix:"qcongest check: Spec: target size needs n >= 1"
+        ~what:("check run " ^ flag ^ " 0") ~dir
+        (Printf.sprintf "%s check run %s 0 --only congest" exe flag))
+    [ "-n"; "--nodes" ];
   (* Adversary and gadget flags outside their range, before any work. *)
   List.iter
     (fun (what, args) -> expect_usage ~what ~dir (graph args))
@@ -208,6 +271,7 @@ let () =
     ];
   expect ~what:"trace with every adversary flag at 0" 0
     (graph "trace --family ring --n 12 --drop 0 --dup 0 --delay 0");
+  check_trace exe dir;
   (* The algorithms that run on one node keep running. *)
   expect ~what:"classical on 1 node" 0 (graph "classical --family gnp --n 1");
   expect ~what:"faults on 1 node" 0 (graph "faults --family gnp --n 1");

@@ -6,11 +6,6 @@ open Congest
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let unit_path n =
   let rng = Util.Rng.create ~seed:0 in
   Graphlib.Gen.path ~n ~weighting:Graphlib.Gen.Unit ~rng
@@ -1083,57 +1078,6 @@ let test_deadline_unset_is_identity () =
         (engines_agree ?faults g exerciser_protocol))
     (adversary_classes 99)
 
-(* ------------------------------ Runner ----------------------------- *)
-
-let test_runner () =
-  let r = Runner.create () in
-  let t1 = { Engine.empty_trace with Engine.rounds = 5; messages = 2 } in
-  let t2 = { Engine.empty_trace with Engine.rounds = 7; messages = 1 } in
-  Runner.record r "phase-a" t1;
-  Runner.record r "phase-b" t2;
-  Runner.record r "phase-a" t1;
-  check "total rounds" 17 (Runner.rounds r);
-  check "phases merged" 2 (List.length (Runner.phases r));
-  let a = List.assoc "phase-a" (Runner.phases r) in
-  check "merged rounds" 10 a.Engine.rounds;
-  let v = Runner.run_phase r "phase-c" (42, t1) in
-  check "run_phase value" 42 v;
-  check "after run_phase" 22 (Runner.rounds r)
-
-let test_runner_phase_merging () =
-  (* Repeated phase names accumulate via add_traces at their first
-     position; distinct phases keep execution order. *)
-  let r = Runner.create () in
-  let tr rounds dropped = { Engine.empty_trace with Engine.rounds; dropped } in
-  Runner.record r "setup" (tr 2 1);
-  Runner.record r "search" (tr 5 0);
-  Runner.record r "setup" (tr 3 2);
-  Runner.record r "verify" (tr 1 0);
-  let phases = Runner.phases r in
-  Alcotest.(check (list string)) "order preserved" [ "setup"; "search"; "verify" ]
-    (List.map fst phases);
-  let setup = List.assoc "setup" phases in
-  check "same-name rounds accumulate" 5 setup.Engine.rounds;
-  (* Per-phase fault statistics survive the merge. *)
-  check "same-name drops accumulate" 3 setup.Engine.dropped;
-  check "total drops" 3 (Runner.total r).Engine.dropped
-
-let test_runner_pp_and_json () =
-  let r = Runner.create () in
-  Runner.record r "phase-a" { Engine.empty_trace with Engine.rounds = 5; dropped = 2 };
-  Runner.record r "phase-b" { Engine.empty_trace with Engine.rounds = 7 } ;
-  let rendered = Format.asprintf "%a" Runner.pp r in
-  checkb "pp lists phases" true
-    (let has s = contains rendered s in
-     has "phase-a" && has "phase-b");
-  checkb "pp has a TOTAL line" true (contains rendered "TOTAL");
-  checkb "pp shows fault counters when active" true
-    (contains rendered "dropped=2");
-  let json = Runner.to_json r in
-  checkb "json has phases" true (contains json "\"phases\":[");
-  checkb "json has total" true (contains json "\"total\":{");
-  checkb "json carries fault stats" true (contains json "\"dropped\":2")
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1217,12 +1161,6 @@ let () =
           Alcotest.test_case "ambient with_deadline" `Quick test_deadline_ambient;
           Alcotest.test_case "unset/generous deadline is identity" `Quick
             test_deadline_unset_is_identity;
-        ] );
-      ( "runner",
-        [
-          Alcotest.test_case "accounting" `Quick test_runner;
-          Alcotest.test_case "phase merging" `Quick test_runner_phase_merging;
-          Alcotest.test_case "pp and json" `Quick test_runner_pp_and_json;
         ] );
       ("properties", qsuite);
     ]

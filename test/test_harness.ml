@@ -380,6 +380,7 @@ let test_store_read_only_coexists_with_live_lock () =
   let ro = Harness.Store.load ~lock:false ~path () in
   check "read-only sees the intact rows" 2 (Harness.Store.count ro);
   check "partial tail counted, not judged" 1 (Harness.Store.dropped_lines ro);
+  check "nothing else skipped" 0 (Harness.Store.quarantined_lines ro);
   checkb "rows readable" true
     (Harness.Store.find ro "b" = Some (row ~id:"b" [ ("v", "2") ]));
   (match Harness.Store.append ro ~id:"c" (row ~id:"c" []) with
@@ -389,12 +390,12 @@ let test_store_read_only_coexists_with_live_lock () =
   checkb "foreign lock untouched" true (Sys.file_exists lock_path);
   checks "on-disk bytes untouched" bytes_before
     (In_channel.with_open_bin path In_channel.input_all);
-  (* peek — the monitor path — also coexists. *)
-  let rows_seen, skipped = Harness.Store.peek ~path in
-  check "peek sees the rows" 2 (List.length rows_seen);
-  check "peek skips the partial line" 1 skipped;
-  checks "peek leaves bytes alone" bytes_before
-    (In_channel.with_open_bin path In_channel.input_all);
+  (* A second read-only handle sees the same store: reading changed
+     nothing. *)
+  let again = Harness.Store.load ~lock:false ~path () in
+  checkb "second observer sees the same rows" true
+    (Harness.Store.rows again = Harness.Store.rows ro);
+  check "second observer skips the same line" 1 (Harness.Store.dropped_lines again);
   Sys.remove lock_path;
   Sys.remove path
 

@@ -58,23 +58,6 @@ let test_span_exception_closes () =
   | [ { P.Span.name = "boom"; calls = 1; total_s; _ } ] -> checkf "closed on raise" 1.0 total_s
   | _ -> Alcotest.fail "span not closed by the exception path"
 
-let test_span_exit_all () =
-  let clock, advance = T.Clock.manual () in
-  let r = P.Span.recorder ~clock ~gc:false () in
-  P.Span.enter r "a";
-  advance 1.0;
-  P.Span.enter r "b";
-  advance 2.0;
-  checkb "open frames invisible" true (P.Span.tree r = []);
-  P.Span.exit_all r;
-  let t = P.Span.tree r in
-  (match P.Span.find t [ "a" ] with
-  | Some a -> checkf "outer spans full interval" 3.0 a.P.Span.total_s
-  | None -> Alcotest.fail "a missing");
-  match P.Span.find t [ "a"; "b" ] with
-  | Some b -> checkf "inner closed at same instant" 2.0 b.P.Span.total_s
-  | None -> Alcotest.fail "a;b missing"
-
 let span_events =
   [
     E.Span_begin { name = "sweep"; round = 0; wall_s = 0.0 };
@@ -474,11 +457,26 @@ let test_monitor_observe_store () =
   check "settled" 2 s.P.Monitor.settled;
   check "ok" 1 s.P.Monitor.ok;
   check "failed" 1 s.P.Monitor.failed;
-  (* Observation left the store bytes untouched (peek, not load). *)
+  check "nothing skipped" 0 s.P.Monitor.skipped;
+  (* Damage a live runner's store: a duplicate row and a garbage line
+     mid-file, a partial append at the tail, and a lock held by a live
+     foreign process (pid 1). The monitor counts all three lines as
+     skipped and leaves the bytes and the lock alone. *)
+  let first_line =
+    List.hd (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
+  in
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      output_string oc (first_line ^ "\nnot json\n{\"id\":\"half"));
+  let lock_path = path ^ ".lock" in
+  T.Export.write_file ~path:lock_path "1\n";
   let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let s = P.Monitor.observe ~total:4 ~path () in
+  check "damaged store keeps its rows" 2 s.P.Monitor.settled;
+  check "partial tail, garbage and duplicate skipped" 3 s.P.Monitor.skipped;
   let s2 = P.Monitor.observe ~total:4 ~path () in
   checkb "stable" true (s = s2);
   checks "read-only" bytes (In_channel.with_open_bin path In_channel.input_all);
+  checks "foreign lock untouched" "1\n" (In_channel.with_open_bin lock_path In_channel.input_all);
   checkb "missing store is empty" true
     (P.Monitor.observe ~path:(Filename.concat dir "none.jsonl") () = P.Monitor.empty);
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
@@ -493,7 +491,6 @@ let () =
         [
           Alcotest.test_case "recorder + manual clock" `Quick test_span_recorder_manual_clock;
           Alcotest.test_case "exception closes span" `Quick test_span_exception_closes;
-          Alcotest.test_case "exit_all" `Quick test_span_exit_all;
           Alcotest.test_case "of_events pinned" `Quick test_of_events_pinned;
           Alcotest.test_case "of_events unbalanced" `Quick test_of_events_unbalanced;
           Alcotest.test_case "json + folded exporters" `Quick test_span_exporters;

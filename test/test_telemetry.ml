@@ -216,6 +216,17 @@ let fault_scenarios =
     Some (Fault.make ~seed:13 ~delay:3 ~duplicate:0.3 ());
   |]
 
+(* Run one phase inside span markers the way `qcongest trace` does:
+   [Span_begin]/[Span_end] stamped with the cumulative simulated round
+   before and after it. Returns the phase's value, its trace and the
+   round after it. *)
+let phase sink name ~round f =
+  sink (E.Span_begin { name; round; wall_s = 0.0 });
+  let value, tr = f () in
+  let after = round + tr.Engine.rounds in
+  sink (E.Span_end { name; round = after; wall_s = 0.0 });
+  (value, tr, after)
+
 let prop_replay_reconstructs_trace =
   QCheck.Test.make ~name:"replay(events) = trace (Tree.build, 4 adversaries)" ~count:40
     QCheck.(pair (int_range 0 10_000) (int_range 0 3))
@@ -225,6 +236,49 @@ let prop_replay_reconstructs_trace =
       let faults = fault_scenarios.(fi) in
       let _, trace = Tree.build ?faults ~sink g ~root:0 in
       Replay.trace_of_events (drain ()) = trace)
+
+let test_span_slice_bounds () =
+  let msg round = E.Message { round; src = 0; dst = 1; words = 1 } in
+  let b name = E.Span_begin { name; round = 0; wall_s = 0.0 } in
+  let e name = E.Span_end { name; round = 0; wall_s = 0.0 } in
+  let events = [ msg 0; b "a"; msg 1; b "b"; msg 2; e "a"; msg 3; e "b"; msg 4 ] in
+  checkb "a: strictly inside its own markers" true
+    (Replay.span_slice "a" events = [ msg 1; b "b"; msg 2 ]);
+  checkb "b: overlapping markers of a kept" true
+    (Replay.span_slice "b" events = [ msg 2; e "a"; msg 3 ]);
+  checkb "never opened: empty" true (Replay.span_slice "c" events = []);
+  checkb "never closed: to the end" true
+    (Replay.span_slice "d" [ msg 0; b "d"; msg 1; msg 2 ] = [ msg 1; msg 2 ])
+
+(* The per-phase conservation check of `qcongest trace`: under each
+   adversary, every phase's slice of the shared stream replays to the
+   trace that phase returned, and the whole stream to their sum. *)
+let prop_phase_slices_replay =
+  QCheck.Test.make ~name:"phase slice replays to its trace" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 3))
+    (fun (seed, fi) ->
+      let g = random_graph seed in
+      let faults = fault_scenarios.(fi) in
+      let sink, drain = E.collector () in
+      let tree, t1, round =
+        phase sink "bfs-tree" ~round:0 (fun () -> Tree.build ?faults ~sink g ~root:0)
+      in
+      let _, t2, round =
+        phase sink "convergecast" ~round (fun () ->
+            Tree.convergecast ?faults ~sink g tree
+              ~values:(Array.make (Graphlib.Wgraph.n g) 1)
+              ~combine:( + ) ~size_words:(fun _ -> 1))
+      in
+      let _, t3, _ =
+        phase sink "broadcast" ~round (fun () ->
+            Tree.broadcast_tokens ?faults ~sink g tree ~tokens:[ tree.Tree.depth ]
+              ~size_words:(fun _ -> 1))
+      in
+      let events = drain () in
+      let replays name tr = Replay.trace_of_events (Replay.span_slice name events) = tr in
+      replays "bfs-tree" t1 && replays "convergecast" t2 && replays "broadcast" t3
+      && Replay.trace_of_events events
+         = List.fold_left Engine.add_traces Engine.empty_trace [ t1; t2; t3 ])
 
 let test_replay_strict_bandwidth () =
   (* Strict NIC drops never appear as Message events, yet both the
@@ -257,112 +311,6 @@ let test_replay_bandwidth_from_run_start () =
   let _, trace = Engine.run ~bandwidth:2 ~sink g (burst_protocol [ (1, 1); (1, 1) ]) in
   check "no violation at bandwidth 2" 0 trace.Engine.congestion_violations;
   checkb "replay agrees" true (Replay.trace_of_events (drain ()) = trace)
-
-(* ------------------------------ Spans ------------------------------ *)
-
-let test_runner_spans_and_clock () =
-  let clock, advance = T.Clock.manual () in
-  let sink, drain = E.collector () in
-  let r = Runner.create ~clock ~sink () in
-  let tr rounds = { Engine.empty_trace with Engine.rounds; messages = 1 } in
-  let v =
-    Runner.time_phase r "setup" (fun () ->
-        advance 0.25;
-        (1, tr 5))
-  in
-  check "value through" 1 v;
-  let _ =
-    Runner.time_phase r "search" (fun () ->
-        advance 0.5;
-        (2, tr 7))
-  in
-  Alcotest.(check (float 1e-9)) "wall total" 0.75 (Runner.wall_seconds r);
-  (match Runner.spans r with
-  | [ ("setup", t1, w1); ("search", t2, w2) ] ->
-    check "setup rounds" 5 t1.Engine.rounds;
-    check "search rounds" 7 t2.Engine.rounds;
-    Alcotest.(check (float 1e-9)) "setup wall" 0.25 w1;
-    Alcotest.(check (float 1e-9)) "search wall" 0.5 w2
-  | _ -> Alcotest.fail "unexpected spans");
-  let expected_spans =
-    [
-      E.Span_begin { name = "setup"; round = 0; wall_s = 0.0 };
-      E.Span_end { name = "setup"; round = 5; wall_s = 0.25 };
-      E.Span_begin { name = "search"; round = 5; wall_s = 0.25 };
-      E.Span_end { name = "search"; round = 12; wall_s = 0.75 };
-    ]
-  in
-  checkb "span events with cumulative rounds" true (drain () = expected_spans);
-  let json = Runner.to_json r in
-  checkb "json carries wall_s" true (contains json "\"wall_s\":0.25")
-
-let test_runner_export_metrics () =
-  let r = Runner.create ~clock:(T.Clock.fixed 0.0) () in
-  Runner.record r "a" { Engine.empty_trace with Engine.rounds = 5; messages = 2; dropped = 1 };
-  Runner.record r "b" { Engine.empty_trace with Engine.rounds = 7; messages = 3 };
-  let m = T.Metrics.create () in
-  Runner.export_metrics r m;
-  let s = T.Metrics.snapshot m in
-  Alcotest.(check (option int)) "total rounds" (Some 12) (T.Metrics.counter_value s "congest.rounds");
-  Alcotest.(check (option int)) "total messages" (Some 5)
-    (T.Metrics.counter_value s "congest.messages");
-  Alcotest.(check (option int)) "dropped" (Some 1) (T.Metrics.counter_value s "congest.dropped");
-  Alcotest.(check (option int)) "phase rounds" (Some 5)
-    (T.Metrics.counter_value s "congest.phase.a.rounds");
-  Alcotest.(check (option int)) "phase rounds b" (Some 7)
-    (T.Metrics.counter_value s "congest.phase.b.rounds")
-
-(* ----------------------- qsim / dqo integration --------------------- *)
-
-let test_qsim_search_metrics () =
-  let rng = Util.Rng.create ~seed:5 in
-  let m = T.Metrics.create () in
-  let values = Array.init 64 (fun i -> (i * 37) mod 101) in
-  let r = Qsim.Search.maximum ~rng ~n:64 ~value:(fun i -> values.(i)) ~compare ~metrics:m () in
-  let s = T.Metrics.snapshot m in
-  (match T.Metrics.histogram_stats s "qsim.optimum.oracle_calls" with
-  | Some h ->
-    check "one optimum search recorded" 1 h.T.Metrics.count;
-    check "histogram sum = measured calls" r.Qsim.Search.oracle_calls h.T.Metrics.sum
-  | None -> Alcotest.fail "optimum histogram missing");
-  (match T.Metrics.histogram_stats s "qsim.bbht.oracle_calls" with
-  | Some h -> checkb "inner bbht rounds recorded" true (h.T.Metrics.count >= 1)
-  | None -> Alcotest.fail "bbht histogram missing");
-  Alcotest.(check (option int)) "search counter" (Some 1)
-    (T.Metrics.counter_value s "qsim.optimum.searches")
-
-let test_dqo_cost_export () =
-  let c = { Dqo.Cost.setup_rounds = 3; eval_rounds = 4 } in
-  let l = Dqo.Cost.charge_measurement (Dqo.Cost.charge_iterations (Dqo.Cost.with_init 10) c 2) c in
-  let m = T.Metrics.create () in
-  Dqo.Cost.export l m;
-  let s = T.Metrics.snapshot m in
-  Alcotest.(check (option int)) "init" (Some 10) (T.Metrics.counter_value s "dqo.init_rounds");
-  Alcotest.(check (option int)) "iterations" (Some 2)
-    (T.Metrics.counter_value s "dqo.grover_iterations");
-  Alcotest.(check (option int)) "measurements" (Some 1)
-    (T.Metrics.counter_value s "dqo.measurements");
-  (* 2 iterations × 2(3+4) + 1 measurement × (3+4) = 35. *)
-  Alcotest.(check (option int)) "search rounds" (Some 35)
-    (T.Metrics.counter_value s "dqo.search_rounds");
-  Alcotest.(check (option int)) "total" (Some 45) (T.Metrics.counter_value s "dqo.total_rounds")
-
-let test_unified_snapshot () =
-  (* The point of the registry: congest + qsim + dqo accounting merged
-     into one snapshot. *)
-  let r = Runner.create ~clock:(T.Clock.fixed 0.0) () in
-  Runner.record r "bfs" { Engine.empty_trace with Engine.rounds = 9 };
-  let m = T.Metrics.create () in
-  Runner.export_metrics r m;
-  Dqo.Cost.export (Dqo.Cost.with_init 4) m;
-  let rng = Util.Rng.create ~seed:1 in
-  ignore (Qsim.Search.maximum ~rng ~n:16 ~value:(fun i -> i) ~compare ~metrics:m ());
-  let s = T.Metrics.snapshot m in
-  let has prefix = List.exists (fun n -> String.length n >= String.length prefix
-    && String.sub n 0 (String.length prefix) = prefix) (T.Metrics.names s) in
-  checkb "congest present" true (has "congest.");
-  checkb "dqo present" true (has "dqo.");
-  checkb "qsim present" true (has "qsim.")
 
 (* ------------------------------ Export ----------------------------- *)
 
@@ -398,21 +346,21 @@ let test_csv_exporters () =
   checks "heatmap" "src,dst,messages,words\n0,1,2,3\n1,2,1,1\n" (T.Export.heatmap_csv events)
 
 let test_chrome_trace_structure () =
+  (* Two phases of a real run, each bracketed by span markers the way
+     `qcongest trace` brackets its phases. *)
   let sink, drain = E.collector () in
-  let clock, advance = T.Clock.manual () in
-  let r = Runner.create ~clock ~sink () in
   let g = unit_path 5 in
+  let tree, _, round = phase sink "bfs" ~round:0 (fun () -> Tree.build ~sink g ~root:0) in
   let _ =
-    Runner.time_phase r "bfs" (fun () ->
-        advance 0.1;
-        let t, tr = Tree.build ~sink g ~root:0 in
-        ((t : Tree.t), tr))
+    phase sink "convergecast" ~round (fun () ->
+        Tree.convergecast ~sink g tree ~values:(Array.make 5 1) ~combine:( + )
+          ~size_words:(fun _ -> 1))
   in
   let chrome = T.Export.chrome_trace (drain ()) in
   checkb "has traceEvents" true (contains chrome "\"traceEvents\":[");
   checkb "has process metadata" true (contains chrome "\"process_name\"");
-  check "one B" 1 (count_substring chrome "\"ph\":\"B\"");
-  check "one E" 1 (count_substring chrome "\"ph\":\"E\"");
+  check "two B" 2 (count_substring chrome "\"ph\":\"B\"");
+  check "two E" 2 (count_substring chrome "\"ph\":\"E\"");
   checkb "has counter track" true (contains chrome "\"active_nodes\"");
   checkb "valid nesting of quotes" true (String.length chrome > 100)
 
@@ -494,17 +442,6 @@ let () =
           Alcotest.test_case "crash" `Quick test_replay_crash;
           Alcotest.test_case "bandwidth from run_start" `Quick test_replay_bandwidth_from_run_start;
         ] );
-      ( "spans",
-        [
-          Alcotest.test_case "runner spans + manual clock" `Quick test_runner_spans_and_clock;
-          Alcotest.test_case "export metrics" `Quick test_runner_export_metrics;
-        ] );
-      ( "integration",
-        [
-          Alcotest.test_case "qsim search histograms" `Quick test_qsim_search_metrics;
-          Alcotest.test_case "dqo ledger export" `Quick test_dqo_cost_export;
-          Alcotest.test_case "unified snapshot" `Quick test_unified_snapshot;
-        ] );
       ( "export",
         [
           Alcotest.test_case "artifacts dir resolution" `Quick test_artifacts_dir_resolution;
@@ -512,6 +449,11 @@ let () =
           Alcotest.test_case "chrome trace structure" `Quick test_chrome_trace_structure;
           Alcotest.test_case "chrome trace unbalanced repair" `Quick test_chrome_trace_unbalanced;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
+        ] );
+      ( "phase spans",
+        [
+          Alcotest.test_case "slice bounds" `Quick test_span_slice_bounds;
+          QCheck_alcotest.to_alcotest prop_phase_slices_replay;
         ] );
       ("properties", qsuite);
     ]
