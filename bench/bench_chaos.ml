@@ -14,6 +14,8 @@
 
    QCONGEST_PERF_SMOKE=1 shrinks the sizes for CI. *)
 
+module J = Telemetry.Json
+
 let smoke () = Sys.getenv_opt "QCONGEST_PERF_SMOKE" <> None
 let now () = Telemetry.Clock.now Telemetry.Clock.wall
 
@@ -70,21 +72,22 @@ let deadline_arm () =
   Bench_common.note "guard overhead: %.1f ns/round (%.1f%%)" per_round
     (if t0 > 0.0 then (t1 -. t0) /. t0 *. 100.0 else 0.0);
   [
-    ("relay_n", Telemetry.Tjson.int n);
-    ("rounds", Telemetry.Tjson.int rounds);
-    ("unsupervised_s", Telemetry.Tjson.float t0);
-    ("supervised_s", Telemetry.Tjson.float t1);
-    ("guard_ns_per_round", Telemetry.Tjson.float per_round);
+    ("relay_n", J.int n);
+    ("rounds", J.int rounds);
+    ("unsupervised_s", J.float t0);
+    ("supervised_s", J.float t1);
+    ("guard_ns_per_round", J.float per_round);
   ]
 
 let row ~id =
-  Telemetry.Tjson.obj
-    [
-      ("id", Telemetry.Tjson.str id);
-      ("status", Telemetry.Tjson.str "ok");
-      ("rounds", Telemetry.Tjson.int 12345);
-      ("messages", Telemetry.Tjson.int 678910);
-    ]
+  J.print
+    (J.obj
+       [
+         ("id", J.str id);
+         ("status", J.str "ok");
+         ("rounds", J.int 12345);
+         ("messages", J.int 678910);
+       ])
 
 let store_arm () =
   Bench_common.subsection "v2 checkpoint frames (FNV-1a per row)";
@@ -140,12 +143,12 @@ let store_arm () =
         "one poisoned byte: %d/%d rows survive, 1 quarantined, reload %.1f ms"
         survivors rows (t_detect *. 1e3);
       [
-        ("store_rows", Telemetry.Tjson.int rows);
-        ("append_rows_per_s", Telemetry.Tjson.float (float_of_int rows /. t_append));
-        ("load_rows_per_s", Telemetry.Tjson.float (float_of_int rows /. t_load));
-        ("corrupt_reload_s", Telemetry.Tjson.float t_detect);
-        ("corrupt_survivors", Telemetry.Tjson.int survivors);
-        ("corrupt_quarantined", Telemetry.Tjson.int quarantined);
+        ("store_rows", J.int rows);
+        ("append_rows_per_s", J.float (float_of_int rows /. t_append));
+        ("load_rows_per_s", J.float (float_of_int rows /. t_load));
+        ("corrupt_reload_s", J.float t_detect);
+        ("corrupt_survivors", J.int survivors);
+        ("corrupt_quarantined", J.int quarantined);
       ])
 
 let run () =
@@ -154,4 +157,4 @@ let run () =
   let store_fields = store_arm () in
   let fields = deadline_fields @ store_fields in
   ignore
-    (Bench_common.write_bench_json ~name:"BENCH_chaos.json" (Telemetry.Tjson.obj fields))
+    (Bench_common.write_bench_json ~name:"BENCH_chaos.json" (J.obj fields))

@@ -49,7 +49,7 @@ let artifact_dir () = Telemetry.Export.artifacts_dir ()
 let write_trace_json ~name trace =
   let path =
     Telemetry.Export.write_artifact ~name:(name ^ ".trace.json")
-      (Congest.Engine.trace_to_json trace)
+      (Telemetry.Json.print (Congest.Engine.trace_to_json trace))
   in
   note "wrote %s" path
 
@@ -60,7 +60,8 @@ let write_trace_json ~name trace =
    copy at ./<name>, which is where the committed trajectory history
    lives and where CI's jq checks have always looked. Returns the
    artifacts-dir path. *)
-let write_bench_json ?(root_copy = false) ~name content =
+let write_bench_json ?(root_copy = false) ~name json =
+  let content = Telemetry.Json.print json in
   let path = Telemetry.Export.write_artifact ~name content in
   note "wrote %s" path;
   if root_copy then begin

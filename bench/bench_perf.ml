@@ -135,21 +135,25 @@ let apsp_case ~reps ~cliques ~clique_size =
 (* ------------------------------ Output ----------------------------- *)
 
 let cases_to_json ~jobs ~smoke cases =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"qcongest-perf/v4\",";
-  Buffer.add_string b "\"bench\":\"engine-hot-path\",";
-  Buffer.add_string b
-    (Printf.sprintf "\"smoke\":%b,\"jobs\":%d,\"host_cores\":%d,\"cases\":[" smoke jobs
-       (Domain.recommended_domain_count ()));
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":%S,\"n\":%d,\"wall_s\":%.6f,\"%s\":%.1f}" c.name c.n
-           c.wall_s c.metric c.metric_value))
-    cases;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Telemetry.Json in
+  let case c =
+    J.obj
+      [
+        ("name", J.str c.name);
+        ("n", J.int c.n);
+        ("wall_s", J.float c.wall_s);
+        (c.metric, J.float c.metric_value);
+      ]
+  in
+  J.obj
+    [
+      ("schema", J.str "qcongest-perf/v4");
+      ("bench", J.str "engine-hot-path");
+      ("smoke", J.bool smoke);
+      ("jobs", J.int jobs);
+      ("host_cores", J.int (Domain.recommended_domain_count ()));
+      ("cases", J.arr (List.map case cases));
+    ]
 
 let run () =
   Bench_common.section "PERF — engine round loop and exact baselines";

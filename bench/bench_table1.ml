@@ -3,6 +3,8 @@
    and (b) measured round counts on a common simulable instance for the
    rows this repository implements. *)
 
+module J = Telemetry.Json
+
 let cell_at ~n ~d = function
   | None -> "open"
   | Some c ->
@@ -71,17 +73,15 @@ let print_measured () =
       let name = Harness.Spec.algo_name j.Harness.Spec.algo in
       match
         Option.bind (Harness.Store.find store j.Harness.Spec.id) (fun raw ->
-            Result.to_option (Harness.Hjson.parse raw))
+            Result.to_option (J.parse raw))
       with
       | None -> Util.Table.add_row t [ label_of_algo name; "-"; "-"; "-"; "missing row" ]
       | Some v ->
-        let str f = Option.bind (Harness.Hjson.member f v) Harness.Hjson.to_string_opt in
-        let num f = Option.bind (Harness.Hjson.member f v) Harness.Hjson.to_float_opt in
-        let intf f = Option.bind (Harness.Hjson.member f v) Harness.Hjson.to_int_opt in
+        let str f = Option.bind (J.member f v) J.to_string_opt in
+        let num f = Option.bind (J.member f v) J.to_float_opt in
+        let intf f = Option.bind (J.member f v) J.to_int_opt in
         if str "status" = Some "ok" then
-          let within =
-            Harness.Hjson.member "within" v = Some (Harness.Hjson.Bool true)
-          in
+          let within = J.member "within" v = Some (J.Bool true) in
           Util.Table.add_row t
             [
               label_of_algo name;
@@ -97,7 +97,7 @@ let print_measured () =
   Util.Table.print t;
   Bench_common.note "wrote %s"
     (Telemetry.Export.write_artifact ~name:"table1_measured.sweep.json"
-       (Harness.Runner.report spec store));
+       (J.print (Harness.Runner.report spec store)));
   let g =
     Harness.Runner.make_graph spec ~n:(List.hd spec.Harness.Spec.sizes)
       ~seed:(List.hd spec.Harness.Spec.seeds)

@@ -2,6 +2,8 @@
    Õ(n^{9/10} D^{3/10}) shape), approximation quality, and the
    quantum-vs-classical crossover in D. *)
 
+module J = Telemetry.Json
+
 let scaling () =
   Bench_common.section
     "THEOREM 1.1 — scaling: measured rounds vs n at (near-)fixed D (sweep harness)";
@@ -33,9 +35,9 @@ let scaling () =
   in
   let row_of_job j =
     Option.bind (Harness.Store.find store j.Harness.Spec.id) (fun raw ->
-        Result.to_option (Harness.Hjson.parse raw))
+        Result.to_option (J.parse raw))
   in
-  let num field v = Option.bind (Harness.Hjson.member field v) Harness.Hjson.to_float_opt in
+  let num field v = Option.bind (J.member field v) J.to_float_opt in
   let fpoints = ref [] in
   List.iter
     (fun n_target ->
@@ -52,11 +54,7 @@ let scaling () =
         Util.Stats.median (List.filter_map (num "rounds") rows)
       in
       let worst_ratio = Util.Stats.maxf (List.filter_map (num "ratio") rows) in
-      let all_guar =
-        List.for_all
-          (fun v -> Harness.Hjson.member "within" v = Some (Harness.Hjson.Bool true))
-          rows
-      in
+      let all_guar = List.for_all (fun v -> J.member "within" v = Some (J.Bool true)) rows in
       let formula = Core.Params.theorem_1_1_rounds ~n ~d in
       fpoints := (float_of_int n, formula) :: !fpoints;
       Util.Table.add_row t
@@ -85,7 +83,7 @@ let scaling () =
     verdict.Harness.Fit.checks;
   Bench_common.note "wrote %s"
     (Telemetry.Export.write_artifact ~name:"thm11_scaling.sweep.json"
-       (Harness.Runner.report spec store));
+       (J.print (Harness.Runner.report spec store)));
   Bench_common.note
     "At these n the paper's parameters are degenerate (l = n log n / r clamps to n,";
   Bench_common.note

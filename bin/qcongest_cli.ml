@@ -253,7 +253,7 @@ let run_faults input family n max_w cliques seed drop dup delay crashes strict b
      (* Expected as soon as nodes fail-stop; any other cause is a bug. *)
      Printf.printf "BFS levels differ on %d node(s) (crashed: %d).\n" !mismatches
        tr.Congest.Engine.crashed);
-  if json then print_endline (Congest.Engine.trace_to_json tr);
+  if json then print_endline (Telemetry.Json.print (Congest.Engine.trace_to_json tr));
   (* Divergence without a crashed node means reliable delivery failed. *)
   if !mismatches > 0 && tr.Congest.Engine.crashed = 0 then begin
     Printf.eprintf "qcongest: BFS diverged from the fault-free run with no crashes\n";
@@ -444,20 +444,21 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
   wrote timeline_file;
   let metrics_file = Filename.concat dir "trace.metrics.json" in
   Telemetry.Export.write_file ~path:metrics_file
-    (Telemetry.Metrics.to_json (Telemetry.Metrics.snapshot metrics));
+    (Telemetry.Json.print (Telemetry.Metrics.to_json (Telemetry.Metrics.snapshot metrics)));
   wrote metrics_file;
   let phases_file = Filename.concat dir "trace.phases.json" in
-  let module J = Telemetry.Tjson in
+  let module J = Telemetry.Json in
   let phase_json (name, tr, w) =
     J.obj [ ("name", J.str name); ("wall_s", J.float w); ("trace", Congest.Engine.trace_to_json tr) ]
   in
   Telemetry.Export.write_file ~path:phases_file
-    (J.obj
-       [
-         ("phases", J.arr (List.map phase_json phases));
-         ("wall_s", J.float wall_s);
-         ("total", Congest.Engine.trace_to_json total);
-       ]);
+    (J.print
+       (J.obj
+          [
+            ("phases", J.arr (List.map phase_json phases));
+            ("wall_s", J.float wall_s);
+            ("total", Congest.Engine.trace_to_json total);
+          ]));
   wrote phases_file;
   if profile then begin
     (* Span attribution from the recorded stream: the phase spans and
@@ -638,14 +639,9 @@ let with_store ?fsync ~usage spec override f =
          holder lock_path)
   | store -> Fun.protect ~finally:(fun () -> Harness.Store.close store) (fun () -> f store)
 
-let stored_failures store =
-  List.length
-    (List.filter
-       (fun (_, row) ->
-         match Harness.Hjson.parse row with
-         | Ok v -> Harness.Hjson.member "status" v <> Some (Harness.Hjson.Str "ok")
-         | Error _ -> true)
-       (Harness.Store.rows store))
+(* Print a JSON artifact into the artifacts directory and say where. *)
+let write_json name v =
+  Printf.printf "wrote %s\n" (Telemetry.Export.write_artifact ~name (Telemetry.Json.print v))
 
 (* Audit a sweep's checkpoint rows through the guarantee auditor and
    print/export the certificate. Shared by `sweep run --audit` and
@@ -655,10 +651,7 @@ let audit_sweep_store (spec : Harness.Spec.t) store =
   List.iter
     (Format.printf "%a@." Check.Report.pp_certificate)
     report.Check.Report.certificates;
-  Printf.printf "wrote %s\n"
-    (Telemetry.Export.write_artifact
-       ~name:(spec.Harness.Spec.name ^ ".check.json")
-       (Check.Report.to_json report));
+  write_json (spec.Harness.Spec.name ^ ".check.json") (Check.Report.to_json report);
   Check.Report.exit_code report
 
 let sweep_run spec_file builtin store_override max_jobs audit fsync deadline progress =
@@ -705,14 +698,13 @@ let sweep_run spec_file builtin store_override max_jobs audit fsync deadline pro
              ~name:(spec.Harness.Spec.name ^ ".metrics.prom")
              (Telemetry.Export.prometheus (Telemetry.Metrics.snapshot m)))
       | None -> ());
-      let report = Harness.Runner.report spec store in
-      Printf.printf "wrote %s\n"
-        (Telemetry.Export.write_artifact
-           ~name:(spec.Harness.Spec.name ^ ".sweep.json")
-           report);
+      write_json (spec.Harness.Spec.name ^ ".sweep.json") (Harness.Runner.report spec store);
       let audit_rc = if audit then audit_sweep_store spec store else 0 in
       let settled = Harness.Store.count store in
-      let failures = stored_failures store in
+      let failures =
+        List.length
+          (List.filter (fun (_, row) -> Harness.Runner.row_failed row) (Harness.Store.rows store))
+      in
       if settled < total then begin
         Printf.printf "%d job(s) still pending — rerun `sweep run` to resume\n"
           (total - settled);
@@ -743,7 +735,7 @@ let sweep_report spec_file builtin store_override =
   | Error m -> sweep_error m
   | Ok spec ->
     with_existing_store ~usage:sweep_error spec store_override @@ fun store ->
-    print_endline (Harness.Runner.report spec store);
+    print_endline (Telemetry.Json.print (Harness.Runner.report spec store));
     0
 
 let print_gate_verdict (spec : Harness.Spec.t) ~negative_control verdict =
@@ -757,9 +749,7 @@ let print_gate_verdict (spec : Harness.Spec.t) ~negative_control verdict =
     spec.Harness.Spec.name
     ^ (if negative_control then ".negative.gate.json" else ".gate.json")
   in
-  Printf.printf "wrote %s\n"
-    (Telemetry.Export.write_artifact ~name:artifact
-       (Harness.Fit.verdict_to_json verdict));
+  write_json artifact (Harness.Fit.verdict_to_json verdict);
   Harness.Fit.exit_code verdict
 
 let sweep_gate spec_file builtin store_override negative_control =
@@ -994,9 +984,7 @@ let perf_gate baseline_path current_path tol min_points =
     2
   | verdict ->
     Format.printf "%a@?" Profile.Gate.pp verdict;
-    Printf.printf "wrote %s\n"
-      (Telemetry.Export.write_artifact ~name:"perf.gate.json"
-         (Profile.Gate.to_json verdict));
+    write_json "perf.gate.json" (Profile.Gate.to_json verdict);
     Profile.Gate.exit_code verdict
 
 let perf_cmd =
@@ -1066,7 +1054,8 @@ let check_run only seed n trials h negative_control artifacts =
       report.Check.Report.certificates;
     let name = if negative_control then "check.negative.json" else "check.report.json" in
     Printf.printf "wrote %s\n"
-      (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
+      (Telemetry.Export.write_artifact ?dir:artifacts ~name
+         (Telemetry.Json.print (Check.Report.to_json report)));
     Printf.printf "check: %s\n"
       (Check.Report.status_name (Check.Report.status report));
     Check.Report.exit_code report
@@ -1095,7 +1084,8 @@ let check_chaos seed deadline negative_control artifacts =
       report.Check.Report.certificates;
     let name = if negative_control then "chaos.negative.json" else "chaos.report.json" in
     Printf.printf "wrote %s\n"
-      (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
+      (Telemetry.Export.write_artifact ?dir:artifacts ~name
+         (Telemetry.Json.print (Check.Report.to_json report)));
     Printf.printf "check: %s\n" (Check.Report.status_name (Check.Report.status report));
     Check.Report.exit_code report
   end

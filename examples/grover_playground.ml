@@ -71,16 +71,4 @@ let () =
       ~cost:{ Dqo.Cost.setup_rounds = 120; eval_rounds = 40 }
   in
   Printf.printf "   classical exhaustive would cost %d rounds (every element evaluated)\n"
-    (Dqo.Cost.total_rounds exhaustive.Dqo.Optimize.ledger);
-
-  (* 5. Bonus: amplitude estimation (MLE-QAE) — counting, not searching. *)
-  Printf.printf "\n5. MLE amplitude estimation: how many of 256 elements are marked?\n";
-  let init = Qsim.State.uniform 256 in
-  let marked i = i mod 21 = 5 in
-  let truth = Qsim.State.mass init ~marked in
-  let q = Qsim.Counting.mle_qae ~rng ~init ~marked ~shots:40 ~max_power:6 () in
-  let c = Qsim.Counting.classical_estimate ~rng ~init ~marked
-      ~samples:(q.Qsim.Counting.oracle_calls + q.Qsim.Counting.measurements) in
-  Printf.printf "   true mass %.5f | MLE-QAE %.5f (err %.5f) | classical same-budget %.5f (err %.5f)\n"
-    truth q.Qsim.Counting.amplitude (abs_float (q.Qsim.Counting.amplitude -. truth))
-    c.Qsim.Counting.amplitude (abs_float (c.Qsim.Counting.amplitude -. truth))
+    (Dqo.Cost.total_rounds exhaustive.Dqo.Optimize.ledger)

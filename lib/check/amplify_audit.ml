@@ -1,4 +1,4 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let claim =
   "Lemma 3.1: empirical amplification success frequency matches the closed-form \

@@ -1,4 +1,4 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let thm11_claim =
   "Theorem 1.1: quantum weighted diameter/radius estimate within the (1+eps)^2 \

@@ -1,5 +1,5 @@
 module E = Telemetry.Events
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let claim = "CONGEST legality: messages on edges only, per-edge per-round load \
              within the declared word budget, replay-consistent trace counters"

@@ -1,4 +1,4 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let claim =
   "replayability (same seed => same result) and scheduler-permutation invariance \

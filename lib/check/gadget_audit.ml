@@ -1,4 +1,4 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let claim =
   "Section 4 gadget: Table 2 distance bounds, Lemma 4.4/4.9 diameter/radius gap, \

@@ -1,9 +1,9 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 type violation = {
   code : string;
   detail : string;
-  data : (string * string) list;
+  data : (string * J.t) list;
 }
 
 let violation ?(data = []) ~code detail = { code; detail; data }
@@ -16,7 +16,7 @@ type certificate = {
   status : status;
   checked : int;
   violations : violation list;
-  notes : (string * string) list;
+  notes : (string * J.t) list;
 }
 
 let certificate ?(notes = []) ~name ~claim ~checked violations =

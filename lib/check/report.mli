@@ -12,12 +12,10 @@ type violation = {
   code : string;  (** Stable kebab-case discriminant, e.g.
                       ["edge-overload"]. *)
   detail : string;  (** Human-readable one-liner. *)
-  data : (string * string) list;
-      (** Structured payload; values are already-encoded JSON
-          fragments ({!Telemetry.Tjson} style). *)
+  data : (string * Telemetry.Json.t) list;  (** Structured payload. *)
 }
 
-val violation : ?data:(string * string) list -> code:string -> string -> violation
+val violation : ?data:(string * Telemetry.Json.t) list -> code:string -> string -> violation
 
 type status =
   | Pass  (** Every check ran and held. *)
@@ -34,12 +32,12 @@ type certificate = {
   status : status;
   checked : int;  (** Individual checks performed. *)
   violations : violation list;
-  notes : (string * string) list;
-      (** Extra JSON payload (measured quantities, instance facts). *)
+  notes : (string * Telemetry.Json.t) list;
+      (** Extra payload (measured quantities, instance facts). *)
 }
 
 val certificate :
-  ?notes:(string * string) list ->
+  ?notes:(string * Telemetry.Json.t) list ->
   name:string ->
   claim:string ->
   checked:int ->
@@ -60,9 +58,9 @@ val exit_code : report -> int
 
 val status_name : status -> string
 
-val certificate_to_json : certificate -> string
+val certificate_to_json : certificate -> Telemetry.Json.t
 
-val to_json : report -> string
+val to_json : report -> Telemetry.Json.t
 (** The [qcongest-check/v1] document:
     [{"schema":"qcongest-check/v1","pass":…,"status":…,
       "certificates":[…]}]. *)

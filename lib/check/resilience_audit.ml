@@ -12,8 +12,7 @@
    deleted row, a supervisor that forgot to arm the deadline), so the
    audit must come back Fail — the proof that it can reject. *)
 
-module J = Telemetry.Tjson
-module Hjson = Harness.Hjson
+module J = Telemetry.Json
 module Spec = Harness.Spec
 module Store = Harness.Store
 module Runner = Harness.Runner
@@ -62,17 +61,17 @@ let tiny_spec ~name ~seed =
     ~max_w:4 ~sizes:[ 6; 9 ] ~seeds:[ seed ] ()
 
 let row_member row name get =
-  match Hjson.parse row with
-  | Ok v -> Option.bind (Hjson.member name v) get
+  match J.parse row with
+  | Ok v -> Option.bind (J.member name v) get
   | Error _ -> None
 
-let row_status row = row_member row "status" Hjson.to_string_opt
+let row_status row = row_member row "status" J.to_string_opt
 
 let row_error_kind row =
-  match Hjson.parse row with
+  match J.parse row with
   | Ok v ->
-    Option.bind (Hjson.member "error" v) (fun e ->
-        Option.bind (Hjson.member "kind" e) Hjson.to_string_opt)
+    Option.bind (J.member "error" v) (fun e ->
+        Option.bind (J.member "kind" e) J.to_string_opt)
   | Error _ -> None
 
 (* Per-certificate check/violation accumulator, sweep_audit idiom. *)
@@ -190,7 +189,7 @@ let resume_certificate ~seed ~negative_control =
     ~data:[ ("rows", J.int (Store.count final)); ("expected", J.int total) ]
     "no row may be lost across kill, corruption and resume";
   check l
-    (Runner.report spec final = ref_report)
+    (J.print (Runner.report spec final) = J.print ref_report)
     ~code:"report-divergence" ~data:[]
     "the resumed report must be byte-identical to the uninterrupted run's";
   Store.close final;
@@ -282,9 +281,7 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
     "the sweep must complete around the timed-out job";
   let report = Runner.report spec store in
   let report_int name =
-    match Hjson.parse report with
-    | Ok v -> Option.value ~default:(-1) (Option.bind (Hjson.member name v) Hjson.to_int_opt)
-    | Error _ -> -1
+    Option.value ~default:(-1) (Option.bind (J.member name report) J.to_int_opt)
   in
   check l
     (report_int "timeout" = 1 && report_int "missing" = 0)

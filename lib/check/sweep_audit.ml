@@ -1,5 +1,4 @@
-module J = Telemetry.Tjson
-module Hjson = Harness.Hjson
+module J = Telemetry.Json
 module Spec = Harness.Spec
 
 let claim =
@@ -26,7 +25,7 @@ let default_graph_of_job (spec : Spec.t) (j : Spec.job) =
 let expected_exact (spec : Spec.t) (j : Spec.job) =
   exact_of ~oracle:Oracle.direct j (default_graph_of_job spec j)
 
-let field v name get = Option.bind (Hjson.member name v) get
+let field v name get = Option.bind (J.member name v) get
 
 let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
   let violations = ref [] in
@@ -38,11 +37,11 @@ let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
       ("n", J.int j.Spec.n); ("seed", J.int j.Spec.seed) ]
   in
   (match
-     ( field v "n_actual" Hjson.to_int_opt,
-       field v "estimate" Hjson.to_float_opt,
-       field v "exact" Hjson.to_int_opt,
-       field v "ratio" Hjson.to_float_opt,
-       field v "within" Hjson.to_bool_opt )
+     ( field v "n_actual" J.to_int_opt,
+       field v "estimate" J.to_float_opt,
+       field v "exact" J.to_int_opt,
+       field v "ratio" J.to_float_opt,
+       field v "within" J.to_bool_opt )
    with
   | Some n_actual, Some estimate, Some exact, Some ratio, Some within ->
     (* The same instance answers both the wrong-instance check and the
@@ -97,10 +96,10 @@ let audit_raw ~oracle ~graph_of_job (j : Spec.job) raw =
           (Printf.sprintf "row %s: %s" j.Spec.id detail)
           ~data:[ ("id", J.str j.Spec.id) ] ]
   in
-  match Hjson.parse raw with
+  match J.parse raw with
   | Error msg -> corrupt (Printf.sprintf "unparseable JSON (%s)" msg)
   | Ok v -> (
-    match field v "status" Hjson.to_string_opt with
+    match field v "status" J.to_string_opt with
     | Some "ok" -> Audited (audit_ok_row ~oracle ~graph_of_job j v)
     | Some _ -> Skipped (* failed rows are the sweep's own report's business *)
     | None -> corrupt "missing status field")

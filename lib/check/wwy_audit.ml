@@ -1,4 +1,4 @@
-module J = Telemetry.Tjson
+module J = Telemetry.Json
 
 let ecc_claim =
   "WWY eccentricities: every measured per-node eccentricity equals the BFS oracle, \

@@ -60,24 +60,20 @@ let pp_trace ppf t =
       t.duplicated t.crashed
 
 let trace_to_json t =
-  let b = Buffer.create 160 in
-  Buffer.add_char b '{';
-  let field name v =
-    if Buffer.length b > 1 then Buffer.add_char b ',';
-    Buffer.add_string b (Printf.sprintf "\"%s\":%d" name v)
-  in
-  field "rounds" t.rounds;
-  field "messages" t.messages;
-  field "words" t.words;
-  field "max_edge_load" t.max_edge_load;
-  field "congestion_violations" t.congestion_violations;
-  field "activations" t.activations;
-  field "dropped" t.dropped;
-  field "delayed" t.delayed;
-  field "duplicated" t.duplicated;
-  field "crashed" t.crashed;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let module J = Telemetry.Json in
+  J.obj
+    [
+      ("rounds", J.int t.rounds);
+      ("messages", J.int t.messages);
+      ("words", J.int t.words);
+      ("max_edge_load", J.int t.max_edge_load);
+      ("congestion_violations", J.int t.congestion_violations);
+      ("activations", J.int t.activations);
+      ("dropped", J.int t.dropped);
+      ("delayed", J.int t.delayed);
+      ("duplicated", J.int t.duplicated);
+      ("crashed", J.int t.crashed);
+    ]
 
 type limit_info = { protocol : string; round_reached : int; partial : trace }
 

@@ -98,9 +98,8 @@ val pp_trace : Format.formatter -> trace -> unit
 (** One-line rendering; fault counters are appended only when any of
     them is non-zero, so fault-free output is unchanged. *)
 
-val trace_to_json : trace -> string
-(** Compact single-object JSON encoding of every trace field (plain
-    string builder, no external dependency). *)
+val trace_to_json : trace -> Telemetry.Json.t
+(** One JSON object holding every trace field, in declaration order. *)
 
 type limit_info = {
   protocol : string;  (** [protocol.name] of the runaway protocol. *)

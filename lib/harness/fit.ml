@@ -119,20 +119,21 @@ let evaluate ?(degraded = []) gates ~series =
   in
   { pass = status = Pass && checks <> []; status; checks }
 
+module J = Telemetry.Json
+
+let fit_to_json = function
+  | None -> J.Null
+  | Some f ->
+    J.obj
+      [
+        ("slope", J.float f.slope);
+        ("intercept", J.float f.intercept);
+        ("r2", J.float f.r2);
+        ("ci_lo", J.float f.ci.lo);
+        ("ci_hi", J.float f.ci.hi);
+      ]
+
 let verdict_to_json v =
-  let module J = Telemetry.Tjson in
-  let fit_json = function
-    | None -> "null"
-    | Some f ->
-      J.obj
-        [
-          ("slope", J.float f.slope);
-          ("intercept", J.float f.intercept);
-          ("r2", J.float f.r2);
-          ("ci_lo", J.float f.ci.lo);
-          ("ci_hi", J.float f.ci.hi);
-        ]
-  in
   J.obj
     [
       ("schema", J.str "qcongest-sweep-gate/v1");
@@ -148,7 +149,7 @@ let verdict_to_json v =
                    ("expected", J.float c.expected);
                    ("tol", J.float c.tol);
                    ("min_r2", J.float c.min_r2);
-                   ("fit", fit_json c.fit);
+                   ("fit", fit_to_json c.fit);
                    ("pass", J.bool c.pass);
                    ("status", J.str (status_name c.status));
                    ("reason", J.str c.reason);

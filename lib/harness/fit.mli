@@ -57,7 +57,12 @@ val evaluate :
     (see {!Runner.degraded_series}), is absent, or cannot be fitted is
     {!Inconclusive}; [pass] iff every check measurably passes. *)
 
-val verdict_to_json : verdict -> string
+val fit_to_json : series_fit option -> Telemetry.Json.t
+(** [{"slope":…,"intercept":…,"r2":…,"ci_lo":…,"ci_hi":…}], or
+    [null] for [None]; the sweep report and the gate artifact share
+    it. *)
+
+val verdict_to_json : verdict -> Telemetry.Json.t
 (** The [qcongest-sweep-gate/v1] artifact (with per-gate and overall
     ["status"] fields). *)
 

@@ -17,6 +17,8 @@ let algo_rng (j : Spec.job) =
 
 (* ------------------------------- rows ------------------------------ *)
 
+module J = Telemetry.Json
+
 type ok_row = {
   rounds : int;
   messages : int;  (** 0 for algorithms without a flat trace. *)
@@ -26,30 +28,38 @@ type ok_row = {
   note : string;
 }
 
-let row_prefix (j : Spec.job) ~n_actual ~attempt =
-  Printf.sprintf
-    "{\"schema\":\"qcongest-sweep-row/v2\",\"id\":%s,\"algo\":%s,\"n\":%d,\"n_actual\":%d,\"seed\":%d,\"attempts\":%d"
-    (Telemetry.Tjson.str j.Spec.id)
-    (Telemetry.Tjson.str (Spec.algo_name j.Spec.algo))
-    j.Spec.n n_actual j.Spec.seed attempt
+let row_fields (j : Spec.job) ~n_actual ~attempt =
+  [
+    ("schema", J.str "qcongest-sweep-row/v2");
+    ("id", J.str j.Spec.id);
+    ("algo", J.str (Spec.algo_name j.Spec.algo));
+    ("n", J.int j.Spec.n);
+    ("n_actual", J.int n_actual);
+    ("seed", J.int j.Spec.seed);
+    ("attempts", J.int attempt);
+  ]
 
 let ok_json (j : Spec.job) ~n_actual ~attempt r =
   let ratio = if r.exact = 0 then 0.0 else r.estimate /. float_of_int r.exact in
-  Printf.sprintf
-    "%s,\"status\":\"ok\",\"rounds\":%d,\"messages\":%d,\"estimate\":%s,\"exact\":%d,\"ratio\":%s,\"within\":%b,\"note\":%s}"
-    (row_prefix j ~n_actual ~attempt)
-    r.rounds r.messages
-    (Telemetry.Tjson.float r.estimate)
-    r.exact
-    (Telemetry.Tjson.float ratio)
-    r.within
-    (Telemetry.Tjson.str r.note)
+  J.print
+    (J.obj
+       (row_fields j ~n_actual ~attempt
+       @ [
+           ("status", J.str "ok");
+           ("rounds", J.int r.rounds);
+           ("messages", J.int r.messages);
+           ("estimate", J.float r.estimate);
+           ("exact", J.int r.exact);
+           ("ratio", J.float ratio);
+           ("within", J.bool r.within);
+           ("note", J.str r.note);
+         ]))
 
 let error_json (j : Spec.job) ~attempt ~status error_fields =
-  Printf.sprintf "%s,\"status\":%s,\"error\":%s}"
-    (row_prefix j ~n_actual:j.Spec.n ~attempt)
-    (Telemetry.Tjson.str status)
-    (Telemetry.Tjson.obj error_fields)
+  J.print
+    (J.obj
+       (row_fields j ~n_actual:j.Spec.n ~attempt
+       @ [ ("status", J.str status); ("error", J.obj error_fields) ]))
 
 let failed_json (j : Spec.job) ~attempt error_fields =
   error_json j ~attempt ~status:"failed" error_fields
@@ -59,25 +69,25 @@ let protect ?(attempt = 1) (j : Spec.job) f =
   | Congest.Engine.Round_limit_exceeded info ->
     failed_json j ~attempt
       [
-        ("kind", Telemetry.Tjson.str "round-limit");
-        ("protocol", Telemetry.Tjson.str info.Congest.Engine.protocol);
-        ("round", Telemetry.Tjson.int info.Congest.Engine.round_reached);
-        ("partial_rounds", Telemetry.Tjson.int info.Congest.Engine.partial.Congest.Engine.rounds);
+        ("kind", J.str "round-limit");
+        ("protocol", J.str info.Congest.Engine.protocol);
+        ("round", J.int info.Congest.Engine.round_reached);
+        ("partial_rounds", J.int info.Congest.Engine.partial.Congest.Engine.rounds);
       ]
   | Congest.Engine.Deadline_exceeded info ->
     error_json j ~attempt ~status:"timeout"
       [
-        ("kind", Telemetry.Tjson.str "deadline");
-        ("protocol", Telemetry.Tjson.str info.Congest.Engine.deadline_protocol);
-        ("round", Telemetry.Tjson.int info.Congest.Engine.round_at_deadline);
-        ("elapsed_s", Telemetry.Tjson.float info.Congest.Engine.elapsed_s);
-        ("budget_s", Telemetry.Tjson.float info.Congest.Engine.budget_s);
+        ("kind", J.str "deadline");
+        ("protocol", J.str info.Congest.Engine.deadline_protocol);
+        ("round", J.int info.Congest.Engine.round_at_deadline);
+        ("elapsed_s", J.float info.Congest.Engine.elapsed_s);
+        ("budget_s", J.float info.Congest.Engine.budget_s);
       ]
   | exn ->
     failed_json j ~attempt
       [
-        ("kind", Telemetry.Tjson.str "exception");
-        ("message", Telemetry.Tjson.str (Printexc.to_string exn));
+        ("kind", J.str "exception");
+        ("message", J.str (Printexc.to_string exn));
       ]
 
 (* --------------------------- job execution ------------------------- *)
@@ -228,8 +238,8 @@ let rec batches size = function
   | l -> take size l :: batches size (List.filteri (fun i _ -> i >= size) l)
 
 let row_failed row =
-  match Hjson.parse row with
-  | Ok v -> Hjson.member "status" v <> Some (Hjson.Str "ok")
+  match J.parse row with
+  | Ok v -> J.member "status" v <> Some (J.Str "ok")
   | Error _ -> true
 
 let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
@@ -289,20 +299,19 @@ let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
 
 let parsed_rows store =
   List.filter_map
-    (fun (id, raw) ->
-      match Hjson.parse raw with Ok v -> Some (id, raw, v) | Error _ -> None)
+    (fun (id, raw) -> match J.parse raw with Ok v -> Some (id, v) | Error _ -> None)
     (Store.rows store)
 
 let ok_points rows (j : Spec.job) =
   (* (n_actual, rounds) of the job's row, when present and ok. *)
   List.find_map
-    (fun (id, _, v) ->
+    (fun (id, v) ->
       if id <> j.Spec.id then None
-      else if Hjson.member "status" v <> Some (Hjson.Str "ok") then None
+      else if J.member "status" v <> Some (J.Str "ok") then None
       else
         match
-          ( Option.bind (Hjson.member "n_actual" v) Hjson.to_int_opt,
-            Option.bind (Hjson.member "rounds" v) Hjson.to_int_opt )
+          ( Option.bind (J.member "n_actual" v) J.to_int_opt,
+            Option.bind (J.member "rounds" v) J.to_int_opt )
         with
         | Some n_actual, Some rounds -> Some (n_actual, rounds)
         | _ -> None)
@@ -350,23 +359,14 @@ let degraded_series (spec : Spec.t) store =
     spec.Spec.algos
 
 let report (spec : Spec.t) store =
-  let module J = Telemetry.Tjson in
   let rows = parsed_rows store in
   let all = Spec.jobs spec in
-  let status_of (j : Spec.job) =
-    List.find_map
-      (fun (id, _, v) ->
-        if id = j.Spec.id then Option.bind (Hjson.member "status" v) Hjson.to_string_opt
-        else None)
-      rows
+  (* The store holds at most one row per id. *)
+  let field_of name conv (j : Spec.job) =
+    Option.bind (List.assoc_opt j.Spec.id rows) (fun v -> Option.bind (J.member name v) conv)
   in
-  let attempts_of (j : Spec.job) =
-    List.find_map
-      (fun (id, _, v) ->
-        if id = j.Spec.id then Option.bind (Hjson.member "attempts" v) Hjson.to_int_opt
-        else None)
-      rows
-  in
+  let status_of = field_of "status" J.to_string_opt in
+  let attempts_of = field_of "attempts" J.to_int_opt in
   let ok = ref 0 and failed = ref 0 and timeout = ref 0 and missing = ref 0 in
   List.iter
     (fun j ->
@@ -406,18 +406,6 @@ let report (spec : Spec.t) store =
         Telemetry.Metrics.merge acc (Telemetry.Metrics.snapshot m))
       Telemetry.Metrics.empty spec.Spec.algos
   in
-  let fit_json = function
-    | None -> "null"
-    | Some (f : Fit.series_fit) ->
-      J.obj
-        [
-          ("slope", J.float f.Fit.slope);
-          ("intercept", J.float f.Fit.intercept);
-          ("r2", J.float f.Fit.r2);
-          ("ci_lo", J.float f.Fit.ci.Fit.lo);
-          ("ci_hi", J.float f.Fit.ci.Fit.hi);
-        ]
-  in
   let degraded_names = degraded_series spec store in
   let series =
     List.map
@@ -427,21 +415,18 @@ let report (spec : Spec.t) store =
             ("algo", J.str name);
             ( "points",
               J.arr (List.map (fun (x, y) -> J.arr [ J.float x; J.float y ]) points) );
-            ("fit", fit_json (Fit.fit_series ~seed:(Fit.seed_of_series name) points));
+            ("fit", Fit.fit_to_json (Fit.fit_series ~seed:(Fit.seed_of_series name) points));
             ("degraded", J.bool (List.mem name degraded_names));
           ])
       (series_points spec store)
   in
-  let sorted_rows =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows
-    |> List.map (fun (_, raw, _) -> raw)
-  in
+  let sorted_rows = List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows) in
   J.obj
     [
       ("schema", J.str "qcongest-sweep/v1");
       ("name", J.str spec.Spec.name);
       ("version", J.int spec.Spec.version);
-      ("spec", Spec.to_json spec);
+      ("spec", Spec.json spec);
       ("total", J.int (List.length all));
       ("ok", J.int !ok);
       ("failed", J.int !failed);

@@ -32,6 +32,10 @@ val run_job : ?attempt:int -> ?deadline_s:float -> Spec.t -> Spec.job -> string
     ambient {!Congest.Engine.with_deadline} budget. Never raises:
     failures are encoded in the row. *)
 
+val row_failed : string -> bool
+(** A checkpoint row counts as failed unless it parses and its
+    ["status"] is ["ok"] ([timeout] rows count as failed). *)
+
 val protect : ?attempt:int -> Spec.job -> (unit -> string) -> string
 (** The failure-isolation wrapper used by {!run_job}, exposed so the
     error-row mapping is directly testable: runs the thunk, converting
@@ -83,12 +87,13 @@ val degraded_series : Spec.t -> Store.t -> string list
     fewer than two distinct sizes measured, or under half of the
     expected cells ok. {!Fit} gates treat these as Inconclusive. *)
 
-val report : Spec.t -> Store.t -> string
+val report : Spec.t -> Store.t -> Telemetry.Json.t
 (** The [qcongest-sweep/v1] report: job accounting (ok / failed —
     timeouts counted there and also surfaced as [timeout] — /
     missing; [quarantined] is always 0), per-series points with
     exponent fits (bootstrap CIs included) and [degraded] flags, the
     merged {!Telemetry.Metrics} snapshot of every row (including
-    [sweep.jobs.timeout] and [sweep.attempts.total]), and the raw
-    rows sorted by job id ([quarantine_rows] is always empty). A
-    deterministic function of the spec and the row set. *)
+    [sweep.jobs.timeout] and [sweep.attempts.total]), and the parsed
+    rows sorted by job id ([quarantine_rows] is always empty; a row
+    that does not parse is left out). A deterministic function of the
+    spec and the row set. *)

@@ -1,3 +1,5 @@
+module J = Telemetry.Json
+
 type algo =
   | Thm11_diameter
   | Thm11_radius
@@ -43,7 +45,7 @@ type family =
 let family_name = function
   | Ring { cliques } -> Printf.sprintf "ring:%d" cliques
   | Chain { cliques } -> Printf.sprintf "chain:%d" cliques
-  | Gnp { p } -> Printf.sprintf "gnp:%s" (Telemetry.Tjson.float p)
+  | Gnp { p } -> Printf.sprintf "gnp:%s" (J.print (J.float p))
   | Grid -> "grid"
   | Hard -> "hard"
   | Random_tree -> "tree"
@@ -118,6 +120,8 @@ let build_graph family ~max_w ~n ~rng =
 let make ~name ?(version = current_version) ~algos ~family ?(max_w = 16) ~sizes ~seeds
     ?(faults = benign) ?(gates = []) () =
   if name = "" then invalid_arg "Spec: empty name";
+  if String.contains name '/' || String.contains name '\000' || name = "." || name = ".." then
+    invalid_arg (Printf.sprintf "Spec: name %S is not a file name" name);
   if version <> current_version then
     invalid_arg (Printf.sprintf "Spec: unsupported version %d" version);
   if algos = [] then invalid_arg "Spec: empty algorithm list";
@@ -181,9 +185,9 @@ type job = { id : string; algo : algo; n : int; seed : int }
 let job_key t algo ~n ~seed =
   Printf.sprintf "v%d;algo=%s;family=%s;max_w=%d;n=%d;seed=%d;faults=%s,%d,%s,%d"
     t.version (algo_name algo) (family_name t.family) t.max_w n seed
-    (Telemetry.Tjson.float t.faults.drop)
+    (J.print (J.float t.faults.drop))
     t.faults.delay
-    (Telemetry.Tjson.float t.faults.duplicate)
+    (J.print (J.float t.faults.duplicate))
     t.faults.fault_seed
 
 let job_id t algo ~n ~seed = Fnv.hex64 (job_key t algo ~n ~seed)
@@ -199,8 +203,7 @@ let jobs t =
 
 (* ---------------------------- Serialization ------------------------ *)
 
-let to_json t =
-  let module J = Telemetry.Tjson in
+let json t =
   J.obj
     [
       ("schema", J.str "qcongest-sweep-spec/v1");
@@ -233,15 +236,17 @@ let to_json t =
              t.gates) );
     ]
 
+let to_json t = J.print (json t)
+
 let ( let* ) = Result.bind
 
 let field name conv v =
-  match Option.bind (Hjson.member name v) conv with
+  match Option.bind (J.member name v) conv with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "spec: missing or ill-typed field %S" name)
 
 let field_default name conv ~default v =
-  match Hjson.member name v with
+  match J.member name v with
   | None -> Ok default
   | Some x -> (
     match conv x with
@@ -249,35 +254,35 @@ let field_default name conv ~default v =
     | None -> Error (Printf.sprintf "spec: ill-typed field %S" name))
 
 let int_list v =
-  Option.bind (Hjson.to_list_opt v) (fun l ->
-      let ints = List.filter_map Hjson.to_int_opt l in
+  Option.bind (J.to_list_opt v) (fun l ->
+      let ints = List.filter_map J.to_int_opt l in
       if List.length ints = List.length l then Some ints else None)
 
 let parse_sizes v =
   match v with
-  | Hjson.Arr _ -> (
+  | J.Arr _ -> (
     match int_list v with
     | Some l -> Ok l
     | None -> Error "spec: sizes array must hold integers")
-  | Hjson.Obj _ ->
-    let* n_min = field "min" Hjson.to_int_opt v in
-    let* n_max = field "max" Hjson.to_int_opt v in
-    let* factor = field "factor" Hjson.to_float_opt v in
+  | J.Obj _ ->
+    let* n_min = field "min" J.to_int_opt v in
+    let* n_max = field "max" J.to_int_opt v in
+    let* factor = field "factor" J.to_float_opt v in
     (try Ok (geometric ~n_min ~n_max ~factor) with Invalid_argument m -> Error m)
   | _ -> Error "spec: sizes must be an array or a geometric grid object"
 
 let parse_faults v =
-  let* drop = field_default "drop" Hjson.to_float_opt ~default:0.0 v in
-  let* delay = field_default "delay" Hjson.to_int_opt ~default:0 v in
-  let* duplicate = field_default "duplicate" Hjson.to_float_opt ~default:0.0 v in
-  let* fault_seed = field_default "fault_seed" Hjson.to_int_opt ~default:0 v in
+  let* drop = field_default "drop" J.to_float_opt ~default:0.0 v in
+  let* delay = field_default "delay" J.to_int_opt ~default:0 v in
+  let* duplicate = field_default "duplicate" J.to_float_opt ~default:0.0 v in
+  let* fault_seed = field_default "fault_seed" J.to_int_opt ~default:0 v in
   Ok { drop; delay; duplicate; fault_seed }
 
 let parse_gate v =
-  let* series = field "series" Hjson.to_string_opt v in
-  let* expected = field "expected" Hjson.to_float_opt v in
-  let* tol = field "tol" Hjson.to_float_opt v in
-  let* min_r2 = field_default "min_r2" Hjson.to_float_opt ~default:0.0 v in
+  let* series = field "series" J.to_string_opt v in
+  let* expected = field "expected" J.to_float_opt v in
+  let* tol = field "tol" J.to_float_opt v in
+  let* min_r2 = field_default "min_r2" J.to_float_opt ~default:0.0 v in
   Ok { series; expected; tol; min_r2 }
 
 let rec collect f = function
@@ -288,18 +293,18 @@ let rec collect f = function
     Ok (y :: ys)
 
 let of_json s =
-  let* v = Hjson.parse s in
-  let* schema = field_default "schema" Hjson.to_string_opt ~default:"qcongest-sweep-spec/v1" v in
+  let* v = J.parse s in
+  let* schema = field_default "schema" J.to_string_opt ~default:"qcongest-sweep-spec/v1" v in
   if schema <> "qcongest-sweep-spec/v1" then
     Error (Printf.sprintf "spec: unsupported schema %S" schema)
   else
-    let* name = field "name" Hjson.to_string_opt v in
-    let* version = field_default "version" Hjson.to_int_opt ~default:current_version v in
+    let* name = field "name" J.to_string_opt v in
+    let* version = field_default "version" J.to_int_opt ~default:current_version v in
     let* algo_names =
       field "algos"
         (fun x ->
-          Option.bind (Hjson.to_list_opt x) (fun l ->
-              let names = List.filter_map Hjson.to_string_opt l in
+          Option.bind (J.to_list_opt x) (fun l ->
+              let names = List.filter_map J.to_string_opt l in
               if List.length names = List.length l then Some names else None))
         v
     in
@@ -311,27 +316,27 @@ let of_json s =
           | None -> Error (Printf.sprintf "spec: unknown algorithm %S" n))
         algo_names
     in
-    let* family_str = field "family" Hjson.to_string_opt v in
+    let* family_str = field "family" J.to_string_opt v in
     let* family =
       match family_of_name family_str with
       | Some f -> Ok f
       | None -> Error (Printf.sprintf "spec: unknown family %S" family_str)
     in
-    let* max_w = field_default "max_w" Hjson.to_int_opt ~default:16 v in
+    let* max_w = field_default "max_w" J.to_int_opt ~default:16 v in
     let* sizes =
-      match Hjson.member "sizes" v with
+      match J.member "sizes" v with
       | Some sv -> parse_sizes sv
       | None -> Error "spec: missing field \"sizes\""
     in
     let* seeds = field "seeds" int_list v in
     let* faults =
-      match Hjson.member "faults" v with None -> Ok benign | Some fv -> parse_faults fv
+      match J.member "faults" v with None -> Ok benign | Some fv -> parse_faults fv
     in
     let* gates =
-      match Hjson.member "gates" v with
+      match J.member "gates" v with
       | None -> Ok []
       | Some gv -> (
-        match Hjson.to_list_opt gv with
+        match J.to_list_opt gv with
         | None -> Error "spec: gates must be an array"
         | Some l -> collect parse_gate l)
     in

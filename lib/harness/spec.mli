@@ -98,7 +98,10 @@ val make :
   unit ->
   t
 (** Validating constructor. Raises [Invalid_argument] on an empty
-    name/algos/sizes/seeds, a size [< 2], fault probabilities outside
+    name/algos/sizes/seeds, a name that is not a file name (it holds
+    [/] or a NUL byte, or is [.] or [..]: the CLI stores a sweep as
+    [<name>.jsonl] beside [<name>.sweep.json] and [<name>.check.json]
+    in the artifacts directory), a size [< 2], fault probabilities outside
     [[0,1]], a negative delay, a size below a floor of
     {!build_graph}, or a gate naming a series not in [algos]. Sizes
     are sorted and de-duplicated; algos and seeds are de-duplicated
@@ -131,7 +134,12 @@ val jobs : t -> job list
 
 val job_id : t -> algo -> n:int -> seed:int -> string
 
+val json : t -> Telemetry.Json.t
+(** The [qcongest-sweep-spec/v1] document. *)
+
 val to_json : t -> string
+(** [json] printed; perfbench writes spec files with it. *)
+
 val of_json : string -> (t, string) result
 (** Accepts ["sizes"] either as an explicit array or as a geometric
     grid object [{"min":M,"max":X,"factor":F}]. *)

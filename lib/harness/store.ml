@@ -1,3 +1,5 @@
+module J = Telemetry.Json
+
 type t = {
   path : string;
   fsync : bool;
@@ -29,8 +31,8 @@ let corrupt_path t = corrupt_sibling t.path
 
 (* A valid row is a one-line JSON object carrying a string "id". *)
 let row_id line =
-  match Hjson.parse line with
-  | Ok (Hjson.Obj _ as v) -> Option.bind (Hjson.member "id" v) Hjson.to_string_opt
+  match J.parse line with
+  | Ok (J.Obj _ as v) -> Option.bind (J.member "id" v) J.to_string_opt
   | Ok _ | Error _ -> None
 
 (* ------------------------- v2 checksum framing --------------------- *)
@@ -82,9 +84,9 @@ let parse_line line =
     (* Legacy v1 line — but an object that still carries a "crc"
        member here is a v2 line whose framing got damaged, not a v1
        row (the runner never emitted one): treat it as corrupt. *)
-    match Hjson.parse line with
-    | Ok (Hjson.Obj _ as v) when Hjson.member "crc" v = None -> (
-      match Option.bind (Hjson.member "id" v) Hjson.to_string_opt with
+    match J.parse line with
+    | Ok (J.Obj _ as v) when J.member "crc" v = None -> (
+      match Option.bind (J.member "id" v) J.to_string_opt with
       | Some id -> Valid (id, line)
       | None -> Corrupt)
     | Ok _ | Error _ -> Corrupt)

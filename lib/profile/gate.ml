@@ -90,7 +90,7 @@ let exit_code v =
   | Harness.Fit.Inconclusive -> 3
 
 let to_json v =
-  let module J = Telemetry.Tjson in
+  let module J = Telemetry.Json in
   let key_json (case, n) = J.obj [ ("case", J.str case); ("n", J.int n) ] in
   let case_json c =
     J.obj

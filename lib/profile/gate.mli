@@ -61,7 +61,7 @@ val evaluate :
 val exit_code : verdict -> int
 (** Pass → [0], Fail → [1], Inconclusive → [3]. *)
 
-val to_json : verdict -> string
+val to_json : verdict -> Telemetry.Json.t
 (** The [qcongest-perf-gate/v1] artifact: overall status plus every
     per-case comparison and the missing-key lists. *)
 

@@ -10,7 +10,7 @@ type stats = {
 let empty = { settled = 0; total = 0; ok = 0; failed = 0; timeout = 0; skipped = 0 }
 
 let row_status raw =
-  let module H = Harness.Hjson in
+  let module H = Telemetry.Json in
   match H.parse raw with
   | Ok v -> Option.bind (H.member "status" v) H.to_string_opt
   | Error _ -> None

@@ -192,7 +192,7 @@ let rec total_self t =
 (* ---------------------------- exporters ---------------------------- *)
 
 let rec node_json n =
-  let module J = Telemetry.Tjson in
+  let module J = Telemetry.Json in
   J.obj
     [
       ("name", J.str n.name);
@@ -205,9 +205,10 @@ let rec node_json n =
     ]
 
 let to_json t =
-  let module J = Telemetry.Tjson in
-  J.obj
-    [ ("schema", J.str "qcongest-profile/v1"); ("roots", J.arr (List.map node_json t)) ]
+  let module J = Telemetry.Json in
+  J.print
+    (J.obj
+       [ ("schema", J.str "qcongest-profile/v1"); ("roots", J.arr (List.map node_json t)) ])
 
 let folded t =
   let b = Buffer.create 256 in

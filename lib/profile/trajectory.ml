@@ -73,7 +73,7 @@ let make ?host ?rev ?(unix_s = Unix.gettimeofday ()) ~case ~n ~reps ~wall_s ~thr
   }
 
 let to_json r =
-  let module J = Telemetry.Tjson in
+  let module J = Telemetry.Json in
   J.obj
     [
       ("schema", J.str schema);
@@ -88,7 +88,7 @@ let to_json r =
     ]
 
 let of_json v =
-  let module H = Harness.Hjson in
+  let module H = Telemetry.Json in
   let str k = Option.bind (H.member k v) H.to_string_opt in
   let num k = Option.bind (H.member k v) H.to_float_opt in
   let int k = Option.bind (H.member k v) H.to_int_opt in
@@ -122,23 +122,22 @@ let append ?root rows =
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
   List.iter
     (fun r ->
-      output_string oc (to_json r);
+      output_string oc (Telemetry.Json.print (to_json r));
       output_char oc '\n')
     rows;
   close_out oc;
   path
 
-let rows_json rows = "[" ^ String.concat "," (List.map to_json rows) ^ "]"
-
 let write_latest ?root rows =
   let path = latest_path ?root () in
-  Telemetry.Export.write_file_atomic ~path (rows_json rows ^ "\n");
+  Telemetry.Export.write_file_atomic ~path
+    (Telemetry.Json.print (Telemetry.Json.arr (List.map to_json rows)) ^ "\n");
   path
 
 (* Accept both shapes a perf file comes in: the append-only JSONL
    history and the JSON-array snapshot the gate points at. *)
 let parse content =
-  let module H = Harness.Hjson in
+  let module H = Telemetry.Json in
   let trimmed = String.trim content in
   if trimmed = "" then []
   else if trimmed.[0] = '[' then

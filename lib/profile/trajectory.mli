@@ -47,10 +47,10 @@ val make :
 (** Row constructor; provenance defaults to the current environment
     ({!host_fingerprint}, {!git_rev}, [Unix.gettimeofday]). *)
 
-val to_json : row -> string
-(** One single-line JSON object (the JSONL line format). *)
+val to_json : row -> Telemetry.Json.t
+(** One JSON object; printed, it is one JSONL history line. *)
 
-val of_json : Harness.Hjson.t -> row option
+val of_json : Telemetry.Json.t -> row option
 (** [None] unless [case]/[n]/[wall_s] are present and well-typed;
     optional fields default ([reps] 1, strings ["unknown"], numerics
     0). Rows from a future schema still parse if those fields keep

@@ -39,44 +39,44 @@ let fault_kind_name = function
 
 let to_json = function
   | Run_start { protocol; n; bandwidth } ->
-    Tjson.obj
-      [ ("ev", Tjson.str "run_start"); ("protocol", Tjson.str protocol); ("n", Tjson.int n);
-        ("bandwidth", Tjson.int bandwidth) ]
+    Json.obj
+      [ ("ev", Json.str "run_start"); ("protocol", Json.str protocol); ("n", Json.int n);
+        ("bandwidth", Json.int bandwidth) ]
   | Round_start { round; active } ->
-    Tjson.obj [ ("ev", Tjson.str "round_start"); ("round", Tjson.int round); ("active", Tjson.int active) ]
+    Json.obj [ ("ev", Json.str "round_start"); ("round", Json.int round); ("active", Json.int active) ]
   | Message { round; src; dst; words } ->
-    Tjson.obj
-      [ ("ev", Tjson.str "message"); ("round", Tjson.int round); ("src", Tjson.int src);
-        ("dst", Tjson.int dst); ("words", Tjson.int words) ]
+    Json.obj
+      [ ("ev", Json.str "message"); ("round", Json.int round); ("src", Json.int src);
+        ("dst", Json.int dst); ("words", Json.int words) ]
   | Deliver { round; src; dst } ->
-    Tjson.obj
-      [ ("ev", Tjson.str "deliver"); ("round", Tjson.int round); ("src", Tjson.int src);
-        ("dst", Tjson.int dst) ]
+    Json.obj
+      [ ("ev", Json.str "deliver"); ("round", Json.int round); ("src", Json.int src);
+        ("dst", Json.int dst) ]
   | Fault { round; node; peer; kind } ->
     let base =
-      [ ("ev", Tjson.str "fault"); ("kind", Tjson.str (fault_kind_name kind));
-        ("round", Tjson.int round); ("node", Tjson.int node); ("peer", Tjson.int peer) ]
+      [ ("ev", Json.str "fault"); ("kind", Json.str (fault_kind_name kind));
+        ("round", Json.int round); ("node", Json.int node); ("peer", Json.int peer) ]
     in
     let extra =
       match kind with
-      | Delay j -> [ ("jitter", Tjson.int j) ]
-      | Drop_bandwidth w -> [ ("words", Tjson.int w) ]
+      | Delay j -> [ ("jitter", Json.int j) ]
+      | Drop_bandwidth w -> [ ("words", Json.int w) ]
       | _ -> []
     in
-    Tjson.obj (base @ extra)
+    Json.obj (base @ extra)
   | Span_begin { name; round; wall_s } ->
-    Tjson.obj
-      [ ("ev", Tjson.str "span_begin"); ("name", Tjson.str name); ("round", Tjson.int round);
-        ("wall_s", Tjson.float wall_s) ]
+    Json.obj
+      [ ("ev", Json.str "span_begin"); ("name", Json.str name); ("round", Json.int round);
+        ("wall_s", Json.float wall_s) ]
   | Span_end { name; round; wall_s } ->
-    Tjson.obj
-      [ ("ev", Tjson.str "span_end"); ("name", Tjson.str name); ("round", Tjson.int round);
-        ("wall_s", Tjson.float wall_s) ]
-  | Run_end { round } -> Tjson.obj [ ("ev", Tjson.str "run_end"); ("round", Tjson.int round) ]
+    Json.obj
+      [ ("ev", Json.str "span_end"); ("name", Json.str name); ("round", Json.int round);
+        ("wall_s", Json.float wall_s) ]
+  | Run_end { round } -> Json.obj [ ("ev", Json.str "run_end"); ("round", Json.int round) ]
 
 let write_jsonl oc events =
   List.iter
     (fun ev ->
-      output_string oc (to_json ev);
+      output_string oc (Json.print (to_json ev));
       output_char oc '\n')
     events

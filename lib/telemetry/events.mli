@@ -63,9 +63,9 @@ val of_on_message : (round:int -> src:int -> dst:int -> words:int -> unit) -> si
 
 val fault_kind_name : fault_kind -> string
 
-val to_json : t -> string
-(** One compact object per event; the discriminant field is ["ev"]
+val to_json : t -> Json.t
+(** One object per event; the discriminant field is ["ev"]
     (e.g. [{"ev":"message","round":2,"src":0,"dst":1,"words":1}]). *)
 
 val write_jsonl : out_channel -> t list -> unit
-(** One [to_json] line per event. *)
+(** One printed [to_json] line per event. *)

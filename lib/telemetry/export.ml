@@ -59,27 +59,27 @@ let write_events_jsonl ~path events =
 let us_of_round r = r * 1000
 
 let chrome_trace ?(process_name = "qcongest") events =
-  let pid_tid = [ ("pid", Tjson.int 0); ("tid", Tjson.int 0) ] in
+  let pid_tid = [ ("pid", Json.int 0); ("tid", Json.int 0) ] in
   let instant name ~round args =
-    Tjson.obj
-      ([ ("name", Tjson.str name); ("ph", Tjson.str "i"); ("ts", Tjson.int (us_of_round round));
-         ("s", Tjson.str "t") ]
+    Json.obj
+      ([ ("name", Json.str name); ("ph", Json.str "i"); ("ts", Json.int (us_of_round round));
+         ("s", Json.str "t") ]
       @ pid_tid
-      @ [ ("args", Tjson.obj args) ])
+      @ [ ("args", Json.obj args) ])
   in
   let metadata =
-    Tjson.obj
-      ([ ("name", Tjson.str "process_name"); ("ph", Tjson.str "M") ] @ pid_tid
-      @ [ ("args", Tjson.obj [ ("name", Tjson.str process_name) ]) ])
+    Json.obj
+      ([ ("name", Json.str "process_name"); ("ph", Json.str "M") ] @ pid_tid
+      @ [ ("args", Json.obj [ ("name", Json.str process_name) ]) ])
   in
   let span_event ph ~name ~round ~wall_s =
-    Tjson.obj
-      ([ ("name", Tjson.str name); ("ph", Tjson.str ph); ("ts", Tjson.int (us_of_round round)) ]
+    Json.obj
+      ([ ("name", Json.str name); ("ph", Json.str ph); ("ts", Json.int (us_of_round round)) ]
       @ pid_tid
-      @ [ ("args", Tjson.obj [ ("wall_s", Tjson.float wall_s) ]) ])
+      @ [ ("args", Json.obj [ ("wall_s", Json.float wall_s) ]) ])
   in
   let warning ~round code args =
-    instant "trace_warning" ~round (("code", Tjson.str code) :: args)
+    instant "trace_warning" ~round (("code", Json.str code) :: args)
   in
   (* Balanced-by-construction span handling: an interrupted run (e.g.
      Deadline_exceeded mid-phase) leaves Span_begin events with no
@@ -109,14 +109,14 @@ let chrome_trace ?(process_name = "qcongest") events =
         match ev with
         | Events.Run_start { protocol; n; bandwidth } ->
           [ instant "run_start" ~round:0
-              [ ("protocol", Tjson.str protocol); ("n", Tjson.int n);
-                ("bandwidth", Tjson.int bandwidth) ] ]
+              [ ("protocol", Json.str protocol); ("n", Json.int n);
+                ("bandwidth", Json.int bandwidth) ] ]
         | Events.Round_start { round; active } ->
-          [ Tjson.obj
-              ([ ("name", Tjson.str "active_nodes"); ("ph", Tjson.str "C");
-                 ("ts", Tjson.int (us_of_round round)) ]
+          [ Json.obj
+              ([ ("name", Json.str "active_nodes"); ("ph", Json.str "C");
+                 ("ts", Json.int (us_of_round round)) ]
               @ pid_tid
-              @ [ ("args", Tjson.obj [ ("active", Tjson.int active) ]) ]) ]
+              @ [ ("args", Json.obj [ ("active", Json.int active) ]) ]) ]
         | Events.Message _ | Events.Deliver _ ->
           (* Per-message instants overwhelm the viewer; the timeline /
              heatmap CSVs carry that granularity instead. *)
@@ -125,11 +125,11 @@ let chrome_trace ?(process_name = "qcongest") events =
           [ instant
               ("fault:" ^ Events.fault_kind_name kind)
               ~round
-              ([ ("node", Tjson.int node); ("peer", Tjson.int peer) ]
+              ([ ("node", Json.int node); ("peer", Json.int peer) ]
               @
               match kind with
-              | Events.Delay j -> [ ("jitter", Tjson.int j) ]
-              | Events.Drop_bandwidth w -> [ ("words", Tjson.int w) ]
+              | Events.Delay j -> [ ("jitter", Json.int j) ]
+              | Events.Drop_bandwidth w -> [ ("words", Json.int w) ]
               | _ -> []) ]
         | Events.Span_begin { name; round; wall_s } ->
           open_spans := name :: !open_spans;
@@ -148,7 +148,7 @@ let chrome_trace ?(process_name = "qcongest") events =
               | top :: rest when top <> name ->
                 unwind
                   (span_event "E" ~name:top ~round ~wall_s
-                   :: warning ~round "unbalanced_span_closed" [ ("span", Tjson.str top) ]
+                   :: warning ~round "unbalanced_span_closed" [ ("span", Json.str top) ]
                    :: acc)
                   rest
               | _ :: rest ->
@@ -160,7 +160,7 @@ let chrome_trace ?(process_name = "qcongest") events =
           | _ ->
             (* A stray end with no matching begin: emitting the "E"
                would unbalance the trace, so drop it and record why. *)
-            [ warning ~round "span_end_without_begin" [ ("span", Tjson.str name) ] ])
+            [ warning ~round "span_end_without_begin" [ ("span", Json.str name) ] ])
         | Events.Run_end { round } -> [ instant "run_end" ~round [] ])
       events
   in
@@ -170,16 +170,16 @@ let chrome_trace ?(process_name = "qcongest") events =
   let synthetic_closes =
     List.concat_map
       (fun name ->
-        [ warning ~round:!last_round "unbalanced_span_closed" [ ("span", Tjson.str name) ];
+        [ warning ~round:!last_round "unbalanced_span_closed" [ ("span", Json.str name) ];
           span_event "E" ~name ~round:!last_round ~wall_s:!last_wall ])
       !open_spans
   in
-  Tjson.obj
-    [ ("traceEvents", Tjson.arr ((metadata :: trace_events) @ synthetic_closes));
-      ("displayTimeUnit", Tjson.str "ms") ]
+  Json.obj
+    [ ("traceEvents", Json.arr ((metadata :: trace_events) @ synthetic_closes));
+      ("displayTimeUnit", Json.str "ms") ]
 
 let write_chrome_trace ?process_name ~path events =
-  write_file ~path (chrome_trace ?process_name events)
+  write_file ~path (Json.print (chrome_trace ?process_name events))
 
 (* ------------------------------- CSVs ------------------------------ *)
 
@@ -242,10 +242,11 @@ let prom_name ~namespace name =
     name;
   Buffer.contents b
 
-(* Prometheus sample values are plain decimal numbers; reuse the JSON
-   float printer (integral values exact below 2^53, NaN/inf squashed
-   to 0 — acceptable for this registry, which never emits them). *)
-let prom_float = Tjson.float
+(* Prometheus sample values are plain decimal numbers; print them by
+   the JSON number rule (integral values exact below 2^53, NaN/inf
+   squashed to 0 — acceptable for this registry, which never emits
+   them). *)
+let prom_float g = Json.print (Json.float g)
 
 let prometheus ?(namespace = "qcongest") (snapshot : Metrics.snapshot) =
   let b = Buffer.create 1024 in

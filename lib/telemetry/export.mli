@@ -41,7 +41,7 @@ val write_artifact : ?dir:string -> name:string -> string -> string
 
 val write_events_jsonl : path:string -> Events.t list -> unit
 
-val chrome_trace : ?process_name:string -> Events.t list -> string
+val chrome_trace : ?process_name:string -> Events.t list -> Json.t
 (** The trace-event JSON document:
     [{"traceEvents":[...],"displayTimeUnit":"ms"}]. Span events are
     balanced by construction: a [Span_begin] with no matching

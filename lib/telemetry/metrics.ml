@@ -177,26 +177,26 @@ let percentile (h : histogram_stats) p =
   end
 
 let to_json (s : snapshot) =
-  Tjson.obj
+  Json.obj
     (List.map
        (fun (name, v) ->
          let body =
            match v with
-           | SCounter c -> Tjson.obj [ ("type", Tjson.str "counter"); ("value", Tjson.int c) ]
-           | SGauge g -> Tjson.obj [ ("type", Tjson.str "gauge"); ("value", Tjson.float g) ]
+           | SCounter c -> Json.obj [ ("type", Json.str "counter"); ("value", Json.int c) ]
+           | SGauge g -> Json.obj [ ("type", Json.str "gauge"); ("value", Json.float g) ]
            | SHistogram h ->
-             Tjson.obj
+             Json.obj
                [
-                 ("type", Tjson.str "histogram");
-                 ("count", Tjson.int h.count);
-                 ("sum", Tjson.int h.sum);
-                 ("min", Tjson.int (if h.count = 0 then 0 else h.min_v));
-                 ("max", Tjson.int (if h.count = 0 then 0 else h.max_v));
+                 ("type", Json.str "histogram");
+                 ("count", Json.int h.count);
+                 ("sum", Json.int h.sum);
+                 ("min", Json.int (if h.count = 0 then 0 else h.min_v));
+                 ("max", Json.int (if h.count = 0 then 0 else h.max_v));
                  ( "buckets",
-                   Tjson.arr
+                   Json.arr
                      (List.map
                         (fun (le, c) ->
-                          Tjson.obj [ ("le", Tjson.int le); ("count", Tjson.int c) ])
+                          Json.obj [ ("le", Json.int le); ("count", Json.int c) ])
                         h.buckets) );
                ]
          in

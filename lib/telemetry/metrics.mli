@@ -72,7 +72,7 @@ val percentile : histogram_stats -> float -> int option
     is outside [0, 100]. Feeds the Prometheus quantile gauges and the
     live sweep monitor. *)
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Json.t
 (** One object keyed by metric name:
     [{"congest.rounds":{"type":"counter","value":12}, ...}]; histograms
     carry [count]/[sum]/[min]/[max] and a [buckets] array of

@@ -4,7 +4,8 @@
      0  clean run (including "jobs still pending")
      1  the sweep completed but checkpointed failures
      2  usage errors, each one `qcongest...:` line on stderr: unknown
-        spec, bad file, bad --deadline, a malformed QCONGEST_JOBS, a
+        spec, bad file, a spec name that is not a file name, bad
+        --deadline, a malformed QCONGEST_JOBS, a
         negative --max-jobs, a missing or locked store; on the graph
         subcommands an unknown family, an --n below 1 (check run's -n
         too) or a size below the family's floor, an --input file that
@@ -119,7 +120,7 @@ let check_help_pages exe dir =
    trace.events.jsonl line per event, and a Chrome trace with one
    balanced span per phase. *)
 let check_trace exe dir =
-  let module H = Harness.Hjson in
+  let module H = Telemetry.Json in
   let tdir = Filename.concat dir "trace" and out = Filename.concat dir "trace.out" in
   let rc =
     Sys.command
@@ -218,6 +219,30 @@ let () =
     (sweep "run --builtin ci-smoke --max-jobs=-1");
   expect_usage ~prefix:"qcongest sweep: " ~what:"negative --max-jobs (resume)" ~dir
     (sweep "resume --builtin ci-smoke --max-jobs=-1");
+  (* A spec name is the stem of the files a sweep writes in the
+     artifacts directory, so one that is not a file name is a usage
+     error, and nothing lands outside that directory. *)
+  List.iter
+    (fun (what, name) ->
+      let path = Filename.concat dir "bad-name.spec.json" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            Telemetry.Json.(
+              print
+                (obj
+                   [ ("name", str name); ("algos", arr [ str "classical-diameter" ]);
+                     ("family", str "chain:2"); ("max_w", int 4); ("sizes", arr [ int 4 ]);
+                     ("seeds", arr [ int 7 ]) ])));
+      expect_usage ~prefix:(Printf.sprintf "qcongest sweep: %s: Spec: " path) ~what ~dir
+        (sweep (Printf.sprintf "run --spec %s" (Filename.quote path))))
+    [ ("spec name with a NUL byte", "x\000y"); ("spec name ../escaped", "../escaped") ];
+  List.iter
+    (fun file ->
+      if Sys.file_exists (Filename.concat (Filename.dirname dir) file) then begin
+        Printf.printf "FAIL a spec named ../escaped wrote %s outside the artifacts dir\n%!" file;
+        incr failures
+      end)
+    [ "escaped.jsonl"; "escaped.jsonl.lock"; "escaped.sweep.json" ];
 
   (* 2: graph subcommands. Every instance is built by Spec.build_graph,
      so a family it cannot build is one usage line, not an uncaught
@@ -370,6 +395,14 @@ let () =
        (Printf.sprintf "--baseline %s --current %s"
           (Filename.quote (Filename.concat dir "no-baseline.jsonl"))
           (Filename.quote current)));
+  (* A wall time that overflows float64 is not a number the parser
+     accepts, so a file holding only that row has nothing to compare
+     (3), against itself too. *)
+  let overflow =
+    Filename.quote (write_rows "perf-overflow.jsonl" [ {|{"case":"x","n":5,"wall_s":1e400}|} ])
+  in
+  expect ~what:"perf gate on a row that overflows float64 (inconclusive)" 3
+    (gate (Printf.sprintf "--baseline %s --current %s" overflow overflow));
 
   (* qcongest top: read-only observation; a missing store is a usage
      error (2), a real store renders and exits clean. *)
@@ -428,9 +461,7 @@ let () =
   List.iter
     (fun (j : Harness.Spec.job) ->
       Harness.Store.append store ~id:j.Harness.Spec.id
-        (Telemetry.Tjson.obj
-           [ ("id", Telemetry.Tjson.str j.Harness.Spec.id);
-             ("status", Telemetry.Tjson.str "failed") ]))
+        Telemetry.Json.(print (obj [ ("id", str j.Harness.Spec.id); ("status", str "failed") ])))
     (Harness.Spec.jobs failing);
   (* Release the lock before the CLI subprocess opens the store. *)
   Harness.Store.close store;
@@ -473,8 +504,8 @@ let () =
       let row = Option.get (Harness.Store.find honest id) in
       let exact =
         Option.get
-          (Option.bind (Harness.Hjson.member "exact" (Harness.Hjson.parse_exn row))
-             Harness.Hjson.to_int_opt)
+          (Option.bind (Telemetry.Json.member "exact" (Telemetry.Json.parse_exn row))
+             Telemetry.Json.to_int_opt)
       in
       Harness.Store.append forged ~id
         (row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"))

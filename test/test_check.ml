@@ -54,26 +54,26 @@ let test_report_json () =
       Check.Report.certificates =
         [
           Check.Report.certificate ~name:"a" ~claim:"the claim" ~checked:2
-            ~notes:[ ("n", "5") ]
-            [ Check.Report.violation ~code:"x" "boom" ~data:[ ("k", "1") ] ];
+            ~notes:[ ("n", Telemetry.Json.int 5) ]
+            [ Check.Report.violation ~code:"x" "boom" ~data:[ ("k", Telemetry.Json.int 1) ] ];
         ];
     }
   in
-  let v = Harness.Hjson.parse_exn (Check.Report.to_json report) in
-  let member f = Harness.Hjson.member f v in
-  checkb "schema" true (member "schema" = Some (Harness.Hjson.Str "qcongest-check/v1"));
-  checkb "pass" true (member "pass" = Some (Harness.Hjson.Bool false));
+  let v = Telemetry.Json.(parse_exn (print (Check.Report.to_json report))) in
+  let member f = Telemetry.Json.member f v in
+  checkb "schema" true (member "schema" = Some (Telemetry.Json.Str "qcongest-check/v1"));
+  checkb "pass" true (member "pass" = Some (Telemetry.Json.Bool false));
   checks "status" "fail"
-    (Option.get (Option.bind (member "status") Harness.Hjson.to_string_opt));
-  let certs = Option.get (Option.bind (member "certificates") Harness.Hjson.to_list_opt) in
+    (Option.get (Option.bind (member "status") Telemetry.Json.to_string_opt));
+  let certs = Option.get (Option.bind (member "certificates") Telemetry.Json.to_list_opt) in
   check "one certificate" 1 (List.length certs);
   let c = List.hd certs in
   let vs =
-    Option.get (Option.bind (Harness.Hjson.member "violations" c) Harness.Hjson.to_list_opt)
+    Option.get (Option.bind (Telemetry.Json.member "violations" c) Telemetry.Json.to_list_opt)
   in
   check "one violation" 1 (List.length vs);
   checkb "violation code" true
-    (Harness.Hjson.member "code" (List.hd vs) = Some (Harness.Hjson.Str "x"))
+    (Telemetry.Json.member "code" (List.hd vs) = Some (Telemetry.Json.Str "x"))
 
 (* ----------------------------- congest ----------------------------- *)
 
@@ -275,9 +275,9 @@ let set_number key by row =
 (* The forged row of the negative control: an estimate ten times the
    exact value, a consistent ratio of 10, and [within] left true. *)
 let forge_within row =
-  let v = Harness.Hjson.parse_exn row in
+  let v = Telemetry.Json.parse_exn row in
   let exact =
-    Option.get (Option.bind (Harness.Hjson.member "exact" v) Harness.Hjson.to_int_opt)
+    Option.get (Option.bind (Telemetry.Json.member "exact" v) Telemetry.Json.to_int_opt)
   in
   row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"
 
@@ -477,8 +477,9 @@ let test_sweep_hooked_audit_identical () =
           let counted, _ = counted_audit s in
           checks
             (what ^ ": hooked certificate identical")
-            (Check.Report.certificate_to_json (Check.Sweep_audit.audit_store sweep_spec s))
-            (Check.Report.certificate_to_json counted))
+            (Telemetry.Json.print
+               (Check.Report.certificate_to_json (Check.Sweep_audit.audit_store sweep_spec s)))
+            (Telemetry.Json.print (Check.Report.certificate_to_json counted)))
         [ ("clean store", store); ("tampered store", tampered) ];
       [ tampered ])
 
@@ -504,10 +505,10 @@ let test_expected_exact_matches_rows () =
   List.iter
     (fun (j : Harness.Spec.job) ->
       let row = Option.get (Harness.Store.find store j.Harness.Spec.id) in
-      let v = Harness.Hjson.parse_exn row in
+      let v = Telemetry.Json.parse_exn row in
       let stored =
         Option.get
-          (Option.bind (Harness.Hjson.member "exact" v) Harness.Hjson.to_int_opt)
+          (Option.bind (Telemetry.Json.member "exact" v) Telemetry.Json.to_int_opt)
       in
       check
         (Printf.sprintf "oracle agrees for %s" (Harness.Spec.algo_name j.Harness.Spec.algo))

@@ -183,7 +183,7 @@ let test_trace_to_json () =
   Alcotest.(check string) "json"
     "{\"rounds\":3,\"messages\":5,\"words\":6,\"max_edge_load\":2,\"congestion_violations\":0,\
      \"activations\":0,\"dropped\":4,\"delayed\":0,\"duplicated\":0,\"crashed\":1}"
-    (Engine.trace_to_json t)
+    (Telemetry.Json.print (Engine.trace_to_json t))
 
 let test_engine_on_message_hook () =
   let g = unit_path 4 in

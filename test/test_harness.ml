@@ -1,106 +1,13 @@
-(* Tests for lib/harness: the JSON parser, sweep specs and content-
-   hashed job ids, the checkpoint store (corrupt-tail truncation,
-   kill-and-resume determinism), the exponent fits and the regression
-   gate, and the runner's failure isolation. *)
+(* Tests for lib/harness: sweep specs and content-hashed job ids, the
+   checkpoint store (corrupt-tail truncation, kill-and-resume
+   determinism), the exponent fits and the regression gate, and the
+   runner's failure isolation. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-(* ------------------------------ Hjson ------------------------------ *)
-
-let test_hjson_values () =
-  let open Harness.Hjson in
-  Alcotest.(check bool) "null" true (parse "null" = Ok Null);
-  Alcotest.(check bool) "true" true (parse "true" = Ok (Bool true));
-  Alcotest.(check bool) "num" true (parse "-12.5e1" = Ok (Num (-125.0)));
-  Alcotest.(check bool) "str" true (parse {|"a\nb"|} = Ok (Str "a\nb"));
-  Alcotest.(check bool) "unicode escape" true (parse "\"\\u0041\"" = Ok (Str "A"));
-  Alcotest.(check bool) "arr" true
-    (parse "[1, 2, 3]" = Ok (Arr [ Num 1.0; Num 2.0; Num 3.0 ]));
-  Alcotest.(check bool) "obj" true
-    (parse {| {"a": 1, "b": [true]} |} = Ok (Obj [ ("a", Num 1.0); ("b", Arr [ Bool true ]) ]))
-
-let test_hjson_errors () =
-  let bad s =
-    match Harness.Hjson.parse s with Ok _ -> Alcotest.failf "parsed %S" s | Error _ -> ()
-  in
-  bad "";
-  bad "{";
-  bad "[1,]";
-  bad "{\"a\":}";
-  bad "nul";
-  bad "1 2" (* trailing garbage *);
-  bad "\"unterminated";
-  bad "{\"a\" 1}"
-
-let test_hjson_roundtrip () =
-  let open Harness.Hjson in
-  let v =
-    Obj
-      [
-        ("s", Str "q\"uote\\slash\n");
-        ("i", Num 42.0);
-        ("f", Num 1.5);
-        ("l", Arr [ Null; Bool false; Obj [] ]);
-      ]
-  in
-  Alcotest.(check bool) "print/parse inverse" true (parse (print v) = Ok v)
-
-let test_hjson_accessors () =
-  let open Harness.Hjson in
-  let v = parse_exn {| {"n": 3, "name": "x", "ok": true, "xs": [1]} |} in
-  check "int" 3 (Option.get (Option.bind (member "n" v) to_int_opt));
-  checks "str" "x" (Option.get (Option.bind (member "name" v) to_string_opt));
-  checkb "bool" true (Option.get (Option.bind (member "ok" v) to_bool_opt));
-  check "list len" 1 (List.length (Option.get (Option.bind (member "xs" v) to_list_opt)));
-  checkb "missing member" true (member "absent" v = None);
-  checkb "int rejects fraction" true (to_int_opt (Num 1.5) = None)
-
-(* Float64 integer-exactness boundary: 2^53 is the first integer whose
-   float image is shared with its successor (2^53 and 2^53 + 1 both
-   parse to 9007199254740992.0), so [to_int_opt] must stop one short of
-   it — a silently rounded id or counter is worse than a None. *)
-let test_hjson_int_exactness_boundary () =
-  let open Harness.Hjson in
-  let two53 = 9007199254740992.0 in
-  checkb "2^53 - 1 accepted" true (to_int_opt (Num (two53 -. 1.0)) = Some 9007199254740991);
-  checkb "-(2^53 - 1) accepted" true
-    (to_int_opt (Num (-.(two53 -. 1.0))) = Some (-9007199254740991));
-  checkb "2^53 rejected" true (to_int_opt (Num two53) = None);
-  checkb "2^53 + 1 rejected (same float as 2^53)" true
-    (to_int_opt (Num (two53 +. 1.0)) = None);
-  checkb "-(2^53) rejected" true (to_int_opt (Num (-.two53)) = None);
-  checkb "parse path rejects 9007199254740993" true
-    (match parse "9007199254740993" with
-    | Ok v -> to_int_opt v = None
-    | Error _ -> false);
-  checkb "parse path accepts 9007199254740991" true
-    (match parse "9007199254740991" with
-    | Ok v -> to_int_opt v = Some 9007199254740991
-    | Error _ -> false)
-
-let prop_hjson_int_roundtrip =
-  QCheck.Test.make ~name:"exact ints survive print/parse/to_int_opt" ~count:1000
-    QCheck.(int_range (-9007199254740991) 9007199254740991)
-    (fun i ->
-      match Harness.Hjson.parse (Harness.Hjson.print (Harness.Hjson.Num (float_of_int i))) with
-      | Ok v -> Harness.Hjson.to_int_opt v = Some i
-      | Error _ -> false)
-
-let prop_hjson_float_roundtrip =
-  (* Tjson prints non-integral floats at %.9g, so the parse is exact
-     for integral values below 1e15 and within 1e-8 relative
-     otherwise. *)
-  QCheck.Test.make ~name:"finite floats survive print/parse within format precision"
-    ~count:500
-    QCheck.(float_range (-1e14) 1e14)
-    (fun f ->
-      match Harness.Hjson.parse (Harness.Hjson.print (Harness.Hjson.Num f)) with
-      | Ok (Harness.Hjson.Num f') ->
-        if Float.is_integer f then f' = f
-        else Float.abs (f' -. f) <= 1e-8 *. Float.max 1.0 (Float.abs f)
-      | _ -> false)
+module J = Telemetry.Json
 
 (* ------------------------------- Spec ------------------------------ *)
 
@@ -137,9 +44,14 @@ let test_spec_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "validation accepted a bad spec"
   in
-  expect_invalid (fun () ->
-      Harness.Spec.make ~name:"" ~algos:[ Harness.Spec.Three_halves ]
-        ~family:Harness.Spec.Grid ~sizes:[ 8 ] ~seeds:[ 1 ] ());
+  (* The name is the stem of the sweep's files in the artifacts
+     directory, so it must be a file name there. *)
+  List.iter
+    (fun name ->
+      expect_invalid (fun () ->
+          Harness.Spec.make ~name ~algos:[ Harness.Spec.Three_halves ]
+            ~family:Harness.Spec.Grid ~sizes:[ 8 ] ~seeds:[ 1 ] ()))
+    [ ""; "x\000y"; "../escaped"; "a/b"; "."; ".." ];
   expect_invalid (fun () ->
       Harness.Spec.make ~name:"x" ~algos:[] ~family:Harness.Spec.Grid ~sizes:[ 8 ]
         ~seeds:[ 1 ] ());
@@ -201,19 +113,19 @@ let temp_store_path () =
   path
 
 let row ~id fields =
-  Telemetry.Tjson.obj (("id", Telemetry.Tjson.str id) :: fields)
+  J.print (J.obj (("id", J.str id) :: List.map (fun (k, v) -> (k, J.int v)) fields))
 
 let test_store_roundtrip () =
   let path = temp_store_path () in
   let s = Harness.Store.load ~path () in
   check "empty" 0 (Harness.Store.count s);
-  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", "1") ]);
-  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", "2") ]);
+  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", 1) ]);
+  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", 2) ]);
   checkb "mem" true (Harness.Store.mem s "a");
   let s' = Harness.Store.load ~path () in
   check "reload count" 2 (Harness.Store.count s');
   checkb "order preserved" true (List.map fst (Harness.Store.rows s') = [ "a"; "b" ]);
-  checkb "find" true (Harness.Store.find s' "b" = Some (row ~id:"b" [ ("v", "2") ]));
+  checkb "find" true (Harness.Store.find s' "b" = Some (row ~id:"b" [ ("v", 2) ]));
   Sys.remove path
 
 let test_store_corrupt_tail () =
@@ -262,11 +174,11 @@ let test_store_garbage_middle () =
 let test_store_v1_compat_v2_frames () =
   let path = temp_store_path () in
   (* Legacy v1 store: bare rows, no crc member. *)
-  Telemetry.Export.write_file ~path (row ~id:"a" [ ("v", "1") ] ^ "\n" ^ row ~id:"b" [] ^ "\n");
+  Telemetry.Export.write_file ~path (row ~id:"a" [ ("v", 1) ] ^ "\n" ^ row ~id:"b" [] ^ "\n");
   let s = Harness.Store.load ~path () in
   check "v1 rows load" 2 (Harness.Store.count s);
   checkb "logical row unchanged" true
-    (Harness.Store.find s "a" = Some (row ~id:"a" [ ("v", "1") ]));
+    (Harness.Store.find s "a" = Some (row ~id:"a" [ ("v", 1) ]));
   (* New appends are v2-framed on disk but logically unframed. *)
   Harness.Store.append s ~id:"c" (row ~id:"c" []);
   Harness.Store.close s;
@@ -287,9 +199,9 @@ let test_store_v1_compat_v2_frames () =
 let test_store_checksum_detects_bitflip () =
   let path = temp_store_path () in
   let s = Harness.Store.load ~path () in
-  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", "1") ]);
-  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", "2") ]);
-  Harness.Store.append s ~id:"c" (row ~id:"c" [ ("v", "3") ]);
+  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", 1) ]);
+  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", 2) ]);
+  Harness.Store.append s ~id:"c" (row ~id:"c" [ ("v", 3) ]);
   Harness.Store.close s;
   (* Flip one byte in the middle row's payload. *)
   (match String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) with
@@ -307,7 +219,7 @@ let test_store_checksum_detects_bitflip () =
   checkb "c survives" true (Harness.Store.mem s' "c");
   checkb "b gone" false (Harness.Store.mem s' "b");
   (* The damaged job can be filled back in. *)
-  Harness.Store.append s' ~id:"b" (row ~id:"b" [ ("v", "2") ]);
+  Harness.Store.append s' ~id:"b" (row ~id:"b" [ ("v", 2) ]);
   check "resumed" 3 (Harness.Store.count (Harness.Store.load ~path ()));
   Sys.remove (Harness.Store.corrupt_path s');
   Sys.remove path
@@ -362,8 +274,8 @@ let test_store_append_validation () =
 let test_store_read_only_coexists_with_live_lock () =
   let path = temp_store_path () in
   let s = Harness.Store.load ~path () in
-  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", "1") ]);
-  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", "2") ]);
+  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", 1) ]);
+  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", 2) ]);
   Harness.Store.close s;
   (* Leave a partial trailing line — an append "in flight" on the
      owner's side. A writer would truncate it; an observer must not. *)
@@ -382,7 +294,7 @@ let test_store_read_only_coexists_with_live_lock () =
   check "partial tail counted, not judged" 1 (Harness.Store.dropped_lines ro);
   check "nothing else skipped" 0 (Harness.Store.quarantined_lines ro);
   checkb "rows readable" true
-    (Harness.Store.find ro "b" = Some (row ~id:"b" [ ("v", "2") ]));
+    (Harness.Store.find ro "b" = Some (row ~id:"b" [ ("v", 2) ]));
   (match Harness.Store.append ro ~id:"c" (row ~id:"c" []) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "append succeeded on a read-only handle");
@@ -444,11 +356,11 @@ let test_gate_verdicts () =
 let test_verdict_json () =
   let series = [ ("s", List.map (fun x -> (x, x)) [ 8.0; 16.0; 32.0 ]) ] in
   let v = Harness.Fit.evaluate [ gate "s" 1.0 0.1 0.5 ] ~series in
-  let j = Harness.Hjson.parse_exn (Harness.Fit.verdict_to_json v) in
+  let j = J.parse_exn (J.print (Harness.Fit.verdict_to_json v)) in
   checkb "schema" true
-    (Harness.Hjson.member "schema" j = Some (Harness.Hjson.Str "qcongest-sweep-gate/v1"));
-  checkb "pass field" true (Harness.Hjson.member "pass" j = Some (Harness.Hjson.Bool true));
-  let gates = Option.get (Option.bind (Harness.Hjson.member "gates" j) Harness.Hjson.to_list_opt) in
+    (J.member "schema" j = Some (J.Str "qcongest-sweep-gate/v1"));
+  checkb "pass field" true (J.member "pass" j = Some (J.Bool true));
+  let gates = Option.get (Option.bind (J.member "gates" j) J.to_list_opt) in
   check "one gate" 1 (List.length gates)
 
 (* ------------------------------ Runner ----------------------------- *)
@@ -463,26 +375,26 @@ let test_protect_round_limit () =
       partial = Congest.Engine.empty_trace }
   in
   let r = Harness.Runner.protect j (fun () -> raise (Congest.Engine.Round_limit_exceeded info)) in
-  let v = Harness.Hjson.parse_exn r in
-  let str f = Option.bind (Harness.Hjson.member f v) Harness.Hjson.to_string_opt in
+  let v = J.parse_exn r in
+  let str f = Option.bind (J.member f v) J.to_string_opt in
   checkb "failed row" true (str "status" = Some "failed");
   checkb "row keeps job id" true (str "id" = Some j.Harness.Spec.id);
-  let err = Option.get (Harness.Hjson.member "error" v) in
-  let estr f = Option.bind (Harness.Hjson.member f err) Harness.Hjson.to_string_opt in
+  let err = Option.get (J.member "error" v) in
+  let estr f = Option.bind (J.member f err) J.to_string_opt in
   checkb "kind" true (estr "kind" = Some "round-limit");
   checkb "protocol" true (estr "protocol" = Some "runaway");
   check "round" 1000001
-    (Option.get (Option.bind (Harness.Hjson.member "round" err) Harness.Hjson.to_int_opt))
+    (Option.get (Option.bind (J.member "round" err) J.to_int_opt))
 
 let test_protect_exception () =
   let j = job_of small_spec in
   let r = Harness.Runner.protect j (fun () -> failwith "boom") in
-  let v = Harness.Hjson.parse_exn r in
+  let v = J.parse_exn r in
   checkb "failed row" true
-    (Option.bind (Harness.Hjson.member "status" v) Harness.Hjson.to_string_opt = Some "failed");
-  let err = Option.get (Harness.Hjson.member "error" v) in
+    (Option.bind (J.member "status" v) J.to_string_opt = Some "failed");
+  let err = Option.get (J.member "error" v) in
   checkb "kind" true
-    (Option.bind (Harness.Hjson.member "kind" err) Harness.Hjson.to_string_opt
+    (Option.bind (J.member "kind" err) J.to_string_opt
     = Some "exception")
 
 let run_to_fresh_store ?max_jobs spec =
@@ -501,11 +413,11 @@ let test_runner_end_to_end () =
   check "all jobs checkpointed" total (Harness.Store.count store);
   List.iter
     (fun (_, raw) ->
-      let v = Harness.Hjson.parse_exn raw in
+      let v = J.parse_exn raw in
       checkb "row ok" true
-        (Option.bind (Harness.Hjson.member "status" v) Harness.Hjson.to_string_opt = Some "ok");
+        (Option.bind (J.member "status" v) J.to_string_opt = Some "ok");
       checkb "rounds positive" true
-        (Option.get (Option.bind (Harness.Hjson.member "rounds" v) Harness.Hjson.to_int_opt) > 0))
+        (Option.get (Option.bind (J.member "rounds" v) J.to_int_opt) > 0))
     (Harness.Store.rows store);
   (* Exact classical diameter: estimate = exact on every row. *)
   let series = Harness.Runner.series_points spec store in
@@ -513,11 +425,11 @@ let test_runner_end_to_end () =
   List.iter
     (fun (_, pts) -> check "one point per size" 2 (List.length pts))
     series;
-  let report = Harness.Hjson.parse_exn (Harness.Runner.report spec store) in
+  let report = J.parse_exn (J.print (Harness.Runner.report spec store)) in
   check "report ok count" total
-    (Option.get (Option.bind (Harness.Hjson.member "ok" report) Harness.Hjson.to_int_opt));
+    (Option.get (Option.bind (J.member "ok" report) J.to_int_opt));
   check "report missing count" 0
-    (Option.get (Option.bind (Harness.Hjson.member "missing" report) Harness.Hjson.to_int_opt));
+    (Option.get (Option.bind (J.member "missing" report) J.to_int_opt));
   Sys.remove (Harness.Store.path store)
 
 let test_runner_jobs_determinism () =
@@ -527,7 +439,9 @@ let test_runner_jobs_determinism () =
   let s4 = Harness.Store.load ~path () in
   let _ = Harness.Runner.run ~jobs:4 spec s4 in
   checks "jobs=1 equals jobs=4" (store_bytes s1) (store_bytes s4);
-  checks "reports equal" (Harness.Runner.report spec s1) (Harness.Runner.report spec s4);
+  checks "reports equal"
+    (J.print (Harness.Runner.report spec s1))
+    (J.print (Harness.Runner.report spec s4));
   Sys.remove (Harness.Store.path s1);
   Sys.remove path
 
@@ -559,7 +473,8 @@ let prop_kill_resume =
       let _ = Harness.Runner.run ~jobs spec resumed in
       let same_bytes = store_bytes uninterrupted = store_bytes resumed in
       let same_report =
-        Harness.Runner.report spec uninterrupted = Harness.Runner.report spec resumed
+        J.print (Harness.Runner.report spec uninterrupted)
+        = J.print (Harness.Runner.report spec resumed)
       in
       Sys.remove (Harness.Store.path uninterrupted);
       Sys.remove path;
@@ -577,18 +492,18 @@ let test_protect_deadline () =
     Harness.Runner.protect ~attempt:2 j (fun () ->
         raise (Congest.Engine.Deadline_exceeded info))
   in
-  let v = Harness.Hjson.parse_exn r in
-  let str f = Option.bind (Harness.Hjson.member f v) Harness.Hjson.to_string_opt in
+  let v = J.parse_exn r in
+  let str f = Option.bind (J.member f v) J.to_string_opt in
   checkb "timeout row" true (str "status" = Some "timeout");
   checkb "schema v2" true (str "schema" = Some "qcongest-sweep-row/v2");
   check "attempt recorded" 2
-    (Option.get (Option.bind (Harness.Hjson.member "attempts" v) Harness.Hjson.to_int_opt));
-  let err = Option.get (Harness.Hjson.member "error" v) in
+    (Option.get (Option.bind (J.member "attempts" v) J.to_int_opt));
+  let err = Option.get (J.member "error" v) in
   checkb "kind" true
-    (Option.bind (Harness.Hjson.member "kind" err) Harness.Hjson.to_string_opt
+    (Option.bind (J.member "kind" err) J.to_string_opt
     = Some "deadline");
   check "round" 17
-    (Option.get (Option.bind (Harness.Hjson.member "round" err) Harness.Hjson.to_int_opt))
+    (Option.get (Option.bind (J.member "round" err) J.to_int_opt))
 
 (* Fails every job [failing] selects with an injected permanent fault;
    other jobs run normally. *)
@@ -643,19 +558,19 @@ let test_runner_failed_rows_degrade () =
      store. *)
   List.iter
     (fun id ->
-      let v = Harness.Hjson.parse_exn (Option.get (Harness.Store.find store id)) in
+      let v = J.parse_exn (Option.get (Harness.Store.find store id)) in
       checkb "failed row" true
-        (Option.bind (Harness.Hjson.member "status" v) Harness.Hjson.to_string_opt
+        (Option.bind (J.member "status" v) J.to_string_opt
         = Some "failed");
       check "one attempt" 1
-        (Option.get (Option.bind (Harness.Hjson.member "attempts" v) Harness.Hjson.to_int_opt)))
+        (Option.get (Option.bind (J.member "attempts" v) J.to_int_opt)))
     failing_ids;
   (* Failed jobs are settled: a resume executes nothing. *)
   let again, _ = Harness.Runner.run ~jobs:1 ~execute spec store in
   check "resume settles" 0 again;
   (* ... and the report accounts for them. *)
-  let report = Harness.Hjson.parse_exn (Harness.Runner.report spec store) in
-  let rint f = Option.get (Option.bind (Harness.Hjson.member f report) Harness.Hjson.to_int_opt) in
+  let report = J.parse_exn (J.print (Harness.Runner.report spec store)) in
+  let rint f = Option.get (Option.bind (J.member f report) J.to_int_opt) in
   check "report failed" (List.length failing_ids) (rint "failed");
   check "report missing" 0 (rint "missing");
   check "report quarantined" 0 (rint "quarantined");
@@ -755,7 +670,8 @@ let prop_kill_corrupt_resume =
       let sorted s = List.sort compare (Harness.Store.rows s) in
       let same_rows = sorted ref_store = sorted resumed in
       let same_report =
-        Harness.Runner.report spec ref_store = Harness.Runner.report spec resumed
+        J.print (Harness.Runner.report spec ref_store)
+        = J.print (Harness.Runner.report spec resumed)
       in
       let cp = Harness.Store.corrupt_path resumed in
       if Sys.file_exists cp then Sys.remove cp;
@@ -770,17 +686,6 @@ let prop_kill_corrupt_resume =
 let () =
   Alcotest.run "harness"
     [
-      ( "hjson",
-        [
-          Alcotest.test_case "values" `Quick test_hjson_values;
-          Alcotest.test_case "errors" `Quick test_hjson_errors;
-          Alcotest.test_case "roundtrip" `Quick test_hjson_roundtrip;
-          Alcotest.test_case "accessors" `Quick test_hjson_accessors;
-          Alcotest.test_case "int exactness boundary" `Quick
-            test_hjson_int_exactness_boundary;
-          QCheck_alcotest.to_alcotest prop_hjson_int_roundtrip;
-          QCheck_alcotest.to_alcotest prop_hjson_float_roundtrip;
-        ] );
       ( "spec",
         [
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;

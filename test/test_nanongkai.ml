@@ -515,7 +515,7 @@ let test_overlay_tokens_bound () =
 let pipeline_digest () =
   let b = Buffer.create 65536 in
   let trace t =
-    Buffer.add_string b (Congest.Engine.trace_to_json t);
+    Buffer.add_string b (Telemetry.Json.print (Congest.Engine.trace_to_json t));
     Buffer.add_char b '\n'
   in
   let floats a =

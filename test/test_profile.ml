@@ -270,16 +270,16 @@ let mk_row ?(case = "relay") ?(n = 100) ?(wall = 1.0) () =
 
 let test_trajectory_json_roundtrip () =
   let r = mk_row () in
-  let json = P.Trajectory.to_json r in
+  let json = Telemetry.Json.print (P.Trajectory.to_json r) in
   checkb "schema" true (contains json "\"schema\":\"qcongest-perf-row/v1\"");
   checkb "single line" false (String.contains json '\n');
-  (match P.Trajectory.of_json (Harness.Hjson.parse_exn json) with
+  (match P.Trajectory.of_json (Telemetry.Json.parse_exn json) with
   | Some r' -> checkb "roundtrip" true (r' = r)
   | None -> Alcotest.fail "roundtrip rejected");
   (* Minimal row: only case/n/wall_s present, everything else defaults. *)
   (match
      P.Trajectory.of_json
-       (Harness.Hjson.parse_exn "{\"case\":\"x\",\"n\":5,\"wall_s\":0.25}")
+       (Telemetry.Json.parse_exn "{\"case\":\"x\",\"n\":5,\"wall_s\":0.25}")
    with
   | Some r ->
     check "reps default" 1 r.P.Trajectory.reps;
@@ -287,7 +287,7 @@ let test_trajectory_json_roundtrip () =
     checkf "throughput default" 0.0 r.P.Trajectory.throughput
   | None -> Alcotest.fail "minimal row rejected");
   checkb "missing case rejected" true
-    (P.Trajectory.of_json (Harness.Hjson.parse_exn "{\"n\":5,\"wall_s\":0.25}") = None)
+    (P.Trajectory.of_json (Telemetry.Json.parse_exn "{\"n\":5,\"wall_s\":0.25}") = None)
 
 let test_trajectory_persistence () =
   let root =
@@ -383,7 +383,9 @@ let test_gate_guards () =
   checkb "bad tolerance raises" true
     (try ignore (P.Gate.evaluate ~tolerance:(-0.1) ~baseline:rows ~current:rows ()); false
      with Invalid_argument _ -> true);
-  let json = P.Gate.to_json (P.Gate.evaluate ~baseline:rows ~current:rows ()) in
+  let json =
+    Telemetry.Json.print (P.Gate.to_json (P.Gate.evaluate ~baseline:rows ~current:rows ()))
+  in
   checkb "gate json schema" true (contains json "\"schema\":\"qcongest-perf-gate/v1\"");
   checkb "gate json status" true (contains json "\"status\":\"pass\"")
 
@@ -449,9 +451,9 @@ let test_monitor_observe_store () =
   let path = Filename.concat dir "sweep.jsonl" in
   let store = Harness.Store.load ~path () in
   Harness.Store.append store ~id:"a"
-    (T.Tjson.obj [ ("id", T.Tjson.str "a"); ("status", T.Tjson.str "ok") ]);
+    T.Json.(print (obj [ ("id", str "a"); ("status", str "ok") ]));
   Harness.Store.append store ~id:"b"
-    (T.Tjson.obj [ ("id", T.Tjson.str "b"); ("status", T.Tjson.str "failed") ]);
+    T.Json.(print (obj [ ("id", str "b"); ("status", str "failed") ]));
   Harness.Store.close store;
   let s = P.Monitor.observe ~total:4 ~path () in
   check "settled" 2 s.P.Monitor.settled;

@@ -163,46 +163,6 @@ let test_durr_hoyer_minimum () =
     Alcotest.(check int) "min" (1000 - (n - 1)) v
   | None -> Alcotest.fail "no result"
 
-(* ----------------------------- Counting ---------------------------- *)
-
-let test_mle_qae_accuracy () =
-  let rng = Util.Rng.create ~seed:20 in
-  let n = 256 in
-  let init = Qsim.State.uniform n in
-  (* True mass 12/256 = 0.046875. *)
-  let marked i = i < 12 in
-  let est = Qsim.Counting.mle_qae ~rng ~init ~marked ~shots:48 ~max_power:6 () in
-  checkb "amplitude close" true (abs_float (est.Qsim.Counting.amplitude -. (12.0 /. 256.0)) < 0.01);
-  checkb "oracle calls counted" true (est.Qsim.Counting.oracle_calls > 0)
-
-let test_mle_qae_extremes () =
-  let rng = Util.Rng.create ~seed:21 in
-  let init = Qsim.State.uniform 64 in
-  let none = Qsim.Counting.mle_qae ~rng ~init ~marked:(fun _ -> false) () in
-  checkb "no marked -> tiny amplitude" true (none.Qsim.Counting.amplitude < 0.02);
-  let most = Qsim.Counting.mle_qae ~rng ~init ~marked:(fun i -> i < 60) () in
-  checkb "mostly marked -> large amplitude" true (most.Qsim.Counting.amplitude > 0.8)
-
-let test_mle_qae_beats_classical () =
-  (* Same oracle budget: the MLE-QAE error should beat bare sampling on
-     average (Heisenberg-ish vs shot-noise scaling). *)
-  let rng = Util.Rng.create ~seed:22 in
-  let n = 128 in
-  let init = Qsim.State.uniform n in
-  let marked i = i < 6 in
-  let truth = 6.0 /. float_of_int n in
-  let trials = 12 in
-  let qerr = ref 0.0 and cerr = ref 0.0 in
-  let budget = ref 0 in
-  for _ = 1 to trials do
-    let q = Qsim.Counting.mle_qae ~rng ~init ~marked ~shots:32 ~max_power:6 () in
-    budget := q.Qsim.Counting.oracle_calls + q.Qsim.Counting.measurements;
-    let c = Qsim.Counting.classical_estimate ~rng ~init ~marked ~samples:!budget in
-    qerr := !qerr +. abs_float (q.Qsim.Counting.amplitude -. truth);
-    cerr := !cerr +. abs_float (c.Qsim.Counting.amplitude -. truth)
-  done;
-  checkb "qae more accurate on average" true (!qerr < !cerr)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_closed_form_matches_statevector; prop_closed_form_weighted ]
@@ -230,12 +190,6 @@ let () =
           Alcotest.test_case "bbht query scaling" `Quick test_bbht_query_scaling;
           Alcotest.test_case "durr-hoyer maximum" `Quick test_durr_hoyer_maximum;
           Alcotest.test_case "durr-hoyer minimum" `Quick test_durr_hoyer_minimum;
-        ] );
-      ( "counting (MLE-QAE)",
-        [
-          Alcotest.test_case "accuracy" `Quick test_mle_qae_accuracy;
-          Alcotest.test_case "extremes" `Quick test_mle_qae_extremes;
-          Alcotest.test_case "beats classical sampling" `Slow test_mle_qae_beats_classical;
         ] );
       ("properties", qsuite);
     ]

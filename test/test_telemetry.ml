@@ -1,6 +1,7 @@
 (* Tests for lib/telemetry and its integration with the CONGEST
-   engine: metrics registry, event streams, exporters, span profiling,
-   and the replay property (event stream -> exact trace counters). *)
+   engine: the JSON value, metrics registry, event streams, exporters,
+   span profiling, and the replay property (event stream -> exact
+   trace counters). *)
 
 module T = Telemetry
 module E = Telemetry.Events
@@ -61,6 +62,162 @@ let burst_protocol sends : (unit, int) Engine.protocol =
         if view.Node_view.id = 0 then ((), Engine.send sends) else ((), Engine.no_action));
     on_round = (fun _ ~round:_ s ~inbox:_ -> (s, Engine.no_action));
   }
+
+(* ------------------------------- JSON ------------------------------ *)
+
+let test_json_values () =
+  let open Telemetry.Json in
+  Alcotest.(check bool) "null" true (parse "null" = Ok Null);
+  Alcotest.(check bool) "true" true (parse "true" = Ok (Bool true));
+  Alcotest.(check bool) "num" true (parse "-12.5e1" = Ok (Num (-125.0)));
+  Alcotest.(check bool) "str" true (parse {|"a\nb"|} = Ok (Str "a\nb"));
+  Alcotest.(check bool) "unicode escape" true (parse "\"\\u0041\"" = Ok (Str "A"));
+  Alcotest.(check bool) "arr" true
+    (parse "[1, 2, 3]" = Ok (Arr [ Num 1.0; Num 2.0; Num 3.0 ]));
+  Alcotest.(check bool) "obj" true
+    (parse {| {"a": 1, "b": [true]} |} = Ok (Obj [ ("a", Num 1.0); ("b", Arr [ Bool true ]) ]))
+
+let test_json_errors () =
+  let bad s =
+    match Telemetry.Json.parse s with Ok _ -> Alcotest.failf "parsed %S" s | Error _ -> ()
+  in
+  bad "";
+  bad "{";
+  bad "[1,]";
+  bad "{\"a\":}";
+  bad "nul";
+  bad "1 2" (* trailing garbage *);
+  bad "\"unterminated";
+  bad "{\"a\" 1}";
+  (* A \u escape takes exactly four hex digits (int_of_string would
+     read "0x1_23" as 0x123). *)
+  bad "\"\\u1_23\"";
+  bad "\"\\u0_0_\"";
+  (* A numeral that overflows float64 would read as an infinity. *)
+  bad "1e400";
+  bad "-1e400";
+  (* A raw control byte inside a string (RFC 8259 section 7). *)
+  bad "\"a\nb\"";
+  bad "[\"\001\"]"
+
+let test_json_roundtrip () =
+  let open Telemetry.Json in
+  let v =
+    Obj
+      [
+        ("s", Str "q\"uote\\slash\n");
+        ("i", Num 42.0);
+        ("f", Num 1.5);
+        ("l", Arr [ Null; Bool false; Obj [] ]);
+      ]
+  in
+  Alcotest.(check bool) "print/parse inverse" true (parse (print v) = Ok v)
+
+let test_json_accessors () =
+  let open Telemetry.Json in
+  let v = parse_exn {| {"n": 3, "name": "x", "ok": true, "xs": [1]} |} in
+  check "int" 3 (Option.get (Option.bind (member "n" v) to_int_opt));
+  checks "str" "x" (Option.get (Option.bind (member "name" v) to_string_opt));
+  checkb "bool" true (Option.get (Option.bind (member "ok" v) to_bool_opt));
+  check "list len" 1 (List.length (Option.get (Option.bind (member "xs" v) to_list_opt)));
+  checkb "missing member" true (member "absent" v = None);
+  checkb "int rejects fraction" true (to_int_opt (Num 1.5) = None)
+
+(* Float64 integer-exactness boundary: 2^53 is the first integer whose
+   float image is shared with its successor (2^53 and 2^53 + 1 both
+   parse to 9007199254740992.0), so [to_int_opt] must stop one short of
+   it — a silently rounded id or counter is worse than a None. *)
+let test_json_int_exactness_boundary () =
+  let open Telemetry.Json in
+  let two53 = 9007199254740992.0 in
+  checkb "2^53 - 1 accepted" true (to_int_opt (Num (two53 -. 1.0)) = Some 9007199254740991);
+  checkb "-(2^53 - 1) accepted" true
+    (to_int_opt (Num (-.(two53 -. 1.0))) = Some (-9007199254740991));
+  checkb "2^53 rejected" true (to_int_opt (Num two53) = None);
+  checkb "2^53 + 1 rejected (same float as 2^53)" true
+    (to_int_opt (Num (two53 +. 1.0)) = None);
+  checkb "-(2^53) rejected" true (to_int_opt (Num (-.two53)) = None);
+  checkb "parse path rejects 9007199254740993" true
+    (match parse "9007199254740993" with
+    | Ok v -> to_int_opt v = None
+    | Error _ -> false);
+  checkb "parse path accepts 9007199254740991" true
+    (match parse "9007199254740991" with
+    | Ok v -> to_int_opt v = Some 9007199254740991
+    | Error _ -> false)
+
+let prop_json_int_roundtrip =
+  QCheck.Test.make ~name:"exact ints survive print/parse/to_int_opt" ~count:1000
+    QCheck.(int_range (-9007199254740991) 9007199254740991)
+    (fun i ->
+      match Telemetry.Json.parse (Telemetry.Json.print (Telemetry.Json.Num (float_of_int i))) with
+      | Ok v -> Telemetry.Json.to_int_opt v = Some i
+      | Error _ -> false)
+
+let prop_json_float_roundtrip =
+  (* The printer rounds a non-integral float to 9 significant digits,
+     so the parse is exact for integral values and within 1e-8
+     relative otherwise. *)
+  QCheck.Test.make ~name:"finite floats survive print/parse within format precision"
+    ~count:500
+    QCheck.(float_range (-1e14) 1e14)
+    (fun f ->
+      match Telemetry.Json.parse (Telemetry.Json.print (Telemetry.Json.Num f)) with
+      | Ok (Telemetry.Json.Num f') ->
+        if Float.is_integer f then f' = f
+        else Float.abs (f' -. f) <= 1e-8 *. Float.max 1.0 (Float.abs f)
+      | _ -> false)
+
+(* Trees over every corner of the number rule (ints up to 2^53 - 1,
+   any float bit pattern, -0.0, NaN, the infinities), keys and strings
+   over all 256 byte values, nested arrays and objects: printing the
+   parse of a printed tree gives the same bytes, and a tree whose
+   numbers are all exact integers parses back to itself. *)
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 6) in
+  let num =
+    frequency
+      [
+        (3, map float_of_int (int_range (-9007199254740991) 9007199254740991));
+        (3, map Int64.float_of_bits ui64);
+        (2, float_range (-1e16) 1e16);
+        (1, oneofl [ -0.0; Float.nan; Float.infinity; Float.neg_infinity ]);
+      ]
+  in
+  let leaf =
+    oneof
+      Telemetry.Json.
+        [
+          return Null; map (fun b -> Bool b) QCheck.Gen.bool; map (fun f -> Num f) num;
+          map (fun s -> Str s) bytes;
+        ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let sub g = list_size (int_bound 4) g in
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Telemetry.Json.Arr l) (sub (self (n / 3))));
+               (2, map (fun l -> Telemetry.Json.Obj l) (sub (pair bytes (self (n / 3)))));
+             ])
+
+let rec exact_numbers = function
+  | Telemetry.Json.Num f -> Float.is_integer f && Float.abs f < 9007199254740992.0
+  | Arr l -> List.for_all exact_numbers l
+  | Obj l -> List.for_all (fun (_, v) -> exact_numbers v) l
+  | Null | Bool _ | Str _ -> true
+
+let prop_json_print_parse_fixed_point =
+  QCheck.Test.make ~name:"print (parse (print v)) = print v" ~count:500
+    (QCheck.make ~print:Telemetry.Json.print gen_json)
+    (fun v ->
+      let open Telemetry.Json in
+      let s = print v in
+      print (parse_exn s) = s && ((not (exact_numbers v)) || parse s = Ok v))
 
 (* ------------------------------ Metrics ---------------------------- *)
 
@@ -146,7 +303,7 @@ let test_metrics_merge () =
     check "hist min" 2 h.T.Metrics.min_v;
     check "hist max" 5 h.T.Metrics.max_v
   | None -> Alcotest.fail "merged histogram missing");
-  let json = T.Metrics.to_json s in
+  let json = T.Json.print (T.Metrics.to_json s) in
   checkb "json has counter" true (contains json "\"c\":{\"type\":\"counter\",\"value\":7}");
   checkb "json has buckets" true (contains json "\"buckets\":[")
 
@@ -154,14 +311,14 @@ let test_metrics_merge () =
 
 let test_event_json () =
   checks "message json" "{\"ev\":\"message\",\"round\":2,\"src\":0,\"dst\":1,\"words\":3}"
-    (E.to_json (E.Message { round = 2; src = 0; dst = 1; words = 3 }));
+    (T.Json.print @@ E.to_json (E.Message { round = 2; src = 0; dst = 1; words = 3 }));
   checks "fault json"
     "{\"ev\":\"fault\",\"kind\":\"delay\",\"round\":1,\"node\":4,\"peer\":5,\"jitter\":2}"
-    (E.to_json (E.Fault { round = 1; node = 4; peer = 5; kind = E.Delay 2 }));
+    (T.Json.print @@ E.to_json (E.Fault { round = 1; node = 4; peer = 5; kind = E.Delay 2 }));
   checks "run_start json" "{\"ev\":\"run_start\",\"protocol\":\"bfs\",\"n\":8,\"bandwidth\":1}"
-    (E.to_json (E.Run_start { protocol = "bfs"; n = 8; bandwidth = 1 }));
+    (T.Json.print @@ E.to_json (E.Run_start { protocol = "bfs"; n = 8; bandwidth = 1 }));
   checks "span json" "{\"ev\":\"span_begin\",\"name\":\"phase \\\"x\\\"\",\"round\":0,\"wall_s\":0.5}"
-    (E.to_json (E.Span_begin { name = "phase \"x\""; round = 0; wall_s = 0.5 }))
+    (T.Json.print @@ E.to_json (E.Span_begin { name = "phase \"x\""; round = 0; wall_s = 0.5 }))
 
 let test_collector () =
   let sink, drain = E.collector () in
@@ -356,7 +513,7 @@ let test_chrome_trace_structure () =
         Tree.convergecast ~sink g tree ~values:(Array.make 5 1) ~combine:( + )
           ~size_words:(fun _ -> 1))
   in
-  let chrome = T.Export.chrome_trace (drain ()) in
+  let chrome = T.Json.print (T.Export.chrome_trace (drain ())) in
   checkb "has traceEvents" true (contains chrome "\"traceEvents\":[");
   checkb "has process metadata" true (contains chrome "\"process_name\"");
   check "two B" 2 (count_substring chrome "\"ph\":\"B\"");
@@ -377,7 +534,7 @@ let test_chrome_trace_unbalanced () =
       E.Run_end { round = 3 };
     ]
   in
-  let chrome = T.Export.chrome_trace events in
+  let chrome = T.Json.print (T.Export.chrome_trace events) in
   check "closes match opens" (count_substring chrome "\"ph\":\"B\"")
     (count_substring chrome "\"ph\":\"E\"");
   check "two synthetic closes" 2 (count_substring chrome "\"ph\":\"E\"");
@@ -386,7 +543,7 @@ let test_chrome_trace_unbalanced () =
   checkb "stray close named" true (contains chrome "span_end_without_begin");
   (* A balanced stream must not warn. *)
   let ok =
-    T.Export.chrome_trace
+    T.Json.print @@ T.Export.chrome_trace
       [
         E.Span_begin { name = "a"; round = 0; wall_s = 0.0 };
         E.Span_end { name = "a"; round = 1; wall_s = 0.5 };
@@ -422,6 +579,17 @@ let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_replay_reconstructs_tra
 let () =
   Alcotest.run "telemetry"
     [
+      ( "json",
+        [
+          Alcotest.test_case "values" `Quick test_json_values;
+          Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "int exactness boundary" `Quick test_json_int_exactness_boundary;
+          QCheck_alcotest.to_alcotest prop_json_int_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_print_parse_fixed_point;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_gauges;
