@@ -71,28 +71,20 @@ let print_measured () =
   List.iter
     (fun j ->
       let name = Harness.Spec.algo_name j.Harness.Spec.algo in
-      match
-        Option.bind (Harness.Store.find store j.Harness.Spec.id) (fun raw ->
-            Result.to_option (J.parse raw))
-      with
+      let row = Harness.Store.find store j.Harness.Spec.id in
+      match Option.map Harness.Runner.row_of_string row with
       | None -> Util.Table.add_row t [ label_of_algo name; "-"; "-"; "-"; "missing row" ]
-      | Some v ->
-        let str f = Option.bind (J.member f v) J.to_string_opt in
-        let num f = Option.bind (J.member f v) J.to_float_opt in
-        let intf f = Option.bind (J.member f v) J.to_int_opt in
-        if str "status" = Some "ok" then
-          let within = J.member "within" v = Some (J.Bool true) in
-          Util.Table.add_row t
-            [
-              label_of_algo name;
-              (match num "estimate" with Some e -> Printf.sprintf "%.0f" e | None -> "-");
-              (match intf "exact" with Some e -> string_of_int e | None -> "-");
-              (match intf "rounds" with Some r -> string_of_int r | None -> "-");
-              Printf.sprintf "%s within=%b" (Option.value ~default:"" (str "note")) within;
-            ]
-        else
-          Util.Table.add_row t
-            [ label_of_algo name; "-"; "-"; "-"; "FAILED (see sweep artifact)" ])
+      | Some (Ok { Harness.Runner.outcome = Harness.Runner.Succeeded { result = r; _ }; _ }) ->
+        Util.Table.add_row t
+          [
+            label_of_algo name;
+            Printf.sprintf "%.0f" r.Harness.Runner.estimate;
+            string_of_int r.Harness.Runner.exact;
+            string_of_int r.Harness.Runner.rounds;
+            Printf.sprintf "%s within=%b" r.Harness.Runner.note r.Harness.Runner.within;
+          ]
+      | Some _ ->
+        Util.Table.add_row t [ label_of_algo name; "-"; "-"; "-"; "FAILED (see sweep artifact)" ])
     (Harness.Spec.jobs spec);
   Util.Table.print t;
   Bench_common.note "wrote %s"

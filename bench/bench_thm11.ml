@@ -33,11 +33,17 @@ let scaling () =
           ("all within guar.", Util.Table.Left);
         ]
   in
-  let row_of_job j =
-    Option.bind (Harness.Store.find store j.Harness.Spec.id) (fun raw ->
-        Result.to_option (J.parse raw))
+  (* The ok result of each stored row, [None] for a row that failed or
+     does not read. *)
+  let result_of_job j =
+    Option.map
+      (fun raw ->
+        match Harness.Runner.row_of_string raw with
+        | Ok { Harness.Runner.outcome = Harness.Runner.Succeeded { result; ratio }; _ } ->
+          Some (result, ratio)
+        | Ok _ | Error _ -> None)
+      (Harness.Store.find store j.Harness.Spec.id)
   in
-  let num field v = Option.bind (J.member field v) J.to_float_opt in
   let fpoints = ref [] in
   List.iter
     (fun n_target ->
@@ -46,15 +52,18 @@ let scaling () =
           (fun j -> j.Harness.Spec.n = n_target)
           (Harness.Spec.jobs spec)
       in
-      let rows = List.filter_map row_of_job cell in
+      let rows = List.filter_map result_of_job cell in
+      let ok = List.filter_map Fun.id rows in
       let g = Harness.Runner.make_graph spec ~n:n_target ~seed:(List.hd spec.Harness.Spec.seeds) in
       let n = Graphlib.Wgraph.n g in
       let d = Bench_common.d_unweighted g in
       let rounds_med =
-        Util.Stats.median (List.filter_map (num "rounds") rows)
+        Util.Stats.median (List.map (fun (r, _) -> float_of_int r.Harness.Runner.rounds) ok)
       in
-      let worst_ratio = Util.Stats.maxf (List.filter_map (num "ratio") rows) in
-      let all_guar = List.for_all (fun v -> J.member "within" v = Some (J.Bool true)) rows in
+      let worst_ratio = Util.Stats.maxf (List.map snd ok) in
+      let all_guar =
+        List.for_all (function Some (r, _) -> r.Harness.Runner.within | None -> false) rows
+      in
       let formula = Core.Params.theorem_1_1_rounds ~n ~d in
       fpoints := (float_of_int n, formula) :: !fpoints;
       Util.Table.add_row t

@@ -406,6 +406,31 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
     phases;
   Printf.printf "replay check: %d events reconstruct the trace counters exactly\n"
     (List.length events);
+  (* One round clock: on it every message, delivery and fault lies in
+     [0, TOTAL], and each phase's inside its span. (A segment's rounds
+     count communication only, so a node woken by a timer after the
+     segment's last message runs past them with no traffic.) *)
+  let rebased = Telemetry.Export.rebase events in
+  let check_rows ~where ~lo ~hi events =
+    List.iter
+      (fun (ev : Telemetry.Events.t) ->
+        match ev with
+        | Message { round; _ } | Deliver { round; _ } | Fault { round; _ }
+          when round < lo || round > hi ->
+          Printf.eprintf "qcongest trace: traffic at round %d%s outside [%d, %d]\n" round where
+            lo hi;
+          exit 1
+        | _ -> ())
+      events
+  in
+  check_rows ~where:"" ~lo:0 ~hi:total.Congest.Engine.rounds rebased;
+  ignore
+    (List.fold_left
+       (fun lo (name, tr, _) ->
+         let hi = lo + tr.Congest.Engine.rounds in
+         check_rows ~where:(" in phase " ^ name) ~lo ~hi (Congest.Replay.span_slice name rebased);
+         hi)
+       0 phases);
   let metrics = Telemetry.Metrics.create () in
   let counter name v = Telemetry.Metrics.add metrics ("congest." ^ name) v in
   let gauge name v = Telemetry.Metrics.set_gauge metrics ("congest." ^ name) v in
@@ -668,16 +693,17 @@ let sweep_run spec_file builtin store_override max_jobs audit fsync deadline pro
       Printf.printf "sweep %s: %d jobs (%d already checkpointed in %s)\n%!"
         spec.Harness.Spec.name total (Harness.Store.count store)
         (Harness.Store.path store);
-      (* --progress: a single \r-rewritten status line driven by
-         read-only store observation, plus a live metrics registry
-         (job wall-time histogram) exported as Prometheus text. *)
+      (* --progress: a single \r-rewritten status line counting the
+         rows of the store this process holds, plus a live metrics
+         registry (job wall-time histogram) exported as Prometheus
+         text. *)
       let metrics = if progress then Some (Telemetry.Metrics.create ()) else None in
       let t0 = Unix.gettimeofday () in
       let baseline = Harness.Store.count store in
       let on_progress =
         if progress then fun ~completed:_ ~total ->
           let stats =
-            Profile.Monitor.observe ~total ~path:(Harness.Store.path store) ()
+            Profile.Monitor.of_rows ~total ~rows:(Harness.Store.rows store) ~skipped:0 ()
           in
           Printf.printf "\r%s%!"
             (Profile.Monitor.render ~width:78 ~baseline

@@ -10,7 +10,8 @@ let claim =
    sit tens of sigmas out. *)
 let z = 4.5
 
-let default_cells = [ (0.04, 50); (0.1, 40); (0.25, 32) ]
+(* (rho, space size): sparse and dense marked mass on skewed weights. *)
+let cells = [ (0.04, 50); (0.1, 40); (0.25, 32) ]
 
 (* A skewed weight vector with marked mass exactly [rho]: indices
    [0 .. k-1] are marked, weights within each block proportional to
@@ -32,7 +33,7 @@ let build_space ~rho ~size =
     w;
   (Dqo.Amplify.create w, fun i -> i < k)
 
-let certify ?(trials = 400) ?(cells = default_cells) ?(sabotage = false) ~seed () =
+let certify ?(trials = 400) ?(sabotage = false) ~seed () =
   let violations = ref [] in
   let checked = ref 0 in
   let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in

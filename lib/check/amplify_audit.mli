@@ -17,16 +17,10 @@
     too few for the interval to mean anything, [< 30]) make the
     certificate [Inconclusive] — the deliberate exit-3 path. *)
 
-val certify :
-  ?trials:int ->
-  ?cells:(float * int) list ->
-  ?sabotage:bool ->
-  seed:int ->
-  unit ->
-  Report.certificate
-(** [trials] (default 400) seeded samples per cell; [cells] are
-    [(ρ, space size)] pairs (a default grid covers sparse and dense
-    marked mass on uniform and skewed weights). [?sabotage] is the
+val certify : ?trials:int -> ?sabotage:bool -> seed:int -> unit -> Report.certificate
+(** [trials] (default 400) seeded samples in each of three
+    [(ρ, space size)] cells, [ρ] from 0.04 to 0.25 on skewed weights.
+    [?sabotage] is the
     negative control: outcomes are drawn at 0 amplification iterations
     but still graded against the amplified target — for small [ρ] the
     frequencies are far apart, so a sound audit must reject. *)

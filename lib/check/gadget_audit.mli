@@ -15,18 +15,10 @@
     [not-distinguishable] (the thresholds too close for a
     [(3/2−ε)]-approximation to separate), and [ecc-floor]. *)
 
-val certify :
-  ?h:int ->
-  ?density:float ->
-  ?sample:int ->
-  ?flip_f:bool ->
-  seed:int ->
-  unit ->
-  Report.certificate
+val certify : ?h:int -> ?flip_f:bool -> seed:int -> unit -> Report.certificate
 (** Build both gadget variants at height [h] (default 2; must be even)
-    with a random input of the given bit [density] (default 0.6) and
-    certify everything above. [?sample] bounds the representatives per
-    Table 2 category (default 4 — the full clique is quadratic).
-    [?flip_f] is the negative control: the gap checks are evaluated
+    with a random input of bit density 0.6 and certify everything
+    above, on at most 4 representatives per Table 2 category (the
+    full clique is quadratic). [?flip_f] is the negative control: the gap checks are evaluated
     against the {e negated} [F]/[F'] value, i.e. the instance is
     deliberately misclassified, which a sound certifier must reject. *)

@@ -60,20 +60,6 @@ let tiny_spec ~name ~seed =
     ~family:(Spec.Chain { cliques = 2 })
     ~max_w:4 ~sizes:[ 6; 9 ] ~seeds:[ seed ] ()
 
-let row_member row name get =
-  match J.parse row with
-  | Ok v -> Option.bind (J.member name v) get
-  | Error _ -> None
-
-let row_status row = row_member row "status" J.to_string_opt
-
-let row_error_kind row =
-  match J.parse row with
-  | Ok v ->
-    Option.bind (J.member "error" v) (fun e ->
-        Option.bind (J.member "kind" e) J.to_string_opt)
-  | Error _ -> None
-
 (* Per-certificate check/violation accumulator, sweep_audit idiom. *)
 type ledger = { mutable checked : int; mutable violations : Report.violation list }
 
@@ -261,14 +247,17 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
   in
   let store = Store.load ~path:(Filename.concat dir "deadline.jsonl") () in
   let (_ : int * int) = Runner.run ~jobs:1 ~execute spec store in
-  (match Store.find store victim.Spec.id with
+  (match Option.map Runner.row_of_string (Store.find store victim.Spec.id) with
   | Some row ->
-    check l
-      (row_status row = Some "timeout" && row_error_kind row = Some "deadline")
-      ~code:"timeout-row-missing"
-      ~data:
-        [ ("id", J.str victim.Spec.id);
-          ("status", J.str (Option.value ~default:"?" (row_status row))) ]
+    let status, on_deadline =
+      match row with
+      | Ok { Runner.outcome = Runner.Timed_out e; _ } -> ("timeout", e.Runner.kind = "deadline")
+      | Ok { Runner.outcome = Runner.Failed _; _ } -> ("failed", false)
+      | Ok { Runner.outcome = Runner.Succeeded _; _ } -> ("ok", false)
+      | Error _ -> ("?", false)
+    in
+    check l on_deadline ~code:"timeout-row-missing"
+      ~data:[ ("id", J.str victim.Spec.id); ("status", J.str status) ]
       "a job stopped by its deadline must checkpoint as a status:\"timeout\" row"
   | None ->
     check l false ~code:"timeout-row-missing"

@@ -25,9 +25,8 @@ let default_graph_of_job (spec : Spec.t) (j : Spec.job) =
 let expected_exact (spec : Spec.t) (j : Spec.job) =
   exact_of ~oracle:Oracle.direct j (default_graph_of_job spec j)
 
-let field v name get = Option.bind (J.member name v) get
-
-let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
+let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) ~n_actual ~ratio
+    { Harness.Runner.estimate; exact; within; _ } =
   let violations = ref [] in
   let flag code detail data =
     violations := Report.violation ~code detail ~data :: !violations
@@ -36,73 +35,61 @@ let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) v =
     [ ("id", J.str j.Spec.id); ("algo", J.str (Spec.algo_name j.Spec.algo));
       ("n", J.int j.Spec.n); ("seed", J.int j.Spec.seed) ]
   in
-  (match
-     ( field v "n_actual" J.to_int_opt,
-       field v "estimate" J.to_float_opt,
-       field v "exact" J.to_int_opt,
-       field v "ratio" J.to_float_opt,
-       field v "within" J.to_bool_opt )
-   with
-  | Some n_actual, Some estimate, Some exact, Some ratio, Some within ->
-    (* The same instance answers both the wrong-instance check and the
-       oracle recomputation. *)
-    let g = graph_of_job j in
-    if n_actual <> Graphlib.Wgraph.n g then
-      flag "wrong-instance"
-        (Printf.sprintf "row %s: stored n_actual=%d but the rebuilt instance has n=%d"
-           j.Spec.id n_actual (Graphlib.Wgraph.n g))
-        (ctx
-        @ [ ("n_actual", J.int n_actual); ("rebuilt_n", J.int (Graphlib.Wgraph.n g)) ]);
-    let truth = exact_of ~oracle j g in
-    if exact <> truth then
-      flag "oracle-mismatch"
-        (Printf.sprintf "row %s (%s): stored exact=%d but recomputed oracle=%d"
-           j.Spec.id (Spec.algo_name j.Spec.algo) exact truth)
-        (ctx @ [ ("stored_exact", J.int exact); ("oracle", J.int truth) ]);
-    let expect_ratio =
-      if exact = 0 then 0.0 else estimate /. float_of_int exact
-    in
-    if Float.abs (ratio -. expect_ratio) > 1e-6 *. Float.max 1.0 (Float.abs expect_ratio)
-    then
-      flag "ratio-drift"
-        (Printf.sprintf "row %s: stored ratio=%.6f but estimate/exact=%.6f" j.Spec.id
-           ratio expect_ratio)
-        (ctx @ [ ("stored_ratio", J.float ratio); ("recomputed", J.float expect_ratio) ]);
-    if not within then
-      flag "guarantee"
-        (Printf.sprintf "row %s (%s): the run itself recorded a violated guarantee"
-           j.Spec.id (Spec.algo_name j.Spec.algo))
-        (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ])
-    else if not (Spec.guarantee j.Spec.algo ~estimate ~exact) then
-      flag "within-drift"
-        (Printf.sprintf
-           "row %s (%s): stored within=true but estimate=%g against exact=%d breaks the \
-            algorithm's guarantee"
-           j.Spec.id (Spec.algo_name j.Spec.algo) estimate exact)
-        (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ])
-  | _ ->
-    flag "corrupt-row"
-      (Printf.sprintf "row %s: missing or mistyped field among n_actual/estimate/exact/ratio/within"
-         j.Spec.id)
-      ctx);
+  (* The same instance answers both the wrong-instance check and the
+     oracle recomputation. *)
+  let g = graph_of_job j in
+  if n_actual <> Graphlib.Wgraph.n g then
+    flag "wrong-instance"
+      (Printf.sprintf "row %s: stored n_actual=%d but the rebuilt instance has n=%d"
+         j.Spec.id n_actual (Graphlib.Wgraph.n g))
+      (ctx
+      @ [ ("n_actual", J.int n_actual); ("rebuilt_n", J.int (Graphlib.Wgraph.n g)) ]);
+  let truth = exact_of ~oracle j g in
+  if exact <> truth then
+    flag "oracle-mismatch"
+      (Printf.sprintf "row %s (%s): stored exact=%d but recomputed oracle=%d"
+         j.Spec.id (Spec.algo_name j.Spec.algo) exact truth)
+      (ctx @ [ ("stored_exact", J.int exact); ("oracle", J.int truth) ]);
+  let expect_ratio =
+    if exact = 0 then 0.0 else estimate /. float_of_int exact
+  in
+  if Float.abs (ratio -. expect_ratio) > 1e-6 *. Float.max 1.0 (Float.abs expect_ratio)
+  then
+    flag "ratio-drift"
+      (Printf.sprintf "row %s: stored ratio=%.6f but estimate/exact=%.6f" j.Spec.id
+         ratio expect_ratio)
+      (ctx @ [ ("stored_ratio", J.float ratio); ("recomputed", J.float expect_ratio) ]);
+  if not within then
+    flag "guarantee"
+      (Printf.sprintf "row %s (%s): the run itself recorded a violated guarantee"
+         j.Spec.id (Spec.algo_name j.Spec.algo))
+      (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ])
+  else if not (Spec.guarantee j.Spec.algo ~estimate ~exact) then
+    flag "within-drift"
+      (Printf.sprintf
+         "row %s (%s): stored within=true but estimate=%g against exact=%d breaks the \
+          algorithm's guarantee"
+         j.Spec.id (Spec.algo_name j.Spec.algo) estimate exact)
+      (ctx @ [ ("estimate", J.float estimate); ("exact", J.int exact) ]);
   List.rev !violations
 
 type verdict = Skipped | Audited of Report.violation list
 
 let audit_raw ~oracle ~graph_of_job (j : Spec.job) raw =
-  let corrupt detail =
+  let corrupt ?(data = []) detail =
     Audited
       [ Report.violation ~code:"corrupt-row"
           (Printf.sprintf "row %s: %s" j.Spec.id detail)
-          ~data:[ ("id", J.str j.Spec.id) ] ]
+          ~data:(("id", J.str j.Spec.id) :: data) ]
   in
-  match J.parse raw with
-  | Error msg -> corrupt (Printf.sprintf "unparseable JSON (%s)" msg)
-  | Ok v -> (
-    match field v "status" J.to_string_opt with
-    | Some "ok" -> Audited (audit_ok_row ~oracle ~graph_of_job j v)
-    | Some _ -> Skipped (* failed rows are the sweep's own report's business *)
-    | None -> corrupt "missing status field")
+  match Harness.Runner.row_of_string raw with
+  | Error (Harness.Runner.Unparseable msg) -> corrupt (Printf.sprintf "unparseable JSON (%s)" msg)
+  | Error Harness.Runner.No_status -> corrupt "missing status field"
+  | Error (Harness.Runner.Bad_field name) ->
+    corrupt ~data:[ ("field", J.str name) ] (Printf.sprintf "missing or mistyped field %s" name)
+  | Ok { Harness.Runner.n_actual; outcome = Harness.Runner.Succeeded { result; ratio }; _ } ->
+    Audited (audit_ok_row ~oracle ~graph_of_job j ~n_actual ~ratio result)
+  | Ok _ -> Skipped (* failed rows are the sweep's own report's business *)
 
 let audit_row (spec : Spec.t) (j : Spec.job) raw =
   match audit_raw ~oracle:Oracle.direct ~graph_of_job:(default_graph_of_job spec) j raw with

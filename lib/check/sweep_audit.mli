@@ -11,8 +11,10 @@
     [qcongest sweep run --audit] run over a store, turning the
     checkpoint file from trusted cache into certified evidence.
 
-    Violation codes: [corrupt-row] (unparseable or shape-broken JSON),
-    [wrong-instance] (stored [n_actual] differs from the rebuilt
+    Rows are read by {!Harness.Runner.row_of_string}, the sweep's own
+    reader. Violation codes: [corrupt-row] (a row that does not read:
+    unparseable JSON, no [status], or a missing or mistyped field,
+    named in the detail and in [data.field]), [wrong-instance] (stored [n_actual] differs from the rebuilt
     graph), [oracle-mismatch] (stored [exact] differs from the
     recomputed oracle), [ratio-drift] (stored [ratio] is not
     [estimate/exact]), [guarantee] (the row itself records a violated

@@ -20,75 +20,114 @@ let algo_rng (j : Spec.job) =
 module J = Telemetry.Json
 
 type ok_row = {
-  rounds : int;
-  messages : int;  (** 0 for algorithms without a flat trace. *)
-  estimate : float;
-  exact : int;
-  within : bool;
-  note : string;
+  rounds : int; messages : int; estimate : float; exact : int; within : bool; note : string;
 }
 
-let row_fields (j : Spec.job) ~n_actual ~attempt =
-  [
-    ("schema", J.str "qcongest-sweep-row/v2");
-    ("id", J.str j.Spec.id);
-    ("algo", J.str (Spec.algo_name j.Spec.algo));
-    ("n", J.int j.Spec.n);
-    ("n_actual", J.int n_actual);
-    ("seed", J.int j.Spec.seed);
-    ("attempts", J.int attempt);
-  ]
+type error = { kind : string; detail : (string * J.t) list }
 
-let ok_json (j : Spec.job) ~n_actual ~attempt r =
-  let ratio = if r.exact = 0 then 0.0 else r.estimate /. float_of_int r.exact in
+type outcome =
+  | Succeeded of { result : ok_row; ratio : float }
+  | Failed of error
+  | Timed_out of error
+
+type row = {
+  id : string; algo : Spec.algo; n : int; n_actual : int; seed : int; attempts : int;
+  outcome : outcome;
+}
+
+type row_error = Unparseable of string | No_status | Bad_field of string
+
+let schema = "qcongest-sweep-row/v2"
+
+let row_to_json r =
+  let error status e =
+    [ ("status", J.str status); ("error", J.obj (("kind", J.str e.kind) :: e.detail)) ]
+  in
+  J.obj
+    ([ ("schema", J.str schema); ("id", J.str r.id); ("algo", J.str (Spec.algo_name r.algo));
+       ("n", J.int r.n); ("n_actual", J.int r.n_actual); ("seed", J.int r.seed);
+       ("attempts", J.int r.attempts) ]
+    @
+    match r.outcome with
+    | Succeeded { result = o; ratio } ->
+      [ ("status", J.str "ok"); ("rounds", J.int o.rounds); ("messages", J.int o.messages);
+        ("estimate", J.float o.estimate); ("exact", J.int o.exact); ("ratio", J.float ratio);
+        ("within", J.bool o.within); ("note", J.str o.note) ]
+    | Failed e -> error "failed" e
+    | Timed_out e -> error "timeout" e)
+
+let row_of_json v =
+  let ( let* ) = Result.bind in
+  let field name conv =
+    Option.to_result ~none:(Bad_field name) (Option.bind (J.member name v) conv)
+  in
+  let error () =
+    field "error" (function
+      | J.Obj (("kind", J.Str kind) :: detail) -> Some { kind; detail }
+      | _ -> None)
+  in
+  let* status =
+    Option.to_result ~none:No_status (Option.bind (J.member "status" v) J.to_string_opt)
+  in
+  let* _ = field "schema" (fun s -> if s = J.Str schema then Some () else None) in
+  let* id = field "id" J.to_string_opt in
+  let* algo = field "algo" (fun a -> Option.bind (J.to_string_opt a) Spec.algo_of_name) in
+  let* n = field "n" J.to_int_opt in
+  let* n_actual = field "n_actual" J.to_int_opt in
+  let* seed = field "seed" J.to_int_opt in
+  let* attempts = field "attempts" J.to_int_opt in
+  let* outcome =
+    match status with
+    | "ok" ->
+      let* rounds = field "rounds" J.to_int_opt in
+      let* messages = field "messages" J.to_int_opt in
+      let* estimate = field "estimate" J.to_float_opt in
+      let* exact = field "exact" J.to_int_opt in
+      let* ratio = field "ratio" J.to_float_opt in
+      let* within = field "within" J.to_bool_opt in
+      let* note = field "note" J.to_string_opt in
+      Ok (Succeeded { result = { rounds; messages; estimate; exact; within; note }; ratio })
+    | "failed" -> Result.map (fun e -> Failed e) (error ())
+    | "timeout" -> Result.map (fun e -> Timed_out e) (error ())
+    | _ -> Error (Bad_field "status")
+  in
+  Ok { id; algo; n; n_actual; seed; attempts; outcome }
+
+let row_of_string s =
+  match J.parse s with Ok v -> row_of_json v | Error msg -> Error (Unparseable msg)
+
+let row_failed s =
+  match row_of_string s with Ok { outcome = Succeeded _; _ } -> false | Ok _ | Error _ -> true
+
+(* The printed row of a job that settled with [outcome]. *)
+let settle (j : Spec.job) ~n_actual ~attempt outcome =
   J.print
-    (J.obj
-       (row_fields j ~n_actual ~attempt
-       @ [
-           ("status", J.str "ok");
-           ("rounds", J.int r.rounds);
-           ("messages", J.int r.messages);
-           ("estimate", J.float r.estimate);
-           ("exact", J.int r.exact);
-           ("ratio", J.float ratio);
-           ("within", J.bool r.within);
-           ("note", J.str r.note);
-         ]))
-
-let error_json (j : Spec.job) ~attempt ~status error_fields =
-  J.print
-    (J.obj
-       (row_fields j ~n_actual:j.Spec.n ~attempt
-       @ [ ("status", J.str status); ("error", J.obj error_fields) ]))
-
-let failed_json (j : Spec.job) ~attempt error_fields =
-  error_json j ~attempt ~status:"failed" error_fields
+    (row_to_json
+       { id = j.Spec.id; algo = j.Spec.algo; n = j.Spec.n; n_actual; seed = j.Spec.seed;
+         attempts = attempt; outcome })
 
 let protect ?(attempt = 1) (j : Spec.job) f =
+  let settle = settle j ~n_actual:j.Spec.n ~attempt in
   try f () with
   | Congest.Engine.Round_limit_exceeded info ->
-    failed_json j ~attempt
-      [
-        ("kind", J.str "round-limit");
-        ("protocol", J.str info.Congest.Engine.protocol);
-        ("round", J.int info.Congest.Engine.round_reached);
-        ("partial_rounds", J.int info.Congest.Engine.partial.Congest.Engine.rounds);
-      ]
+    settle
+      (Failed
+         { kind = "round-limit";
+           detail =
+             [ ("protocol", J.str info.Congest.Engine.protocol);
+               ("round", J.int info.Congest.Engine.round_reached);
+               ("partial_rounds", J.int info.Congest.Engine.partial.Congest.Engine.rounds) ] })
   | Congest.Engine.Deadline_exceeded info ->
-    error_json j ~attempt ~status:"timeout"
-      [
-        ("kind", J.str "deadline");
-        ("protocol", J.str info.Congest.Engine.deadline_protocol);
-        ("round", J.int info.Congest.Engine.round_at_deadline);
-        ("elapsed_s", J.float info.Congest.Engine.elapsed_s);
-        ("budget_s", J.float info.Congest.Engine.budget_s);
-      ]
+    settle
+      (Timed_out
+         { kind = "deadline";
+           detail =
+             [ ("protocol", J.str info.Congest.Engine.deadline_protocol);
+               ("round", J.int info.Congest.Engine.round_at_deadline);
+               ("elapsed_s", J.float info.Congest.Engine.elapsed_s);
+               ("budget_s", J.float info.Congest.Engine.budget_s) ] })
   | exn ->
-    failed_json j ~attempt
-      [
-        ("kind", J.str "exception");
-        ("message", J.str (Printexc.to_string exn));
-      ]
+    settle (Failed { kind = "exception"; detail = [ ("message", J.str (Printexc.to_string exn)) ] })
 
 (* --------------------------- job execution ------------------------- *)
 
@@ -224,7 +263,8 @@ let run_job ?(attempt = 1) ?deadline_s (spec : Spec.t) (j : Spec.job) =
                 tr.Congest.Engine.dropped;
           }
       in
-      ok_json j ~n_actual ~attempt r)
+      let ratio = if r.exact = 0 then 0.0 else r.estimate /. float_of_int r.exact in
+      settle j ~n_actual ~attempt (Succeeded { result = r; ratio }))
 
 (* ------------------------------- run ------------------------------- *)
 
@@ -236,11 +276,6 @@ let rec take k = function
 let rec batches size = function
   | [] -> []
   | l -> take size l :: batches size (List.filteri (fun i _ -> i >= size) l)
-
-let row_failed row =
-  match J.parse row with
-  | Ok v -> J.member "status" v <> Some (J.Str "ok")
-  | Error _ -> true
 
 let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
     ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
@@ -297,28 +332,17 @@ let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
 
 (* ------------------------------ report ----------------------------- *)
 
-let parsed_rows store =
-  List.filter_map
-    (fun (id, raw) -> match J.parse raw with Ok v -> Some (id, v) | Error _ -> None)
-    (Store.rows store)
+(* Every stored row, read once: [(id, row or why it does not read)]. *)
+let read_rows store = List.map (fun (id, raw) -> (id, row_of_string raw)) (Store.rows store)
 
 let ok_points rows (j : Spec.job) =
   (* (n_actual, rounds) of the job's row, when present and ok. *)
-  List.find_map
-    (fun (id, v) ->
-      if id <> j.Spec.id then None
-      else if J.member "status" v <> Some (J.Str "ok") then None
-      else
-        match
-          ( Option.bind (J.member "n_actual" v) J.to_int_opt,
-            Option.bind (J.member "rounds" v) J.to_int_opt )
-        with
-        | Some n_actual, Some rounds -> Some (n_actual, rounds)
-        | _ -> None)
-    rows
+  match List.assoc_opt j.Spec.id rows with
+  | Some (Ok { n_actual; outcome = Succeeded { result; _ }; _ }) -> Some (n_actual, result.rounds)
+  | Some _ | None -> None
 
 let series_points (spec : Spec.t) store =
-  let rows = parsed_rows store in
+  let rows = read_rows store in
   let all = Spec.jobs spec in
   List.map
     (fun algo ->
@@ -352,60 +376,40 @@ let series_degraded (spec : Spec.t) rows algo =
   expected > 0 && (List.length distinct_sizes < 2 || 2 * List.length ok_cells < expected)
 
 let degraded_series (spec : Spec.t) store =
-  let rows = parsed_rows store in
+  let rows = read_rows store in
   List.filter_map
     (fun algo ->
       if series_degraded spec rows algo then Some (Spec.algo_name algo) else None)
     spec.Spec.algos
 
 let report (spec : Spec.t) store =
-  let rows = parsed_rows store in
+  let rows = read_rows store in
   let all = Spec.jobs spec in
-  (* The store holds at most one row per id. *)
-  let field_of name conv (j : Spec.job) =
-    Option.bind (List.assoc_opt j.Spec.id rows) (fun v -> Option.bind (J.member name v) conv)
-  in
-  let status_of = field_of "status" J.to_string_opt in
-  let attempts_of = field_of "attempts" J.to_int_opt in
-  let ok = ref 0 and failed = ref 0 and timeout = ref 0 and missing = ref 0 in
+  (* One registry over every job, whose counters are the job counts.
+     The store holds at most one row per id; one that does not read
+     counts as failed. *)
+  let m = Telemetry.Metrics.create () in
+  let incr = Telemetry.Metrics.incr m in
   List.iter
-    (fun j ->
-      match status_of j with
-      | Some "ok" -> incr ok
-      | Some "timeout" ->
-        (* A timeout is a failure for exit purposes, surfaced separately. *)
-        incr failed;
-        incr timeout
-      | Some _ -> incr failed
-      | None -> incr missing)
+    (fun (j : Spec.job) ->
+      match List.assoc_opt j.Spec.id rows with
+      | None -> ()
+      | Some (Error _) -> incr "sweep.jobs.failed"
+      | Some (Ok { attempts; outcome; _ }) -> (
+        Telemetry.Metrics.add m "sweep.attempts.total" attempts;
+        match outcome with
+        | Succeeded { result; _ } ->
+          incr "sweep.jobs.ok";
+          Telemetry.Metrics.add m "sweep.rounds.total" result.rounds;
+          Telemetry.Metrics.observe m "sweep.rounds" result.rounds
+        | Failed _ -> incr "sweep.jobs.failed"
+        | Timed_out _ ->
+          (* A timeout is a failure for exit purposes, surfaced separately. *)
+          incr "sweep.jobs.failed";
+          incr "sweep.jobs.timeout"))
     all;
-  (* Per-series metric registries, merged into one snapshot — counters
-     and histogram buckets add across series. *)
-  let merged =
-    List.fold_left
-      (fun acc algo ->
-        let m = Telemetry.Metrics.create () in
-        List.iter
-          (fun (j : Spec.job) ->
-            if j.Spec.algo = algo then begin
-              (match ok_points rows j with
-              | Some (_, rounds) ->
-                Telemetry.Metrics.incr m "sweep.jobs.ok";
-                Telemetry.Metrics.add m "sweep.rounds.total" rounds;
-                Telemetry.Metrics.observe m "sweep.rounds" rounds
-              | None -> (
-                match status_of j with
-                | Some "timeout" ->
-                  Telemetry.Metrics.incr m "sweep.jobs.failed";
-                  Telemetry.Metrics.incr m "sweep.jobs.timeout"
-                | Some _ -> Telemetry.Metrics.incr m "sweep.jobs.failed"
-                | None -> ()));
-              Option.iter (Telemetry.Metrics.add m "sweep.attempts.total") (attempts_of j)
-            end)
-          all;
-        Telemetry.Metrics.merge acc (Telemetry.Metrics.snapshot m))
-      Telemetry.Metrics.empty spec.Spec.algos
-  in
+  let metrics = Telemetry.Metrics.snapshot m in
+  let count name = Option.value ~default:0 (Telemetry.Metrics.counter_value metrics name) in
   let degraded_names = degraded_series spec store in
   let series =
     List.map
@@ -420,7 +424,10 @@ let report (spec : Spec.t) store =
           ])
       (series_points spec store)
   in
-  let sorted_rows = List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows) in
+  let sorted_rows =
+    List.sort (fun (a, _) (b, _) -> compare a b) rows
+    |> List.filter_map (fun (_, row) -> Result.to_option (Result.map row_to_json row))
+  in
   J.obj
     [
       ("schema", J.str "qcongest-sweep/v1");
@@ -428,17 +435,17 @@ let report (spec : Spec.t) store =
       ("version", J.int spec.Spec.version);
       ("spec", Spec.json spec);
       ("total", J.int (List.length all));
-      ("ok", J.int !ok);
-      ("failed", J.int !failed);
-      ("timeout", J.int !timeout);
+      ("ok", J.int (count "sweep.jobs.ok"));
+      ("failed", J.int (count "sweep.jobs.failed"));
+      ("timeout", J.int (count "sweep.jobs.timeout"));
       (* Every job settles in the one store, so [quarantined] is
          always 0 and [quarantine_rows] always empty; both keys stay
          for the qcongest-sweep/v1 format. *)
       ("quarantined", J.int 0);
-      ("missing", J.int !missing);
+      ("missing", J.int (List.length all - count "sweep.jobs.ok" - count "sweep.jobs.failed"));
       ("degraded", J.arr (List.map J.str degraded_names));
       ("series", J.arr series);
-      ("metrics", Telemetry.Metrics.to_json merged);
+      ("metrics", Telemetry.Metrics.to_json metrics);
       ("rows", J.arr sorted_rows);
       ("quarantine_rows", J.arr []);
     ]

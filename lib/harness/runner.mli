@@ -25,23 +25,62 @@ val make_graph : Spec.t -> n:int -> seed:int -> Graphlib.Wgraph.t
     Exposed so benches can recompute instance facts (e.g. the
     unweighted diameter) that rows do not carry. *)
 
-val run_job : ?attempt:int -> ?deadline_s:float -> Spec.t -> Spec.job -> string
-(** Execute one job and return its canonical single-line JSON row
-    ([qcongest-sweep-row/v2]; the [attempts] field records [?attempt],
-    default 1). [?deadline_s] supervises the whole execution with an
-    ambient {!Congest.Engine.with_deadline} budget. Never raises:
-    failures are encoded in the row. *)
+(** {1 Checkpoint rows}
+
+    One job's result is one [qcongest-sweep-row/v2] line, and {!row}
+    owns that format: {!row_to_json} is its only writer and
+    {!row_of_json} its only reader. *)
+
+(** An ok row's measurements; [messages] is 0 for algorithms without a
+    flat trace. *)
+type ok_row = {
+  rounds : int; messages : int; estimate : float; exact : int; within : bool; note : string;
+}
+
+(** An error row's [error] object: its [kind] ([round-limit],
+    [deadline] or [exception]) and the members after it. *)
+type error = { kind : string; detail : (string * Telemetry.Json.t) list }
+
+type outcome =
+  | Succeeded of { result : ok_row; ratio : float }  (** [status:"ok"] *)
+  | Failed of error  (** [status:"failed"] *)
+  | Timed_out of error  (** [status:"timeout"] *)
+
+(** [n_actual] is the instance's node count ([n] on an error row). *)
+type row = {
+  id : string; algo : Spec.algo; n : int; n_actual : int; seed : int; attempts : int;
+  outcome : outcome;
+}
+
+(** Why a stored line is not a whole row: it is not JSON, has no
+    string [status], or the named member is missing or mistyped. *)
+type row_error = Unparseable of string | No_status | Bad_field of string
+
+val row_to_json : row -> Telemetry.Json.t
+
+val row_of_json : Telemetry.Json.t -> (row, row_error) result
+(** Members beyond the format are ignored. Printing the row it reads
+    gives back the bytes of every row {!row_to_json} printed. *)
+
+val row_of_string : string -> (row, row_error) result
+(** {!row_of_json} after parsing ([Unparseable] when that fails). *)
 
 val row_failed : string -> bool
-(** A checkpoint row counts as failed unless it parses and its
-    ["status"] is ["ok"] ([timeout] rows count as failed). *)
+(** A stored row counts as failed unless it reads and succeeded
+    ([timeout] rows and rows that do not read count as failed). *)
+
+val run_job : ?attempt:int -> ?deadline_s:float -> Spec.t -> Spec.job -> string
+(** Execute one job and return its printed row (the [attempts] field
+    records [?attempt], default 1). [?deadline_s] supervises the
+    whole execution with an ambient {!Congest.Engine.with_deadline}
+    budget. Never raises: failures are encoded in the row. *)
 
 val protect : ?attempt:int -> Spec.job -> (unit -> string) -> string
 (** The failure-isolation wrapper used by {!run_job}, exposed so the
     error-row mapping is directly testable: runs the thunk, converting
-    [Round_limit_exceeded] into a [round-limit] error row,
-    [Deadline_exceeded] into a [status:"timeout"] row, and any other
-    exception into an [exception] error row. *)
+    [Round_limit_exceeded] into a [round-limit] {!Failed} row,
+    [Deadline_exceeded] into a {!Timed_out} row, and any other
+    exception into an [exception] {!Failed} row. *)
 
 val run :
   ?jobs:int ->
@@ -80,7 +119,7 @@ val run :
 
 val series_points : Spec.t -> Store.t -> (string * (float * float) list) list
 (** Per algorithm series: [(actual n, median rounds over seeds)] from
-    the store's [ok] rows, in the spec's algorithm order. *)
+    the store's {!Succeeded} rows, in the spec's algorithm order. *)
 
 val degraded_series : Spec.t -> Store.t -> string list
 (** Names of series whose ok rows can no longer support a verdict:
@@ -91,9 +130,11 @@ val report : Spec.t -> Store.t -> Telemetry.Json.t
 (** The [qcongest-sweep/v1] report: job accounting (ok / failed —
     timeouts counted there and also surfaced as [timeout] — /
     missing; [quarantined] is always 0), per-series points with
-    exponent fits (bootstrap CIs included) and [degraded] flags, the
-    merged {!Telemetry.Metrics} snapshot of every row (including
-    [sweep.jobs.timeout] and [sweep.attempts.total]), and the parsed
-    rows sorted by job id ([quarantine_rows] is always empty; a row
-    that does not parse is left out). A deterministic function of the
-    spec and the row set. *)
+    exponent fits (bootstrap CIs included) and [degraded] flags, one
+    {!Telemetry.Metrics} snapshot over every job's row (its
+    [sweep.jobs.*] counters are the job counts; also
+    [sweep.attempts.total] and the [sweep.rounds] histogram), and the
+    rows sorted by job id ([quarantine_rows] is always empty). A
+    stored row that does not read counts as failed, never as missing,
+    and is left out of [rows]. A deterministic function of the spec
+    and the row set. *)

@@ -30,10 +30,8 @@ let corrupt_sibling path =
 let corrupt_path t = corrupt_sibling t.path
 
 (* A valid row is a one-line JSON object carrying a string "id". *)
-let row_id line =
-  match J.parse line with
-  | Ok (J.Obj _ as v) -> Option.bind (J.member "id" v) J.to_string_opt
-  | Ok _ | Error _ -> None
+let row_id v = Option.bind (J.member "id" v) J.to_string_opt
+let line_id line = Result.fold ~ok:row_id ~error:(fun _ -> None) (J.parse line)
 
 (* ------------------------- v2 checksum framing --------------------- *)
 (* An appended line is the logical row with an FNV-1a64 content
@@ -78,17 +76,15 @@ let parse_line line =
   match split_frame line with
   | Some (logical, crc) ->
     if crc = Fnv.hex64 logical then
-      match row_id logical with Some id -> Valid (id, logical) | None -> Corrupt
+      match line_id logical with Some id -> Valid (id, logical) | None -> Corrupt
     else Corrupt
   | None -> (
     (* Legacy v1 line — but an object that still carries a "crc"
        member here is a v2 line whose framing got damaged, not a v1
        row (the runner never emitted one): treat it as corrupt. *)
     match J.parse line with
-    | Ok (J.Obj _ as v) when J.member "crc" v = None -> (
-      match Option.bind (J.member "id" v) J.to_string_opt with
-      | Some id -> Valid (id, line)
-      | None -> Corrupt)
+    | Ok v when J.member "crc" v = None -> (
+      match row_id v with Some id -> Valid (id, line) | None -> Corrupt)
     | Ok _ | Error _ -> Corrupt)
 
 (* ------------------------------ Locking ---------------------------- *)
@@ -241,7 +237,7 @@ let append t ~id row =
   if t.read_only then
     invalid_arg "Store.append: store was opened read-only (~lock:false)";
   if String.contains row '\n' then invalid_arg "Store.append: row contains a newline";
-  (match row_id row with
+  (match line_id row with
   | Some rid when rid = id -> ()
   | _ -> invalid_arg "Store.append: row is not a JSON object with the given id");
   if row.[String.length row - 1] <> '}' then

@@ -51,7 +51,7 @@ let side_of = function
   | A _ | A_router _ | A_star _ | A_zero -> Alice_side
   | B _ | B_router _ | B_star _ -> Bob_side
 
-let build ~variant ~h ~input ?alpha ?beta () =
+let build ~variant ~h ~input () =
   let p = params_of_h ~h in
   let { h; s; ell; m; expected_n } = p in
   let two_h = Util.Int_math.pow 2 h in
@@ -59,9 +59,8 @@ let build ~variant ~h ~input ?alpha ?beta () =
   if Array.length input.Boolfun.x <> two_s * ell || Array.length input.Boolfun.y <> two_s * ell
   then invalid_arg "Gadget.build: input size mismatch";
   let n_total = expected_n + (match variant with Radius_gadget -> 1 | Diameter_gadget -> 0) in
-  let alpha = match alpha with Some a -> a | None -> expected_n * expected_n in
-  let beta = match beta with Some b -> b | None -> 2 * expected_n * expected_n in
-  if alpha < 1 || beta < alpha then invalid_arg "Gadget.build: need 1 <= alpha <= beta";
+  let alpha = expected_n * expected_n in
+  let beta = 2 * alpha in
   (* Enumerate nodes and assign ids. *)
   let kinds = ref [] in
   for depth = 0 to h do

@@ -58,10 +58,9 @@ type t = {
   kind_of : node_kind array;
 }
 
-val build :
-  variant:variant -> h:int -> input:Boolfun.input -> ?alpha:int -> ?beta:int -> unit -> t
-(** [input] must have [2^s · ℓ] bits per side. Defaults: [α = n²],
-    [β = 2n²] with [n] from the count formula. *)
+val build : variant:variant -> h:int -> input:Boolfun.input -> unit -> t
+(** [input] must have [2^s · ℓ] bits per side. The weights are
+    [α = n²] and [β = 2n²], with [n] from the count formula. *)
 
 val id_of : t -> node_kind -> int
 (** Raises [Not_found] for kinds absent from the variant. *)

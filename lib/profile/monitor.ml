@@ -9,22 +9,16 @@ type stats = {
 
 let empty = { settled = 0; total = 0; ok = 0; failed = 0; timeout = 0; skipped = 0 }
 
-let row_status raw =
-  let module H = Telemetry.Json in
-  match H.parse raw with
-  | Ok v -> Option.bind (H.member "status" v) H.to_string_opt
-  | Error _ -> None
-
 let of_rows ?(total = 0) ~rows ~skipped () =
   let ok = ref 0 and failed = ref 0 and timeout = ref 0 in
   List.iter
     (fun (_, raw) ->
-      match row_status raw with
-      | Some "ok" -> incr ok
-      | Some "timeout" ->
+      match Harness.Runner.row_of_string raw with
+      | Ok { Harness.Runner.outcome = Harness.Runner.Succeeded _; _ } -> incr ok
+      | Ok { Harness.Runner.outcome = Harness.Runner.Timed_out _; _ } ->
         incr failed;
         incr timeout
-      | Some _ | None -> incr failed)
+      | Ok _ | Error _ -> incr failed)
     rows;
   { settled = List.length rows; total; ok = !ok; failed = !failed; timeout = !timeout; skipped }
 

@@ -5,9 +5,10 @@
     Observation goes through a read-only [Harness.Store.load ~lock:false]
     — never a locking writer open — so a monitor can watch a store owned
     by a live runner without wedging it, mutating it, or triggering a
-    repair. Row statuses follow the [qcongest-sweep-row/v2]
-    convention: [ok], [timeout] (counted as a failure and surfaced
-    separately) and anything else failed. *)
+    repair. Rows are read by {!Harness.Runner.row_of_string}, as the
+    sweep report reads them: a succeeded row is ok, a timed-out row
+    counts as failed and is surfaced separately, and a failed row or
+    one that does not read counts as failed. *)
 
 type stats = {
   settled : int;  (** Rows in the store. *)
@@ -31,11 +32,13 @@ val of_rows :
   unit ->
   stats
 (** Classify already-loaded rows (the pure core, unit-testable without
-    a filesystem). *)
+    a filesystem). [sweep run --progress] counts the store it holds
+    with it. *)
 
 val observe : ?total:int -> path:string -> unit -> stats
-(** Load the store at [path] read-only. A missing file is an empty
-    store. *)
+(** Load the store at [path] read-only and classify its rows: how
+    [qcongest top] watches a store another process owns. A missing
+    file is an empty store. *)
 
 val rate : baseline:int -> elapsed_s:float -> stats -> float
 (** Rows settled per second since the watcher started: [baseline] is

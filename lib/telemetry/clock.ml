@@ -1,6 +1,8 @@
 type t = unit -> float
 
-let wall : t = fun () -> Unix.gettimeofday ()
+let wall : t =
+  let start = Unix.gettimeofday () in
+  fun () -> Unix.gettimeofday () -. start
 let fixed f : t = fun () -> f
 
 let manual ?(start = 0.0) () =

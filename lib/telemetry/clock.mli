@@ -1,13 +1,15 @@
 (** Wall-clock source for span profiling.
 
-    A clock is just a function returning seconds. The real clock wraps
-    [Unix.gettimeofday]; [manual] gives tests a deterministic clock
+    A clock is just a function returning seconds. The real clock counts
+    them from program start; [manual] gives tests a deterministic clock
     they advance by hand, so span durations can be asserted exactly. *)
 
 type t
 
 val wall : t
-(** The process wall clock ([Unix.gettimeofday]). *)
+(** The process wall clock: [Unix.gettimeofday] seconds since program
+    start, so a reading prints to the microsecond at 9 significant
+    digits for the first 1000 s. *)
 
 val fixed : float -> t
 (** Always returns the given instant (spans measure 0). *)

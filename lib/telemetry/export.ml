@@ -52,6 +52,40 @@ let write_events_jsonl ~path events =
   Events.write_jsonl oc events;
   close_out oc
 
+(* ---------------------------- round clock -------------------------- *)
+
+(* An engine segment counts its rounds from 0 between [Run_start] and
+   [Run_end]; markers outside segments already carry cumulative rounds.
+   Offset each event inside a segment by the rounds of the segments
+   before it, so the whole stream runs on one clock. *)
+let rebase events =
+  let base = ref 0 and inside = ref false in
+  let shift (ev : Events.t) : Events.t =
+    let d = !base in
+    match ev with
+    | Events.Run_start _ -> ev
+    | Events.Round_start r -> Events.Round_start { r with round = r.round + d }
+    | Events.Message m -> Events.Message { m with round = m.round + d }
+    | Events.Deliver m -> Events.Deliver { m with round = m.round + d }
+    | Events.Fault f -> Events.Fault { f with round = f.round + d }
+    | Events.Span_begin sp -> Events.Span_begin { sp with round = sp.round + d }
+    | Events.Span_end sp -> Events.Span_end { sp with round = sp.round + d }
+    | Events.Run_end { round } -> Events.Run_end { round = round + d }
+  in
+  List.map
+    (fun (ev : Events.t) ->
+      match ev with
+      | Events.Run_start _ ->
+        inside := true;
+        ev
+      | Events.Run_end { round } ->
+        let ev = shift ev in
+        inside := false;
+        base := !base + round;
+        ev
+      | _ -> if !inside then shift ev else ev)
+    events
+
 (* ------------------------- chrome trace-event ---------------------- *)
 
 (* 1 simulated round = 1000 trace µs, so round boundaries land on
@@ -59,6 +93,7 @@ let write_events_jsonl ~path events =
 let us_of_round r = r * 1000
 
 let chrome_trace ?(process_name = "qcongest") events =
+  let events = rebase events in
   let pid_tid = [ ("pid", Json.int 0); ("tid", Json.int 0) ] in
   let instant name ~round args =
     Json.obj
@@ -92,6 +127,8 @@ let chrome_trace ?(process_name = "qcongest") events =
      warning treatment. *)
   let open_spans = ref [] in
   let last_round = ref 0 and last_wall = ref 0.0 in
+  (* Where the next segment starts: the end of the one before. *)
+  let segment_start = ref 0 in
   let trace_events =
     List.concat_map
       (fun (ev : Events.t) ->
@@ -108,7 +145,7 @@ let chrome_trace ?(process_name = "qcongest") events =
           if wall_s > !last_wall then last_wall := wall_s);
         match ev with
         | Events.Run_start { protocol; n; bandwidth } ->
-          [ instant "run_start" ~round:0
+          [ instant "run_start" ~round:!segment_start
               [ ("protocol", Json.str protocol); ("n", Json.int n);
                 ("bandwidth", Json.int bandwidth) ] ]
         | Events.Round_start { round; active } ->
@@ -161,7 +198,9 @@ let chrome_trace ?(process_name = "qcongest") events =
             (* A stray end with no matching begin: emitting the "E"
                would unbalance the trace, so drop it and record why. *)
             [ warning ~round "span_end_without_begin" [ ("span", Json.str name) ] ])
-        | Events.Run_end { round } -> [ instant "run_end" ~round [] ])
+        | Events.Run_end { round } ->
+          segment_start := round;
+          [ instant "run_end" ~round [] ])
       events
   in
   (* Anything still open after the last event is a span interrupted by
@@ -212,7 +251,7 @@ let timeline_csv events =
       | Events.Deliver { round; _ } -> (row round).delivers <- (row round).delivers + 1
       | Events.Fault { round; _ } -> (row round).faults <- (row round).faults + 1
       | _ -> ())
-    events;
+    (rebase events);
   let rounds = Hashtbl.fold (fun r _ acc -> r :: acc) tbl [] |> List.sort compare in
   let b = Buffer.create 256 in
   Buffer.add_string b "round,active,messages,words,delivers,faults\n";

@@ -5,6 +5,9 @@
 
     - {b JSONL} — one {!Events.to_json} object per line; the lossless
       form, sufficient to replay trace counters.
+    The Chrome trace and the timeline draw the stream on one round
+    clock ({!rebase}); the JSONL file keeps the stream as emitted.
+
     - {b Chrome trace-event JSON} — loadable in [chrome://tracing] or
       Perfetto ([ui.perfetto.dev]). Simulated rounds are mapped onto
       the time axis (1 round = 1 ms = 1000 µs of trace time);
@@ -40,6 +43,15 @@ val write_artifact : ?dir:string -> name:string -> string -> string
     directory resolution exactly like {!artifacts_dir}. *)
 
 val write_events_jsonl : path:string -> Events.t list -> unit
+
+val rebase : Events.t list -> Events.t list
+(** The stream on one round clock. Each engine segment counts rounds
+    from 0 between its [Run_start] and [Run_end]; every event inside
+    one (the engine's [--profile] spans included) is offset by the
+    [Run_end] rounds of the segments before it. Events outside
+    segments, such as phase span markers, already carry cumulative
+    rounds and are kept as they are. [Congest.Replay] reads the
+    stream as emitted, not rebased. *)
 
 val chrome_trace : ?process_name:string -> Events.t list -> Json.t
 (** The trace-event JSON document:

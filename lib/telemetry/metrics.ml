@@ -87,8 +87,6 @@ type svalue = SCounter of int | SGauge of float | SHistogram of histogram_stats
 
 type snapshot = (string * svalue) list (* sorted by name *)
 
-let empty : snapshot = []
-
 let snapshot (t : t) : snapshot =
   Hashtbl.fold
     (fun name v acc ->
@@ -108,39 +106,6 @@ let snapshot (t : t) : snapshot =
       (name, sv) :: acc)
     t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merge_buckets a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (le, c) ->
-      Hashtbl.replace tbl le (c + Option.value ~default:0 (Hashtbl.find_opt tbl le)))
-    (a @ b);
-  Hashtbl.fold (fun le c acc -> (le, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merge (a : snapshot) (b : snapshot) : snapshot =
-  let rec go a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | (ka, va) :: ta, (kb, _) :: _ when ka < kb -> (ka, va) :: go ta b
-    | (ka, _) :: _, (kb, vb) :: tb when kb < ka -> (kb, vb) :: go a tb
-    | (k, va) :: ta, (_, vb) :: tb ->
-      let v =
-        match (va, vb) with
-        | SCounter x, SCounter y -> SCounter (x + y)
-        | SGauge _, SGauge y -> SGauge y
-        | SHistogram x, SHistogram y ->
-          SHistogram
-            { count = x.count + y.count;
-              sum = x.sum + y.sum;
-              min_v = min x.min_v y.min_v;
-              max_v = max x.max_v y.max_v;
-              buckets = merge_buckets x.buckets y.buckets }
-        | _ -> invalid_arg (Printf.sprintf "Metrics.merge: kind mismatch for %s" k)
-      in
-      (k, v) :: go ta tb
-  in
-  go a b
 
 let names (s : snapshot) = List.map fst s
 

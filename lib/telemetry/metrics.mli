@@ -3,10 +3,9 @@
 
     A registry is a mutable table keyed by metric name; the first
     operation on a name fixes its kind and a later operation of a
-    different kind raises [Invalid_argument]. Snapshots are immutable
-    and mergeable, so per-substrate registries (congest rounds, qsim
-    oracle calls, dqo ledger rounds) can be combined into one
-    machine-readable artifact.
+    different kind raises [Invalid_argument]. A snapshot is an
+    immutable copy of a registry, the form every exporter reads; a
+    report over many jobs feeds them all into one registry.
 
     Naming convention: dot-separated [subsystem.metric] (for example
     [congest.rounds], [qsim.bbht.oracle_calls], [dqo.search_rounds]);
@@ -37,13 +36,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Immutable copy of the registry, names sorted. *)
-
-val merge : snapshot -> snapshot -> snapshot
-(** Counters and histogram buckets add; for a gauge present on both
-    sides the right-hand value wins. Raises [Invalid_argument] on a
-    kind mismatch for the same name. *)
-
-val empty : snapshot
 
 val names : snapshot -> string list
 

@@ -23,8 +23,11 @@
    that keeps `within: true` over a forged estimate must exit 1.
 
    Run via `dune build @cli-exit-codes` (also under `dune runtest`);
-   argv.(1) is the CLI executable. The driver links the harness
-   library so it can fabricate specs and checkpoint rows directly. *)
+   argv.(1) is the CLI executable and argv.(2) the pinned ci-smoke
+   store, from which it builds two stores with one broken row each
+   that every store reader must count alike. The driver links the
+   harness library so it can fabricate specs and checkpoint rows
+   directly. *)
 
 let failures = ref 0
 
@@ -172,9 +175,97 @@ let check_trace exe dir =
         end)
       verdicts
 
+(* Two ci-smoke stores that each hold one row that is not a whole
+   row: the first n = 32 thm11-diameter row loses its status in one
+   and carries rounds "lots" in the other. Every reader must count it
+   as a failed job: `sweep report` (ok 35, failed 1, missing 0), `top`
+   (ok 35 fail 1 timeout 0), `sweep run` (exit 1, nothing executed)
+   and `check sweep` (exit 1, a corrupt-row naming the field). The
+   stores are built with Store.append, which checks only the id. *)
+let check_bad_stores exe dir golden =
+  let module H = Telemetry.Json in
+  let spec = Harness.Spec.ci_smoke in
+  let victim =
+    List.find
+      (fun (j : Harness.Spec.job) ->
+        j.Harness.Spec.algo = Harness.Spec.Thm11_diameter && j.Harness.Spec.n = 32)
+      (Harness.Spec.jobs spec)
+  in
+  let rows = Harness.Store.rows (Harness.Store.load ~lock:false ~path:golden ()) in
+  let capture cmd =
+    let out = Filename.concat dir "bad-store.out" in
+    let rc = Sys.command (Printf.sprintf "%s > %s 2> /dev/null" cmd (Filename.quote out)) in
+    (rc, In_channel.with_open_bin out In_channel.input_all)
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (field, edit) ->
+      let path = Filename.concat dir (Printf.sprintf "bad-%s.jsonl" field) in
+      let store = Harness.Store.load ~path () in
+      List.iter
+        (fun (id, raw) ->
+          let raw =
+            if id <> victim.Harness.Spec.id then raw
+            else
+              match H.parse_exn raw with
+              | H.Obj fields -> H.print (H.Obj (edit fields))
+              | _ -> raw
+          in
+          Harness.Store.append store ~id raw)
+        rows;
+      Harness.Store.close store;
+      let store = Filename.quote path in
+      let on = Printf.sprintf "--builtin ci-smoke --store %s" store in
+      let report_rc, report = capture (Printf.sprintf "%s sweep report %s" exe on) in
+      let count name =
+        Option.bind (H.member name (H.parse_exn report)) H.to_int_opt
+      in
+      let _, top = capture (Printf.sprintf "%s top %s --total 36" exe store) in
+      let run_rc, run = capture (Printf.sprintf "%s sweep run %s" exe on) in
+      let check_rc, _ = capture (Printf.sprintf "%s check sweep %s" exe on) in
+      let corrupt =
+        let cert =
+          H.parse_exn
+            (In_channel.with_open_bin (Filename.concat dir "ci-smoke.check.json")
+               In_channel.input_all)
+        in
+        let list name v = Option.value ~default:[] (Option.bind (H.member name v) H.to_list_opt) in
+        let violations = List.concat_map (list "violations") (list "certificates" cert) in
+        List.exists
+          (fun v ->
+            H.member "code" v = Some (H.Str "corrupt-row")
+            && Option.fold ~none:false ~some:(fun d -> contains d field)
+                 (Option.bind (H.member "detail" v) H.to_string_opt))
+          violations
+      in
+      List.iter
+        (fun (what, ok) ->
+          if ok then Printf.printf "ok   bad %-7s %s\n%!" field what
+          else begin
+            Printf.printf "FAIL bad %-7s %s\n%!" field what;
+            incr failures
+          end)
+        [
+          ("sweep report: ok 35, failed 1, missing 0",
+           report_rc = 0 && count "ok" = Some 35 && count "failed" = Some 1
+           && count "missing" = Some 0);
+          ("top: ok 35 fail 1 timeout 0", contains top "ok 35 fail 1 timeout 0");
+          ("sweep run: exit 1, nothing executed", run_rc = 1 && contains run "executed 0 job(s)");
+          ("check sweep: exit 1, corrupt-row names " ^ field, check_rc = 1 && corrupt);
+        ])
+    [
+      ("status", List.filter (fun (k, _) -> k <> "status"));
+      ("rounds",
+       List.map (fun (k, v) -> if k = "rounds" then (k, Telemetry.Json.str "lots") else (k, v)));
+    ]
+
 let () =
-  if Array.length Sys.argv < 2 then begin
-    prerr_endline "usage: cli_exit_smoke <qcongest-cli-exe>";
+  if Array.length Sys.argv < 3 then begin
+    prerr_endline "usage: cli_exit_smoke <qcongest-cli-exe> <ci-smoke-store>";
     exit 2
   end;
   let exe = Filename.quote Sys.argv.(1) in
@@ -297,6 +388,7 @@ let () =
   expect ~what:"trace with every adversary flag at 0" 0
     (graph "trace --family ring --n 12 --drop 0 --dup 0 --delay 0");
   check_trace exe dir;
+  check_bad_stores exe dir Sys.argv.(2);
   (* The algorithms that run on one node keep running. *)
   expect ~what:"classical on 1 node" 0 (graph "classical --family gnp --n 1");
   expect ~what:"faults on 1 node" 0 (graph "faults --family gnp --n 1");

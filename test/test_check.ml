@@ -282,7 +282,9 @@ let forge_within row =
   row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"
 
 let bend_exact = set_number "exact" "99999"
-let fail_row = replace ~sub:"\"status\":\"ok\"" ~by:"\"status\":\"failed\""
+let fail_row =
+  replace ~sub:"\"status\":\"ok\""
+    ~by:"\"status\":\"failed\",\"error\":{\"kind\":\"exception\",\"message\":\"injected\"}"
 let corrupt_row = replace ~sub:"\"within\":true" ~by:"\"within\":\"yes\""
 
 (* A copy of [store] with [edit] applied to the row of the [i]-th job;

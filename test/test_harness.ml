@@ -683,6 +683,59 @@ let prop_kill_corrupt_resume =
 
 (* ------------------------------ Suite ------------------------------ *)
 
+(* ------------------------------- Rows ------------------------------ *)
+
+(* The ci-smoke checkpoint store as pinned under test/cli_golden (a
+   dependency of this test, copied next to its executable). *)
+let ci_smoke_rows () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "cli_golden/ci-smoke.jsonl.expected"
+  in
+  Harness.Store.rows (Harness.Store.load ~lock:false ~path ())
+
+(* The reprint rule: every ci-smoke row reads, and printing the row it
+   reads gives back its bytes. *)
+let test_row_reprint () =
+  let rows = ci_smoke_rows () in
+  check "every ci-smoke job" (List.length (Harness.Spec.jobs Harness.Spec.ci_smoke))
+    (List.length rows);
+  List.iter
+    (fun (id, raw) ->
+      match Harness.Runner.row_of_string raw with
+      | Ok row -> checks ("reprint " ^ id) raw (J.print (Harness.Runner.row_to_json row))
+      | Error _ -> Alcotest.failf "row %s does not read" id)
+    rows
+
+(* A line that is not a whole row reads as the reason why. *)
+let test_row_errors () =
+  let raw = snd (List.hd (ci_smoke_rows ())) in
+  let edit f =
+    match J.parse_exn raw with J.Obj fields -> J.print (J.Obj (f fields)) | _ -> assert false
+  in
+  let without key = List.filter (fun (k, _) -> k <> key) in
+  let set key v = List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) in
+  let reads s = Harness.Runner.row_of_string s in
+  checkb "unparseable" true
+    (match reads (String.sub raw 0 20) with
+    | Error (Harness.Runner.Unparseable _) -> true
+    | _ -> false);
+  checkb "no status" true (reads (edit (without "status")) = Error Harness.Runner.No_status);
+  checkb "mistyped rounds" true
+    (reads (edit (set "rounds" (J.str "lots"))) = Error (Harness.Runner.Bad_field "rounds"));
+  checkb "missing within" true
+    (reads (edit (without "within")) = Error (Harness.Runner.Bad_field "within"));
+  checkb "unknown status" true
+    (reads (edit (set "status" (J.str "quarantined")))
+    = Error (Harness.Runner.Bad_field "status"));
+  checkb "failed row without its error" true
+    (reads (edit (set "status" (J.str "failed"))) = Error (Harness.Runner.Bad_field "error"));
+  checkb "unknown algorithm" true
+    (reads (edit (set "algo" (J.str "nosuch"))) = Error (Harness.Runner.Bad_field "algo"));
+  checkb "other schema" true
+    (reads (edit (set "schema" (J.str "qcongest-sweep-row/v1")))
+    = Error (Harness.Runner.Bad_field "schema"));
+  checkb "not an object" true (reads "[1,2]" = Error Harness.Runner.No_status)
+
 let () =
   Alcotest.run "harness"
     [
@@ -727,5 +780,7 @@ let () =
           Alcotest.test_case "rejects bad deadline" `Quick test_runner_rejects_bad_deadline;
           Alcotest.test_case "failed rows degrade" `Slow test_runner_failed_rows_degrade;
           QCheck_alcotest.to_alcotest prop_kill_corrupt_resume;
+          Alcotest.test_case "row reprint" `Quick test_row_reprint;
+          Alcotest.test_case "row errors" `Quick test_row_errors;
         ] );
     ]

@@ -391,13 +391,33 @@ let test_gate_guards () =
 
 (* ------------------------------ Monitor ----------------------------- *)
 
+(* A whole checkpoint row, printed by the runner's one writer. *)
+let whole_row id outcome =
+  T.Json.print
+    (Harness.Runner.row_to_json
+       { Harness.Runner.id; algo = Harness.Spec.Classical_diameter; n = 8; n_actual = 8;
+         seed = 1; attempts = 1; outcome })
+
+let ok_row id =
+  whole_row id
+    (Harness.Runner.Succeeded
+       { result =
+           { Harness.Runner.rounds = 3; messages = 9; estimate = 4.0; exact = 4; within = true;
+             note = "" };
+         ratio = 1.0 })
+
+let error_row id kind =
+  let error = { Harness.Runner.kind; detail = [] } in
+  whole_row id
+    (if kind = "deadline" then Harness.Runner.Timed_out error else Harness.Runner.Failed error)
+
 let test_monitor_of_rows () =
   let rows =
     [
-      ("j1", "{\"status\":\"ok\"}");
-      ("j2", "{\"status\":\"ok\"}");
-      ("j3", "{\"status\":\"failed\"}");
-      ("j4", "{\"status\":\"timeout\"}");
+      ("j1", ok_row "j1");
+      ("j2", ok_row "j2");
+      ("j3", error_row "j3" "exception");
+      ("j4", error_row "j4" "deadline");
       ("j5", "not json");
     ]
   in
@@ -450,10 +470,8 @@ let test_monitor_observe_store () =
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "sweep.jsonl" in
   let store = Harness.Store.load ~path () in
-  Harness.Store.append store ~id:"a"
-    T.Json.(print (obj [ ("id", str "a"); ("status", str "ok") ]));
-  Harness.Store.append store ~id:"b"
-    T.Json.(print (obj [ ("id", str "b"); ("status", str "failed") ]));
+  Harness.Store.append store ~id:"a" (ok_row "a");
+  Harness.Store.append store ~id:"b" (error_row "b" "exception");
   Harness.Store.close store;
   let s = P.Monitor.observe ~total:4 ~path () in
   check "settled" 2 s.P.Monitor.settled;

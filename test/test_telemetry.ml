@@ -282,19 +282,17 @@ let test_metrics_percentiles () =
   | Some h -> Alcotest.(check (option int)) "single sample" (Some 1) (T.Metrics.percentile h 99.0)
   | None -> Alcotest.fail "single-sample histogram missing"
 
-let test_metrics_merge () =
-  let m1 = T.Metrics.create () and m2 = T.Metrics.create () in
-  T.Metrics.add m1 "c" 3;
-  T.Metrics.add m2 "c" 4;
-  T.Metrics.add m2 "only2" 1;
-  T.Metrics.set_gauge m1 "g" 1.0;
-  T.Metrics.set_gauge m2 "g" 9.0;
-  T.Metrics.observe m1 "h" 2;
-  T.Metrics.observe m2 "h" 5;
-  let s = T.Metrics.merge (T.Metrics.snapshot m1) (T.Metrics.snapshot m2) in
+let test_metrics_json () =
+  let m = T.Metrics.create () in
+  T.Metrics.add m "c" 3;
+  T.Metrics.add m "c" 4;
+  T.Metrics.set_gauge m "g" 1.0;
+  T.Metrics.set_gauge m "g" 9.0;
+  T.Metrics.observe m "h" 2;
+  T.Metrics.observe m "h" 5;
+  let s = T.Metrics.snapshot m in
   Alcotest.(check (option int)) "counters add" (Some 7) (T.Metrics.counter_value s "c");
-  Alcotest.(check (option int)) "one-sided kept" (Some 1) (T.Metrics.counter_value s "only2");
-  Alcotest.(check (option (float 1e-9))) "gauge right wins" (Some 9.0)
+  Alcotest.(check (option (float 1e-9))) "gauge last write wins" (Some 9.0)
     (T.Metrics.gauge_value s "g");
   (match T.Metrics.histogram_stats s "h" with
   | Some h ->
@@ -302,10 +300,18 @@ let test_metrics_merge () =
     check "hist sum" 7 h.T.Metrics.sum;
     check "hist min" 2 h.T.Metrics.min_v;
     check "hist max" 5 h.T.Metrics.max_v
-  | None -> Alcotest.fail "merged histogram missing");
+  | None -> Alcotest.fail "histogram missing");
   let json = T.Json.print (T.Metrics.to_json s) in
   checkb "json has counter" true (contains json "\"c\":{\"type\":\"counter\",\"value\":7}");
   checkb "json has buckets" true (contains json "\"buckets\":[")
+
+(* A wall-clock stamp survives the JSON number rule (9 significant
+   digits) to the microsecond. *)
+let test_wall_clock_prints () =
+  let reading = T.Clock.now T.Clock.wall in
+  match T.Json.to_float_opt (T.Json.parse_exn (T.Json.print (T.Json.float reading))) with
+  | Some back -> checkb "within 1e-6 s" true (Float.abs (back -. reading) <= 1e-6)
+  | None -> Alcotest.fail "not a number"
 
 (* ------------------------------- Events ---------------------------- *)
 
@@ -521,6 +527,58 @@ let test_chrome_trace_structure () =
   checkb "has counter track" true (contains chrome "\"active_nodes\"");
   checkb "valid nesting of quotes" true (String.length chrome > 100)
 
+(* Two engine segments of 2 and 1 rounds, each inside a phase span
+   whose markers count cumulative rounds: the exporters draw the second
+   segment after the first, on the markers' clock. *)
+let test_exporters_one_clock () =
+  let stream =
+    [
+      E.Span_begin { name = "a"; round = 0; wall_s = 0.0 };
+      E.Run_start { protocol = "p"; n = 2; bandwidth = 1 };
+      E.Round_start { round = 0; active = 2 };
+      E.Message { round = 0; src = 0; dst = 1; words = 1 };
+      E.Round_start { round = 1; active = 1 };
+      E.Message { round = 1; src = 1; dst = 0; words = 1 };
+      E.Round_start { round = 2; active = 1 };
+      E.Run_end { round = 2 };
+      E.Span_end { name = "a"; round = 2; wall_s = 0.0 };
+      E.Span_begin { name = "b"; round = 2; wall_s = 0.0 };
+      E.Run_start { protocol = "q"; n = 2; bandwidth = 1 };
+      E.Round_start { round = 0; active = 2 };
+      E.Message { round = 0; src = 0; dst = 1; words = 2 };
+      E.Fault { round = 0; node = 0; peer = 1; kind = E.Delay 1 };
+      E.Deliver { round = 1; src = 0; dst = 1 };
+      E.Round_start { round = 1; active = 1 };
+      E.Run_end { round = 1 };
+      E.Span_end { name = "b"; round = 3; wall_s = 0.0 };
+    ]
+  in
+  checks "timeline rows 0-3"
+    "round,active,messages,words,delivers,faults\n0,2,1,1,0,0\n1,1,1,1,0,0\n2,3,1,2,0,1\n\
+     3,1,0,0,1,0\n"
+    (T.Export.timeline_csv stream);
+  let events =
+    match T.Json.member "traceEvents" (T.Export.chrome_trace stream) with
+    | Some (T.Json.Arr l) -> l
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  let ts name =
+    List.filter_map
+      (fun e ->
+        if T.Json.member "name" e = Some (T.Json.Str name) then
+          Option.bind (T.Json.member "ts" e) T.Json.to_int_opt
+        else None)
+      events
+  in
+  Alcotest.(check (list int)) "run_start at each segment's start" [ 0; 2000 ] (ts "run_start");
+  Alcotest.(check (list int)) "run_end at each segment's end" [ 2000; 3000 ] (ts "run_end");
+  Alcotest.(check (list int)) "samples on the same clock" [ 0; 1000; 2000; 2000; 3000 ]
+    (ts "active_nodes");
+  Alcotest.(check (list int)) "span b around its segment" [ 2000; 3000 ] (ts "b");
+  Alcotest.(check (list int)) "the delay where it happened" [ 2000 ] (ts "fault:delay");
+  let markers = List.filter (function E.Span_begin _ | E.Span_end _ -> true | _ -> false) in
+  checkb "markers outside segments kept" true (markers (T.Export.rebase stream) = markers stream)
+
 let test_chrome_trace_unbalanced () =
   (* A stream that ends inside two open spans, plus one stray close:
      the exporter must stay balanced by construction (synthetic E
@@ -586,6 +644,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "int exactness boundary" `Quick test_json_int_exactness_boundary;
+          Alcotest.test_case "wall clock stamp reprints" `Quick test_wall_clock_prints;
           QCheck_alcotest.to_alcotest prop_json_int_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_print_parse_fixed_point;
@@ -595,7 +654,7 @@ let () =
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_gauges;
           Alcotest.test_case "histogram log buckets" `Quick test_metrics_histogram_buckets;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
-          Alcotest.test_case "merge and json" `Quick test_metrics_merge;
+          Alcotest.test_case "snapshot json" `Quick test_metrics_json;
         ] );
       ( "events",
         [
@@ -616,6 +675,7 @@ let () =
           Alcotest.test_case "csv exporters" `Quick test_csv_exporters;
           Alcotest.test_case "chrome trace structure" `Quick test_chrome_trace_structure;
           Alcotest.test_case "chrome trace unbalanced repair" `Quick test_chrome_trace_unbalanced;
+          Alcotest.test_case "one round clock" `Quick test_exporters_one_clock;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
         ] );
       ( "phase spans",
