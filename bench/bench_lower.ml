@@ -107,7 +107,7 @@ let server_sim () =
                   on_round =
                     (fun view ~round:_ s ~inbox ->
                       let best =
-                        List.fold_left (fun a { Congest.Engine.msg; _ } -> max a msg) (-1) inbox
+                        Congest.Engine.Inbox.fold (fun a ~src:_ ~w:_ m -> max a m) (-1) inbox
                       in
                       if best > 0 && best - 1 > s then
                         ( best - 1,
@@ -147,9 +147,7 @@ let server_sim () =
                   on_round =
                     (fun view ~round s ~inbox ->
                       let cand =
-                        List.fold_left
-                          (fun a { Congest.Engine.msg; _ } -> min a (msg + 1))
-                          s inbox
+                        Congest.Engine.Inbox.fold (fun a ~src:_ ~w:_ m -> min a (m + 1)) s inbox
                       in
                       if cand < s && cand = round && cand < max_t - 1 then
                         ( cand,

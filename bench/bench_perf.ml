@@ -52,9 +52,9 @@ let relay_protocol : (int, int) Congest.Engine.protocol =
         else (-1, Congest.Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
-        match inbox with
-        | [] -> (s, Congest.Engine.no_action)
-        | { Congest.Engine.msg; _ } :: _ ->
+        if Congest.Engine.Inbox.length inbox = 0 then (s, Congest.Engine.no_action)
+        else
+          let msg = Congest.Engine.Inbox.msg inbox 0 in
           let next = view.Congest.Node_view.id + 1 in
           if next < view.Congest.Node_view.n then
             (msg + 1, Congest.Engine.send [ (next, msg + 1) ])
@@ -76,9 +76,9 @@ let flood_protocol : (int, int) Congest.Engine.protocol =
         else (-1, Congest.Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
-        if s >= 0 || inbox = [] then (s, Congest.Engine.no_action)
+        if s >= 0 || Congest.Engine.Inbox.length inbox = 0 then (s, Congest.Engine.no_action)
         else
-          let lvl = List.fold_left (fun acc e -> min acc e.Congest.Engine.msg) max_int inbox in
+          let lvl = Congest.Engine.Inbox.fold (fun acc ~src:_ ~w:_ m -> min acc m) max_int inbox in
           let nbrs = view.Congest.Node_view.neighbors in
           (lvl, Congest.Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, lvl + 1)) nbrs))));
   }

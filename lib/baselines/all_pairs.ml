@@ -1,9 +1,12 @@
 type msg = { src_node : int; dist : int }
 
+(* A node's knowledge, per source id: [best] is its best distance and
+   [queued] the distance of its queued token, [Graphlib.Dist.inf] for
+   none. *)
 type state = {
-  table : (int, int) Hashtbl.t; (* source -> best distance *)
+  best : Graphlib.Dist.t array;
+  queued : Graphlib.Dist.t array;
   queue : msg Queue.t; (* tokens awaiting broadcast *)
-  queued : (int, int) Hashtbl.t; (* source -> dist currently queued *)
   mutable sent : int;
 }
 
@@ -16,27 +19,26 @@ type output = {
 (* Enqueue a token for broadcast, replacing any staler queued token for
    the same source (keeps queues short and the protocol at one
    broadcast per improvement chain). *)
-let enqueue st m =
-  match Hashtbl.find_opt st.queued m.src_node with
-  | Some d when d <= m.dist -> ()
-  | _ ->
-    Hashtbl.replace st.queued m.src_node m.dist;
+let enqueue st (m : msg) =
+  if m.dist < st.queued.(m.src_node) then begin
+    st.queued.(m.src_node) <- m.dist;
     Queue.add m st.queue
+  end
 
 let rec next_fresh st =
   match Queue.take_opt st.queue with
   | None -> None
-  | Some m ->
+  | Some (m : msg) ->
     (* Skip tokens superseded by a better queued/known distance. *)
-    (match (Hashtbl.find_opt st.queued m.src_node, Hashtbl.find_opt st.table m.src_node) with
-    | Some q, Some best when q = m.dist && best = m.dist ->
-      Hashtbl.remove st.queued m.src_node;
+    if st.queued.(m.src_node) = m.dist && st.best.(m.src_node) = m.dist then begin
+      st.queued.(m.src_node) <- Graphlib.Dist.inf;
       Some m
-    | _ -> next_fresh st)
+    end
+    else next_fresh st
 
-let protocol ~sources : (state, msg) Congest.Engine.protocol =
-  let source_set = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace source_set s ()) sources;
+let protocol ~n ~sources : (state, msg) Congest.Engine.protocol =
+  let is_source = Array.make n false in
+  List.iter (fun s -> is_source.(s) <- true) sources;
   let flush st ~round =
     match next_fresh st with
     | None -> (st, Congest.Engine.no_action)
@@ -51,44 +53,40 @@ let protocol ~sources : (state, msg) Congest.Engine.protocol =
     init =
       (fun view ->
         let st =
-          { table = Hashtbl.create 64; queue = Queue.create (); queued = Hashtbl.create 16;
-            sent = 0 }
+          {
+            best = Array.make n Graphlib.Dist.inf;
+            queued = Array.make n Graphlib.Dist.inf;
+            queue = Queue.create ();
+            sent = 0;
+          }
         in
         let me = view.Congest.Node_view.id in
-        if Hashtbl.mem source_set me then begin
-          Hashtbl.replace st.table me 0;
+        if is_source.(me) then begin
+          st.best.(me) <- 0;
           enqueue st { src_node = me; dist = 0 }
         end;
         flush st ~round:0);
     on_round =
       (fun _ ~round st ~inbox ->
-        List.iter
-          (fun { Congest.Engine.w; msg = { src_node; dist }; _ } ->
-            let cand = dist + w in
-            let better =
-              match Hashtbl.find_opt st.table src_node with
-              | Some best -> cand < best
-              | None -> true
-            in
-            if better then begin
-              Hashtbl.replace st.table src_node cand;
-              enqueue st { src_node; dist = cand }
-            end)
-          inbox;
+        (* The inbox's arrays, read in an index loop: the accessors
+           would be a function call per message. *)
+        let { Congest.Engine.Inbox.length; weight; slot; store; _ } = inbox in
+        for i = 0 to length - 1 do
+          let { src_node; dist } = store.(slot.(i)) in
+          let cand = dist + weight.(i) in
+          if cand < st.best.(src_node) then begin
+            st.best.(src_node) <- cand;
+            enqueue st { src_node; dist = cand }
+          end
+        done;
         flush st ~round);
   }
 
 let run g ~sources =
   let n = Graphlib.Wgraph.n g in
   List.iter (fun s -> if s < 0 || s >= n then invalid_arg "All_pairs.run: source range") sources;
-  let states, trace = Congest.Engine.run ~max_rounds:100_000_000 g (protocol ~sources) in
-  let dist =
-    Array.map
-      (fun st ->
-        Array.init n (fun s ->
-            match Hashtbl.find_opt st.table s with Some d -> d | None -> Graphlib.Dist.inf))
-      states
-  in
+  let states, trace = Congest.Engine.run ~max_rounds:100_000_000 g (protocol ~n ~sources) in
+  let dist = Array.map (fun st -> st.best) states in
   let tokens_sent = Array.fold_left (fun acc st -> acc + st.sent) 0 states in
   { dist; trace; tokens_sent }
 

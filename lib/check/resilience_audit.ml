@@ -85,7 +85,10 @@ let infinite_protocol : (unit, unit) Congest.Engine.protocol =
         else ((), Congest.Engine.no_action));
     on_round =
       (fun _view ~round:_ () ~inbox ->
-        ((), Congest.Engine.send (List.map (fun e -> (e.Congest.Engine.src, ())) inbox)));
+        ( (),
+          Congest.Engine.send
+            (List.init (Congest.Engine.Inbox.length inbox) (fun i ->
+                 (Congest.Engine.Inbox.src inbox i, ()))) ));
   }
 
 (* The round-limit backstop under the planted infinite protocol: if a

@@ -1,5 +1,49 @@
 type 'm envelope = { src : int; w : int; msg : 'm }
 
+module Inbox = struct
+  type 'm t = {
+    mutable length : int;
+    mutable src : int array;
+    mutable weight : int array;
+    mutable slot : int array;
+    mutable store : 'm array;
+  }
+
+  let length ib = ib.length
+
+  let check ib i =
+    if i < 0 || i >= ib.length then invalid_arg "Engine.Inbox: index out of range"
+
+  let src ib i =
+    check ib i;
+    ib.src.(i)
+
+  let weight ib i =
+    check ib i;
+    ib.weight.(i)
+
+  let msg ib i =
+    check ib i;
+    ib.store.(ib.slot.(i))
+
+  let fold f acc ib =
+    let acc = ref acc in
+    for i = 0 to ib.length - 1 do
+      acc := f !acc ~src:ib.src.(i) ~w:ib.weight.(i) ib.store.(ib.slot.(i))
+    done;
+    !acc
+
+  let of_envelopes envs =
+    let a = Array.of_list envs in
+    {
+      length = Array.length a;
+      src = Array.map (fun (e : _ envelope) -> e.src) a;
+      weight = Array.map (fun e -> e.w) a;
+      slot = Array.init (Array.length a) Fun.id;
+      store = Array.map (fun e -> e.msg) a;
+    }
+end
+
 type 'm action = {
   sends : (int * 'm) list;
   broadcast : 'm list;
@@ -17,7 +61,7 @@ type ('s, 'm) protocol = {
   name : string;
   size_words : 'm -> int;
   init : Node_view.t -> 's * 'm action;
-  on_round : Node_view.t -> round:int -> 's -> inbox:'m envelope list -> 's * 'm action;
+  on_round : Node_view.t -> round:int -> 's -> inbox:'m Inbox.t -> 's * 'm action;
 }
 
 type trace = {
@@ -129,44 +173,23 @@ let with_phase_spans f =
   Domain.DLS.set ambient_phase_spans true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_phase_spans prev) f
 
-(* Inboxes are reusable growable buffers: envelopes are appended in
-   arrival order and the live prefix becomes the handler's inbox list
-   once per activation. The buffer keeps its high-water capacity (and
-   the envelopes last stored in it) across rounds — the retention is
-   bounded by the largest inbox ever seen per node. *)
-type 'm mailbox = { mutable data : 'm envelope array; mutable len : int }
+(* One round's messages, each stored once: a broadcast takes one slot
+   however many neighbors receive it, and every receiver's inbox entry
+   names the slot. The buffer keeps its high-water capacity (and the
+   messages last stored in it) across rounds. *)
+type 'm store = { mutable msgs : 'm array; mutable used : int }
 
-let mailbox_push b e =
-  let cap = Array.length b.data in
-  if b.len = cap then begin
-    let data = Array.make (if cap = 0 then 4 else 2 * cap) e in
-    Array.blit b.data 0 data 0 b.len;
-    b.data <- data
+let store_push st m =
+  let cap = Array.length st.msgs in
+  if st.used = cap then begin
+    let msgs = Array.make (if cap = 0 then 8 else 2 * cap) m in
+    Array.blit st.msgs 0 msgs 0 st.used;
+    st.msgs <- msgs
   end;
-  b.data.(b.len) <- e;
-  b.len <- b.len + 1
-
-(* Empty the buffer into an inbox list sorted by sender. Without an
-   adversary the envelopes always arrive in sender order (handlers run
-   in increasing id order), so the list is built straight from the
-   buffer. Delayed deliveries can arrive out of order; they take a
-   stable sort, which keeps each sender's envelopes in arrival order
-   and so matches the reference's rev + stable list sort. *)
-let rec in_sender_order (data : _ envelope array) len i =
-  i >= len || (data.(i - 1).src <= data.(i).src && in_sender_order data len (i + 1))
-
-let rec prefix_to_list data i acc =
-  if i < 0 then acc else prefix_to_list data (i - 1) (data.(i) :: acc)
-
-let mailbox_drain b =
-  let data = b.data and len = b.len in
-  b.len <- 0;
-  if in_sender_order data len 1 then prefix_to_list data (len - 1) []
-  else begin
-    let inbox = Array.sub data 0 len in
-    Array.stable_sort (fun (x : _ envelope) y -> Int.compare x.src y.src) inbox;
-    Array.to_list inbox
-  end
+  let slot = st.used in
+  st.msgs.(slot) <- m;
+  st.used <- slot + 1;
+  slot
 
 (* Tables keyed by round. The hash is the round itself: rounds are
    small non-negative ints, and [Hashtbl.hash] would be a C call on
@@ -190,10 +213,12 @@ end)
    instead of Hashtbl.fold min-scans; and the per-round active-set
    scan over all n inboxes is replaced by a touched-node list.
    A broadcast walks the sender's CSR row, so it needs no arc search,
-   and every envelope takes its weight from the arc it crossed. The
-   active set and the drained inboxes live in arrays reused across
+   and is stored once however many neighbors receive it; a receiver's
+   inbox entry is three ints, with the weight of the arc it crossed.
+   The active set and the mailboxes live in arrays reused across
    rounds, and actions are applied by recursive functions defined once
-   per run, so the loop allocates nothing of its own per activation. *)
+   per run, so the loop allocates nothing of its own per activation or
+   per message. *)
 let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
     ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
@@ -235,20 +260,65 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     done;
     !found
   in
-  let boxes = Array.init n (fun _ -> { data = [||]; len = 0 }) in
+  (* The messages of the round being run (read by its handlers) and of
+     the next round (written by them), by round parity: a message sent
+     in round r is read in round r + 1. *)
+  let stores = [| { msgs = [||]; used = 0 }; { msgs = [||]; used = 0 } |] in
+  (* Mailboxes, also by round parity: node [id]'s inbox for the rounds
+     of parity [p] is box [2 * id + p], one entry per message received,
+     as sender, edge weight and store slot in three parallel arrays.
+     Handlers of round r fill the boxes of parity r + 1 while the boxes
+     of parity r are read, so no round's inbox sees the next round's
+     messages. A box is itself the view its node's handler receives,
+     so an activation writes no pointer unless the store it reads grew.
+     Every box starts as the shared empty [no_mail], which stays empty;
+     a node gets a box of its own on its first message (most nodes of
+     a tree phase receive one or two), and its arrays keep their
+     high-water capacity. *)
+  let no_mail = { Inbox.length = 0; src = [||]; weight = [||]; slot = [||]; store = [||] } in
+  let boxes = Array.make (2 * n) no_mail in
+  let grow (box : _ Inbox.t) len =
+    let extend a =
+      let a' = Array.make (2 * len) 0 in
+      Array.blit a 0 a' 0 len;
+      a'
+    in
+    box.src <- extend box.src;
+    box.weight <- extend box.weight;
+    box.slot <- extend box.slot
+  in
   (* Nodes whose inbox became nonempty since the last activation round,
      in delivery order. Every delivered-to node is activated (and its
-     box drained) at the next chosen round, so this list is exactly the
+     box emptied) at the next chosen round, so this list is exactly the
      nonempty-inbox set when it is consumed. *)
   let touched = Array.make n 0 in
   let n_touched = ref 0 in
-  let inbox_put dst env =
-    let b = boxes.(dst) in
-    if b.len = 0 then begin
+  let post ~parity dst src w slot =
+    let b = (2 * dst) + parity in
+    let box =
+      let box = boxes.(b) in
+      if box != no_mail then box
+      else begin
+        let box =
+          (* Room for one entry, allocated inline: most boxes of a tree
+             phase never grow. *)
+          { Inbox.length = 0; src = [| 0 |]; weight = [| 0 |]; slot = [| 0 |];
+            store = stores.(parity).msgs }
+        in
+        boxes.(b) <- box;
+        box
+      end
+    in
+    let len = box.length in
+    if len = 0 then begin
       touched.(!n_touched) <- dst;
       incr n_touched
     end;
-    mailbox_push b env
+    if len = Array.length box.src then grow box len;
+    box.src.(len) <- src;
+    box.weight.(len) <- w;
+    box.slot.(len) <- slot;
+    box.length <- len + 1
   in
   (* Event calendar: one lazy-deletion min-heap over the rounds that own
      a wake or arrival bucket. A round is pushed when its bucket is
@@ -329,78 +399,92 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       Round_tbl.replace arrivals arrival (ref [ (dst, env) ]);
       Util.Int_heap.push calendar arrival
   in
-  (* Send [msg] from [src] over its arc [a]. *)
-  let deliver ~round src a msg =
-    let dst = csr_dst.(a) in
+  let size_of msg =
     let sz = proto.size_words msg in
     if sz < 1 then invalid_arg (proto.name ^ ": message size < 1 word");
-    incr messages;
-    words := !words + sz;
+    sz
+  in
+  (* The bandwidth ledger: [sz] more words cross arc [a] this round. *)
+  let charge ~round ~sz src a =
+    touch_arc a;
+    let cur' = load.(a) + sz in
+    load.(a) <- cur';
+    if cur' > !max_edge_load then max_edge_load := cur';
+    if cur' > bandwidth then record_violation a;
+    if observed then
+      emit (Telemetry.Events.Message { round; src; dst = csr_dst.(a); words = sz })
+  in
+  (* Send [msg] of [sz] words from [src] over its arcs [first] to
+     [last]: one arc for a send, the whole CSR row for a broadcast.
+     Without an adversary the message is stored once, in the next
+     round's store, and each receiver's entry names its slot. The fault
+     path keeps a copy per receiver instead (its deliveries may be
+     delayed or duplicated), so it stores nothing here. *)
+  let deliver ~round ~sz src ~first ~last msg =
+    let count = last - first + 1 in
+    messages := !messages + count;
+    words := !words + (count * sz);
     any_sends_this_round := true;
     last_send_round := round;
-    let cur = load.(a) in
     match adversary with
     | None ->
-      touch_arc a;
-      let cur' = cur + sz in
-      load.(a) <- cur';
-      if cur' > !max_edge_load then max_edge_load := cur';
-      if cur' > bandwidth then record_violation a;
-      if observed then emit (Telemetry.Events.Message { round; src; dst; words = sz });
-      inbox_put dst { src; w = csr_w.(a); msg }
+      let parity = (round + 1) land 1 in
+      let slot = store_push stores.(parity) msg in
+      for a = first to last do
+        charge ~round ~sz src a;
+        post ~parity csr_dst.(a) src csr_w.(a) slot
+      done
     | Some (f, rng, _) ->
-      if f.Fault.strict_bandwidth && cur + sz > bandwidth then begin
-        (* NIC-enforced bandwidth: the whole message is dropped at the
-           sender; the edge-round is recorded as violated exactly once. *)
-        record_violation a;
-        incr dropped;
-        if observed then
-          emit
-            (Telemetry.Events.Fault
-               { round; node = src; peer = dst; kind = Telemetry.Events.Drop_bandwidth sz })
-      end
-      else begin
-        touch_arc a;
-        let cur' = cur + sz in
-        load.(a) <- cur';
-        if cur' > !max_edge_load then max_edge_load := cur';
-        if cur' > bandwidth then record_violation a;
-        if observed then emit (Telemetry.Events.Message { round; src; dst; words = sz });
-        if f.Fault.drop > 0.0 && Util.Rng.bernoulli rng ~p:f.Fault.drop then begin
+      for a = first to last do
+        let dst = csr_dst.(a) in
+        if f.Fault.strict_bandwidth && load.(a) + sz > bandwidth then begin
+          (* NIC-enforced bandwidth: the whole message is dropped at the
+             sender; the edge-round is recorded as violated exactly once. *)
+          record_violation a;
           incr dropped;
           if observed then
             emit
               (Telemetry.Events.Fault
-                 { round; node = src; peer = dst; kind = Telemetry.Events.Drop_random })
+                 { round; node = src; peer = dst; kind = Telemetry.Events.Drop_bandwidth sz })
         end
         else begin
-          let copies =
-            if f.Fault.duplicate > 0.0 && Util.Rng.bernoulli rng ~p:f.Fault.duplicate then begin
-              incr duplicated;
-              if observed then
-                emit
-                  (Telemetry.Events.Fault
-                     { round; node = src; peer = dst; kind = Telemetry.Events.Duplicate });
-              2
-            end
-            else 1
-          in
-          let env = { src; w = csr_w.(a); msg } in
-          for _ = 1 to copies do
-            let jitter =
-              if f.Fault.delay > 0 then Util.Rng.int_in rng ~lo:0 ~hi:f.Fault.delay else 0
+          charge ~round ~sz src a;
+          if f.Fault.drop > 0.0 && Util.Rng.bernoulli rng ~p:f.Fault.drop then begin
+            incr dropped;
+            if observed then
+              emit
+                (Telemetry.Events.Fault
+                   { round; node = src; peer = dst; kind = Telemetry.Events.Drop_random })
+          end
+          else begin
+            let copies =
+              if f.Fault.duplicate > 0.0 && Util.Rng.bernoulli rng ~p:f.Fault.duplicate then begin
+                incr duplicated;
+                if observed then
+                  emit
+                    (Telemetry.Events.Fault
+                       { round; node = src; peer = dst; kind = Telemetry.Events.Duplicate });
+                2
+              end
+              else 1
             in
-            if jitter > 0 then begin
-              incr delayed;
-              if observed then
-                emit
-                  (Telemetry.Events.Fault
-                     { round; node = src; peer = dst; kind = Telemetry.Events.Delay jitter })
-            end;
-            enqueue_arrival ~arrival:(round + 1 + jitter) dst env
-          done
+            let env = { src; w = csr_w.(a); msg } in
+            for _ = 1 to copies do
+              let jitter =
+                if f.Fault.delay > 0 then Util.Rng.int_in rng ~lo:0 ~hi:f.Fault.delay else 0
+              in
+              if jitter > 0 then begin
+                incr delayed;
+                if observed then
+                  emit
+                    (Telemetry.Events.Fault
+                       { round; node = src; peer = dst; kind = Telemetry.Events.Delay jitter })
+              end;
+              enqueue_arrival ~arrival:(round + 1 + jitter) dst env
+            done
+          end
         end
-      end
+      done
   in
   let rec deliver_sends ~round src = function
     | [] -> ()
@@ -408,17 +492,17 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       let a = arc_of ~src ~dst in
       if a < 0 then
         invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
-      deliver ~round src a msg;
+      deliver ~round ~sz:(size_of msg) src ~first:a ~last:a msg;
       deliver_sends ~round src rest
   in
   (* Each message to every neighbor in increasing id order: the CSR
-     row is sorted, so this is the order of the equivalent sends. *)
+     row is sorted, so this is the order of the equivalent sends. The
+     message is sized and stored once, whatever the degree. *)
   let rec deliver_broadcast ~round src = function
     | [] -> ()
     | msg :: rest ->
-      for a = row_start.(src) to row_start.(src + 1) - 1 do
-        deliver ~round src a msg
-      done;
+      let first = row_start.(src) and last = row_start.(src + 1) - 1 in
+      if first <= last then deliver ~round ~sz:(size_of msg) src ~first ~last msg;
       deliver_broadcast ~round src rest
   in
   let apply ~round id act =
@@ -426,14 +510,17 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     deliver_broadcast ~round id act.broadcast;
     schedule_wakes round id act.wakes
   in
-  (* Move every message due at round [r] into its inbox; messages to a
-     node already crashed at [r] are lost. Returns [true] if anything
-     was delivered. *)
+  (* Move every message due at round [r] into its inbox, each copy in a
+     slot of its own in round [r]'s store; messages to a node already
+     crashed at [r] are lost. Returns [true] if anything was
+     delivered. *)
   let flush_arrivals r =
     match Round_tbl.find_opt arrivals r with
     | None -> false
     | Some l ->
       Round_tbl.remove arrivals r;
+      let store = stores.(r land 1) in
+      store.used <- 0;
       let delivered = ref false in
       List.iter
         (fun (dst, env) ->
@@ -449,7 +536,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
             if r > !last_arrival_round then last_arrival_round := r;
             if observed then
               emit (Telemetry.Events.Deliver { round = r; src = env.src; dst });
-            inbox_put dst env
+            post ~parity:(r land 1) dst env.src env.w (store_push store env.msg)
           end)
         (List.rev !l);
       !delivered
@@ -492,13 +579,32 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   for id = 1 to n - 1 do
     states.(id) <- init id
   done;
-  (* The active set of the round being run, ascending, and each active
-     node's drained inbox at the same index; [stamp.(id)] is the last
-     round [id] joined the set. All three are reused across rounds. *)
+  (* The active set of the round being run, ascending; [stamp.(id)] is
+     the last round [id] joined the set. Both are reused across
+     rounds. *)
   let active = Array.make n 0 in
   let n_active = ref 0 in
-  let inboxes = Array.make n [] in
   let stamp = Array.make n (-1) in
+  (* Without an adversary a box fills in sender order (handlers run in
+     increasing id order). Delayed deliveries can arrive out of order;
+     they take a stable sort by sender, which keeps each sender's
+     messages in arrival order and so matches the reference's rev +
+     stable list sort. *)
+  let sort_box (box : _ Inbox.t) =
+    let len = box.length and src = box.src in
+    let rec in_order i = i >= len || (src.(i - 1) <= src.(i) && in_order (i + 1)) in
+    if not (in_order 1) then begin
+      let order = Array.init len Fun.id in
+      Array.stable_sort (fun i j -> Int.compare src.(i) src.(j)) order;
+      let permute a =
+        let sorted = Array.map (fun i -> a.(i)) order in
+        Array.blit sorted 0 a 0 len
+      in
+      permute src;
+      permute box.weight;
+      permute box.slot
+    end
+  in
   let join r id =
     if stamp.(id) <> r then begin
       stamp.(id) <- r;
@@ -613,21 +719,29 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       collect_active r ~from_inboxes:(flushed || (fault_free && r = !round + 1));
       let k = !n_active in
       if observed then emit (Telemetry.Events.Round_start { round = r; active = k });
-      (* Drain every active inbox before running handlers so that
-         messages sent in round r arrive in round r+1. *)
-      for i = 0 to k - 1 do
-        inboxes.(i) <- mailbox_drain boxes.(active.(i))
-      done;
+      let parity = r land 1 in
+      if not fault_free then
+        for i = 0 to k - 1 do
+          sort_box boxes.((2 * active.(i)) + parity)
+        done;
       if spans then span_end "engine.delivery" r;
       round := r;
       reset_round_ledger ();
       any_sends_this_round := false;
+      (* Handlers read this round's store and boxes and write the
+         other parity's, so messages sent in round r arrive in round
+         r+1. *)
+      let store = stores.(parity) in
+      stores.(1 - parity).used <- 0;
       if spans then span_begin "engine.compute" r;
       for i = 0 to k - 1 do
-        let id = active.(i) and inbox = inboxes.(i) in
-        inboxes.(i) <- [];
+        let id = active.(i) in
+        let box = boxes.((2 * id) + parity) in
+        (* The store's array changes only when it grows. *)
+        if box.length > 0 && box.store != store.msgs then box.store <- store.msgs;
         incr activations;
-        let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
+        let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox:box in
+        box.length <- 0;
         states.(id) <- s';
         apply ~round:r id act
       done;

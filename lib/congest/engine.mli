@@ -22,12 +22,58 @@
 
 type 'm envelope = {
   src : int;  (** The sender. *)
-  w : int;
-      (** The weight of the edge the message crossed, [src] to the
-          receiver: the engine reads it from the arc it delivers on,
-          so a handler needs no lookup of its own. *)
+  w : int;  (** The weight of the edge the message crossed, [src] to the receiver. *)
   msg : 'm;
 }
+(** One received message, as {!Inbox.of_envelopes} takes it. *)
+
+(** What a handler receives: a view of the node's inbox for one
+    activation.
+
+    Entry [i], for [0 <= i < length], is one message: its sender
+    [src.(i)], the weight [weight.(i)] of the edge it crossed (the
+    engine reads it from the arc it delivers on, so a handler needs no
+    lookup of its own) and the message [store.(slot.(i))]. Entries are
+    sorted by sender id, and one sender's messages keep the order they
+    were sent in.
+
+    The engine stores each message once per round, however many
+    neighbors receive it, and gives each receiver three ints for its
+    arc: sender, weight and store slot. The view is backed by the engine's reused buffers, so it is
+    valid only during the call it is passed to: a handler that keeps a
+    message keeps the message, never the view. The arrays may be longer
+    than [length]; entries past it are not part of the inbox.
+
+    The fields are readable for handlers that loop over the inbox (the
+    accessors below are function calls, which a hot handler may not
+    want per message); only the engine and {!of_envelopes} build
+    one. *)
+module Inbox : sig
+  type 'm t = private {
+    mutable length : int;
+    mutable src : int array;
+    mutable weight : int array;
+    mutable slot : int array;
+    mutable store : 'm array;
+  }
+
+  val length : 'm t -> int
+
+  val src : 'm t -> int -> int
+  (** [src ib i] is entry [i]'s sender. All three accessors raise
+      [Invalid_argument] unless [0 <= i < length ib]. *)
+
+  val weight : 'm t -> int -> int
+  val msg : 'm t -> int -> 'm
+
+  val fold : ('a -> src:int -> w:int -> 'm -> 'a) -> 'a -> 'm t -> 'a
+  (** Left fold over the entries, in sender order. *)
+
+  val of_envelopes : 'm envelope list -> 'm t
+  (** A fresh inbox holding the envelopes in the order given (callers
+      pass them sorted by sender): {!Reliable}'s inner inbox, and test
+      engines that hand a protocol its inbox themselves. *)
+end
 
 type 'm action = {
   sends : (int * 'm) list;  (** [(neighbor, message)] pairs. *)
@@ -54,9 +100,10 @@ type ('s, 'm) protocol = {
       (** Size of a message in CONGEST words; must be [>= 1]. *)
   init : Node_view.t -> 's * 'm action;
       (** Runs at round 0 for every node. *)
-  on_round : Node_view.t -> round:int -> 's -> inbox:'m envelope list -> 's * 'm action;
-      (** Runs whenever the node is active; [inbox] is sorted by
-          sender id. *)
+  on_round : Node_view.t -> round:int -> 's -> inbox:'m Inbox.t -> 's * 'm action;
+      (** Runs whenever the node is active, with the messages sent to
+          it in the previous round (or, under faults, due now), sorted
+          by sender id. *)
 }
 
 type trace = {

@@ -13,8 +13,8 @@ type t = {
   neighbors : (int * int) array;
       (** Incident edges as [(neighbor, weight)], sorted by neighbor id
           (the graph's own adjacency row); do not mutate. A received
-          message carries the weight of the edge it crossed
-          ({!Engine.envelope}), so handlers need no lookup here. *)
+          message comes with the weight of the edge it crossed
+          ({!Engine.Inbox}), so handlers need no lookup here. *)
 }
 
 val degree : t -> int

@@ -181,10 +181,10 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
       (fun view ~round st ~inbox ->
         (* 1. Acknowledgements release pending entries. *)
         let acked =
-          List.filter_map
-            (fun { Engine.src; msg; _ } ->
-              match msg with Ack seq -> Some (src, seq) | Data _ -> None)
-            inbox
+          Engine.Inbox.fold
+            (fun acked ~src ~w:_ msg ->
+              match msg with Ack seq -> (src, seq) :: acked | Data _ -> acked)
+            [] inbox
         in
         let st =
           if acked = [] then st
@@ -195,25 +195,25 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
         in
         (* 2. Every data message is (re-)acknowledged; payloads reach
            the inner protocol exactly once and in per-sender order. *)
-        let ack_sends = ref [] in
-        let streams = ref st.streams in
-        let fresh = ref [] in
-        List.iter
-          (fun { Engine.src; w; msg } ->
-            match msg with
-            | Ack _ -> ()
-            | Data { seq; body } ->
-              ack_sends := (src, Ack seq) :: !ack_sends;
-              let streams', delivered = accept !streams ~src ~seq ~body in
-              streams := streams';
-              List.iter (fun b -> fresh := { Engine.src; w; msg = b } :: !fresh) delivered)
-          inbox;
-        let st = { st with streams = !streams } in
-        let ack_sends = List.rev !ack_sends in
+        let ack_sends, streams, fresh =
+          Engine.Inbox.fold
+            (fun ((ack_sends, streams, fresh) as acc) ~src ~w msg ->
+              match msg with
+              | Ack _ -> acc
+              | Data { seq; body } ->
+                let streams, delivered = accept streams ~src ~seq ~body in
+                let fresh =
+                  List.fold_left (fun fresh b -> { Engine.src; w; msg = b } :: fresh) fresh delivered
+                in
+                ((src, Ack seq) :: ack_sends, streams, fresh))
+            ([], st.streams, []) inbox
+        in
+        let st = { st with streams } in
+        let ack_sends = List.rev ack_sends in
         (* Inbox arrives sorted by src; within one src the deliveries
            are already in sequence order. *)
         let fresh =
-          List.stable_sort (fun a b -> Int.compare a.Engine.src b.Engine.src) (List.rev !fresh)
+          List.stable_sort (fun a b -> Int.compare a.Engine.src b.Engine.src) (List.rev fresh)
         in
         (* 3. Run the inner protocol iff it has input or asked for
            this wake-up (spurious retransmission wakes stay invisible
@@ -222,7 +222,8 @@ let wrap ?(config = default_config) (p : ('s, 'm) Engine.protocol) :
         let st = { st with inner_wakes = List.filter (fun w -> w <> round) st.inner_wakes } in
         let st, data_sends, inner_wakes =
           if fresh <> [] || wants_wake then
-            integrate config view st ~round (p.on_round view ~round st.st_inner ~inbox:fresh)
+            integrate config view st ~round
+              (p.on_round view ~round st.st_inner ~inbox:(Engine.Inbox.of_envelopes fresh))
           else (st, [], [])
         in
         (* 4. Retransmissions due now. *)

@@ -58,8 +58,8 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
            joined); only a claim newer than the last applied one from
            that neighbor takes effect. *)
         let s =
-          List.fold_left
-            (fun s { Engine.src; msg; _ } ->
+          Engine.Inbox.fold
+            (fun s ~src ~w:_ msg ->
               match msg with
               | Level _ -> s
               | Child c | Retract c ->
@@ -76,20 +76,19 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
         in
         if view.Node_view.id = root then (s, Engine.no_action)
         else begin
-          let offers =
-            List.filter_map
-              (fun { Engine.src; msg; _ } ->
-                match msg with Level l -> Some (src, l) | Child _ | Retract _ -> None)
-              inbox
+          (* The best level offer: lowest level, then lowest sender. *)
+          let best =
+            Engine.Inbox.fold
+              (fun best ~src ~w:_ msg ->
+                match (msg, best) with
+                | Level l, None -> Some (src, l)
+                | Level l, Some (bs, bl) when l < bl || (l = bl && src < bs) -> Some (src, l)
+                | _ -> best)
+              None inbox
           in
-          match offers with
-          | [] -> (s, Engine.no_action)
-          | (src0, l0) :: rest ->
-            let parent, l =
-              List.fold_left
-                (fun (bs, bl) (src, l) -> if l < bl || (l = bl && src < bs) then (src, l) else (bs, bl))
-                (src0, l0) rest
-            in
+          match best with
+          | None -> (s, Engine.no_action)
+          | Some (parent, l) ->
             if s.b_level >= 0 && l + 1 >= s.b_level then (s, Engine.no_action)
             else begin
               let my_level = l + 1 in
@@ -138,8 +137,8 @@ let convergecast_protocol tree ~values ~combine ~size_words : ('a cc_state, 'a) 
       (fun view ~round:_ s ~inbox ->
         let me = view.Node_view.id in
         let s =
-          List.fold_left
-            (fun s { Engine.msg; _ } ->
+          Engine.Inbox.fold
+            (fun s ~src:_ ~w:_ msg ->
               { s with cc_acc = combine s.cc_acc msg; cc_waiting = s.cc_waiting - 1 })
             s inbox
         in
@@ -185,7 +184,7 @@ let broadcast_protocol tree ~tokens ~size_words : ('tok bc_state, 'tok) Engine.p
         else ({ bc_received = []; bc_queue = [] }, Engine.no_action));
     on_round =
       (fun view ~round s ~inbox ->
-        let arrivals = List.map (fun { Engine.msg; _ } -> msg) inbox in
+        let arrivals = List.init (Engine.Inbox.length inbox) (Engine.Inbox.msg inbox) in
         let s =
           {
             bc_received = List.rev_append arrivals s.bc_received;
@@ -247,8 +246,8 @@ let upcast_protocol tree ~items ~compare ~size_words :
     on_round =
       (fun view ~round s ~inbox ->
         let s =
-          List.fold_left
-            (fun s { Engine.msg; _ } ->
+          Engine.Inbox.fold
+            (fun s ~src:_ ~w:_ msg ->
               if mem compare msg s.seen then s
               else
                 {
@@ -312,13 +311,37 @@ module Holders = Hashtbl.Make (struct
   let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
 end)
 
-type gather_memo = { g : Graphlib.Wgraph.t; tree : t; traces : Engine.trace Holders.t }
+type gather_memo = {
+  g : Graphlib.Wgraph.t;
+  tree : t;
+  traces : Engine.trace Holders.t;
+  mutable sync : Engine.trace option;
+}
 
-let gather_memo g tree = { g; tree; traces = Holders.create 64 }
+let gather_memo g tree = { g; tree; traces = Holders.create 64; sync = None }
+
+let check_memo ~fn memo g tree =
+  if not (g == memo.g && tree == memo.tree) then
+    invalid_arg (fn ^ ": memo of another graph or tree")
+
+let sync_trace memo g tree =
+  check_memo ~fn:"Tree.sync_trace" memo g tree;
+  match memo.sync with
+  | Some trace -> trace
+  | None ->
+    let _, count =
+      convergecast memo.g memo.tree
+        ~values:(Array.make (Graphlib.Wgraph.n memo.g) 0)
+        ~combine:( + )
+        ~size_words:(fun _ -> 1)
+    in
+    let _, announce = broadcast_tokens memo.g memo.tree ~tokens:[ 0 ] ~size_words:(fun _ -> 1) in
+    let trace = Engine.add_traces count announce in
+    memo.sync <- Some trace;
+    trace
 
 let gather_trace memo g tree ~holders =
-  if not (g == memo.g && tree == memo.tree) then
-    invalid_arg "Tree.gather_trace: memo of another graph or tree";
+  check_memo ~fn:"Tree.gather_trace" memo g tree;
   let key = Array.copy holders in
   Util.Int_heap.sort key (Array.length key);
   match Holders.find_opt memo.traces key with

@@ -136,3 +136,13 @@ val gather_trace : gather_memo -> Graphlib.Wgraph.t -> t -> holders:int array ->
 
     @raise Invalid_argument unless [g] and [tree] are (physically) the
     graph and tree the memo was made for. *)
+
+val sync_trace : gather_memo -> Graphlib.Wgraph.t -> t -> Engine.trace
+(** [sync_trace memo g tree] is the trace of one count-and-announce on
+    the memo's tree (no faults, default bandwidth): a {!convergecast}
+    summing one word per node, then a one-token {!broadcast_tokens}.
+    Its messages do not depend on the values, so the first request runs
+    both protocols and later ones return the stored trace: Algorithm 5
+    charges it once per overlay round.
+
+    @raise Invalid_argument as {!gather_trace}. *)

@@ -39,11 +39,12 @@ let protocol ~src ~params : (state, msg) Congest.Engine.protocol =
           } ));
     on_round =
       (fun view ~round s ~inbox ->
-        List.iter
-          (fun { Congest.Engine.w; msg = { scale; dist }; _ } ->
-            Bh_instance.on_message s.inst 0 ~round ~scale ~dist
-              ~scaled_w:(Graphlib.Reweight.scaled_weight params ~i:scale ~w))
-          inbox;
+        for i = 0 to Congest.Engine.Inbox.length inbox - 1 do
+          let { scale; dist } = Congest.Engine.Inbox.msg inbox i in
+          let w = Congest.Engine.Inbox.weight inbox i in
+          Bh_instance.on_message s.inst 0 ~round ~scale ~dist
+            ~scaled_w:(Graphlib.Reweight.scaled_weight params ~i:scale ~w)
+        done;
         decide view s ~round);
   }
 

@@ -17,8 +17,8 @@ let protocol ~src ~bound : (state, int) Congest.Engine.protocol =
     on_round =
       (fun _ ~round s ~inbox ->
         let s =
-          List.fold_left
-            (fun (s : state) { Congest.Engine.w; msg = du; _ } ->
+          Congest.Engine.Inbox.fold
+            (fun (s : state) ~src:_ ~w du ->
               let cand = Graphlib.Dist.add du w in
               if cand <= bound && Graphlib.Dist.compare cand s.dist < 0 then
                 { s with dist = cand }

@@ -26,19 +26,22 @@ let instance_cfgs ~sources ~delays ~params ~n ~max_w =
 let concurrent_protocol ~b ~cfg ~scaled_weight :
     (Bh_instance.bank, msg) Congest.Engine.protocol =
   (* A node's bank holds its [b] instances and is updated in place.
-     The per-activation work is two loops built once per run, so an
-     activation allocates only its broadcast list (one message per
-     instance that speaks, whatever the degree) and its action. Only the
-     slots that [Bh_instance.may_act] are decided: any other slot
-     would stay quiet or repeat a wake it already asked for. The wake
-     list may repeat a round; the engine removes duplicates. The
-     broadcast list is built newest first, so each neighbor receives
-     one activation's messages in decreasing [j]. *)
-  let rec fold_inbox insts ~round = function
-    | [] -> ()
-    | { Congest.Engine.w; msg = { j; scale; dist }; _ } :: rest ->
-      Bh_instance.on_message insts j ~round ~scale ~dist ~scaled_w:(scaled_weight ~i:scale ~w);
-      fold_inbox insts ~round rest
+     The per-activation work is two loops, so an activation allocates
+     only its broadcast list (one message per instance that speaks,
+     whatever the degree) and its action. The inbox is read through its
+     arrays in an index loop: the accessors would be a function call per
+     message. Only the slots that [Bh_instance.may_act] are decided:
+     any other slot would stay quiet or repeat a wake it already asked
+     for. The wake list may repeat a round; the engine removes
+     duplicates. The broadcast list is built newest first, so each
+     neighbor receives one activation's messages in decreasing [j]. *)
+  let fold_inbox insts ~round (inbox : msg Congest.Engine.Inbox.t) =
+    let { Congest.Engine.Inbox.length; weight; slot; store; _ } = inbox in
+    for i = 0 to length - 1 do
+      let { j; scale; dist } = store.(slot.(i)) in
+      Bh_instance.on_message insts j ~round ~scale ~dist
+        ~scaled_w:(scaled_weight ~i:scale ~w:weight.(i))
+    done
   in
   let rec decide_from insts ~round j broadcast wakes =
     if j = b then { Congest.Engine.sends = []; broadcast; wakes }

@@ -30,19 +30,12 @@ let run g ~tree ~(overlay : Overlay.t) ~eps ~src_idx =
   let num_scales = elsewhere.Bh_instance.num_scales in
   let total_rounds = num_scales * elsewhere.Bh_instance.phase_len in
   let scaled_weight = Graphlib.Reweight.scaler_f params ~scales:num_scales in
-  let n = Graphlib.Wgraph.n g in
   (* Per-overlay-round synchronization: count-and-announce [a], an
      O(D) convergecast + broadcast over the tree. Its message pattern
-     is independent of the payload, so we measure it once and charge
-     the same trace per overlay round. *)
-  let _, sync_trace =
-    Congest.Tree.convergecast g tree
-      ~values:(Array.make n 0)
-      ~combine:( + )
-      ~size_words:(fun _ -> 1)
-  in
-  let _, sync_trace2 = Congest.Tree.broadcast_tokens g tree ~tokens:[ 0 ] ~size_words:(fun _ -> 1) in
-  let sync = Congest.Engine.add_traces sync_trace sync_trace2 in
+     is independent of the payload, so the overlay's memo measures it
+     once and every overlay round of every source is charged that
+     trace. *)
+  let sync = Congest.Tree.sync_trace overlay.Overlay.gathers g tree in
   let total = ref Congest.Engine.empty_trace in
   let busy = ref 0 in
   let pending = ref [] in

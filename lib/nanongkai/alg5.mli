@@ -5,7 +5,8 @@
     below [4|S|/k] by Theorem 3.10). An overlay round is emulated on
     the physical network: first the number [a] of overlay nodes that
     want to speak is counted and disseminated ([O(D)] rounds — charged
-    for every overlay round, busy or not), then the [a] messages are
+    for every overlay round, busy or not, as the trace the overlay's
+    memo measured once), then the [a] messages are
     broadcast network-wide ([O(D + a)] rounds of a gather-broadcast
     whose trace depends only on which nodes speak, measured by a real
     run the first time the overlay's {!Overlay.t.gathers} memo sees

@@ -19,8 +19,10 @@ type t = {
   tokens_broadcast : int;  (** Distinct overlay edges disseminated. *)
   gathers : Congest.Tree.gather_memo;
       (** Measured gather-broadcast traces on the embedding's graph and
-          tree, by holder multiset: this set's own memo, shared by
-          every [Alg5.run] and [Approx.eval_source] of the set. *)
+          tree, by holder multiset, and the count-and-announce
+          synchronization trace ({!Congest.Tree.sync_trace}): this
+          set's own memo, shared by every [Alg5.run] and
+          [Approx.eval_source] of the set. *)
 }
 
 val embed :

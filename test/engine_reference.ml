@@ -1,13 +1,16 @@
 (* The seed engine round loop, kept as an executable specification.
    Congest.Engine.run's optimized loop (flat CSR edge ledger, int-heap
-   calendar, reusable inbox buffers and active-set arrays, broadcasts
-   straight from the CSR row) is pinned bit-identical to this one —
-   states, trace, and full event stream — by the golden-equivalence
-   tests in test_congest.ml. Since the seed it has gained only the
-   action's [broadcast] field, as the equivalent neighbor-order sends,
-   and the envelope's edge weight, by a scan of the sender's row. Do
-   not optimize this file: its only job is to stay obviously equal to
-   the historical semantics. *)
+   calendar, each message stored once and read through an inbox view,
+   reusable mailboxes and active-set arrays, broadcasts straight from
+   the CSR row) is pinned bit-identical to this one — states, trace,
+   and full event stream — by the golden-equivalence tests in
+   test_congest.ml. Since the seed it has gained only the action's
+   [broadcast] field, as the equivalent neighbor-order sends, the
+   envelope's edge weight, by a scan of the sender's row, and the
+   handler's inbox type: each snapshot, a sorted envelope list, is
+   handed over through [Inbox.of_envelopes]. Do not optimize this
+   file: its only job is to stay obviously equal to the historical
+   semantics. *)
 
 open Congest
 open Engine
@@ -305,7 +308,9 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?faults ?sink g proto =
       List.iter
         (fun (id, inbox) ->
           incr activations;
-          let s', act = proto.on_round views.(id) ~round:r states.(id) ~inbox in
+          let s', act =
+            proto.on_round views.(id) ~round:r states.(id) ~inbox:(Inbox.of_envelopes inbox)
+          in
           states.(id) <- s';
           send_all ~round:r id act;
           schedule_wake ~now:r id act.wakes)

@@ -27,6 +27,29 @@ let prop_apsp_exact =
       done;
       !ok)
 
+(* Group floods, as WWY eccentricities, Le Gall-Magniez and the
+   3/2-approximation run them: a random subset of sources, listed out
+   of order and with one member repeated. *)
+let prop_group_flood_exact =
+  QCheck.Test.make ~name:"group token flood = Dijkstra on its columns, inf elsewhere" ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graphlib.Wgraph.n g in
+      let rng = Util.Rng.create ~seed:(seed + 1) in
+      let k = 1 + Util.Rng.int rng n in
+      let members = Util.Rng.sample_without_replacement rng ~k ~n in
+      let order = Array.of_list members in
+      Util.Rng.shuffle rng order;
+      let sources = Array.to_list order @ [ order.(Util.Rng.int rng k) ] in
+      let out = Baselines.All_pairs.run g ~sources in
+      List.for_all
+        (fun s ->
+          let column = Array.map (fun row -> row.(s)) out.Baselines.All_pairs.dist in
+          if List.mem s members then column = Graphlib.Dijkstra.distances g ~src:s
+          else Array.for_all Graphlib.Dist.is_inf column)
+        (List.init n Fun.id))
+
 let prop_apsp_respects_bandwidth =
   QCheck.Test.make ~name:"token flood stays within unit bandwidth" ~count:20
     QCheck.(int_range 0 10_000)
@@ -62,6 +85,50 @@ let test_apsp_unweighted_rounds_linearish () =
   let out = Baselines.All_pairs.run g ~sources:(List.init n (fun i -> i)) in
   checkb "subquadratic rounds" true
     (out.Baselines.All_pairs.trace.Congest.Engine.rounds < 6 * n)
+
+(* Trace-level golden of the flood itself: every trace field,
+   [tokens_sent] and a digest of the whole distance table, from all
+   sources, from one unsorted group with a repeated member and from one
+   source, on the ci-smoke family at n = 48, 64 and 80. The port and
+   CLI goldens pin only the flood's total rounds. *)
+let flood_trace_lines () =
+  List.concat_map
+    (fun n ->
+      let g = Harness.Runner.make_graph Harness.Spec.ci_smoke ~n ~seed:1 in
+      let n = Graphlib.Wgraph.n g in
+      let group = List.init 8 (fun j -> ((13 * j) + 5) mod n) @ [ 5 ] in
+      List.map
+        (fun (label, sources) ->
+          let out = Baselines.All_pairs.run g ~sources in
+          let dist =
+            String.concat "\n"
+              (Array.to_list
+                 (Array.map
+                    (fun row -> String.concat " " (Array.to_list (Array.map string_of_int row)))
+                    out.Baselines.All_pairs.dist))
+          in
+          Printf.sprintf "n=%d %s %s tokens=%d dist=%s" n label
+            (Telemetry.Json.print (Congest.Engine.trace_to_json out.Baselines.All_pairs.trace))
+            out.Baselines.All_pairs.tokens_sent
+            (Digest.to_hex (Digest.string dist)))
+        [ ("all", List.init n Fun.id); ("group", group); ("one", [ n - 1 ]) ])
+    [ 48; 64; 80 ]
+
+let test_flood_trace_golden () =
+  Alcotest.(check (list string))
+    "flood traces"
+    [
+      {|n=48 all {"rounds":93,"messages":20289,"words":20289,"max_edge_load":1,"congestion_violations":0,"activations":4139,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=3805 dist=e03f2e324db15936b6ca4bdfdb5d41d9|};
+      {|n=48 group {"rounds":24,"messages":4150,"words":4150,"max_edge_load":1,"congestion_violations":0,"activations":1046,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=778 dist=2ffed12b3022485c897e462aaf73c37d|};
+      {|n=48 one {"rounds":15,"messages":684,"words":684,"max_edge_load":1,"congestion_violations":0,"activations":292,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=128 dist=6742ddc7d6fd611794e06908ea07265a|};
+      {|n=64 all {"rounds":115,"messages":44113,"words":44113,"max_edge_load":1,"congestion_violations":0,"activations":6705,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=6092 dist=fdb1763f63bc21f38373584748012590|};
+      {|n=64 group {"rounds":26,"messages":7566,"words":7566,"max_edge_load":1,"congestion_violations":0,"activations":1406,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=1044 dist=0b0165a0805db0e47bb651e04cb3cdea|};
+      {|n=64 one {"rounds":13,"messages":1128,"words":1128,"max_edge_load":1,"congestion_violations":0,"activations":361,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=156 dist=0df583ff386705ae8baefcbd3850edbf|};
+      {|n=80 all {"rounds":196,"messages":104466,"words":104466,"max_edge_load":1,"congestion_violations":0,"activations":12649,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=11362 dist=4622e5f5af4e06974199088a7bcb8463|};
+      {|n=80 group {"rounds":32,"messages":14518,"words":14518,"max_edge_load":1,"congestion_violations":0,"activations":2115,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=1579 dist=af047c5027a32668ac13d6d0b6cb2077|};
+      {|n=80 one {"rounds":14,"messages":1384,"words":1384,"max_edge_load":1,"congestion_violations":0,"activations":419,"dropped":0,"delayed":0,"duplicated":0,"crashed":0} tokens=151 dist=ecbab18c8243d08f07a1b4c459265e93|};
+    ]
+    (flood_trace_lines ())
 
 (* -------------------------- Le Gall-Magniez ------------------------ *)
 
@@ -373,6 +440,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_apsp_exact;
+      prop_group_flood_exact;
       prop_apsp_respects_bandwidth;
       prop_sssp_two_approx;
       prop_approx_apsp_guarantee;
@@ -387,6 +455,7 @@ let () =
           Alcotest.test_case "single source" `Quick test_apsp_single_source;
           Alcotest.test_case "diameter/radius exact" `Quick test_diameter_radius_exact;
           Alcotest.test_case "rounds subquadratic" `Quick test_apsp_unweighted_rounds_linearish;
+          Alcotest.test_case "flood trace golden" `Quick test_flood_trace_golden;
         ] );
       ( "sssp_approx",
         [

@@ -31,9 +31,9 @@ let relay_protocol : (relay, int) Engine.protocol =
         else ({ got = None }, Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
-        match inbox with
-        | [] -> (s, Engine.no_action)
-        | { Engine.msg; _ } :: _ ->
+        if Engine.Inbox.length inbox = 0 then (s, Engine.no_action)
+        else
+          let msg = Engine.Inbox.msg inbox 0 in
           let me = view.Node_view.id in
           let next = me + 1 in
           if next < view.Node_view.n then ({ got = Some (msg + 1) }, Engine.send [ (next, msg + 1) ])
@@ -137,12 +137,9 @@ let test_engine_round_limit () =
         (fun view ->
           if view.Node_view.id = 0 then ((), Engine.send [ (1, 0) ]) else ((), Engine.no_action));
       on_round =
-        (fun view ~round:_ s ~inbox ->
-          match inbox with
-          | [] -> (s, Engine.no_action)
-          | { Engine.src; _ } :: _ ->
-            ignore view;
-            (s, Engine.send [ (src, 0) ]));
+        (fun _ ~round:_ s ~inbox ->
+          if Engine.Inbox.length inbox = 0 then (s, Engine.no_action)
+          else (s, Engine.send [ (Engine.Inbox.src inbox 0, 0) ]));
     }
   in
   (* The structured payload makes watchdog failures diagnosable. *)
@@ -258,6 +255,37 @@ let test_congestion_once_per_edge_round () =
   in
   let _, t = Engine.run g repeat in
   check "two rounds: two violations" 2 t.Engine.congestion_violations
+
+let test_inbox_view () =
+  (* The one constructor outside the engine keeps the envelopes' order,
+     every accessor agrees with the fields and the fold, and an index
+     outside [0, length) is refused. *)
+  let envs =
+    [
+      { Engine.src = 2; w = 5; msg = "a" };
+      { src = 2; w = 5; msg = "b" };
+      { src = 7; w = 1; msg = "c" };
+    ]
+  in
+  let ib = Engine.Inbox.of_envelopes envs in
+  check "length" 3 (Engine.Inbox.length ib);
+  Alcotest.(check (list (triple int int string)))
+    "accessors" [ (2, 5, "a"); (2, 5, "b"); (7, 1, "c") ]
+    (List.init 3 (fun i ->
+         (Engine.Inbox.src ib i, Engine.Inbox.weight ib i, Engine.Inbox.msg ib i)));
+  Alcotest.(check (list (triple int int string)))
+    "fields" [ (2, 5, "a"); (2, 5, "b"); (7, 1, "c") ]
+    (let { Engine.Inbox.length; src; weight; slot; store } = ib in
+     List.init length (fun i -> (src.(i), weight.(i), store.(slot.(i)))));
+  Alcotest.(check (list (triple int int string)))
+    "fold" [ (2, 5, "a"); (2, 5, "b"); (7, 1, "c") ]
+    (List.rev (Engine.Inbox.fold (fun acc ~src ~w m -> (src, w, m) :: acc) [] ib));
+  List.iter
+    (fun i ->
+      checkb (Printf.sprintf "index %d refused" i) true
+        (match Engine.Inbox.msg ib i with _ -> false | exception Invalid_argument _ -> true))
+    [ -1; 3 ];
+  check "empty" 0 (Engine.Inbox.length (Engine.Inbox.of_envelopes []))
 
 let test_wake_dedup () =
   (* A node scheduled for round 5 from two different earlier rounds
@@ -637,6 +665,35 @@ let test_upcast () =
   checkb "rounds bound" true (trace.Engine.rounds <= 9 + 11 + 2);
   check "violations" 0 trace.Engine.congestion_violations
 
+let test_sync_trace_memo () =
+  (* One count-and-announce per memo: the stored trace must equal a
+     fresh sum convergecast of any one-word values followed by a
+     one-token broadcast, and a memo asked about another tree must
+     refuse. *)
+  List.iter
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graphlib.Wgraph.n g in
+      let tree, _ = Tree.build g ~root:(seed mod n) in
+      let memo = Tree.gather_memo g tree in
+      let rng = Util.Rng.create ~seed in
+      let fresh () =
+        let values = Array.init n (fun _ -> Util.Rng.int rng 100) in
+        let _, count = Tree.convergecast g tree ~values ~combine:( + ) ~size_words:(fun _ -> 1) in
+        let _, announce =
+          Tree.broadcast_tokens g tree ~tokens:[ Util.Rng.int rng 100 ] ~size_words:(fun _ -> 1)
+        in
+        Engine.add_traces count announce
+      in
+      let trace = Tree.sync_trace memo g tree in
+      checkb "equals a fresh run" true (trace = fresh ());
+      checkb "asked again" true (Tree.sync_trace memo g tree = fresh ());
+      checkb "refuses another tree" true
+        (match Tree.sync_trace memo g (fst (Tree.build g ~root:0)) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 1; 2; 3; 4; 5 ]
+
 let prop_gather_broadcast_complete =
   QCheck.Test.make ~name:"gather_broadcast collects every distinct item" ~count:30
     QCheck.(pair (int_range 0 10_000) (list_of_size (Gen.int_range 0 30) (int_range 0 50)))
@@ -738,8 +795,8 @@ let exerciser_protocol : (exer, int) Engine.protocol =
         else ({ level = -1; hits = 0 }, Engine.no_action));
     on_round =
       (fun view ~round s ~inbox ->
-        let s = { s with hits = s.hits + List.length inbox } in
-        let best = List.fold_left (fun acc { Engine.msg; _ } -> min acc msg) max_int inbox in
+        let s = { s with hits = s.hits + Engine.Inbox.length inbox } in
+        let best = Engine.Inbox.fold (fun acc ~src:_ ~w:_ m -> min acc m) max_int inbox in
         if s.level < 0 && best < max_int then
           (* First contact: adopt a level, flood it, schedule echoes
              (one duplicated — the engine dedups same-round wakes). *)
@@ -748,7 +805,9 @@ let exerciser_protocol : (exer, int) Engine.protocol =
             Engine.act
               ~sends:(List.map (fun v -> (v, best + 1)) nbrs)
               ~wakes:[ round + 2; round + 2; round + 5 ] () )
-        else if inbox = [] && Array.length view.Node_view.neighbors > 0 && s.hits < 6 then
+        else if
+          Engine.Inbox.length inbox = 0 && Array.length view.Node_view.neighbors > 0 && s.hits < 6
+        then
           (* Pure wake-up: hammer one edge twice in the same round to
              exercise the per-edge-round ledger and strict mode. *)
           let v = fst view.Node_view.neighbors.(0) in
@@ -789,9 +848,9 @@ let flood_protocol : (int, int) Engine.protocol =
         if view.Node_view.id = 0 then (0, to_all view 1) else (-1, Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
-        if s >= 0 || inbox = [] then (s, Engine.no_action)
+        if s >= 0 || Engine.Inbox.length inbox = 0 then (s, Engine.no_action)
         else
-          let lvl = List.fold_left (fun acc { Engine.msg; _ } -> min acc msg) max_int inbox in
+          let lvl = Engine.Inbox.fold (fun acc ~src:_ ~w:_ m -> min acc m) max_int inbox in
           (lvl, to_all view (lvl + 1)));
   }
 
@@ -807,9 +866,9 @@ let broadcast_flood_protocol : (int, int) Engine.protocol =
         if view.Node_view.id = 0 then (0, Engine.broadcast [ 1 ]) else (-1, Engine.no_action));
     on_round =
       (fun _ ~round:_ s ~inbox ->
-        if s >= 0 || inbox = [] then (s, Engine.no_action)
+        if s >= 0 || Engine.Inbox.length inbox = 0 then (s, Engine.no_action)
         else
-          let lvl = List.fold_left (fun acc { Engine.msg; _ } -> min acc msg) max_int inbox in
+          let lvl = Engine.Inbox.fold (fun acc ~src:_ ~w:_ m -> min acc m) max_int inbox in
           (lvl, Engine.broadcast [ lvl + 1 ]));
   }
 
@@ -861,9 +920,7 @@ let recorder_protocol : ((int * int * int) list, int) Engine.protocol =
     init = (fun view -> ([], { (flood view ~round:0) with Engine.wakes = [ 2 ] }));
     on_round =
       (fun view ~round s ~inbox ->
-        let s =
-          List.rev_append (List.map (fun { Engine.src; msg; _ } -> (round, src, msg)) inbox) s
-        in
+        let s = Engine.Inbox.fold (fun s ~src ~w:_ msg -> (round, src, msg) :: s) s inbox in
         if round <= 4 then (s, flood view ~round) else (s, Engine.no_action));
   }
 
@@ -918,7 +975,7 @@ let mixed_protocol seed : ((int * int * int * int) list, int) Engine.protocol =
     on_round =
       (fun view ~round log ~inbox ->
         let log =
-          List.fold_left (fun log { Engine.src; w; msg } -> (round, src, w, msg) :: log) log inbox
+          Engine.Inbox.fold (fun log ~src ~w msg -> (round, src, w, msg) :: log) log inbox
         in
         (log, act view ~round));
   }
@@ -1109,6 +1166,7 @@ let () =
           Alcotest.test_case "congestion counted once per edge-round" `Quick
             test_congestion_once_per_edge_round;
           Alcotest.test_case "wake dedup" `Quick test_wake_dedup;
+          Alcotest.test_case "inbox view" `Quick test_inbox_view;
         ] );
       ( "faults",
         [
@@ -1147,6 +1205,7 @@ let () =
           Alcotest.test_case "convergecast max" `Quick test_convergecast_max;
           Alcotest.test_case "broadcast pipelining" `Quick test_broadcast_pipelining;
           Alcotest.test_case "upcast" `Quick test_upcast;
+          Alcotest.test_case "sync trace memo" `Quick test_sync_trace_memo;
         ] );
       ( "golden",
         [

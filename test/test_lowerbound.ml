@@ -371,7 +371,7 @@ let test_count_protocol_bound () =
                 else (-1, Congest.Engine.no_action));
             on_round =
               (fun view ~round:_ s ~inbox ->
-                let best = List.fold_left (fun a { Congest.Engine.msg; _ } -> max a msg) (-1) inbox in
+                let best = Congest.Engine.Inbox.fold (fun a ~src:_ ~w:_ m -> max a m) (-1) inbox in
                 if best > 0 && best - 1 > s then
                   ( best - 1,
                     Congest.Engine.send

@@ -141,9 +141,9 @@ let test_engine_phase_spans () =
           else (-1, Congest.Engine.no_action));
       on_round =
         (fun view ~round:_ s ~inbox ->
-          match inbox with
-          | [] -> (s, Congest.Engine.no_action)
-          | { Congest.Engine.msg; _ } :: _ ->
+          if Congest.Engine.Inbox.length inbox = 0 then (s, Congest.Engine.no_action)
+          else
+            let msg = Congest.Engine.Inbox.msg inbox 0 in
             let next = view.Congest.Node_view.id + 1 in
             if next < view.Congest.Node_view.n then
               (msg + 1, Congest.Engine.send [ (next, msg + 1) ])

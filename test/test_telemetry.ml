@@ -45,9 +45,9 @@ let relay_protocol : (int option, int) Engine.protocol =
         else (None, Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
-        match inbox with
-        | [] -> (s, Engine.no_action)
-        | { Engine.msg; _ } :: _ ->
+        if Engine.Inbox.length inbox = 0 then (s, Engine.no_action)
+        else
+          let msg = Engine.Inbox.msg inbox 0 in
           let next = view.Node_view.id + 1 in
           if next < view.Node_view.n then (Some (msg + 1), Engine.send [ (next, msg + 1) ])
           else (Some (msg + 1), Engine.no_action));
