@@ -22,19 +22,31 @@ let smoke () = Sys.getenv_opt "QCONGEST_PERF_SMOKE" <> None
 
 let now () = Telemetry.Clock.now Telemetry.Clock.wall
 
-(* One warm-up evaluation, then [reps] timed ones. The table reports
-   the best wall (least scheduler noise); the trajectory row carries
-   the median (the robust statistic {!Profile.Gate} medians again
+(* The repetition rule: one warm-up evaluation, then timed ones until
+   there are at least [min_reps] and they add up to at least
+   [min_timed_s] of wall time. A case that runs for 0.2 ms is timed
+   thousands of times and a 1 s case three times, so no single GC
+   slice or scheduler hiccup decides a reading. Every case reports the
+   median of its reps, in the table, in BENCH_engine.json and in its
+   trajectory row (the robust statistic {!Profile.Gate} medians again
    across rows). *)
-let best_of reps f =
+let min_reps = 3
+
+let min_timed_s = 0.5
+
+let timed f =
   let y = ref (f ()) in
-  let walls =
-    List.init (max 1 reps) (fun _ ->
-        let t0 = now () in
-        y := f ();
-        now () -. t0)
+  let rec go walls reps total =
+    if reps >= min_reps && total >= min_timed_s then walls
+    else begin
+      let t0 = now () in
+      y := f ();
+      let dt = now () -. t0 in
+      go (dt :: walls) (reps + 1) (total +. dt)
+    end
   in
-  (!y, List.fold_left Float.min infinity walls, Util.Stats.median walls)
+  let walls = go [] 0 0.0 in
+  (!y, Util.Stats.median walls, List.length walls)
 
 (* ------------------------------ Protocols -------------------------- *)
 
@@ -61,26 +73,24 @@ let relay_protocol : (int, int) Congest.Engine.protocol =
           else (msg + 1, Congest.Engine.no_action));
   }
 
-(* Flood: BFS levels; every node fires once, to all neighbors. Message
-   count scales with m, so this isolates the per-message cost (ledger,
-   inbox append, event-free delivery). *)
+(* Flood: BFS levels; every node fires once, to all neighbors, as one
+   broadcast (the action every flood in [lib] uses). Message count
+   scales with m, so this isolates the per-message cost (ledger, inbox
+   append, event-free delivery). *)
 let flood_protocol : (int, int) Congest.Engine.protocol =
   {
     name = "perf-flood";
     size_words = (fun _ -> 1);
     init =
       (fun view ->
-        let nbrs = view.Congest.Node_view.neighbors in
-        if view.Congest.Node_view.id = 0 then
-          (0, Congest.Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, 1)) nbrs)))
+        if view.Congest.Node_view.id = 0 then (0, Congest.Engine.broadcast [ 1 ])
         else (-1, Congest.Engine.no_action));
     on_round =
-      (fun view ~round:_ s ~inbox ->
+      (fun _ ~round:_ s ~inbox ->
         if s >= 0 || Congest.Engine.Inbox.length inbox = 0 then (s, Congest.Engine.no_action)
         else
           let lvl = Congest.Engine.Inbox.fold (fun acc ~src:_ ~w:_ m -> min acc m) max_int inbox in
-          let nbrs = view.Congest.Node_view.neighbors in
-          (lvl, Congest.Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, lvl + 1)) nbrs))));
+          (lvl, Congest.Engine.broadcast [ lvl + 1 ]));
   }
 
 (* ------------------------------ Cases ------------------------------ *)
@@ -88,49 +98,41 @@ let flood_protocol : (int, int) Congest.Engine.protocol =
 type case = {
   name : string;
   n : int;
-  wall_s : float;  (* best of reps *)
-  median_s : float;  (* median of reps — the trajectory statistic *)
+  wall_s : float;  (* median of reps *)
+  reps : int;
   metric : string; (* "rounds_per_s" | "messages_per_s" | "sources_per_s" *)
   metric_value : float;
 }
 
-let run_engine_case ~name ~metric ~count g proto ~reps =
-  let n = Graphlib.Wgraph.n g in
-  let (_, trace), wall_s, median_s = best_of reps (fun () -> Congest.Engine.run g proto) in
-  let units = float_of_int (count trace) in
+let make_case ~name ~metric ~n ~units f =
+  let y, wall_s, reps = timed f in
   {
     name;
     n;
     wall_s;
-    median_s;
+    reps;
     metric;
-    metric_value = (if wall_s > 0.0 then units /. wall_s else 0.0);
+    metric_value = (if wall_s > 0.0 then float_of_int (units y) /. wall_s else 0.0);
   }
 
-let relay_case ~reps n =
+let relay_case n =
   let g = Graphlib.Gen.path ~n ~weighting:Graphlib.Gen.Unit ~rng:(Bench_common.rng 1) in
-  run_engine_case ~name:"engine-relay" ~metric:"rounds_per_s"
-    ~count:(fun t -> t.Congest.Engine.rounds)
-    g relay_protocol ~reps
+  make_case ~name:"engine-relay" ~metric:"rounds_per_s" ~n
+    ~units:(fun (_, t) -> t.Congest.Engine.rounds)
+    (fun () -> Congest.Engine.run g relay_protocol)
 
-let flood_case ~reps ~cliques ~clique_size =
+let flood_case ~cliques ~clique_size =
   let g = Bench_common.ring_of_cliques ~cliques ~clique_size ~max_w:8 ~seed:2 in
-  run_engine_case ~name:"engine-flood" ~metric:"messages_per_s"
-    ~count:(fun t -> t.Congest.Engine.messages)
-    g flood_protocol ~reps
+  make_case ~name:"engine-flood" ~metric:"messages_per_s" ~n:(Graphlib.Wgraph.n g)
+    ~units:(fun (_, t) -> t.Congest.Engine.messages)
+    (fun () -> Congest.Engine.run g flood_protocol)
 
-let apsp_case ~reps ~cliques ~clique_size =
+let apsp_case ~cliques ~clique_size =
   let g = Bench_common.ring_of_cliques ~cliques ~clique_size ~max_w:16 ~seed:3 in
   let n = Graphlib.Wgraph.n g in
-  let _, wall_s, median_s = best_of reps (fun () -> Graphlib.Apsp.eccentricities g) in
-  {
-    name = "apsp-ecc";
-    n;
-    wall_s;
-    median_s;
-    metric = "sources_per_s";
-    metric_value = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
-  }
+  make_case ~name:"apsp-ecc" ~metric:"sources_per_s" ~n
+    ~units:(fun _ -> n)
+    (fun () -> Graphlib.Apsp.eccentricities g)
 
 (* ------------------------------ Output ----------------------------- *)
 
@@ -142,6 +144,7 @@ let cases_to_json ~jobs ~smoke cases =
         ("name", J.str c.name);
         ("n", J.int c.n);
         ("wall_s", J.float c.wall_s);
+        ("reps", J.int c.reps);
         (c.metric, J.float c.metric_value);
       ]
   in
@@ -158,10 +161,6 @@ let cases_to_json ~jobs ~smoke cases =
 let run () =
   Bench_common.section "PERF — engine round loop and exact baselines";
   let smoke = smoke () in
-  (* Even smoke keeps 3 reps: the trajectory rows carry a median, and a
-     median-of-1 makes the CI regression gate flaky on shared runners.
-     Smoke sizes are tiny, so the extra evals cost milliseconds. *)
-  let reps = 3 in
   let relay_sizes = if smoke then [ 500 ] else [ 1000; 2000; 4000 ] in
   let flood_shapes = if smoke then [ (16, 16) ] else [ (32, 32); (32, 48); (32, 64) ] in
   let apsp_shapes = if smoke then [ (10, 12) ] else [ (40, 25); (50, 40) ] in
@@ -173,13 +172,14 @@ let run () =
           ("n", Util.Table.Right);
           ("metric", Util.Table.Left);
           ("value", Util.Table.Right);
-          ("wall s", Util.Table.Right);
+          ("median s", Util.Table.Right);
+          ("reps", Util.Table.Right);
         ]
   in
   let cases =
-    List.map (fun n -> relay_case ~reps n) relay_sizes
-    @ List.map (fun (c, s) -> flood_case ~reps ~cliques:c ~clique_size:s) flood_shapes
-    @ List.map (fun (c, s) -> apsp_case ~reps ~cliques:c ~clique_size:s) apsp_shapes
+    List.map relay_case relay_sizes
+    @ List.map (fun (c, s) -> flood_case ~cliques:c ~clique_size:s) flood_shapes
+    @ List.map (fun (c, s) -> apsp_case ~cliques:c ~clique_size:s) apsp_shapes
   in
   List.iter
     (fun c ->
@@ -190,6 +190,7 @@ let run () =
           c.metric;
           Bench_common.fmt_large c.metric_value;
           Printf.sprintf "%.4f" c.wall_s;
+          string_of_int c.reps;
         ])
     cases;
   Util.Table.print t;
@@ -204,7 +205,7 @@ let run () =
   let rows =
     List.map
       (fun c ->
-        Profile.Trajectory.make ~case:c.name ~n:c.n ~reps ~wall_s:c.median_s
+        Profile.Trajectory.make ~case:c.name ~n:c.n ~reps:c.reps ~wall_s:c.wall_s
           ~throughput:c.metric_value ())
       cases
   in

@@ -207,11 +207,11 @@ end)
    original Hashtbl/cons-list loop, which the test suite keeps as its
    reference, by QCheck properties over fault-free and adversarial
    scenario classes.
-   The load/violation ledger lives in flat int arrays indexed by CSR
-   arc id (which doubles as the neighbor check), reset via a dirty
-   list; the next event round comes from one lazy-deletion int heap
-   instead of Hashtbl.fold min-scans; and the per-round active-set
-   scan over all n inboxes is replaced by a touched-node list.
+   The load/violation ledger is settled once per action, in scratch
+   arrays as long as the longest CSR row; the next event round comes
+   from one lazy-deletion int heap instead of Hashtbl.fold min-scans;
+   and the per-round active-set scan over all n inboxes is replaced by
+   a touched-node list.
    A broadcast walks the sender's CSR row, so it needs no arc search,
    and is stored once however many neighbors receive it; a receiver's
    inbox entry is three ints, with the weight of the arc it crossed.
@@ -241,7 +241,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
         { Node_view.id; n; max_w; neighbors = Graphlib.Wgraph.neighbors g id })
   in
   let { Graphlib.Wgraph.row_start; csr_dst; csr_w } = Graphlib.Wgraph.csr g in
-  let arc_count = row_start.(n) in
   (* Directed arc id of (src, dst), or -1 if dst is not a neighbor of
      src: rank of dst in src's sorted CSR row. One binary search serves
      both the non-neighbor send check and the ledger index. *)
@@ -342,28 +341,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
         Util.Int_heap.push calendar r);
       schedule_wakes now node rest
   in
-  (* Per-round per-directed-edge load and the violated flag (so one
-     overloaded edge-round counts as exactly one violation no matter how
-     the overload accumulates), in flat arrays indexed by arc id. Only
-     the arcs actually touched this round are reset, via [dirty]. *)
-  let load = Array.make (max 1 arc_count) 0 in
-  let violated = Array.make (max 1 arc_count) false in
-  let dirty = Array.make (max 1 arc_count) 0 in
-  let n_dirty = ref 0 in
-  let touch_arc a =
-    if load.(a) = 0 && not violated.(a) then begin
-      dirty.(!n_dirty) <- a;
-      incr n_dirty
-    end
-  in
-  let reset_round_ledger () =
-    for i = 0 to !n_dirty - 1 do
-      let a = dirty.(i) in
-      load.(a) <- 0;
-      violated.(a) <- false
-    done;
-    n_dirty := 0
-  in
   let messages = ref 0 and words = ref 0 in
   let max_edge_load = ref 0 and violations = ref 0 in
   let activations = ref 0 in
@@ -371,13 +348,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   let last_send_round = ref (-1) in
   let last_arrival_round = ref 0 in
   let any_sends_this_round = ref false in
-  let record_violation a =
-    if not violated.(a) then begin
-      touch_arc a;
-      violated.(a) <- true;
-      incr violations
-    end
-  in
   (* Adversary state (absent on the default, fault-free path). *)
   let adversary =
     match faults with
@@ -387,6 +357,65 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   let fault_free = Option.is_none adversary in
   let crashed_at id =
     match adversary with None -> max_int | Some (_, _, cr) -> cr.(id)
+  in
+  (* The bandwidth ledger, settled once per action. A node acts at most
+     once per round and only its own action loads its outgoing arcs, so
+     an arc's load for the round is final when that action ends. The
+     action's loads live in scratch arrays indexed by the arc's position
+     in the sender's CSR row, so they are as long as the longest row;
+     [dirty] lists the positions it touched, which [settle] resets.
+     Without an adversary a broadcast loads every arc of the row alike:
+     it adds its words to [row_words] and [load] holds the sends alone,
+     so an arc carries [row_words + load]. The adversary path charges
+     each arc as it goes, broadcasts included, because a strict-bandwidth
+     drop reads the running load, and it keeps the violated flag (so one
+     overloaded edge-round counts as exactly one violation however the
+     overload accumulates). *)
+  let max_deg = ref 0 in
+  for u = 0 to n - 1 do
+    max_deg := Int.max !max_deg (row_start.(u + 1) - row_start.(u))
+  done;
+  let load = Array.make (Int.max 1 !max_deg) 0 in
+  let dirty = Array.make (Int.max 1 !max_deg) 0 in
+  let n_dirty = ref 0 in
+  let violated = if fault_free then [||] else Array.make (Int.max 1 !max_deg) false in
+  let row_words = ref 0 in
+  let touch pos =
+    if load.(pos) = 0 && (fault_free || not violated.(pos)) then begin
+      dirty.(!n_dirty) <- pos;
+      incr n_dirty
+    end
+  in
+  let record_violation pos =
+    if not violated.(pos) then begin
+      touch pos;
+      violated.(pos) <- true;
+      incr violations
+    end
+  in
+  (* End of [src]'s action: fold its loads into [max_edge_load] and
+     [congestion_violations] (the adversary path did so per charge) and
+     reset the scratch. A row overloaded by broadcasts alone is counted
+     once per arc there; a send arc only when broadcasts did not already
+     overload it. *)
+  let settle src =
+    let rw = !row_words in
+    if rw > 0 then begin
+      row_words := 0;
+      if rw > !max_edge_load then max_edge_load := rw;
+      if rw > bandwidth then violations := !violations + row_start.(src + 1) - row_start.(src)
+    end;
+    for i = 0 to !n_dirty - 1 do
+      let pos = dirty.(i) in
+      if fault_free then begin
+        let l = rw + load.(pos) in
+        if l > !max_edge_load then max_edge_load := l;
+        if l > bandwidth && rw <= bandwidth then incr violations
+      end
+      else violated.(pos) <- false;
+      load.(pos) <- 0
+    done;
+    n_dirty := 0
   in
   (* Delayed-delivery calendar (fault path only): arrival round ->
      (dst, envelope) list, reversed during accumulation. Bucket rounds
@@ -404,22 +433,26 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     if sz < 1 then invalid_arg (proto.name ^ ": message size < 1 word");
     sz
   in
-  (* The bandwidth ledger: [sz] more words cross arc [a] this round. *)
-  let charge ~round ~sz src a =
-    touch_arc a;
-    let cur' = load.(a) + sz in
-    load.(a) <- cur';
-    if cur' > !max_edge_load then max_edge_load := cur';
-    if cur' > bandwidth then record_violation a;
+  let emit_message ~round ~sz src a =
     if observed then
       emit (Telemetry.Events.Message { round; src; dst = csr_dst.(a); words = sz })
+  in
+  (* The adversary path's ledger: [sz] more words cross arc [a] now. *)
+  let charge ~round ~sz ~pos src a =
+    touch pos;
+    let cur' = load.(pos) + sz in
+    load.(pos) <- cur';
+    if cur' > !max_edge_load then max_edge_load := cur';
+    if cur' > bandwidth then record_violation pos;
+    emit_message ~round ~sz src a
   in
   (* Send [msg] of [sz] words from [src] over its arcs [first] to
      [last]: one arc for a send, the whole CSR row for a broadcast.
      Without an adversary the message is stored once, in the next
-     round's store, and each receiver's entry names its slot. The fault
-     path keeps a copy per receiver instead (its deliveries may be
-     delayed or duplicated), so it stores nothing here. *)
+     round's store, and each receiver's entry names its slot; a send
+     adds its words to its arc's load and a broadcast to [row_words].
+     The fault path keeps a copy per receiver instead (its deliveries
+     may be delayed or duplicated), so it stores nothing here. *)
   let deliver ~round ~sz src ~first ~last msg =
     let count = last - first + 1 in
     messages := !messages + count;
@@ -431,16 +464,17 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       let parity = (round + 1) land 1 in
       let slot = store_push stores.(parity) msg in
       for a = first to last do
-        charge ~round ~sz src a;
+        emit_message ~round ~sz src a;
         post ~parity csr_dst.(a) src csr_w.(a) slot
       done
     | Some (f, rng, _) ->
+      let base = row_start.(src) in
       for a = first to last do
         let dst = csr_dst.(a) in
-        if f.Fault.strict_bandwidth && load.(a) + sz > bandwidth then begin
+        if f.Fault.strict_bandwidth && load.(a - base) + sz > bandwidth then begin
           (* NIC-enforced bandwidth: the whole message is dropped at the
              sender; the edge-round is recorded as violated exactly once. *)
-          record_violation a;
+          record_violation (a - base);
           incr dropped;
           if observed then
             emit
@@ -448,7 +482,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
                  { round; node = src; peer = dst; kind = Telemetry.Events.Drop_bandwidth sz })
         end
         else begin
-          charge ~round ~sz src a;
+          charge ~round ~sz ~pos:(a - base) src a;
           if f.Fault.drop > 0.0 && Util.Rng.bernoulli rng ~p:f.Fault.drop then begin
             incr dropped;
             if observed then
@@ -492,22 +526,34 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       let a = arc_of ~src ~dst in
       if a < 0 then
         invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
-      deliver ~round ~sz:(size_of msg) src ~first:a ~last:a msg;
+      let sz = size_of msg in
+      if fault_free then begin
+        let pos = a - row_start.(src) in
+        touch pos;
+        load.(pos) <- load.(pos) + sz
+      end;
+      deliver ~round ~sz src ~first:a ~last:a msg;
       deliver_sends ~round src rest
   in
   (* Each message to every neighbor in increasing id order: the CSR
      row is sorted, so this is the order of the equivalent sends. The
-     message is sized and stored once, whatever the degree. *)
+     message is sized, stored and (without an adversary) charged once,
+     whatever the degree. *)
   let rec deliver_broadcast ~round src = function
     | [] -> ()
     | msg :: rest ->
       let first = row_start.(src) and last = row_start.(src + 1) - 1 in
-      if first <= last then deliver ~round ~sz:(size_of msg) src ~first ~last msg;
+      if first <= last then begin
+        let sz = size_of msg in
+        if fault_free then row_words := !row_words + sz;
+        deliver ~round ~sz src ~first ~last msg
+      end;
       deliver_broadcast ~round src rest
   in
   let apply ~round id act =
     deliver_sends ~round id act.sends;
     deliver_broadcast ~round id act.broadcast;
+    settle id;
     schedule_wakes round id act.wakes
   in
   (* Move every message due at round [r] into its inbox, each copy in a
@@ -567,7 +613,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     emit (Telemetry.Events.Run_start { protocol = proto.name; n; bandwidth });
     emit (Telemetry.Events.Round_start { round = 0; active = n })
   end;
-  reset_round_ledger ();
   any_sends_this_round := false;
   let init id =
     let s, act = proto.init views.(id) in
@@ -621,8 +666,10 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   (* Nodes whose inbox was filled since the last activation round (the
      touched list; [touched] is a work buffer, refilled from index 0
      once it is taken) and the nodes due to wake at [r], once each, in
-     increasing id order. The prefix is sorted in place with the int
-     heap sort, one O(k log k) path at every size. *)
+     increasing id order. A sparse set (8k < n) is sorted in place with
+     the int heap sort, O(k log k); a dense one is rewritten in id order
+     by one scan of [stamp], O(n), which measured cheaper from 8k = n
+     on (DESIGN.md, Performance). *)
   let collect_active r ~from_inboxes =
     n_active := 0;
     if from_inboxes then begin
@@ -636,7 +683,16 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       Round_tbl.remove wake_tbl r;
       join_wakes r !l
     | None -> ());
-    Util.Int_heap.sort active !n_active;
+    if 8 * !n_active >= n then begin
+      let k = ref 0 in
+      for id = 0 to n - 1 do
+        if stamp.(id) = r then begin
+          active.(!k) <- id;
+          incr k
+        end
+      done
+    end
+    else Util.Int_heap.sort active !n_active;
     if not fault_free then begin
       let k = ref 0 in
       for i = 0 to !n_active - 1 do
@@ -726,7 +782,6 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
         done;
       if spans then span_end "engine.delivery" r;
       round := r;
-      reset_round_ledger ();
       any_sends_this_round := false;
       (* Handlers read this round's store and boxes and write the
          other parity's, so messages sent in round r arrive in round

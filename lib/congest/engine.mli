@@ -11,6 +11,13 @@
     (1 word = Θ(log n) bits, the CONGEST bandwidth [B]). By default
     overloads are recorded in the trace rather than enforced; tests
     assert that the protocols stay within their claimed budgets.
+    The ledger's contract: a node acts at most once per round (its
+    [init] at round 0, then one handler call in each round it is
+    active), and only its own action sends over its outgoing arcs, so
+    an arc's load for a round is complete when its sender's action
+    ends. The engine settles the ledger there, once per action, with
+    scratch space as long as the longest adjacency row rather than one
+    counter per arc.
 
     An optional {!Fault} configuration turns the perfect network into
     an adversarial one: messages may be dropped, delayed or

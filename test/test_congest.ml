@@ -314,6 +314,39 @@ let test_wake_dedup () =
   (* init (2 nodes) + wake at round 2 + wake at round 5 *)
   check "activations not double-counted" 4 trace.Engine.activations
 
+let test_silent_run_allocation () =
+  (* The bandwidth ledger is scratch sized by the longest CSR row, not
+     by the arc count: a run that never sends allocates about as much
+     on the complete graph (16,256 arcs) as on the path (254 arcs). *)
+  let n = 128 in
+  let silent : (unit, int) Engine.protocol =
+    {
+      name = "silent";
+      size_words = (fun _ -> 1);
+      init = (fun _ -> ((), Engine.no_action));
+      on_round = (fun _ ~round:_ s ~inbox:_ -> (s, Engine.no_action));
+    }
+  in
+  let allocated () =
+    (* A minor collection first: the runtime folds its counts into the
+       counters only at collections. *)
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let words g =
+    let before = allocated () in
+    ignore (Sys.opaque_identity (Engine.run g silent));
+    allocated () -. before
+  in
+  let rng = Util.Rng.create ~seed:0 in
+  let complete = words (Graphlib.Gen.complete ~n ~weighting:Graphlib.Gen.Unit ~rng) in
+  let path = words (unit_path n) in
+  checkb
+    (Printf.sprintf "complete %.0f words <= path %.0f words + 4n" complete path)
+    true
+    (complete <= path +. float_of_int (4 * n))
+
 (* ------------------------------ Faults ----------------------------- *)
 
 let test_faults_none_is_identity () =
@@ -1166,6 +1199,8 @@ let () =
           Alcotest.test_case "congestion counted once per edge-round" `Quick
             test_congestion_once_per_edge_round;
           Alcotest.test_case "wake dedup" `Quick test_wake_dedup;
+          Alcotest.test_case "silent run allocation independent of m" `Quick
+            test_silent_run_allocation;
           Alcotest.test_case "inbox view" `Quick test_inbox_view;
         ] );
       ( "faults",
