@@ -36,20 +36,6 @@ let print_formula_table ~n ~d =
     Baselines.Table1.rows;
   Util.Table.print t
 
-(* Table 1 row labels keyed by the harness's series names. *)
-let label_of_algo = function
-  | "classical-diameter" -> "classical exact weighted diameter"
-  | "classical-radius" -> "classical exact weighted radius"
-  | "lm-unweighted" -> "quantum unweighted diameter sqrt(nD) [12]"
-  | "approx-apsp" -> "classical (1+eps)-approx APSP diameter [21]"
-  | "three-halves" -> "classical 3/2-approx unweighted diameter [15,3]"
-  | "sssp-2approx" -> "classical 2-approx weighted diameter (SSSP)"
-  | "thm11-diameter" -> "THIS WORK: quantum weighted diameter (1+o(1))"
-  | "thm11-radius" -> "THIS WORK: quantum weighted radius (1+o(1))"
-  | "wwy-ecc" -> "quantum eccentricities sqrt(nD) [WWY22]"
-  | "wwy-apsp" -> "classical-tight weighted APSP Theta(n) [WWY22]"
-  | s -> s
-
 let print_measured () =
   Bench_common.subsection
     "Measured rounds on one instance (harness sweep: ring of 8 cliques, n = 64, weights <= 16)";
@@ -70,26 +56,27 @@ let print_measured () =
   in
   List.iter
     (fun j ->
-      let name = Harness.Spec.algo_name j.Harness.Spec.algo in
+      let label = (Harness.Spec.info j.Harness.Spec.algo).Harness.Spec.label in
       let row = Harness.Store.find store j.Harness.Spec.id in
       match Option.map Harness.Runner.row_of_string row with
-      | None -> Util.Table.add_row t [ label_of_algo name; "-"; "-"; "-"; "missing row" ]
+      | None -> Util.Table.add_row t [ label; "-"; "-"; "-"; "missing row" ]
       | Some (Ok { Harness.Runner.outcome = Harness.Runner.Succeeded { result = r; _ }; _ }) ->
         Util.Table.add_row t
           [
-            label_of_algo name;
+            label;
             Printf.sprintf "%.0f" r.Harness.Runner.estimate;
             string_of_int r.Harness.Runner.exact;
             string_of_int r.Harness.Runner.rounds;
             Printf.sprintf "%s within=%b" r.Harness.Runner.note r.Harness.Runner.within;
           ]
       | Some _ ->
-        Util.Table.add_row t [ label_of_algo name; "-"; "-"; "-"; "FAILED (see sweep artifact)" ])
+        Util.Table.add_row t [ label; "-"; "-"; "-"; "FAILED (see sweep artifact)" ])
     (Harness.Spec.jobs spec);
   Util.Table.print t;
   Bench_common.note "wrote %s"
     (Telemetry.Export.write_artifact ~name:"table1_measured.sweep.json"
        (J.print (Harness.Runner.report spec store)));
+  Harness.Store.close store;
   let g =
     Harness.Runner.make_graph spec ~n:(List.hd spec.Harness.Spec.sizes)
       ~seed:(List.hd spec.Harness.Spec.seeds)

@@ -93,6 +93,7 @@ let scaling () =
   Bench_common.note "wrote %s"
     (Telemetry.Export.write_artifact ~name:"thm11_scaling.sweep.json"
        (J.print (Harness.Runner.report spec store)));
+  Harness.Store.close store;
   Bench_common.note
     "At these n the paper's parameters are degenerate (l = n log n / r clamps to n,";
   Bench_common.note

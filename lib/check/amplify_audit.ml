@@ -34,9 +34,7 @@ let build_space ~rho ~size =
   (Dqo.Amplify.create w, fun i -> i < k)
 
 let certify ?(trials = 400) ?(sabotage = false) ~seed () =
-  let violations = ref [] in
-  let checked = ref 0 in
-  let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
+  let l = Report.ledger () in
   let cell_notes = ref [] in
   if trials >= 30 then begin
     List.iteri
@@ -56,21 +54,22 @@ let certify ?(trials = 400) ?(sabotage = false) ~seed () =
           (z *. sqrt (p *. (1.0 -. p) /. float_of_int trials))
           +. (1.0 /. float_of_int trials)
         in
-        incr checked;
+        Report.count l;
         if Float.abs (freq -. p) > tol then
-          flag "frequency"
+          Report.flag l ~code:"frequency"
             (Printf.sprintf
                "cell rho=%.3f j=%d: empirical %.3f vs target %.3f (tol %.3f, %d trials)"
                (Dqo.Amplify.mass space ~marked)
                target_j freq p tol trials)
-            [
-              ("rho", J.float (Dqo.Amplify.mass space ~marked));
-              ("iterations", J.int target_j);
-              ("empirical", J.float freq);
-              ("target", J.float p);
-              ("tol", J.float tol);
-              ("trials", J.int trials);
-            ];
+            ~data:
+              [
+                ("rho", J.float (Dqo.Amplify.mass space ~marked));
+                ("iterations", J.int target_j);
+                ("empirical", J.float freq);
+                ("target", J.float p);
+                ("tol", J.float tol);
+                ("trials", J.int trials);
+              ];
         cell_notes :=
           J.obj
             [
@@ -105,17 +104,18 @@ let certify ?(trials = 400) ?(sabotage = false) ~seed () =
       (z *. sqrt (floor_p *. delta /. float_of_int search_trials))
       +. (1.0 /. float_of_int search_trials)
     in
-    incr checked;
+    Report.count l;
     if freq < floor_p -. tol then
-      flag "search-success"
+      Report.flag l ~code:"search-success"
         (Printf.sprintf "search succeeded at %.3f < 1 - delta = %.3f (tol %.3f, %d trials)"
            freq floor_p tol search_trials)
-        [
-          ("empirical", J.float freq);
-          ("floor", J.float floor_p);
-          ("tol", J.float tol);
-          ("trials", J.int search_trials);
-        ];
+        ~data:
+          [
+            ("empirical", J.float freq);
+            ("floor", J.float floor_p);
+            ("tol", J.float tol);
+            ("trials", J.int search_trials);
+          ];
     cell_notes :=
       J.obj [ ("search_success", J.float freq); ("delta", J.float delta) ] :: !cell_notes
   end;
@@ -126,5 +126,4 @@ let certify ?(trials = 400) ?(sabotage = false) ~seed () =
       ("cells", J.arr (List.rev !cell_notes));
     ]
   in
-  Report.certificate ~name:"dqo-amplification" ~claim ~checked:!checked ~notes
-    (List.rev !violations)
+  Report.finish l ~name:"dqo-amplification" ~claim ~notes

@@ -18,35 +18,34 @@ let permute g ~seed =
   (Graphlib.Wgraph.make ~n edges, pi)
 
 let certify ?(tamper = false) g ~seed =
-  let violations = ref [] in
-  let checked = ref 0 in
-  let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
+  let l = Report.ledger () in
   (* 1. Same seed, same pipeline, twice: bit-identical result record. *)
   let run () = Core.Algorithm.run g Core.Algorithm.Diameter ~rng:(Util.Rng.create ~seed) in
   let r1 = run () and r2 = run () in
-  incr checked;
+  Report.count l;
   if r1 <> r2 then
-    flag "rerun-mismatch"
+    Report.flag l ~code:"rerun-mismatch"
       (Printf.sprintf
          "same-seed reruns disagree: estimate %.1f vs %.1f, rounds %d vs %d"
          r1.Core.Algorithm.estimate r2.Core.Algorithm.estimate r1.Core.Algorithm.rounds
          r2.Core.Algorithm.rounds)
-      [
-        ("estimate_a", J.float r1.Core.Algorithm.estimate);
-        ("estimate_b", J.float r2.Core.Algorithm.estimate);
-        ("rounds_a", J.int r1.Core.Algorithm.rounds);
-        ("rounds_b", J.int r2.Core.Algorithm.rounds);
-      ];
+      ~data:
+        [
+          ("estimate_a", J.float r1.Core.Algorithm.estimate);
+          ("estimate_b", J.float r2.Core.Algorithm.estimate);
+          ("rounds_a", J.int r1.Core.Algorithm.rounds);
+          ("rounds_b", J.int r2.Core.Algorithm.rounds);
+        ];
   (* 2. Permuted node ids = permuted within-round evaluation order. *)
   let g', pi = permute g ~seed in
   let d = Graphlib.Apsp.weighted_diameter g and d' = Graphlib.Apsp.weighted_diameter g' in
   let r = Graphlib.Apsp.weighted_radius g and r' = Graphlib.Apsp.weighted_radius g' in
   let cmp name a b =
-    incr checked;
+    Report.count l;
     if a <> b then
-      flag "permutation-mismatch"
+      Report.flag l ~code:"permutation-mismatch"
         (Printf.sprintf "%s moved under relabeling: %d vs %d" name a b)
-        [ ("what", J.str name); ("original", J.int a); ("permuted", J.int b) ]
+        ~data:[ ("what", J.str name); ("original", J.int a); ("permuted", J.int b) ]
   in
   cmp "oracle weighted diameter" (Graphlib.Dist.to_int_exn d) (Graphlib.Dist.to_int_exn d');
   cmp "oracle weighted radius" (Graphlib.Dist.to_int_exn r) (Graphlib.Dist.to_int_exn r');
@@ -59,11 +58,11 @@ let certify ?(tamper = false) g ~seed =
     (fun v lvl ->
       if tree'.Congest.Tree.level.(pi.(v)) <> lvl then incr mismatched_levels)
     tree.Congest.Tree.level;
-  incr checked;
+  Report.count l;
   if !mismatched_levels > 0 then
-    flag "permutation-mismatch"
+    Report.flag l ~code:"permutation-mismatch"
       (Printf.sprintf "BFS levels moved under relabeling on %d node(s)" !mismatched_levels)
-      [ ("nodes", J.int !mismatched_levels) ];
+      ~data:[ ("nodes", J.int !mismatched_levels) ];
   (* Token-flood exact APSP: an honest message-passing protocol whose
      per-round handler order the permutation actually reshuffles. *)
   let ap = Baselines.All_pairs.diameter g ~tree in
@@ -80,5 +79,4 @@ let certify ?(tamper = false) g ~seed =
       ("tamper", J.bool tamper);
     ]
   in
-  Report.certificate ~name:"determinism" ~claim ~checked:!checked ~notes
-    (List.rev !violations)
+  Report.finish l ~name:"determinism" ~claim ~notes

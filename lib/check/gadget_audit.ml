@@ -20,9 +20,7 @@ let density = 0.6
 let sample = 4
 
 let certify ?(h = 2) ?(flip_f = false) ~seed () =
-  let violations = ref [] in
-  let checked = ref 0 in
-  let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
+  let l = Report.ledger () in
   let rng = Util.Rng.create ~seed in
   let p = Lowerbound.Gadget.params_of_h ~h in
   let s2 = Util.Int_math.pow 2 p.Lowerbound.Gadget.s in
@@ -36,33 +34,34 @@ let certify ?(h = 2) ?(flip_f = false) ~seed () =
       | Lowerbound.Gadget.Radius_gadget -> "radius"
     in
     let gd = Lowerbound.Gadget.build ~variant ~h ~input () in
-    incr checked;
+    Report.count l;
     if not (Lowerbound.Gadget.structural_ok gd) then
-      flag "structure"
+      Report.flag l ~code:"structure"
         (vname ^ " gadget: node count / edge placement off the Section 4.2 construction")
-        [ ("variant", J.str vname) ];
+        ~data:[ ("variant", J.str vname) ];
     let c = Lowerbound.Contraction_check.contract gd in
-    incr checked;
+    Report.count l;
     if not (Lowerbound.Contraction_check.structure_ok gd c) then
-      flag "structure"
+      Report.flag l ~code:"structure"
         (vname ^ " gadget: Lemma 4.3 contraction classes off the Figure 3 picture")
-        [ ("variant", J.str vname) ];
+        ~data:[ ("variant", J.str vname) ];
     List.iter
       (fun (row : Lowerbound.Contraction_check.table2_row) ->
-        incr checked;
+        Report.count l;
         if not row.Lowerbound.Contraction_check.ok then
-          flag "table2-bound"
+          Report.flag l ~code:"table2-bound"
             (Printf.sprintf "%s gadget, Table 2 row %S: measured %s > bound %d" vname
                row.Lowerbound.Contraction_check.label
                (Graphlib.Dist.to_string row.Lowerbound.Contraction_check.worst)
                row.Lowerbound.Contraction_check.bound)
-            [
-              ("variant", J.str vname);
-              ("row", J.str row.Lowerbound.Contraction_check.label);
-              ("bound", J.int row.Lowerbound.Contraction_check.bound);
-              ( "worst",
-                J.str (Graphlib.Dist.to_string row.Lowerbound.Contraction_check.worst) );
-            ])
+            ~data:
+              [
+                ("variant", J.str vname);
+                ("row", J.str row.Lowerbound.Contraction_check.label);
+                ("bound", J.int row.Lowerbound.Contraction_check.bound);
+                ( "worst",
+                  J.str (Graphlib.Dist.to_string row.Lowerbound.Contraction_check.worst) );
+              ])
       (Lowerbound.Contraction_check.table2 gd c ~sample ~rng ());
     let gap =
       match variant with
@@ -73,42 +72,44 @@ let certify ?(h = 2) ?(flip_f = false) ~seed () =
       if flip_f then not gap.Lowerbound.Contraction_check.f_value
       else gap.Lowerbound.Contraction_check.f_value
     in
-    incr checked;
+    Report.count l;
     if not (gap_ok ~flip:flip_f gap) then
-      flag "gap"
+      Report.flag l ~code:"gap"
         (Printf.sprintf
            "%s gadget: measured %d not on the F=%b side (YES <= %d / NO >= %d)" vname
            gap.Lowerbound.Contraction_check.measured f_graded
            gap.Lowerbound.Contraction_check.yes_threshold
            gap.Lowerbound.Contraction_check.no_threshold)
-        [
-          ("variant", J.str vname);
-          ("measured", J.int gap.Lowerbound.Contraction_check.measured);
-          ("f", J.bool f_graded);
-          ("yes_threshold", J.int gap.Lowerbound.Contraction_check.yes_threshold);
-          ("no_threshold", J.int gap.Lowerbound.Contraction_check.no_threshold);
-        ];
-    incr checked;
+        ~data:
+          [
+            ("variant", J.str vname);
+            ("measured", J.int gap.Lowerbound.Contraction_check.measured);
+            ("f", J.bool f_graded);
+            ("yes_threshold", J.int gap.Lowerbound.Contraction_check.yes_threshold);
+            ("no_threshold", J.int gap.Lowerbound.Contraction_check.no_threshold);
+          ];
+    Report.count l;
     if not (gap.Lowerbound.Contraction_check.distinguishable 0.25) then
-      flag "not-distinguishable"
+      Report.flag l ~code:"not-distinguishable"
         (vname ^ " gadget: a (3/2 - 1/4)-approximation cannot separate YES from NO")
-        [ ("variant", J.str vname) ];
+        ~data:[ ("variant", J.str vname) ];
     (match variant with
     | Lowerbound.Gadget.Diameter_gadget -> ()
     | Lowerbound.Gadget.Radius_gadget ->
       List.iter
         (fun (row : Lowerbound.Contraction_check.ecc_row) ->
-          incr checked;
+          Report.count l;
           if not row.Lowerbound.Contraction_check.ok then
-            flag "ecc-floor"
+            Report.flag l ~code:"ecc-floor"
               (Printf.sprintf
                  "radius gadget, category %S: min eccentricity %d below the 3*alpha floor"
                  row.Lowerbound.Contraction_check.category
                  row.Lowerbound.Contraction_check.min_ecc)
-              [
-                ("category", J.str row.Lowerbound.Contraction_check.category);
-                ("min_ecc", J.int row.Lowerbound.Contraction_check.min_ecc);
-              ])
+              ~data:
+                [
+                  ("category", J.str row.Lowerbound.Contraction_check.category);
+                  ("min_ecc", J.int row.Lowerbound.Contraction_check.min_ecc);
+                ])
         (Lowerbound.Contraction_check.fig4_eccentricities gd c));
     gd
   in
@@ -125,5 +126,4 @@ let certify ?(h = 2) ?(flip_f = false) ~seed () =
       ("flip_f", J.bool flip_f);
     ]
   in
-  Report.certificate ~name:"gadget-table2" ~claim ~checked:!checked ~notes
-    (List.rev !violations)
+  Report.finish l ~name:"gadget-table2" ~claim ~notes

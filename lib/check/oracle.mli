@@ -10,8 +10,8 @@
     (to time them, say) while the default {!direct} computes them
     outright.
 
-    The derived diameter/radius helpers replicate
-    [Graphlib.Apsp.weighted_diameter]/[weighted_radius] and
+    {!exact} derives each {!Harness.Spec.quantity} from them, and
+    replicates [Graphlib.Apsp.weighted_diameter]/[weighted_radius] and
     [Graphlib.Bfs.diameter] {e exactly} (same [n <= 1] guards, same
     fold identities), so certificates produced through any oracle
     whose eccentricity arrays are correct are byte-identical to
@@ -29,6 +29,12 @@ val direct : t
     [Graphlib.Bfs.eccentricity]. The default where an [?oracle] is
     accepted. *)
 
-val weighted_diameter : t -> Graphlib.Wgraph.t -> Graphlib.Dist.t
-val weighted_radius : t -> Graphlib.Wgraph.t -> Graphlib.Dist.t
-val hop_diameter : t -> Graphlib.Wgraph.t -> Graphlib.Dist.t
+val memo : t -> t
+(** [t] with each kind computed on its first call only and returned
+    as is after that: an oracle for one graph. *)
+
+val exact : t -> Harness.Spec.quantity -> Graphlib.Wgraph.t -> int
+(** The exact value of a quantity on a connected graph: the largest or
+    smallest weighted eccentricity, the largest hop eccentricity, or
+    node 0's hop eccentricity (the depth of a BFS tree rooted there).
+    Raises [Invalid_argument] on a disconnected graph. *)

@@ -25,6 +25,30 @@ let certificate ?(notes = []) ~name ~claim ~checked violations =
   in
   { name; claim; status; checked; violations; notes }
 
+type ledger = {
+  cap : int;
+  mutable checks : int;
+  mutable found : int;  (* violations found, including beyond the cap *)
+  mutable kept : violation list;  (* newest first *)
+}
+
+let capped cap = { cap; checks = 0; found = 0; kept = [] }
+let ledger () = capped max_int
+let count l = l.checks <- l.checks + 1
+
+let flag l ~code ~data detail =
+  l.found <- l.found + 1;
+  if l.found <= l.cap then l.kept <- violation ~code ~data detail :: l.kept
+
+let check l ok ~code ~data detail =
+  count l;
+  if not ok then flag l ~code ~data detail
+
+let found l = l.found
+
+let finish l ~name ~claim ~notes =
+  certificate ~notes ~name ~claim ~checked:l.checks (List.rev l.kept)
+
 type report = { certificates : certificate list }
 
 let status r =

@@ -46,6 +46,40 @@ val certificate :
 (** Status is derived: [Fail] on any violation, [Inconclusive] when
     [checked = 0] and nothing was violated, [Pass] otherwise. *)
 
+(** {1 The check ledger}
+
+    Every certifier builds its certificate through a ledger: it counts
+    each check as it makes it and records each violation in the order
+    found. *)
+
+type ledger
+
+val ledger : unit -> ledger
+
+val capped : int -> ledger
+(** A ledger that keeps only the first [n] violations; {!found} still
+    counts every one. *)
+
+val count : ledger -> unit
+(** Count one check. *)
+
+val flag :
+  ledger -> code:string -> data:(string * Telemetry.Json.t) list -> string -> unit
+(** Record one violation, counting no check: call it once a counted
+    check has failed, so that its detail is built only then. *)
+
+val check :
+  ledger -> bool -> code:string -> data:(string * Telemetry.Json.t) list -> string -> unit
+(** {!count}, then {!flag} unless the condition holds: for a detail
+    that costs nothing to build. *)
+
+val found : ledger -> int
+(** Violations flagged, including any beyond the cap. *)
+
+val finish :
+  ledger -> name:string -> claim:string -> notes:(string * Telemetry.Json.t) list -> certificate
+(** The certificate of the checks counted and the violations kept. *)
+
 type report = { certificates : certificate list }
 
 val status : report -> status

@@ -60,18 +60,6 @@ let tiny_spec ~name ~seed =
     ~family:(Spec.Chain { cliques = 2 })
     ~max_w:4 ~sizes:[ 6; 9 ] ~seeds:[ seed ] ()
 
-(* Per-certificate check/violation accumulator, sweep_audit idiom. *)
-type ledger = { mutable checked : int; mutable violations : Report.violation list }
-
-let ledger () = { checked = 0; violations = [] }
-
-let check l cond ~code ~data detail =
-  l.checked <- l.checked + 1;
-  if not cond then l.violations <- Report.violation ~code ~data detail :: l.violations
-
-let finish l ?notes ~name ~claim () =
-  Report.certificate ?notes ~name ~claim ~checked:l.checked (List.rev l.violations)
-
 (* A protocol that never terminates: node 0 starts a token and every
    recipient bounces every copy back, forever. *)
 let infinite_protocol : (unit, unit) Congest.Engine.protocol =
@@ -105,7 +93,7 @@ let flip_byte line =
 (* --------------------------- chaos-resume -------------------------- *)
 
 let resume_certificate ~seed ~negative_control =
-  let l = ledger () in
+  let l = Report.ledger () in
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let spec = tiny_spec ~name:"chaos-resume" ~seed in
@@ -131,26 +119,26 @@ let resume_certificate ~seed ~negative_control =
            String.sub c 0 (String.length c - 7);
          ])
   | lines ->
-    check l false ~code:"setup"
+    Report.check l false ~code:"setup"
       ~data:[ ("lines", J.int (List.length lines)) ]
       "expected exactly 3 checkpointed rows before corruption");
   let reloaded = Store.load ~path:vpath () in
-  check l
+  Report.check l
     (Store.count reloaded = 1)
     ~code:"survivor-lost"
     ~data:[ ("survivors", J.int (Store.count reloaded)) ]
     "mid-file corruption must keep the intact row around it";
-  check l
+  Report.check l
     (Store.quarantined_lines reloaded = 2)
     ~code:"corruption-not-quarantined"
     ~data:[ ("quarantined", J.int (Store.quarantined_lines reloaded)) ]
     "the bit-flipped row and the spliced line must both be quarantined";
-  check l
+  Report.check l
     (Store.dropped_lines reloaded = 1)
     ~code:"tail-not-truncated"
     ~data:[ ("dropped", J.int (Store.dropped_lines reloaded)) ]
     "the truncated trailing row is a partial append and must be dropped";
-  check l
+  Report.check l
     (Sys.file_exists (Store.corrupt_path reloaded)
     && List.length (file_lines (Store.corrupt_path reloaded)) = 2)
     ~code:"corrupt-lines-lost"
@@ -158,7 +146,7 @@ let resume_certificate ~seed ~negative_control =
     "quarantined lines must be preserved in the corrupt sibling for forensics";
   (* Resume over the repaired store. *)
   let executed, failures = Runner.run ~jobs:1 spec reloaded in
-  check l
+  Report.check l
     (executed = 3 && failures = 0)
     ~code:"resume-miscounted"
     ~data:[ ("executed", J.int executed); ("failed", J.int failures) ]
@@ -172,28 +160,27 @@ let resume_certificate ~seed ~negative_control =
     | [] -> ()
   end;
   let final = Store.load ~path:vpath () in
-  check l
+  Report.check l
     (Store.count final = total)
     ~code:"row-lost"
     ~data:[ ("rows", J.int (Store.count final)); ("expected", J.int total) ]
     "no row may be lost across kill, corruption and resume";
-  check l
+  Report.check l
     (J.print (Runner.report spec final) = J.print ref_report)
     ~code:"report-divergence" ~data:[]
     "the resumed report must be byte-identical to the uninterrupted run's";
   Store.close final;
   Store.close ref_store;
-  finish l ~name:"chaos-resume"
+  Report.finish l ~name:"chaos-resume"
     ~claim:
       "a sweep killed mid-batch with a mid-file-corrupted store resumes to a \
        byte-identical report, losing no row"
     ~notes:[ ("jobs", J.int total) ]
-    ()
 
 (* -------------------------- chaos-deadline ------------------------- *)
 
 let deadline_certificate ~seed ~deadline_s ~negative_control =
-  let l = ledger () in
+  let l = Report.ledger () in
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let spec = tiny_spec ~name:"chaos-deadline" ~seed in
@@ -210,26 +197,26 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
   let elapsed = Unix.gettimeofday () -. t0 in
   (match outcome with
   | `Deadline info ->
-    check l true ~code:"deadline-not-raised" ~data:[] "";
-    check l
+    Report.count l;
+    Report.check l
       (info.Congest.Engine.elapsed_s >= deadline_s)
       ~code:"deadline-fired-early"
       ~data:
         [ ("elapsed_s", J.float info.Congest.Engine.elapsed_s);
           ("budget_s", J.float deadline_s) ]
       "a cooperative deadline can only fire after its budget has elapsed";
-    check l
+    Report.check l
       (elapsed <= deadline_s +. 2.0)
       ~code:"deadline-fired-late"
       ~data:[ ("elapsed_s", J.float elapsed); ("budget_s", J.float deadline_s) ]
       "the deadline must fire within tolerance of its budget, not eventually";
-    check l
+    Report.check l
       (info.Congest.Engine.budget_s = deadline_s)
       ~code:"budget-misreported"
       ~data:[ ("budget_s", J.float info.Congest.Engine.budget_s) ]
       "Deadline_exceeded must carry the budget it enforced"
   | `Quiesced | `Round_limit ->
-    check l false ~code:"deadline-not-raised"
+    Report.check l false ~code:"deadline-not-raised"
       ~data:[ ("elapsed_s", J.float elapsed) ]
       "the planted infinite protocol must be stopped by Deadline_exceeded");
   (* Runner level: the planted job must settle as a timeout row. *)
@@ -259,14 +246,14 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
       | Ok { Runner.outcome = Runner.Succeeded _; _ } -> ("ok", false)
       | Error _ -> ("?", false)
     in
-    check l on_deadline ~code:"timeout-row-missing"
+    Report.check l on_deadline ~code:"timeout-row-missing"
       ~data:[ ("id", J.str victim.Spec.id); ("status", J.str status) ]
       "a job stopped by its deadline must checkpoint as a status:\"timeout\" row"
   | None ->
-    check l false ~code:"timeout-row-missing"
+    Report.check l false ~code:"timeout-row-missing"
       ~data:[ ("id", J.str victim.Spec.id) ]
       "the planted job settled no row at all");
-  check l
+  Report.check l
     (Store.count store = List.length (Spec.jobs spec))
     ~code:"sweep-wedged"
     ~data:[ ("rows", J.int (Store.count store)) ]
@@ -275,7 +262,7 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
   let report_int name =
     Option.value ~default:(-1) (Option.bind (J.member name report) J.to_int_opt)
   in
-  check l
+  Report.check l
     (report_int "timeout" = 1 && report_int "missing" = 0)
     ~code:"report-miscounts"
     ~data:
@@ -287,7 +274,7 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
      it must come back Inconclusive, never a verdict. *)
   let degraded = Runner.degraded_series spec store in
   let victim_series = Spec.algo_name victim.Spec.algo in
-  check l
+  Report.check l
     (List.mem victim_series degraded)
     ~code:"degradation-unmarked"
     ~data:[ ("degraded", J.arr (List.map J.str degraded)) ]
@@ -297,20 +284,19 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
       [ { Spec.series = victim_series; expected = 1.0; tol = 100.0; min_r2 = 0.0 } ]
       ~series:(Runner.series_points spec store)
   in
-  check l
+  Report.check l
     (verdict.Fit.status = Fit.Inconclusive && Fit.exit_code verdict = 3)
     ~code:"spurious-verdict"
     ~data:[ ("status", J.str (Fit.status_name verdict.Fit.status)) ]
     "gates over a degraded series must be Inconclusive (exit 3), not a verdict";
   Store.close store;
-  finish l ~name:"chaos-deadline"
+  Report.finish l ~name:"chaos-deadline"
     ~claim:
       "a planted never-terminating job is stopped by the cooperative wall-clock \
        deadline within tolerance and surfaces as a timeout row, with the sweep \
        completing, the report counting it and gates over its degraded series \
        Inconclusive"
     ~notes:[ ("budget_s", J.float deadline_s) ]
-    ()
 
 (* ------------------------------ entry ------------------------------ *)
 

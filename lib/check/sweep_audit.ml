@@ -6,24 +6,12 @@ let claim =
    diameter/radius, the stored ratio, and the algorithm's guarantee, as its own \
    flag and re-derived from the estimate and the exact value"
 
-(* Ground truth for a job cell given its (already built) instance. *)
-let exact_of ~oracle (j : Spec.job) g =
-  match j.Spec.algo with
-  | Spec.Thm11_diameter | Spec.Classical_diameter | Spec.Approx_apsp
-  | Spec.Sssp_two_approx ->
-    Graphlib.Dist.to_int_exn (Oracle.weighted_diameter oracle g)
-  | Spec.Thm11_radius | Spec.Classical_radius ->
-    Graphlib.Dist.to_int_exn (Oracle.weighted_radius oracle g)
-  | Spec.Lm_unweighted | Spec.Three_halves | Spec.Wwy_ecc ->
-    Graphlib.Dist.to_int_exn (Oracle.hop_diameter oracle g)
-  | Spec.Wwy_apsp -> Graphlib.Dist.to_int_exn (Oracle.weighted_diameter oracle g)
-  | Spec.Bfs_reliable -> (fst (Congest.Tree.build g ~root:0)).Congest.Tree.depth
-
 let default_graph_of_job (spec : Spec.t) (j : Spec.job) =
   Harness.Runner.make_graph spec ~n:j.Spec.n ~seed:j.Spec.seed
 
 let expected_exact (spec : Spec.t) (j : Spec.job) =
-  exact_of ~oracle:Oracle.direct j (default_graph_of_job spec j)
+  Oracle.exact Oracle.direct (Spec.info j.Spec.algo).Spec.quantity
+    (default_graph_of_job spec j)
 
 let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) ~n_actual ~ratio
     { Harness.Runner.estimate; exact; within; _ } =
@@ -44,7 +32,7 @@ let audit_ok_row ~oracle ~graph_of_job (j : Spec.job) ~n_actual ~ratio
          j.Spec.id n_actual (Graphlib.Wgraph.n g))
       (ctx
       @ [ ("n_actual", J.int n_actual); ("rebuilt_n", J.int (Graphlib.Wgraph.n g)) ]);
-  let truth = exact_of ~oracle j g in
+  let truth = Oracle.exact oracle (Spec.info j.Spec.algo).Spec.quantity g in
   if exact <> truth then
     flag "oracle-mismatch"
       (Printf.sprintf "row %s (%s): stored exact=%d but recomputed oracle=%d"
@@ -121,10 +109,7 @@ let audit_store ?(oracle = Oracle.direct) ?(graph_of_job = default_graph_of_job)
       List.iter
         (fun seed ->
           let graph_of_job = once (graph_of_job spec) in
-          let oracle =
-            { Oracle.weighted_ecc = once oracle.Oracle.weighted_ecc;
-              hop_ecc = once oracle.Oracle.hop_ecc }
-          in
+          let oracle = Oracle.memo oracle in
           Array.iteri
             (fun i (j : Spec.job) ->
               if j.Spec.n = n && j.Spec.seed = seed then

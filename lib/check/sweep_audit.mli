@@ -5,7 +5,7 @@
     and that the algorithm's guarantee held. The first three are
     recomputable — the instance is a pure function of the spec cell —
     so this auditor rebuilds each row's graph, recomputes the exact
-    oracle (weighted or unweighted, per algorithm), and cross-checks
+    quantity the algorithm's row reports ({!Harness.Spec.info}), and cross-checks
     every stored field. Rows on the same instance share its build and
     its oracles. It is what [qcongest check sweep] and
     [qcongest sweep run --audit] run over a store, turning the
@@ -25,10 +25,9 @@
     auditable rows yields [Inconclusive]. *)
 
 val expected_exact : Harness.Spec.t -> Harness.Spec.job -> int
-(** The recomputed ground truth for a job cell: weighted
-    diameter/radius for the weighted algorithms, unweighted diameter
-    for the unweighted ones, fault-free BFS depth for
-    [Bfs_reliable]. *)
+(** The recomputed ground truth for a job cell: {!Oracle.exact} of the
+    algorithm's {!Harness.Spec.quantity} on a fresh build of its
+    instance. *)
 
 val audit_row : Harness.Spec.t -> Harness.Spec.job -> string -> Report.violation list
 (** Audit one raw checkpoint row on a fresh build of its instance

@@ -9,57 +9,59 @@ let scale t v = int_of_float (Float.round (float_of_int v *. t))
 let ecc ?(tamper = 1.0) g ~rng =
   let rmax = Baselines.Wwy_ecc.max_eccentricity g ~rng () in
   let rmin = Baselines.Wwy_ecc.min_eccentricity g ~rng () in
-  let violations = ref [] in
-  let checked = ref 0 in
-  let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
-  let hop_ecc = Oracle.direct.Oracle.hop_ecc g in
-  let diam = Graphlib.Dist.to_int_exn (Oracle.hop_diameter Oracle.direct g) in
+  let l = Report.ledger () in
+  let oracle = Oracle.memo Oracle.direct in
+  let hop_ecc = oracle.Oracle.hop_ecc g in
+  let diam =
+    Oracle.exact oracle (Harness.Spec.info Harness.Spec.Wwy_ecc).Harness.Spec.quantity g
+  in
   let radius = Array.fold_left min Graphlib.Dist.inf hop_ecc in
   let d_est = scale tamper rmax.Baselines.Wwy_ecc.extremal in
   let r_est = scale tamper rmin.Baselines.Wwy_ecc.extremal in
-  incr checked;
+  Report.count l;
   if rmax.Baselines.Wwy_ecc.exact <> diam then
-    flag "oracle-mismatch"
+    Report.flag l ~code:"oracle-mismatch"
       (Printf.sprintf "max run recorded exact=%d, oracle diameter is %d"
          rmax.Baselines.Wwy_ecc.exact diam)
-      [ ("recorded", J.int rmax.Baselines.Wwy_ecc.exact); ("oracle", J.int diam) ];
-  incr checked;
+      ~data:[ ("recorded", J.int rmax.Baselines.Wwy_ecc.exact); ("oracle", J.int diam) ];
+  Report.count l;
   if d_est <> diam then
-    flag "value"
+    Report.flag l ~code:"value"
       (Printf.sprintf "extremal max eccentricity %d, oracle diameter %d" d_est diam)
-      [ ("estimate", J.int d_est); ("oracle", J.int diam) ];
-  incr checked;
+      ~data:[ ("estimate", J.int d_est); ("oracle", J.int diam) ];
+  Report.count l;
   if r_est <> radius then
-    flag "value"
+    Report.flag l ~code:"value"
       (Printf.sprintf "extremal min eccentricity %d, oracle radius %d" r_est radius)
-      [ ("estimate", J.int r_est); ("oracle", J.int radius) ];
+      ~data:[ ("estimate", J.int r_est); ("oracle", J.int radius) ];
   (* The re-derived bracket: radius <= diameter <= 2*radius must hold
      for the pair of estimates, independent of the oracle equalities
      above. *)
-  incr checked;
+  Report.count l;
   if not (r_est <= d_est && d_est <= 2 * r_est) then
-    flag "bracket"
+    Report.flag l ~code:"bracket"
       (Printf.sprintf "estimates violate R <= D <= 2R: R=%d D=%d" r_est d_est)
-      [ ("radius", J.int r_est); ("diameter", J.int d_est) ];
+      ~data:[ ("radius", J.int r_est); ("diameter", J.int d_est) ];
   (* Every per-node eccentricity certified by a measured Evaluation
      must equal the oracle's. *)
   List.iter
     (fun (v, e) ->
-      incr checked;
+      Report.count l;
       let e = scale tamper e in
       if e <> hop_ecc.(v) then
-        flag "per-node-ecc"
+        Report.flag l ~code:"per-node-ecc"
           (Printf.sprintf "measured ecc(%d)=%d, oracle says %d" v e hop_ecc.(v))
-          [ ("node", J.int v); ("measured", J.int e); ("oracle", J.int hop_ecc.(v)) ])
+          ~data:[ ("node", J.int v); ("measured", J.int e); ("oracle", J.int hop_ecc.(v)) ])
     rmax.Baselines.Wwy_ecc.ecc_known;
-  incr checked;
+  Report.count l;
   if tamper = 1.0 && not (rmax.Baselines.Wwy_ecc.ecc_ok && rmin.Baselines.Wwy_ecc.ecc_ok)
   then
-    flag "flag-inconsistent" "run recorded ecc_ok=false on an untampered instance"
-      [
-        ("max_ecc_ok", J.bool rmax.Baselines.Wwy_ecc.ecc_ok);
-        ("min_ecc_ok", J.bool rmin.Baselines.Wwy_ecc.ecc_ok);
-      ];
+    Report.flag l ~code:"flag-inconsistent" "run recorded ecc_ok=false on an untampered instance"
+      ~data:
+        [
+          ("max_ecc_ok", J.bool rmax.Baselines.Wwy_ecc.ecc_ok);
+          ("min_ecc_ok", J.bool rmin.Baselines.Wwy_ecc.ecc_ok);
+        ];
   let notes =
     [
       ("diameter", J.int d_est);
@@ -70,8 +72,7 @@ let ecc ?(tamper = 1.0) g ~rng =
       ("rounds_min", J.int rmin.Baselines.Wwy_ecc.rounds);
     ]
   in
-  Report.certificate ~name:"wwy-ecc" ~claim:ecc_claim ~checked:!checked ~notes
-    (List.rev !violations)
+  Report.finish l ~name:"wwy-ecc" ~claim:ecc_claim ~notes
 
 let apsp_claim =
   "WWY APSP: the token-flood distance matrix matches the Dijkstra oracle, the \
@@ -80,46 +81,47 @@ let apsp_claim =
 
 let apsp ?(tamper = 1.0) g ~rng =
   let r = Baselines.Wwy_apsp.run g ~rng () in
-  let violations = ref [] in
-  let checked = ref 0 in
-  let flag code detail data = violations := Report.violation ~code detail ~data :: !violations in
-  let wecc = Oracle.direct.Oracle.weighted_ecc g in
-  let diam = Graphlib.Dist.to_int_exn (Oracle.weighted_diameter Oracle.direct g) in
-  let radius = Array.fold_left min Graphlib.Dist.inf wecc in
+  let l = Report.ledger () in
+  let oracle = Oracle.memo Oracle.direct in
+  let diam =
+    Oracle.exact oracle (Harness.Spec.info Harness.Spec.Wwy_apsp).Harness.Spec.quantity g
+  in
+  let radius = Oracle.exact oracle Harness.Spec.Weighted_radius g in
   let est = scale tamper r.Baselines.Wwy_apsp.diameter_estimate in
-  incr checked;
+  Report.count l;
   if r.Baselines.Wwy_apsp.exact <> diam then
-    flag "oracle-mismatch"
+    Report.flag l ~code:"oracle-mismatch"
       (Printf.sprintf "run recorded exact=%d, oracle says %d" r.Baselines.Wwy_apsp.exact diam)
-      [ ("recorded", J.int r.Baselines.Wwy_apsp.exact); ("oracle", J.int diam) ];
-  incr checked;
+      ~data:[ ("recorded", J.int r.Baselines.Wwy_apsp.exact); ("oracle", J.int diam) ];
+  Report.count l;
   if est <> diam then
-    flag "value"
+    Report.flag l ~code:"value"
       (Printf.sprintf "farthest-pair search found %d, oracle diameter %d" est diam)
-      [ ("estimate", J.int est); ("oracle", J.int diam) ];
-  incr checked;
+      ~data:[ ("estimate", J.int est); ("oracle", J.int diam) ];
+  Report.count l;
   if not (radius <= est && est <= 2 * radius) then
-    flag "bracket"
+    Report.flag l ~code:"bracket"
       (Printf.sprintf "estimate violates re-derived R <= D <= 2R: R=%d D=%d" radius est)
-      [ ("radius", J.int radius); ("diameter", J.int est) ];
-  incr checked;
-  if tamper = 1.0 && not r.Baselines.Wwy_apsp.dist_ok then
-    flag "distance-matrix" "run recorded dist_ok=false: flood disagrees with Dijkstra"
-      [];
+      ~data:[ ("radius", J.int radius); ("diameter", J.int est) ];
+  Report.check l
+    (tamper <> 1.0 || r.Baselines.Wwy_apsp.dist_ok)
+    ~code:"distance-matrix" ~data:[]
+    "run recorded dist_ok=false: flood disagrees with Dijkstra";
   (* Round accounting: the total must contain the flood plus the
      search (answer broadcast on top). *)
-  incr checked;
+  Report.count l;
   if r.Baselines.Wwy_apsp.rounds
      < r.Baselines.Wwy_apsp.apsp_rounds + r.Baselines.Wwy_apsp.search_rounds
   then
-    flag "accounting"
+    Report.flag l ~code:"accounting"
       (Printf.sprintf "rounds=%d < apsp=%d + search=%d" r.Baselines.Wwy_apsp.rounds
          r.Baselines.Wwy_apsp.apsp_rounds r.Baselines.Wwy_apsp.search_rounds)
-      [
-        ("rounds", J.int r.Baselines.Wwy_apsp.rounds);
-        ("apsp", J.int r.Baselines.Wwy_apsp.apsp_rounds);
-        ("search", J.int r.Baselines.Wwy_apsp.search_rounds);
-      ];
+      ~data:
+        [
+          ("rounds", J.int r.Baselines.Wwy_apsp.rounds);
+          ("apsp", J.int r.Baselines.Wwy_apsp.apsp_rounds);
+          ("search", J.int r.Baselines.Wwy_apsp.search_rounds);
+        ];
   let notes =
     [
       ("estimate", J.int est);
@@ -130,5 +132,4 @@ let apsp ?(tamper = 1.0) g ~rng =
       ("tokens", J.int r.Baselines.Wwy_apsp.tokens_sent);
     ]
   in
-  Report.certificate ~name:"wwy-apsp" ~claim:apsp_claim ~checked:!checked ~notes
-    (List.rev !violations)
+  Report.finish l ~name:"wwy-apsp" ~claim:apsp_claim ~notes

@@ -13,24 +13,66 @@ type algo =
   | Wwy_ecc
   | Wwy_apsp
 
-let algo_name = function
-  | Thm11_diameter -> "thm11-diameter"
-  | Thm11_radius -> "thm11-radius"
-  | Classical_diameter -> "classical-diameter"
-  | Classical_radius -> "classical-radius"
-  | Lm_unweighted -> "lm-unweighted"
-  | Approx_apsp -> "approx-apsp"
-  | Three_halves -> "three-halves"
-  | Sssp_two_approx -> "sssp-2approx"
-  | Bfs_reliable -> "bfs-reliable"
-  | Wwy_ecc -> "wwy-ecc"
-  | Wwy_apsp -> "wwy-apsp"
+type quantity = Weighted_diameter | Weighted_radius | Hop_diameter | Bfs_depth
+
+type bound = Exact | Over of float | Under of { num : int; den : int }
+
+type info = { name : string; label : string; quantity : quantity; bound : bound }
+
+(* The one table of algorithms. Theorem 1.1 runs at eps = 1/2, so its
+   cap (1+eps)^2 is 2.25; approx-APSP states 1+eps at its default
+   eps = 1/2. *)
+let info = function
+  | Thm11_diameter ->
+    { name = "thm11-diameter"; label = "THIS WORK: quantum weighted diameter (1+o(1))";
+      quantity = Weighted_diameter; bound = Over 2.25 }
+  | Thm11_radius ->
+    { name = "thm11-radius"; label = "THIS WORK: quantum weighted radius (1+o(1))";
+      quantity = Weighted_radius; bound = Over 2.25 }
+  | Classical_diameter ->
+    { name = "classical-diameter"; label = "classical exact weighted diameter";
+      quantity = Weighted_diameter; bound = Exact }
+  | Classical_radius ->
+    { name = "classical-radius"; label = "classical exact weighted radius";
+      quantity = Weighted_radius; bound = Exact }
+  | Lm_unweighted ->
+    { name = "lm-unweighted"; label = "quantum unweighted diameter sqrt(nD) [12]";
+      quantity = Hop_diameter; bound = Exact }
+  | Approx_apsp ->
+    { name = "approx-apsp"; label = "classical (1+eps)-approx APSP diameter [21]";
+      quantity = Weighted_diameter; bound = Over 1.5 }
+  | Three_halves ->
+    { name = "three-halves"; label = "classical 3/2-approx unweighted diameter [15,3]";
+      quantity = Hop_diameter; bound = Under { num = 3; den = 2 } }
+  | Sssp_two_approx ->
+    { name = "sssp-2approx"; label = "classical 2-approx weighted diameter (SSSP)";
+      quantity = Weighted_diameter; bound = Under { num = 2; den = 1 } }
+  | Bfs_reliable ->
+    { name = "bfs-reliable"; label = "BFS tree under faults, reliable delivery (not in Table 1)";
+      quantity = Bfs_depth; bound = Exact }
+  | Wwy_ecc ->
+    { name = "wwy-ecc"; label = "quantum eccentricities sqrt(nD) [WWY22]";
+      quantity = Hop_diameter; bound = Exact }
+  | Wwy_apsp ->
+    { name = "wwy-apsp"; label = "classical-tight weighted APSP Theta(n) [WWY22]";
+      quantity = Weighted_diameter; bound = Exact }
+
+let algo_name a = (info a).name
 
 let all_algos =
   [ Thm11_diameter; Thm11_radius; Classical_diameter; Classical_radius; Lm_unweighted;
     Approx_apsp; Three_halves; Sssp_two_approx; Bfs_reliable; Wwy_ecc; Wwy_apsp ]
 
 let algo_of_name s = List.find_opt (fun a -> algo_name a = s) all_algos
+
+let guarantee algo ~estimate ~exact =
+  let e = float_of_int exact in
+  let ( <=~ ) a b = a <= b +. 1e-6 in
+  match (info algo).bound with
+  | Exact -> estimate <=~ e && e <=~ estimate
+  | Over c -> e <=~ estimate && estimate <=~ c *. e
+  | Under { num; den } ->
+    float_of_int den *. e <=~ float_of_int num *. estimate && estimate <=~ e
 
 type family =
   | Ring of { cliques : int }
@@ -159,21 +201,6 @@ let geometric ~n_min ~n_max ~factor =
       go (n :: acc) next
   in
   go [] n_min
-
-(* ----------------------------- Guarantees -------------------------- *)
-
-(* Theorem 1.1 runs at eps = 1/2, so its cap (1+eps)^2 is 2.25;
-   approx-APSP's 1+eps at its default eps = 1/2 is tighter. *)
-let guarantee algo ~estimate ~exact =
-  let e = float_of_int exact in
-  let ( <=~ ) a b = a <= b +. 1e-6 in
-  match algo with
-  | Thm11_diameter | Thm11_radius | Approx_apsp -> e <=~ estimate && estimate <=~ 2.25 *. e
-  | Sssp_two_approx -> estimate <=~ e && e <=~ 2.0 *. estimate
-  | Three_halves -> 2.0 *. e <=~ 3.0 *. estimate && estimate <=~ e
-  | Classical_diameter | Classical_radius | Lm_unweighted | Bfs_reliable | Wwy_ecc
-  | Wwy_apsp ->
-    estimate <=~ e && e <=~ estimate
 
 (* ------------------------------ Job ids ---------------------------- *)
 

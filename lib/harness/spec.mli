@@ -30,9 +30,39 @@ type algo =
       (** Wang–Wu–Yao weighted APSP + farthest-pair search
           ([Θ̃(n)] rounds, no quantum speedup). *)
 
+(** {1 The algorithm table} *)
+
+type quantity =
+  | Weighted_diameter
+  | Weighted_radius
+  | Hop_diameter  (** The unweighted diameter of the topology. *)
+  | Bfs_depth  (** The depth of a BFS tree from node 0: node 0's hop eccentricity. *)
+
+type bound =
+  | Exact  (** [estimate = exact]. *)
+  | Over of float  (** [exact <= estimate <= c * exact]. *)
+  | Under of { num : int; den : int }
+      (** [den * exact <= num * estimate] and [estimate <= exact]: an
+          under-estimate by at most a factor [num/den]. *)
+
+type info = {
+  name : string;
+      (** Stable kebab-case name, e.g. ["thm11-diameter"] — used in
+          JSON, job ids, series labels and gate references. *)
+  label : string;  (** The Table 1 row it measures, as the bench prints it. *)
+  quantity : quantity;  (** The exact value its rows report. *)
+  bound : bound;  (** The guarantee it states; see {!guarantee}. *)
+}
+
+val info : algo -> info
+(** Every fact about an algorithm that is not how to run it (that is
+    [Runner.run_job]'s match), stated once. *)
+
+val all_algos : algo list
+(** Every algorithm, in declaration order. *)
+
 val algo_name : algo -> string
-(** Stable kebab-case name, e.g. ["thm11-diameter"] — used in JSON,
-    job ids, series labels and gate references. *)
+(** [(info a).name]. *)
 
 val algo_of_name : string -> algo option
 
@@ -113,9 +143,12 @@ val geometric : n_min:int -> n_max:int -> factor:float -> int list
     inclusive ([n_max] is always included). Requires [factor > 1]. *)
 
 val guarantee : algo -> estimate:float -> exact:int -> bool
-(** The guarantee an algorithm states, as a predicate on its estimate
-    and the exact value, to within [1e-6]:
-    - Theorem 1.1 and approx-APSP: [exact <= estimate <= 2.25 * exact];
+(** The algorithm's {!bound} as a predicate on its estimate and the
+    exact value, to within [1e-6]:
+    - Theorem 1.1: [exact <= estimate <= 2.25 * exact] ([(1+ε)²] at
+      [ε = 1/2]);
+    - approx-APSP: [exact <= estimate <= 1.5 * exact] ([1+ε] at
+      [ε = 1/2]);
     - the 2-approximation: [estimate <= exact <= 2 * estimate];
     - the 3/2-approximation: [2 * exact <= 3 * estimate] and
       [estimate <= exact];

@@ -272,14 +272,24 @@ let set_number key by row =
     done;
     String.sub row 0 i ^ key ^ by ^ String.sub row !j (String.length row - !j)
 
-(* The forged row of the negative control: an estimate ten times the
-   exact value, a consistent ratio of 10, and [within] left true. *)
-let forge_within row =
-  let v = Telemetry.Json.parse_exn row in
-  let exact =
-    Option.get (Option.bind (Telemetry.Json.member "exact" v) Telemetry.Json.to_int_opt)
-  in
-  row |> set_number "estimate" (string_of_int (10 * exact)) |> set_number "ratio" "10"
+let stored_exact row =
+  Option.get
+    (Option.bind
+       (Telemetry.Json.member "exact" (Telemetry.Json.parse_exn row))
+       Telemetry.Json.to_int_opt)
+
+(* A forged row: an estimate [factor] times the exact value, a
+   consistent ratio, and [within] left true. *)
+let forge_within ?(factor = 10) row =
+  row
+  |> set_number "estimate" (string_of_int (factor * stored_exact row))
+  |> set_number "ratio" (string_of_int factor)
+
+(* A forged row that agrees with itself: estimate and exact both one
+   above the stored exact value, ratio 1. *)
+let forge_exact row =
+  let off = string_of_int (stored_exact row + 1) in
+  row |> set_number "estimate" off |> set_number "exact" off |> set_number "ratio" "1"
 
 let bend_exact = set_number "exact" "99999"
 let fail_row =
@@ -287,15 +297,16 @@ let fail_row =
     ~by:"\"status\":\"failed\",\"error\":{\"kind\":\"exception\",\"message\":\"injected\"}"
 let corrupt_row = replace ~sub:"\"within\":true" ~by:"\"within\":\"yes\""
 
-(* A copy of [store] with [edit] applied to the row of the [i]-th job;
-   rows [edit] maps to [None] are left out. *)
-let copy_store store edit =
+(* A copy of [store] with [edit] applied to the row of the [i]-th job
+   of [spec] (default [sweep_spec]); rows [edit] maps to [None] are
+   left out. *)
+let copy_store ?(spec = sweep_spec) store edit =
   let copy = temp_store () in
   List.iteri
     (fun i (j : Harness.Spec.job) ->
       let row = Option.get (Harness.Store.find store j.Harness.Spec.id) in
       Option.iter (Harness.Store.append copy ~id:j.Harness.Spec.id) (edit i row))
-    (Harness.Spec.jobs sweep_spec);
+    (Harness.Spec.jobs spec);
   copy
 
 (* What auditing each stored row alone, on a fresh build, reports. *)
@@ -346,13 +357,26 @@ let remove_store s =
   Harness.Store.close s;
   try Sys.remove (Harness.Store.path s) with Sys_error _ -> ()
 
-(* Runs [f] on a store freshly swept over [sweep_spec], then removes it
-   and every store [f] returns. *)
-let with_swept_store f =
+(* Runs [f] on a store freshly swept over [spec] (default
+   [sweep_spec]), then removes it and every store [f] returns. *)
+let with_swept_store ?(spec = sweep_spec) f =
   let store = temp_store () in
-  let _executed, failed = Harness.Runner.run sweep_spec store in
+  let _executed, failed = Harness.Runner.run spec store in
   check "no failed jobs" 0 failed;
   List.iter remove_store (store :: f store)
+
+(* The codes of the violations found in [spec]'s store after [forge]
+   rewrote every row. *)
+let forged_codes spec forge =
+  let codes = ref [] in
+  with_swept_store ~spec (fun store ->
+      let forged = copy_store ~spec store (fun _ row -> Some (forge row)) in
+      let c = Check.Sweep_audit.audit_store spec forged in
+      codes :=
+        List.map (fun (v : Check.Report.violation) -> v.Check.Report.code)
+          c.Check.Report.violations;
+      [ forged ]);
+  !codes
 
 let test_sweep_audit () =
   with_swept_store (fun store ->
@@ -388,11 +412,6 @@ let test_sweep_forged_within () =
       check "nothing else flagged" rows (List.length c.Check.Report.violations);
       [ forged ])
 
-let all_algos =
-  Harness.Spec.
-    [ Thm11_diameter; Thm11_radius; Classical_diameter; Classical_radius; Lm_unweighted;
-      Approx_apsp; Three_halves; Sssp_two_approx; Bfs_reliable; Wwy_ecc; Wwy_apsp ]
-
 let test_guarantee_predicates () =
   let holds algo estimate exact = Harness.Spec.guarantee algo ~estimate ~exact in
   let open Harness.Spec in
@@ -409,6 +428,8 @@ let test_guarantee_predicates () =
       ("thm11 past the cap", Thm11_radius, 225.1, 100, false);
       ("thm11 below exact", Thm11_diameter, 99.9, 100, false);
       ("approx-apsp within 1e-6", Approx_apsp, 99.9999995, 100, true);
+      ("approx-apsp at 1+eps", Approx_apsp, 150.0, 100, true);
+      ("approx-apsp past 1+eps", Approx_apsp, 150.1, 100, false);
       ("2-approx at half", Sssp_two_approx, 50.0, 100, true);
       ("2-approx below half", Sssp_two_approx, 49.0, 100, false);
       ("2-approx above exact", Sssp_two_approx, 101.0, 100, false);
@@ -418,6 +439,115 @@ let test_guarantee_predicates () =
       ("exact algorithm one off", Wwy_ecc, 76.0, 75, false);
       ("exact algorithm one under", Bfs_reliable, 8.0, 9, false);
     ]
+
+(* A fixed copy of each algorithm's guarantee predicate, written out
+   per algorithm, for [Spec.guarantee] to match. approx-APSP's entry
+   here is Theorem 1.1's (1+eps)^2; its own stated bound, which the
+   table holds, is 1+eps. *)
+let reference_guarantee algo ~estimate ~exact =
+  let e = float_of_int exact in
+  let ( <=~ ) a b = a <= b +. 1e-6 in
+  let open Harness.Spec in
+  match algo with
+  | Thm11_diameter | Thm11_radius | Approx_apsp -> e <=~ estimate && estimate <=~ 2.25 *. e
+  | Sssp_two_approx -> estimate <=~ e && e <=~ 2.0 *. estimate
+  | Three_halves -> 2.0 *. e <=~ 3.0 *. estimate && estimate <=~ e
+  | Classical_diameter | Classical_radius | Lm_unweighted | Bfs_reliable | Wwy_ecc
+  | Wwy_apsp ->
+    estimate <=~ e && e <=~ estimate
+
+(* Estimates anywhere in [0, 3 * exact], on an integer, or within a few
+   tolerances of one of the bounds' end points. *)
+let estimate_exact_pair =
+  let open QCheck.Gen in
+  int_range 0 1_000 >>= fun exact ->
+  let e = float_of_int exact in
+  oneof
+    [
+      map (fun r -> r *. e) (float_range 0.0 3.0);
+      map float_of_int (int_range 0 3_000);
+      map2
+        (fun c d -> (c *. e) +. d)
+        (oneofl [ 0.5; 2.0 /. 3.0; 1.0; 1.5; 2.25 ])
+        (oneofl [ -2e-6; -1e-6; -5e-7; 0.0; 5e-7; 1e-6; 2e-6 ]);
+    ]
+  >|= fun estimate -> (estimate, exact)
+
+let prop_guarantee_unchanged =
+  QCheck.Test.make ~name:"guarantee = the reference table, approx-apsp aside" ~count:2_000
+    (QCheck.make
+       ~print:(fun (estimate, exact) -> Printf.sprintf "estimate=%h exact=%d" estimate exact)
+       estimate_exact_pair)
+    (fun (estimate, exact) ->
+      List.for_all
+        (fun algo ->
+          algo = Harness.Spec.Approx_apsp
+          || Harness.Spec.guarantee algo ~estimate ~exact
+             = reference_guarantee algo ~estimate ~exact)
+        Harness.Spec.all_algos)
+
+(* One n = 12 instance of every family. *)
+let families =
+  Harness.Spec.
+    [ Ring { cliques = 3 }; Chain { cliques = 1 }; Chain { cliques = 3 }; Gnp { p = 0.3 };
+      Grid; Hard; Random_tree ]
+
+(* The exact value each algorithm's rows report, computed without
+   [Check.Oracle]: [Apsp] and [Bfs] directly, and for bfs-reliable the
+   depth of a BFS tree built by [Congest.Tree]. *)
+let reference_exact algo g =
+  let open Harness.Spec in
+  Graphlib.Dist.to_int_exn
+    (match algo with
+    | Thm11_diameter | Classical_diameter | Approx_apsp | Sssp_two_approx | Wwy_apsp ->
+      Graphlib.Apsp.weighted_diameter g
+    | Thm11_radius | Classical_radius -> Graphlib.Apsp.weighted_radius g
+    | Lm_unweighted | Three_halves | Wwy_ecc -> Graphlib.Bfs.diameter g
+    | Bfs_reliable -> (fst (Congest.Tree.build g ~root:0)).Congest.Tree.depth)
+
+let test_algorithm_table () =
+  let open Harness.Spec in
+  let names = List.map algo_name all_algos in
+  let labels = List.map (fun a -> (info a).label) all_algos in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+  checkb "names distinct" true (distinct names);
+  checkb "labels distinct" true (distinct labels);
+  List.iter
+    (fun a -> checkb (algo_name a ^ " round-trips") true (algo_of_name (algo_name a) = Some a))
+    all_algos;
+  checkb "unknown name" true (algo_of_name "nosuch" = None);
+  List.iter
+    (fun family ->
+      let g = build_graph family ~max_w:16 ~n:12 ~rng:(Util.Rng.create ~seed:1) in
+      List.iter
+        (fun a ->
+          check
+            (Printf.sprintf "%s on %s" (algo_name a) (family_name family))
+            (reference_exact a g)
+            (Check.Oracle.exact Check.Oracle.direct (info a).quantity g))
+        all_algos)
+    families
+
+let test_sweep_forged_approx_apsp () =
+  (* Twice the exact value is inside Theorem 1.1's (1+eps)^2 but
+     outside approx-APSP's own 1+eps. *)
+  let spec =
+    Harness.Spec.make ~name:"forged-approx-apsp" ~algos:[ Harness.Spec.Approx_apsp ]
+      ~family:(Harness.Spec.Ring { cliques = 3 }) ~sizes:[ 12 ] ~seeds:[ 1 ] ()
+  in
+  Alcotest.(check (list string))
+    "one within-drift" [ "within-drift" ]
+    (forged_codes spec (forge_within ~factor:2))
+
+let test_sweep_forged_bfs_depth () =
+  (* A row consistent with itself whose exact value is one above the
+     BFS depth: only the oracle can tell. *)
+  let spec =
+    Harness.Spec.make ~name:"forged-bfs" ~algos:[ Harness.Spec.Bfs_reliable ]
+      ~family:(Harness.Spec.Ring { cliques = 3 }) ~sizes:[ 12 ] ~seeds:[ 1 ] ()
+  in
+  Alcotest.(check (list string))
+    "one oracle-mismatch" [ "oracle-mismatch" ] (forged_codes spec forge_exact)
 
 (* Every algorithm on one n = 12 instance of every family, under a
    fault profile that bfs-reliable meets: each row is audited, and the
@@ -444,8 +574,7 @@ let test_sweep_every_family () =
             v.Check.Report.code)
         c.Check.Report.violations;
       remove_store store)
-    [ Ring { cliques = 3 }; Chain { cliques = 1 }; Chain { cliques = 3 }; Gnp { p = 0.3 };
-      Grid; Hard; Random_tree ]
+    families
 
 let test_sweep_one_build_per_instance () =
   with_swept_store (fun store ->
@@ -517,7 +646,7 @@ let test_expected_exact_matches_rows () =
         stored
         (Check.Sweep_audit.expected_exact sweep_spec j))
     (Harness.Spec.jobs sweep_spec);
-  (try Sys.remove (Harness.Store.path store) with Sys_error _ -> ())
+  remove_store store
 
 (* ---------------------------- resilience --------------------------- *)
 
@@ -595,7 +724,12 @@ let () =
         [
           Alcotest.test_case "store audit" `Quick test_sweep_audit;
           Alcotest.test_case "forged within flag" `Quick test_sweep_forged_within;
+          Alcotest.test_case "forged approx-apsp within flag" `Quick
+            test_sweep_forged_approx_apsp;
+          Alcotest.test_case "forged bfs-reliable exact" `Quick test_sweep_forged_bfs_depth;
           Alcotest.test_case "guarantee predicates" `Quick test_guarantee_predicates;
+          QCheck_alcotest.to_alcotest prop_guarantee_unchanged;
+          Alcotest.test_case "algorithm table" `Quick test_algorithm_table;
           Alcotest.test_case "every algorithm on every family" `Quick
             test_sweep_every_family;
           Alcotest.test_case "one build per instance" `Quick test_sweep_one_build_per_instance;
