@@ -34,38 +34,3 @@ let fmt_large x =
   if x >= 1e7 then Printf.sprintf "%.3g" x
   else if Float.is_integer x then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.1f" x
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable trace artifacts.                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Resolution order: ARTIFACTS_DIR env override, then the historical
-   "bench_artifacts" default; created (with parents) if missing. *)
-let artifact_dir () = Telemetry.Export.artifacts_dir ()
-
-(* Dump a trace (with its fault counters) as [<name>.trace.json] under
-   bench_artifacts/, so downstream tooling can parse runs without
-   scraping the console tables. *)
-let write_trace_json ~name trace =
-  let path =
-    Telemetry.Export.write_artifact ~name:(name ^ ".trace.json")
-      (Telemetry.Json.print (Congest.Engine.trace_to_json trace))
-  in
-  note "wrote %s" path
-
-(* Every bench section's top-level JSON artifact goes through here:
-   the canonical copy lands under bench_artifacts/ (ARTIFACTS_DIR
-   override respected). [~root_copy:true] — used only by the perf
-   trajectory (BENCH_engine.json) — additionally writes an identical
-   copy at ./<name>, which is where the committed trajectory history
-   lives and where CI's jq checks have always looked. Returns the
-   artifacts-dir path. *)
-let write_bench_json ?(root_copy = false) ~name json =
-  let content = Telemetry.Json.print json in
-  let path = Telemetry.Export.write_artifact ~name content in
-  note "wrote %s" path;
-  if root_copy then begin
-    Telemetry.Export.write_file ~path:name (content ^ "\n");
-    note "wrote %s (root trajectory copy)" name
-  end;
-  path

@@ -156,8 +156,6 @@ let fig4 () =
 
 let dot_artifacts () =
   Bench_common.subsection "Graphviz artifacts (render with `dot -Tsvg`)";
-  let dir = "bench_artifacts" in
-  (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
   let p = Lowerbound.Gadget.params_of_h ~h:2 in
   let s2 = Util.Int_math.pow 2 p.Lowerbound.Gadget.s in
   let input = Lowerbound.Boolfun.input_forcing ~value:true ~s2 ~ell:p.Lowerbound.Gadget.ell in
@@ -180,18 +178,16 @@ let dot_artifacts () =
     | Lowerbound.Gadget.B_star j -> Printf.sprintf "b%d*" j
     | Lowerbound.Gadget.A_zero -> "a0"
   in
-  let fig2 = Filename.concat dir "fig2_gadget_h2.dot" in
-  let oc = open_out fig2 in
-  output_string oc
-    (Graphlib.Io.to_dot ~name:"fig2" ~label ~color ~weight_label:false
-       gd.Lowerbound.Gadget.graph);
-  close_out oc;
+  let fig2 =
+    Telemetry.Export.write_artifact ~name:"fig2_gadget_h2.dot"
+      (Graphlib.Io.to_dot ~name:"fig2" ~label ~color ~weight_label:false
+         gd.Lowerbound.Gadget.graph)
+  in
   let c = Lowerbound.Contraction_check.contract gd in
-  let fig3 = Filename.concat dir "fig3_contracted_h2.dot" in
-  let oc = open_out fig3 in
-  output_string oc
-    (Graphlib.Io.to_dot ~name:"fig3" ~weight_label:true c.Lowerbound.Contraction_check.g');
-  close_out oc;
+  let fig3 =
+    Telemetry.Export.write_artifact ~name:"fig3_contracted_h2.dot"
+      (Graphlib.Io.to_dot ~name:"fig3" ~weight_label:true c.Lowerbound.Contraction_check.g')
+  in
   Bench_common.note "wrote %s (%d nodes) and %s (%d nodes)" fig2
     (Graphlib.Wgraph.n gd.Lowerbound.Gadget.graph)
     fig3

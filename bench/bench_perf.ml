@@ -15,8 +15,7 @@
    bench_artifacts/trajectory/ — the history `qcongest perf gate`
    regresses against.
 
-   QCONGEST_PERF_SMOKE=1 (or `bench/main.exe -- --smoke perf`) shrinks
-   the sizes for CI. *)
+   QCONGEST_PERF_SMOKE=1 shrinks the sizes for CI. *)
 
 let smoke () = Sys.getenv_opt "QCONGEST_PERF_SMOKE" <> None
 
@@ -198,8 +197,14 @@ let run () =
      trial-fanning sections (lower, ablation, thm11) of this process use. *)
   let jobs = Util.Domain_pool.default_jobs () in
   Bench_common.note "every case ran on one domain (bench worker count: %d)" jobs;
-  let json = cases_to_json ~jobs ~smoke cases in
-  ignore (Bench_common.write_bench_json ~root_copy:true ~name:"BENCH_engine.json" json);
+  (* The artifacts directory gets the canonical copy; ./BENCH_engine.json
+     is where the committed trajectory history lives and where CI's jq
+     checks look. *)
+  let content = Telemetry.Json.print (cases_to_json ~jobs ~smoke cases) in
+  Bench_common.note "wrote %s"
+    (Telemetry.Export.write_artifact ~name:"BENCH_engine.json" content);
+  Telemetry.Export.write_file ~path:"BENCH_engine.json" (content ^ "\n");
+  Bench_common.note "wrote BENCH_engine.json (root trajectory copy)";
   (* Perf-trajectory rows: one qcongest-perf-row/v1 per case, appended
      to the history and snapshotted for the regression gate. *)
   let rows =

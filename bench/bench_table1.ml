@@ -44,10 +44,7 @@ let print_measured () =
      QCONGEST_JOBS) and checkpoint under the artifact dir, so a re-run
      of the bench resumes instead of recomputing. *)
   let spec = Harness.Spec.table1_measured in
-  let store =
-    Harness.Store.load
-      ~path:(Filename.concat (Bench_common.artifact_dir ()) "table1_measured.jsonl") ()
-  in
+  let store = Harness.Store.load ~path:(Harness.Runner.store_path spec) () in
   let executed, failures = Harness.Runner.run spec store in
   if failures > 0 then Bench_common.note "WARNING: %d of %d jobs failed" failures executed;
   let t =
@@ -74,7 +71,7 @@ let print_measured () =
     (Harness.Spec.jobs spec);
   Util.Table.print t;
   Bench_common.note "wrote %s"
-    (Telemetry.Export.write_artifact ~name:"table1_measured.sweep.json"
+    (Telemetry.Export.write_artifact ~name:(spec.Harness.Spec.name ^ ".sweep.json")
        (J.print (Harness.Runner.report spec store)));
   Harness.Store.close store;
   let g =

@@ -12,10 +12,7 @@ let scaling () =
      dir (re-running the bench resumes instead of recomputing), and
      the fit comes from the same Harness.Fit path the CI gate uses. *)
   let spec = Harness.Spec.thm11_scaling in
-  let store =
-    Harness.Store.load
-      ~path:(Filename.concat (Bench_common.artifact_dir ()) "thm11_scaling.jsonl") ()
-  in
+  let store = Harness.Store.load ~path:(Harness.Runner.store_path spec) () in
   let executed, failures = Harness.Runner.run spec store in
   Bench_common.note "sweep %s: %d jobs executed (%d resumed from checkpoint), %d failed"
     spec.Harness.Spec.name executed
@@ -91,7 +88,7 @@ let scaling () =
         c.Harness.Fit.reason)
     verdict.Harness.Fit.checks;
   Bench_common.note "wrote %s"
-    (Telemetry.Export.write_artifact ~name:"thm11_scaling.sweep.json"
+    (Telemetry.Export.write_artifact ~name:(spec.Harness.Spec.name ^ ".sweep.json")
        (J.print (Harness.Runner.report spec store)));
   Harness.Store.close store;
   Bench_common.note

@@ -3,12 +3,12 @@
    Regenerates every table and figure of Wu & Yao (PODC 2022):
    Table 1 (complexity landscape), Table 2 (gadget distances),
    Figures 1-4 (lower-bound constructions), plus the scaling/quality
-   experiments behind Theorems 1.1 and 1.2, two ablations, and a block
-   of Bechamel micro-benchmarks (one per artifact).
+   experiments behind Theorems 1.1 and 1.2 and two ablations; [perf]
+   records the simulator's hot-path trajectory.
 
    Usage:
      dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- table1 fig2 thm11   # selected sections *)
+     dune exec bench/main.exe -- table1 figures thm11   # selected sections *)
 
 let sections : (string * string * (unit -> unit)) list =
   [
@@ -18,27 +18,13 @@ let sections : (string * string * (unit -> unit)) list =
     ("thm11", "Theorem 1.1: scaling, quality, crossover", Bench_thm11.run);
     ("lower", "Theorems 1.2/4.2/4.8: lower-bound chain", Bench_lower.run);
     ("ablation", "Ablations: k-shortcut trade-off, search strategies", Bench_ablation.run);
-    ("micro", "Bechamel micro-benchmarks", Bench_micro.run);
     ("perf", "Engine/APSP hot-path trajectory (BENCH_engine.json)", Bench_perf.run);
-    ("check", "Guarantee auditor over live engine streams", Bench_check.run);
-    ("chaos", "Supervision overhead: deadline guard, checksummed store", Bench_chaos.run);
   ]
 
 let () =
-  (* [--smoke] shrinks sizes for the sections that honor
-     QCONGEST_PERF_SMOKE. The sections that fan trials out take their
-     worker count from QCONGEST_JOBS. *)
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--" then false
-        else if a = "--smoke" then begin
-          Unix.putenv "QCONGEST_PERF_SMOKE" "1";
-          false
-        end
-        else true)
-      (List.tl (Array.to_list Sys.argv))
-  in
+  (* The sections that fan trials out take their worker count from
+     QCONGEST_JOBS; QCONGEST_PERF_SMOKE=1 shrinks [perf]'s sizes. *)
+  let args = List.filter (fun a -> a <> "--") (List.tl (Array.to_list Sys.argv)) in
   let requested =
     match args with
     | _ :: _ as names -> names

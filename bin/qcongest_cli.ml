@@ -627,11 +627,8 @@ let load_spec spec_file builtin =
         (Printf.sprintf "unknown built-in spec %S (have: %s)" builtin
            (String.concat ", " builtin_names)))
 
-let resolve_store_path (spec : Harness.Spec.t) override =
-  match override with
-  | Some p -> p
-  | None ->
-    Filename.concat (Telemetry.Export.artifacts_dir ()) (spec.Harness.Spec.name ^ ".jsonl")
+let resolve_store_path spec override =
+  match override with Some p -> p | None -> Harness.Runner.store_path spec
 
 let deadline_usage = "--deadline must be a non-negative finite number of seconds"
 

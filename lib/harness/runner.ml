@@ -277,6 +277,9 @@ let rec batches size = function
   | [] -> []
   | l -> take size l :: batches size (List.filteri (fun i _ -> i >= size) l)
 
+let store_path (spec : Spec.t) =
+  Filename.concat (Telemetry.Export.artifacts_dir ()) (spec.Spec.name ^ ".jsonl")
+
 let run ?jobs ?max_jobs ?deadline_s ?execute ?metrics
     ?(on_progress = fun ~completed:_ ~total:_ -> ()) spec store =
   if not (Option.fold ~none:true ~some:Congest.Engine.valid_deadline deadline_s) then

@@ -82,6 +82,12 @@ val protect : ?attempt:int -> Spec.job -> (unit -> string) -> string
     [Deadline_exceeded] into a {!Timed_out} row, and any other
     exception into an [exception] {!Failed} row. *)
 
+val store_path : Spec.t -> string
+(** [<artifacts dir>/<spec name>.jsonl]: the one checkpoint store of a
+    spec's sweep ({!Telemetry.Export.artifacts_dir}, created if
+    missing). [qcongest sweep] defaults to it and the benches run their
+    sweeps into it, so the two resume each other's rows. *)
+
 val run :
   ?jobs:int ->
   ?max_jobs:int ->

@@ -42,8 +42,8 @@ let line_id line = Result.fold ~ok:row_id ~error:(fun _ -> None) (J.parse line)
    The splice is purely syntactic (drop the closing brace, add the
    field), so stripping it recovers the logical row byte-for-byte —
    in-memory rows, [find]/[rows] and every report built from them are
-   independent of the framing. Lines without the suffix are legacy v1
-   rows and still load (their ids are their only integrity check). *)
+   independent of the framing. A line without a valid frame is
+   corrupt. *)
 
 let frame_suffix = ",\"crc\":\""
 let frame_len = String.length frame_suffix + 16 + 2 (* ..."<hex>"} *)
@@ -74,18 +74,9 @@ type parsed = Valid of string * string  (** id, logical row *) | Corrupt
 
 let parse_line line =
   match split_frame line with
-  | Some (logical, crc) ->
-    if crc = Fnv.hex64 logical then
-      match line_id logical with Some id -> Valid (id, logical) | None -> Corrupt
-    else Corrupt
-  | None -> (
-    (* Legacy v1 line — but an object that still carries a "crc"
-       member here is a v2 line whose framing got damaged, not a v1
-       row (the runner never emitted one): treat it as corrupt. *)
-    match J.parse line with
-    | Ok v when J.member "crc" v = None -> (
-      match row_id v with Some id -> Valid (id, line) | None -> Corrupt)
-    | Ok _ | Error _ -> Corrupt)
+  | Some (logical, crc) when crc = Fnv.hex64 logical -> (
+    match line_id logical with Some id -> Valid (id, logical) | None -> Corrupt)
+  | Some _ | None -> Corrupt
 
 (* ------------------------------ Locking ---------------------------- *)
 (* Advisory single-runner lock: [path ^ ".lock"] is exclusively
@@ -216,9 +207,7 @@ let load ?(fsync = false) ?(lock = true) ~path () =
         if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
         close_out oc
       end;
-      (* Rewrite whenever the on-disk bytes and the loaded rows disagree.
-         Survivors are re-framed, which transparently upgrades legacy v1
-         lines touched by a repair. *)
+      (* Rewrite whenever the on-disk bytes and the loaded rows disagree. *)
       if t.dropped > 0 || t.quarantined > 0 || not ends_with_nl then begin
         let b = Buffer.create (String.length content) in
         List.iter

@@ -3,17 +3,16 @@
     One line per completed job: a single-line JSON object whose ["id"]
     field is the job's content hash ({!Spec.job_id}), framed on disk
     with a trailing ["crc"] member holding the FNV-1a64 checksum of
-    the logical row (the [qcongest-sweep-row/v2] on-disk format;
-    unframed v1 lines still load). The format is crash- and
-    corruption-tolerant by construction:
+    the logical row (the [qcongest-sweep-row/v2] on-disk format). The
+    format is crash- and corruption-tolerant by construction:
 
     - {b appends} are a single [write] of one framed line followed by
       a flush (and, in [~fsync:true] mode, an [fsync]), so a kill can
       at worst leave one partial trailing line;
     - {b loads} verify every line's checksum. A damaged {e mid-file}
       line (bit flip, spliced foreign row, truncated row, duplicate
-      id) is {e quarantined} to the sibling [*.corrupt.jsonl] — the
-      valid rows around it survive. An unterminated {e final} line is
+      id, a row without its checksum) is {e quarantined} to the
+      sibling [*.corrupt.jsonl] — the valid rows around it survive. An unterminated {e final} line is
       a partial append and is truncated. Either repair rewrites the
       store to exactly the surviving rows with an atomic tmp-rename
       ({!Telemetry.Export.write_file_atomic});

@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
-
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create_aligned ~headers =
@@ -16,9 +14,7 @@ let create ~headers = create_aligned ~headers:(List.map (fun h -> (h, Left)) hea
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: width mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -33,10 +29,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Separator -> acc
-            | Cells cells -> max acc (String.length (List.nth cells i)))
+          (fun acc cells -> max acc (String.length (List.nth cells i)))
           (String.length h) rows)
       t.headers
   in
@@ -56,14 +49,10 @@ let render t =
   rule ();
   emit t.headers;
   rule ();
-  List.iter (function Separator -> rule () | Cells cells -> emit cells) rows;
+  List.iter emit rows;
   rule ();
   Buffer.contents buf
 
 let print t = print_string (render t)
-
-let cell_int = string_of_int
-
-let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 
 let cell_bool b = if b then "yes" else "no"

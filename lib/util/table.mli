@@ -1,7 +1,7 @@
 (** Plain-text table rendering for the benchmark harness.
 
-    Produces aligned, pipe-separated tables that mirror the layout of
-    the paper's Table 1 and Table 2 in [bench_output.txt]. *)
+    Produces the aligned, pipe-separated tables that [bench/main.exe]
+    prints, such as the paper's Table 1 and Table 2. *)
 
 type align = Left | Right
 
@@ -13,13 +13,8 @@ val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] if the row width differs from the header
     width. *)
 
-val add_separator : t -> unit
-(** A horizontal rule between row groups. *)
-
 val render : t -> string
 val print : t -> unit
 (** [render] followed by [print_string]. *)
 
-val cell_int : int -> string
-val cell_float : ?decimals:int -> float -> string
 val cell_bool : bool -> string

@@ -115,6 +115,18 @@ let temp_store_path () =
 let row ~id fields =
   J.print (J.obj (("id", J.str id) :: List.map (fun (k, v) -> (k, J.int v)) fields))
 
+(* Close every handle on one store, then delete its file and corrupt
+   sibling. Only the handle whose load took the lock releases it, and
+   [close] is idempotent, so closing them all leaves no lock behind. *)
+let remove_store handles =
+  List.iter Harness.Store.close handles;
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ Harness.Store.path (List.hd handles); Harness.Store.corrupt_path (List.hd handles) ]
+
+let file_lines path =
+  String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+
 let test_store_roundtrip () =
   let path = temp_store_path () in
   let s = Harness.Store.load ~path () in
@@ -126,7 +138,7 @@ let test_store_roundtrip () =
   check "reload count" 2 (Harness.Store.count s');
   checkb "order preserved" true (List.map fst (Harness.Store.rows s') = [ "a"; "b" ]);
   checkb "find" true (Harness.Store.find s' "b" = Some (row ~id:"b" [ ("v", 2) ]));
-  Sys.remove path
+  remove_store [ s; s' ]
 
 let test_store_corrupt_tail () =
   let path = temp_store_path () in
@@ -147,12 +159,17 @@ let test_store_corrupt_tail () =
   (* Resume can fill the truncated job back in. *)
   Harness.Store.append s'' ~id:"c" (row ~id:"c" []);
   check "resumed" 3 (Harness.Store.count (Harness.Store.load ~path ()));
-  Sys.remove path
+  remove_store [ s; s'; s'' ]
 
 let test_store_garbage_middle () =
   let path = temp_store_path () in
-  Telemetry.Export.write_file ~path
-    (row ~id:"a" [] ^ "\nnot json at all\n" ^ row ~id:"b" [] ^ "\n");
+  let s0 = Harness.Store.load ~path () in
+  Harness.Store.append s0 ~id:"a" (row ~id:"a" []);
+  Harness.Store.append s0 ~id:"b" (row ~id:"b" []);
+  Harness.Store.close s0;
+  (match file_lines path with
+  | [ a; b; "" ] -> Telemetry.Export.write_file ~path (a ^ "\nnot json at all\n" ^ b ^ "\n")
+  | _ -> Alcotest.fail "expected 2 framed lines");
   let s = Harness.Store.load ~path () in
   (* Rows carry their own checksum, so a valid row after a corrupt
      line is provably intact: the bad line is quarantined to the
@@ -168,33 +185,44 @@ let test_store_garbage_middle () =
   let s' = Harness.Store.load ~path () in
   check "repair clean" 0 (Harness.Store.quarantined_lines s');
   check "repair kept rows" 2 (Harness.Store.count s');
-  Sys.remove (Harness.Store.corrupt_path s);
-  Sys.remove path
+  remove_store [ s; s' ]
 
-let test_store_v1_compat_v2_frames () =
+let test_store_v2_frames () =
   let path = temp_store_path () in
-  (* Legacy v1 store: bare rows, no crc member. *)
-  Telemetry.Export.write_file ~path (row ~id:"a" [ ("v", 1) ] ^ "\n" ^ row ~id:"b" [] ^ "\n");
   let s = Harness.Store.load ~path () in
-  check "v1 rows load" 2 (Harness.Store.count s);
-  checkb "logical row unchanged" true
-    (Harness.Store.find s "a" = Some (row ~id:"a" [ ("v", 1) ]));
-  (* New appends are v2-framed on disk but logically unframed. *)
+  (* Appends are framed on disk but logically unframed. *)
   Harness.Store.append s ~id:"c" (row ~id:"c" []);
   Harness.Store.close s;
-  let last_line =
-    List.hd (List.rev (String.split_on_char '\n' (String.trim (In_channel.with_open_bin path In_channel.input_all))))
-  in
+  let line = String.trim (In_channel.with_open_bin path In_channel.input_all) in
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
-  checkb "on-disk frame has crc" true (contains last_line "\"crc\":\"");
+  checkb "on-disk frame has crc" true (contains line "\"crc\":\"");
   let s' = Harness.Store.load ~path () in
   checkb "framed row reads back unframed" true
     (Harness.Store.find s' "c" = Some (row ~id:"c" []));
-  Sys.remove path
+  remove_store [ s; s' ]
+
+(* A row whose "crc" member was deleted by hand is a damaged frame,
+   not a row: it is quarantined, so an edited row never loads. *)
+let test_store_stripped_crc_quarantined () =
+  let path = temp_store_path () in
+  let s = Harness.Store.load ~path () in
+  Harness.Store.append s ~id:"a" (row ~id:"a" [ ("v", 1) ]);
+  Harness.Store.append s ~id:"b" (row ~id:"b" [ ("v", 2) ]);
+  Harness.Store.close s;
+  (* Stripping the frame leaves exactly the logical row. *)
+  (match file_lines path with
+  | [ _; b; "" ] ->
+    Telemetry.Export.write_file ~path (row ~id:"a" [ ("v", 1) ] ^ "\n" ^ b ^ "\n")
+  | _ -> Alcotest.fail "expected 2 framed lines");
+  let s' = Harness.Store.load ~path () in
+  check "stripped row quarantined" 1 (Harness.Store.quarantined_lines s');
+  checkb "stripped row gone" false (Harness.Store.mem s' "a");
+  checkb "framed row survives" true (Harness.Store.mem s' "b");
+  remove_store [ s; s' ]
 
 let test_store_checksum_detects_bitflip () =
   let path = temp_store_path () in
@@ -204,7 +232,7 @@ let test_store_checksum_detects_bitflip () =
   Harness.Store.append s ~id:"c" (row ~id:"c" [ ("v", 3) ]);
   Harness.Store.close s;
   (* Flip one byte in the middle row's payload. *)
-  (match String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) with
+  (match file_lines path with
   | [ a; b; c; "" ] ->
     let bb = Bytes.of_string b in
     let i = String.length b / 2 in
@@ -221,8 +249,7 @@ let test_store_checksum_detects_bitflip () =
   (* The damaged job can be filled back in. *)
   Harness.Store.append s' ~id:"b" (row ~id:"b" [ ("v", 2) ]);
   check "resumed" 3 (Harness.Store.count (Harness.Store.load ~path ()));
-  Sys.remove (Harness.Store.corrupt_path s');
-  Sys.remove path
+  remove_store [ s; s' ]
 
 let test_store_lock () =
   let path = temp_store_path () in
@@ -250,8 +277,9 @@ let test_store_fsync_mode () =
   Harness.Store.append s ~id:"a" (row ~id:"a" []);
   Harness.Store.append s ~id:"b" (row ~id:"b" []);
   Harness.Store.close s;
-  check "durable rows read back" 2 (Harness.Store.count (Harness.Store.load ~path ()));
-  Sys.remove path
+  let s' = Harness.Store.load ~path () in
+  check "durable rows read back" 2 (Harness.Store.count s');
+  remove_store [ s; s' ]
 
 let test_store_append_validation () =
   let path = temp_store_path () in
@@ -266,7 +294,7 @@ let test_store_append_validation () =
   expect_invalid (fun () -> Harness.Store.append s ~id:"b" (row ~id:"mismatch" []));
   expect_invalid (fun () -> Harness.Store.append s ~id:"b" "not json");
   expect_invalid (fun () -> Harness.Store.append s ~id:"b" (row ~id:"b" [] ^ "\n"));
-  Sys.remove path
+  remove_store [ s ]
 
 (* Lock coexistence: a read-only observer must work against a store
    whose lock a live foreign process (the daemon) holds — without
@@ -430,7 +458,7 @@ let test_runner_end_to_end () =
     (Option.get (Option.bind (J.member "ok" report) J.to_int_opt));
   check "report missing count" 0
     (Option.get (Option.bind (J.member "missing" report) J.to_int_opt));
-  Sys.remove (Harness.Store.path store)
+  remove_store [ store ]
 
 let test_runner_jobs_determinism () =
   let spec = small_spec in
@@ -442,8 +470,8 @@ let test_runner_jobs_determinism () =
   checks "reports equal"
     (J.print (Harness.Runner.report spec s1))
     (J.print (Harness.Runner.report spec s4));
-  Sys.remove (Harness.Store.path s1);
-  Sys.remove path
+  remove_store [ s1 ];
+  remove_store [ s4 ]
 
 (* The acceptance property: killing a sweep after any k jobs and
    resuming yields a byte-identical store and report. *)
@@ -476,8 +504,8 @@ let prop_kill_resume =
         J.print (Harness.Runner.report spec uninterrupted)
         = J.print (Harness.Runner.report spec resumed)
       in
-      Sys.remove (Harness.Store.path uninterrupted);
-      Sys.remove path;
+      remove_store [ uninterrupted ];
+      remove_store [ s; resumed ];
       same_bytes && same_report)
 
 (* --------------------------- Supervision --------------------------- *)
@@ -752,7 +780,9 @@ let () =
           Alcotest.test_case "corrupt tail" `Quick test_store_corrupt_tail;
           Alcotest.test_case "garbage middle" `Quick test_store_garbage_middle;
           Alcotest.test_case "append validation" `Quick test_store_append_validation;
-          Alcotest.test_case "v1 compat, v2 frames" `Quick test_store_v1_compat_v2_frames;
+          Alcotest.test_case "v2 frames" `Quick test_store_v2_frames;
+          Alcotest.test_case "crc-stripped row quarantined" `Quick
+            test_store_stripped_crc_quarantined;
           Alcotest.test_case "checksum detects bit-flip" `Quick
             test_store_checksum_detects_bitflip;
           Alcotest.test_case "lock file" `Quick test_store_lock;

@@ -401,7 +401,6 @@ let test_union_find () =
 let test_table_render () =
   let t = Util.Table.create ~headers:[ "a"; "bb" ] in
   Util.Table.add_row t [ "x"; "y" ];
-  Util.Table.add_separator t;
   Util.Table.add_row t [ "long-cell"; "z" ];
   let s = Util.Table.render t in
   checkb "contains header" true (String.length s > 0);
@@ -410,8 +409,6 @@ let test_table_render () =
       Util.Table.add_row t [ "only-one" ])
 
 let test_table_cells () =
-  Alcotest.(check string) "int" "42" (Util.Table.cell_int 42);
-  Alcotest.(check string) "float" "3.14" (Util.Table.cell_float ~decimals:2 3.14159);
   Alcotest.(check string) "bool" "yes" (Util.Table.cell_bool true)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
